@@ -65,7 +65,6 @@ from .flatness import (
     STATIC_FEEDBACK_LINEARIZABLE,
     SequenceReport,
     SequenceStep,
-    classify,
     compute_sequence,
     decomposability,
     subsystem_consistency_check,

@@ -17,18 +17,12 @@ from typing import Mapping, Sequence
 import sympy as sp
 
 from . import symcore
-from .errors import (
-    InversionFailed,
-    NotShiftable,
-    ShiftBudgetExceeded,
-    SystemFileError,
-)
+from .errors import InversionFailed, NotShiftable, ShiftBudgetExceeded
 from .extcalc import Chart, Codistribution, Distribution, OneForm, basis_oneform
 from .symcore import (
     ADAPTED_THETA,
     ADAPTED_XI,
     INPUT,
-    PARAMETER,
     SHIFTED_INPUT,
     STATE,
     Expr,
@@ -114,7 +108,7 @@ class DiscreteTimeSystem:
         base = self.inputs[j]
         if order == 0:
             return base
-        return Symbol(f"{base.name}_{order}", kind=SHIFTED_INPUT, shift_order=order)
+        return Symbol(f"{base.name}_{order}", kind=SHIFTED_INPUT)
 
     def _shift_order_of(self, s: sp.Symbol) -> tuple[int, int] | None:
         """(input index, shift order) if s is an input or a shifted input."""
@@ -248,27 +242,23 @@ def _candidate_complements(sys: DiscreteTimeSystem):
         yield tuple(s.s for s in combo)
 
 
-def _solve_inverse(sys: DiscreteTimeSystem, h: Sequence[Expr],
-                   theta: Sequence[Symbol], xi: Sequence[Symbol]):
-    """Solve (theta, xi) = (f, h) for (x, u); first fragment-valid branch
-    that passes the symbolic round trip wins."""
-    unknowns = list(sys.chart.syms)
-    eqs = [t.s - fi for t, fi in zip(theta, sys.f)]
-    eqs += [x.s - hj for x, hj in zip(xi, h)]
+def _solve_inverse(eqs: Sequence[Expr], unknowns: Sequence[sp.Symbol],
+                   back_subs: Mapping):
+    """Solve eqs = 0 for the unknowns.  The first branch that stays in the
+    expression fragment over the equations' other symbols and passes the
+    round trip (substituting back_subs gives the unknowns back) wins."""
     try:
         sols = sp.solve(eqs, unknowns, dict=True)
     except Exception:
         return None
-    allowed = {t.s for t in theta} | {x.s for x in xi} | {p.s for p in sys.params}
-    back = {t.s: fi for t, fi in zip(theta, sys.f)}
-    back.update({x.s: hj for x, hj in zip(xi, h)})
+    allowed = set().union(*(e.free_symbols for e in eqs)) - set(unknowns)
     for sol in sols:
         if set(sol) != set(unknowns):
             continue
         exprs = [sp.cancel(sol[s]) for s in unknowns]
         if not all(_fragment_ok(e, allowed) for e in exprs):
             continue
-        if all(is_zero(e.xreplace(back) - s) for e, s in zip(exprs, unknowns)):
+        if all(is_zero(e.xreplace(back_subs) - s) for e, s in zip(exprs, unknowns)):
             return tuple(exprs)
     return None
 
@@ -296,17 +286,18 @@ def build_adapted_chart(sys: DiscreteTimeSystem) -> AdaptedChart:
         if symcore.rank(full) < sys.n + sys.m:
             failures.append(f"{h}: (f, h) Jacobian rank deficient")
             continue
+        back = {t.s: fi for t, fi in zip(theta, sys.f)}
+        back.update({x.s: hj for x, hj in zip(xi, h)})
         if sys.inverse_chart is not None:
             inv = tuple(sp.sympify(e) for e in sys.inverse_chart)
-            back = {t.s: fi for t, fi in zip(theta, sys.f)}
-            back.update({x.s: hj for x, hj in zip(xi, h)})
             ok = all(is_zero(sp.sympify(e).xreplace(back) - s)
                      for e, s in zip(inv, chart_syms))
             if not ok:
                 raise InversionFailed(
                     "supplied inverse chart does not invert (f, h)")
         else:
-            inv = _solve_inverse(sys, h, theta, xi)
+            inv = _solve_inverse([s - e for s, e in back.items()],
+                                 list(chart_syms), back)
             if inv is None:
                 failures.append(f"{h}: not invertible by the built-in solver")
                 continue
@@ -376,7 +367,7 @@ def flat_output_symbol(j: int, order: int) -> Symbol:
     Named y{j+1} for order 0 and y{j+1}_{order} above.
     """
     name = f"y{j + 1}" if order == 0 else f"y{j + 1}_{order}"
-    return Symbol(name, kind=STATE, shift_order=order)
+    return Symbol(name, kind=STATE)
 
 
 @dataclass(frozen=True)
@@ -493,22 +484,6 @@ class DecompositionVerdict:
     ubar0: tuple | None = None
 
 
-def _solve_square(eqs, unknowns, back_subs):
-    """First fragment-agnostic branch of sp.solve passing the round trip."""
-    try:
-        sols = sp.solve(eqs, unknowns, dict=True)
-    except Exception:
-        return None
-    for sol in sols:
-        if set(sol) != set(unknowns):
-            continue
-        exprs = [sp.cancel(sol[s]) for s in unknowns]
-        if all(is_zero(sp.sympify(e).xreplace(back_subs) - s)
-               for e, s in zip(exprs, unknowns)):
-            return tuple(exprs)
-    return None
-
-
 def verify_triangular_decomposition(sys: DiscreteTimeSystem,
                                     dec: TriangularDecomposition) -> DecompositionVerdict:
     """Transform the system and check the triangular structure:
@@ -543,16 +518,15 @@ def verify_triangular_decomposition(sys: DiscreteTimeSystem,
                  for nm in _fresh_names("ub", sys.m, set(taken)))
     back = {xb.s: e for xb, e in zip(xbar, dec.state_map)}
     back.update({ub.s: e for ub, e in zip(ubar, dec.input_map)})
-    state_inv = _solve_square([xb.s - e for xb, e in zip(xbar, dec.state_map)],
-                              state_syms, back)
+    state_inv = _solve_inverse([xb.s - e for xb, e in zip(xbar, dec.state_map)],
+                               state_syms, back)
     if state_inv is None:
         return DecompositionVerdict(False, ["state map could not be inverted "
                                             "by the built-in solver"])
     x_subs = {s: e for s, e in zip(state_syms, state_inv)}
     input_eqs = [ub.s - sp.sympify(e).xreplace(x_subs)
                  for ub, e in zip(ubar, dec.input_map)]
-    input_inv = _solve_square(input_eqs, [u.s for u in sys.inputs],
-                              back)
+    input_inv = _solve_inverse(input_eqs, [u.s for u in sys.inputs], back)
     if input_inv is None:
         return DecompositionVerdict(False, ["input map could not be inverted "
                                             "by the built-in solver"])

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import sympy as sp
 
 from . import symcore
-from .errors import ExprSyntaxError
+from .errors import ExprSyntaxError, InternalInconsistency
 from .symcore import Expr, Symbol, as_sympy, is_zero, normalize
 
 
@@ -201,11 +201,6 @@ def lie_derivative_scalar(v: VectorField, f) -> Expr:
                          for vi, s in zip(v.comps, v.chart.syms)))
 
 
-#: When enabled, every Lie derivative of a 1-form is cross-checked against
-#: Cartan's formula L_v w = v _| dw + d(v _| w).
-CARTAN_CROSS_CHECK = False
-
-
 def lie_derivative_form(v: VectorField, w: OneForm) -> OneForm:
     """L_v w by the coefficient formula (v^k d_k w_i) dx^i + w_i dv^i."""
     _check_same_chart(v, w)
@@ -215,16 +210,7 @@ def lie_derivative_form(v: VectorField, w: OneForm) -> OneForm:
         c = sum(v.comps[k] * sp.diff(w.coeffs[i], ch.syms[k]) for k in range(ch.dim))
         c += sum(w.coeffs[j] * sp.diff(v.comps[j], ch.syms[i]) for j in range(ch.dim))
         coeffs.append(normalize(c))
-    out = OneForm(ch, tuple(coeffs))
-    if CARTAN_CROSS_CHECK:
-        cartan = add_oneforms(
-            contract(v, exterior_derivative(w)),
-            exterior_derivative(contract(v, w), ch),
-        )
-        delta = sub_oneforms(out, cartan)
-        if not delta.is_zero_form():
-            raise AssertionError("Lie derivative disagrees with Cartan's formula")
-    return out
+    return OneForm(ch, tuple(coeffs))
 
 
 def add_oneforms(a: OneForm, b: OneForm) -> OneForm:
@@ -362,6 +348,39 @@ class Distribution:
             for fa, fb in zip(self.basis, other.basis)
             for a, b in zip(fa.comps, fb.comps)
         )
+
+
+def pullback(old_in_new: Sequence[Expr], chart: Chart):
+    """The map that rewrites 1-forms through a change of coordinates.
+
+    ``old_in_new`` gives the leading coordinates of the forms' chart as
+    expressions on ``chart``.  The returned function takes forms on the old
+    chart and returns the span of their pullbacks on ``chart``: coefficients
+    through the map, differentials through its Jacobian, which is computed
+    once here.  The old chart's remaining coordinates are dropped; a form
+    with a nonzero component along them raises InternalInconsistency.
+    """
+    J = [[sp.diff(F, s) for s in chart.syms] for F in old_in_new]
+
+    def apply(forms: Iterable[OneForm]) -> Codistribution:
+        pulled = []
+        for w in forms:
+            if any(c != 0 and not is_zero(c) for c in w.coeffs[len(J):]):
+                raise InternalInconsistency(
+                    "form has components along coordinates the map drops")
+            subs = dict(zip(w.chart.syms, old_in_new))
+            coeffs = [sp.Integer(0)] * chart.dim
+            for c_old, dF in zip(w.coeffs, J):
+                if c_old == 0:
+                    continue
+                c_new = c_old.xreplace(subs)
+                for a, d in enumerate(dF):
+                    if d != 0:
+                        coeffs[a] += c_new * d
+            pulled.append(OneForm(chart, tuple(coeffs)))
+        return Codistribution.span(chart, pulled)
+
+    return apply
 
 
 def annihilator_of_codistribution(P: Codistribution) -> Distribution:

@@ -11,6 +11,10 @@ differentials, performs three moves:
 3. shift the result backward, which in adapted coordinates is the
    substitution theta -> x.
 
+In the adapted chart (theta, xi) the first two moves are coordinate
+operations: span{df} is span{d theta}, and the complement directions are
+the constant fields d/d xi.
+
 The sequence is strictly decreasing until it stabilizes; the system is
 forward flat exactly when it reaches the zero codistribution, and static
 feedback linearizable when, in addition, step 2 never adds anything.
@@ -40,12 +44,11 @@ from .extcalc import (
     Codistribution,
     OneForm,
     basis_oneform,
-    intersect,
-    invariant_extension,
     is_integrable,
+    pullback,
     render_oneform,
 )
-from .symcore import is_zero, normalize
+from .symcore import is_zero
 
 FORWARD_FLAT = "ForwardFlat"
 STATIC_FEEDBACK_LINEARIZABLE = "StaticFeedbackLinearizable"
@@ -109,25 +112,34 @@ class SequenceReport:
         return d
 
 
-def _pullback_to_adapted(P: Codistribution, ac: AdaptedChart) -> Codistribution:
-    """Rewrite forms from the (x, u) chart in the adapted (theta, xi) chart:
-    coefficients through the inverse map, differentials via dF."""
-    ch = ac.chart
-    subs = ac.to_adapted_subs()
-    F = ac.from_adapted
-    forms = []
-    for w in P.basis:
-        coeffs = [sp.Integer(0)] * ch.dim
-        for c_old, F_c in zip(w.coeffs, F):
-            if c_old == 0:
-                continue
-            c_sub = sp.sympify(c_old).xreplace(subs)
-            for a, s in enumerate(ch.syms):
-                dF = sp.diff(F_c, s)
-                if dF != 0:
-                    coeffs[a] += c_sub * dF
-        forms.append(OneForm(ch, tuple(normalize(c) for c in coeffs)))
-    return Codistribution.span(ch, forms)
+def _intersect_dtheta(P: Codistribution, n: int) -> Codistribution:
+    """P ∩ span{dθ} on a chart whose first n coordinates are θ.
+
+    In the rref of P with the ξ columns moved first, the rows without a
+    ξ-pivot vanish on every ξ column and span the intersection; in (θ, ξ)
+    order they are already the canonical rref.
+    """
+    M = P.matrix()
+    m = M.cols - n
+    R, pivots = symcore.rref(M[:, n:].row_join(M[:, :n]))
+    rows = [tuple(R[i, m:]) + tuple(R[i, :m])
+            for i, c in enumerate(pivots) if c >= m]
+    return Codistribution(P.chart, tuple(OneForm(P.chart, r) for r in rows))
+
+
+def _close_under_dxi(Q: Codistribution, n: int) -> Codistribution:
+    """Smallest extension of Q invariant under ∂ξ, the coordinate fields
+    after the first n: ∂ξ is constant, so L_∂ξ ω is ∂ω/∂ξ coefficientwise.
+    The dimension grows every round until it stops, so at most chart.dim
+    rounds run."""
+    ch = Q.chart
+    while True:
+        derived = [OneForm(ch, tuple(sp.diff(c, xi) for c in w.coeffs))
+                   for xi in ch.syms[n:] for w in Q.basis]
+        extended = Codistribution.span(ch, list(Q.basis) + derived)
+        if extended.dim == Q.dim:
+            return Q
+        Q = extended
 
 
 def _clear_row_denominators(M: sp.Matrix) -> sp.Matrix:
@@ -208,8 +220,7 @@ def compute_sequence(sys: DiscreteTimeSystem,
                         "equilibrium rank checks skipped")
 
     xu = sys.chart
-    span_dtheta = ac.span_dtheta()
-    D_xi = ac.xi_directions()
+    to_adapted = pullback(ac.from_adapted, ac.chart)
 
     P = Codistribution.span(xu, [basis_oneform(xu, i) for i in range(sys.n)])
     steps = [SequenceStep(1, P, P.dim)]
@@ -218,12 +229,12 @@ def compute_sequence(sys: DiscreteTimeSystem,
         step = steps[-1]
         if step.dim == 0:
             break
-        P_ad = _pullback_to_adapted(step.P, ac)
+        P_ad = to_adapted(step.P.basis)
         if P_ad.dim != step.dim:
             raise InternalInconsistency(
                 f"pullback changed the dimension at k = {k}")
-        Q = intersect(P_ad, span_dtheta)
-        Qhat = invariant_extension(Q, D_xi)
+        Q = _intersect_dtheta(P_ad, sys.n)
+        Qhat = _close_under_dxi(Q, sys.n)
         step.intersection_dim = Q.dim
         step.lie_derivatives_added = Qhat.dim - Q.dim
         step.step2_trivial = Qhat.dim == Q.dim
@@ -280,10 +291,6 @@ def compute_sequence(sys: DiscreteTimeSystem,
     return SequenceReport(sys.name, steps, k_bar, verdict, obstruction, warnings)
 
 
-def classify(report: SequenceReport) -> str:
-    return report.verdict
-
-
 def decomposability(report: SequenceReport) -> tuple[int, int] | None:
     """Block dimensions (dim x1, dim x2) of a triangular decomposition, when
     one exists; None when the first iteration already stalls."""
@@ -305,30 +312,6 @@ class ConsistencyVerdict:
     decomposition: DecompositionVerdict | None = None
 
 
-def _transform_states_only(P: Codistribution, sys: DiscreteTimeSystem,
-                           xbar_chart: Chart, state_inverse) -> Codistribution:
-    """Rewrite a codistribution spanned by state differentials in the new
-    state coordinates xbar, dropping the (zero) input components."""
-    subs = {x.s: e for x, e in zip(sys.states, state_inverse)}
-    forms = []
-    for w in P.basis:
-        for c in w.coeffs[sys.n:]:
-            if not is_zero(c):
-                raise InternalInconsistency(
-                    "codistribution has input-differential components")
-        coeffs = [sp.Integer(0)] * xbar_chart.dim
-        for i, c_old in enumerate(w.coeffs[:sys.n]):
-            if c_old == 0:
-                continue
-            c_sub = sp.sympify(c_old).xreplace(subs)
-            for a, s in enumerate(xbar_chart.syms):
-                dX = sp.diff(state_inverse[i], s)
-                if dX != 0:
-                    coeffs[a] += c_sub * dX
-        forms.append(OneForm(xbar_chart, tuple(normalize(c) for c in coeffs)))
-    return Codistribution.span(xbar_chart, forms)
-
-
 def subsystem_consistency_check(sys: DiscreteTimeSystem,
                                 dec: TriangularDecomposition) -> ConsistencyVerdict:
     """Check that the sequence of the x2-subsystem, with (x1, u2) acting as
@@ -339,7 +322,7 @@ def subsystem_consistency_check(sys: DiscreteTimeSystem,
         return ConsistencyVerdict(False, ["decomposition invalid: "
                                           + "; ".join(v.reasons)],
                                   decomposition=v)
-    n1, n2, m1, m2 = dec.split
+    n1, _, m1, _ = dec.split
     if v.xbar0 is None:
         return ConsistencyVerdict(
             False, ["transformed equilibrium is not rational; the subsystem "
@@ -366,25 +349,13 @@ def subsystem_consistency_check(sys: DiscreteTimeSystem,
     main = compute_sequence(sys)
     sub = compute_sequence(sub_sys)
 
+    # both sequences in the xbar chart; input components must vanish
     xbar_chart = Chart(v.xbar)
+    main_to_xbar = pullback(v.state_inverse, xbar_chart)
+    sub_to_xbar = pullback([x.s for x in x2_syms], xbar_chart)
+    main_in_xbar = [main_to_xbar(s.P.basis) for s in main.steps[1:]]
+    sub_in_xbar = [sub_to_xbar(s.P.basis) for s in sub.steps]
     reasons: list[str] = []
-    main_in_xbar = [
-        _transform_states_only(s.P, sys, xbar_chart, v.state_inverse)
-        for s in main.steps[1:]
-    ]
-    sub_in_xbar = []
-    for s in sub.steps:
-        forms = []
-        for w in s.P.basis:
-            for c in w.coeffs[n2:]:
-                if not is_zero(c):
-                    raise InternalInconsistency(
-                        "subsystem codistribution leaves the state span")
-            coeffs = [sp.Integer(0)] * xbar_chart.dim
-            for i in range(n2):
-                coeffs[n1 + i] = w.coeffs[i]
-            forms.append(OneForm(xbar_chart, tuple(coeffs)))
-        sub_in_xbar.append(Codistribution.span(xbar_chart, forms))
 
     if len(sub_in_xbar) != len(main_in_xbar):
         reasons.append(

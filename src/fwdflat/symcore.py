@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import sympy as sp
 from sympy.parsing.sympy_parser import (
@@ -46,23 +46,14 @@ _KINDS = {STATE, INPUT, ADAPTED_THETA, ADAPTED_XI, PARAMETER, SHIFTED_INPUT}
 
 @dataclass(frozen=True, order=True)
 class Symbol:
-    """A named coordinate or parameter together with its role.
-
-    ``shift_order`` is 0 for unshifted coordinates and k for the k-th
-    forward shift of an input.  Parameters carry ``nonzero=True`` when they
-    are assumed nonzero (sampling times and similar constants).
-    """
+    """A named coordinate or parameter together with its role."""
 
     name: str
     kind: str = STATE
-    shift_order: int = 0
-    nonzero: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown symbol kind {self.kind!r}")
-        if self.shift_order < 0:
-            raise ValueError("shift_order must be nonnegative")
 
     @property
     def s(self) -> sp.Symbol:

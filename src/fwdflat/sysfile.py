@@ -91,11 +91,8 @@ def _one(fields, key, default=None):
     return vals[0]
 
 
-def _names(line: str, kind: str, nonzero=False) -> tuple[Symbol, ...]:
-    names = line.split()
-    if len(set(names)) != len(names):
-        raise SystemFileError(f"duplicate names in {line!r}")
-    return tuple(Symbol(nm, kind=kind, nonzero=nonzero) for nm in names)
+def _names(line: str, kind: str) -> tuple[Symbol, ...]:
+    return tuple(Symbol(nm, kind=kind) for nm in line.split())
 
 
 def _rationals(line: str, count: int, what: str):
@@ -115,9 +112,14 @@ def parse_system_text(text: str, name: str = "system") -> SystemFile:
             raise SystemFileError(f"missing required key {key!r}")
     states = _names(_one(fields, "states"), STATE)
     inputs = _names(_one(fields, "inputs"), INPUT)
-    params = _names(_one(fields, "params", ""), PARAMETER, nonzero=True) \
+    params = _names(_one(fields, "params", ""), PARAMETER) \
         if "params" in fields else ()
     base_syms = states + inputs + params
+    names = [s.name for s in base_syms]
+    duplicates = sorted({nm for nm in names if names.count(nm) > 1})
+    if duplicates:
+        raise SystemFileError(
+            f"names declared twice among states, inputs and params: {duplicates}")
     n, m = len(states), len(inputs)
 
     f_lines = fields["f"]
@@ -140,10 +142,13 @@ def parse_system_text(text: str, name: str = "system") -> SystemFile:
             + tuple(Symbol(f"xi{j + 1}", kind="adapted-xi") for j in range(m))
         inverse = tuple(parse_expr(t, adapted + params) for t in fields["inverse"])
 
-    system = DiscreteTimeSystem(states=states, inputs=inputs, f=f,
-                                x0=x0, u0=u0, params=params,
-                                complement_h=h, inverse_chart=inverse,
-                                name=_one(fields, "name", name))
+    try:
+        system = DiscreteTimeSystem(states=states, inputs=inputs, f=f,
+                                    x0=x0, u0=u0, params=params,
+                                    complement_h=h, inverse_chart=inverse,
+                                    name=_one(fields, "name", name))
+    except ValueError as exc:
+        raise SystemFileError(str(exc)) from exc
 
     flat = None
     if any(k in fields for k in ("phi", "Fx", "Fu")):
@@ -153,7 +158,7 @@ def parse_system_text(text: str, name: str = "system") -> SystemFile:
             if len(fields[key]) != count:
                 raise SystemFileError(f"expected {count} {key!r} lines")
         shift_syms = tuple(
-            Symbol(f"{u.name}_{k}", kind="shifted-input", shift_order=k)
+            Symbol(f"{u.name}_{k}", kind="shifted-input")
             for u in inputs for k in range(1, _MAX_SHIFT_ALPHABET))
         y_syms = tuple(flat_output_symbol(j, k)
                        for j in range(m) for k in range(_MAX_SHIFT_ALPHABET))
@@ -178,8 +183,11 @@ def parse_system_text(text: str, name: str = "system") -> SystemFile:
                 raise SystemFileError(f"decomposition needs {key!r} lines")
             if len(fields[key]) != count:
                 raise SystemFileError(f"expected {count} {key!r} lines")
-        parts = _one(fields, "split", "")
-        split = tuple(int(p) for p in parts.split()) if parts else ()
+        parts = _one(fields, "split", "").split()
+        try:
+            split = tuple(int(p) for p in parts)
+        except ValueError as exc:
+            raise SystemFileError(f"split: {exc}") from exc
         if len(split) != 4:
             raise SystemFileError("split: expected four integers")
         state_map = tuple(parse_expr(t, states + params)

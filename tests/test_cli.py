@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -136,3 +139,31 @@ class TestErrorMapping:
             finally:
                 sys.argv = old
         assert exc.value.code == cli.EXIT_NEGATIVE
+
+
+RUNNING_TEXT = (FIXTURES / "running.sys").read_text()
+
+
+@pytest.mark.parametrize("text", [
+    RUNNING_TEXT.replace("split: 1 2 1 1", "split: a b c d"),
+    "states: x1 x2\ninputs: x2\nf: x2\nf: x1\nx0: 0 0\nu0: 0\n",
+    "states: x1\ninputs: u1\nf: x1 + u1\nx0: 0\nu0: 1\n",
+], ids=["split-not-integers", "state-named-like-input", "not-an-equilibrium"])
+def test_input_errors_exit_two_without_traceback(tmp_path, capsys, text):
+    bad = tmp_path / "bad.sys"
+    bad.write_text(text)
+    assert cli.run(["analyze", str(bad)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_python_m_fwdflat_help():
+    src = str(FIXTURES.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    r = subprocess.run([sys.executable, "-m", "fwdflat", "--help"],
+                       capture_output=True, text=True, env=env, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("usage: fwdflat")

@@ -1,15 +1,29 @@
+import random
+
 import pytest
 import sympy as sp
 
+from conftest import random_poly
 from fwdflat import symcore
 from fwdflat.dtsys import DiscreteTimeSystem, TriangularDecomposition
 from fwdflat.errors import FwdflatError
-from fwdflat.extcalc import Codistribution, parse_oneform
+from fwdflat.extcalc import (
+    Chart,
+    Codistribution,
+    Distribution,
+    OneForm,
+    basis_oneform,
+    basis_vectorfield,
+    intersect,
+    invariant_extension,
+    parse_oneform,
+)
 from fwdflat.flatness import (
     FORWARD_FLAT,
     NOT_FORWARD_FLAT,
     STATIC_FEEDBACK_LINEARIZABLE,
-    classify,
+    _close_under_dxi,
+    _intersect_dtheta,
     compute_sequence,
     decomposability,
     subsystem_consistency_check,
@@ -34,7 +48,7 @@ class TestRunningSequence:
         r = compute_sequence(running.system)
         assert r.dims == [3, 2, 0]
         assert r.k_bar == 3
-        assert classify(r) == FORWARD_FLAT
+        assert r.verdict == FORWARD_FLAT
         assert r.obstruction is None
         assert r.warnings == []
 
@@ -198,3 +212,33 @@ class TestTrace:
         assert any("k = 1" in ln for ln in lines)
         assert any("zero codistribution" in ln or "fixed point" in ln
                    for ln in lines)
+
+
+class TestAdaptedCoordinateShortcuts:
+    def test_match_general_routines_randomized(self):
+        """The ξ-first intersection and the ∂ξ closure equal intersect with
+        span{dθ} and invariant_extension along ∂ξ, on random codistributions
+        with polynomial coefficients."""
+        rng = random.Random(4242)
+        nontrivial = 0
+        for _ in range(50):
+            n, m = rng.choice(((2, 1), (2, 2), (3, 1)))
+            ch = Chart(tuple(Symbol(f"th{i}", kind="adapted-theta")
+                             for i in range(1, n + 1))
+                       + tuple(Symbol(f"xi{j}", kind="adapted-xi")
+                               for j in range(1, m + 1)))
+            forms = [OneForm(ch, tuple(
+                random_poly(rng, ch.syms, 2, 3, 1) if rng.random() < 0.5 else 0
+                for _ in range(ch.dim)))
+                for _ in range(rng.randint(m, n + m - 1))]
+            P = Codistribution.span(ch, forms)
+            dtheta = Codistribution.span(
+                ch, [basis_oneform(ch, i) for i in range(n)])
+            dxi = Distribution.span(
+                ch, [basis_vectorfield(ch, n + j) for j in range(m)])
+            Q = _intersect_dtheta(P, n)
+            assert Q.equals(intersect(P, dtheta))
+            assert _close_under_dxi(Q, n).equals(invariant_extension(Q, dxi))
+            assert _close_under_dxi(P, n).equals(invariant_extension(P, dxi))
+            nontrivial += Q.dim > 0
+        assert nontrivial >= 10
