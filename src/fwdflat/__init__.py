@@ -2,12 +2,14 @@
 systems x+ = f(x, u), built on a decreasing sequence of integrable
 codistributions.
 
-The top-level names re-export the working vocabulary; the implementation
-lives in :mod:`fwdflat.symcore` (expression kernel and exact linear
-algebra), :mod:`fwdflat.extcalc` (exterior calculus and codistributions),
-:mod:`fwdflat.dtsys` (system model, adapted charts, shifts, verifiers),
-:mod:`fwdflat.flatness` (the sequence and the classification) and
-:mod:`fwdflat.cli` (command line front end).
+The top-level names re-export the working vocabulary.  Coordinates and
+parameters are plain ``sympy.Symbol`` objects and expressions are sympy
+expressions.  The implementation lives in :mod:`fwdflat.symcore`
+(expression kernel and exact linear algebra), :mod:`fwdflat.extcalc`
+(exterior calculus; one row-space class serves codistributions and
+distributions), :mod:`fwdflat.dtsys` (system model, adapted charts,
+shifts, verifiers), :mod:`fwdflat.flatness` (the sequence and the
+classification) and :mod:`fwdflat.cli` (command line front end).
 """
 
 from .errors import (
@@ -15,14 +17,13 @@ from .errors import (
     FwdflatError,
     InternalInconsistency,
     InversionFailed,
-    NonConstantDimension,
     NonRationalTrigArgument,
     NotShiftable,
     PoleAtPoint,
     ShiftBudgetExceeded,
     SystemFileError,
 )
-from .symcore import Symbol, configure, is_zero, normalize, parse_expr, render
+from .symcore import configure, is_zero, normalize, parse_expr, render
 from .extcalc import (
     Chart,
     Codistribution,
@@ -30,8 +31,7 @@ from .extcalc import (
     KForm,
     OneForm,
     VectorField,
-    annihilator_of_codistribution,
-    annihilator_of_distribution,
+    annihilator,
     cauchy_distribution,
     contract,
     exterior_derivative,

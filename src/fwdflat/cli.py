@@ -18,7 +18,7 @@ import json
 import sys as _sys
 
 from . import symcore
-from .dtsys import verify_flat_output, verify_triangular_decomposition
+from .dtsys import verify_flat_output
 from .errors import (
     FwdflatError,
     InternalInconsistency,
@@ -139,29 +139,26 @@ def _cmd_verify_decomposition(sf, args) -> int:
     if sf.decomposition is None:
         raise SystemFileError(
             "the file declares no decomposition (state_map/input_map/split)")
-    v = verify_triangular_decomposition(sf.system, sf.decomposition)
-    c = None
-    if v.ok:
-        c = subsystem_consistency_check(sf.system, sf.decomposition)
-    ok = v.ok and c is not None and c.ok
+    c = subsystem_consistency_check(sf.system, sf.decomposition)
+    v = c.decomposition
     payload = {
         "system": sf.system.name,
-        "verified": ok,
+        "verified": c.ok,
         "split": list(sf.decomposition.split),
-        "reasons": v.reasons + (c.reasons if c is not None else []),
-        "sequence_dims": c.main_dims if c is not None else None,
-        "subsystem_sequence_dims": c.subsystem_dims if c is not None else None,
+        "reasons": c.reasons if v.ok else v.reasons,
+        "sequence_dims": c.main_dims,
+        "subsystem_sequence_dims": c.subsystem_dims,
     }
     lines = [f"system: {sf.system.name}",
-             f"decomposition verified: {ok}",
+             f"decomposition verified: {c.ok}",
              f"split (dim x1, dim x2, dim u1, dim u2): {sf.decomposition.split}"]
     for r in payload["reasons"]:
         lines.append(f"  {r}")
-    if c is not None:
+    if v.ok:
         lines.append(f"sequence dims: {c.main_dims}; "
                      f"subsystem sequence dims: {c.subsystem_dims}")
     _emit(payload, args.as_json, lines)
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    return EXIT_OK if c.ok else EXIT_NEGATIVE
 
 
 def run(argv=None) -> int:

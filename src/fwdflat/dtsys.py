@@ -18,18 +18,15 @@ import sympy as sp
 
 from . import symcore
 from .errors import InversionFailed, NotShiftable, ShiftBudgetExceeded
-from .extcalc import Chart, Codistribution, Distribution, OneForm, basis_oneform
-from .symcore import (
-    ADAPTED_THETA,
-    ADAPTED_XI,
-    INPUT,
-    SHIFTED_INPUT,
-    STATE,
-    Expr,
-    Symbol,
-    is_zero,
-    normalize,
+from .extcalc import (
+    Chart,
+    Codistribution,
+    Distribution,
+    OneForm,
+    basis_oneform,
+    basis_vectorfield,
 )
+from .symcore import Expr, is_zero, normalize
 
 DEFAULT_MAX_SHIFT = 25
 
@@ -49,12 +46,12 @@ def _fresh_names(prefix: str, count: int, taken: set[str]) -> list[str]:
 class DiscreteTimeSystem:
     """x+ = f(x, u) with an equilibrium (x0, u0) and optional chart hints."""
 
-    states: tuple[Symbol, ...]
-    inputs: tuple[Symbol, ...]
+    states: tuple[sp.Symbol, ...]
+    inputs: tuple[sp.Symbol, ...]
     f: tuple[Expr, ...]
     x0: tuple
     u0: tuple
-    params: tuple[Symbol, ...] = ()
+    params: tuple[sp.Symbol, ...] = ()
     complement_h: tuple[Expr, ...] | None = None
     inverse_chart: tuple[Expr, ...] | None = None
     name: str = "system"
@@ -90,30 +87,30 @@ class DiscreteTimeSystem:
         return Chart(self.states + self.inputs)
 
     def equilibrium_subs(self) -> dict:
-        subs = {s.s: v for s, v in zip(self.states, self.x0)}
-        subs.update({s.s: v for s, v in zip(self.inputs, self.u0)})
+        subs = dict(zip(self.states, self.x0))
+        subs.update(zip(self.inputs, self.u0))
         return subs
 
     def jacobian(self) -> sp.Matrix:
         """d f / d (x, u), an n x (n+m) matrix."""
-        return sp.Matrix([[sp.diff(fi, s) for s in self.chart.syms] for fi in self.f])
+        return sp.Matrix([[sp.diff(fi, s) for s in self.chart.symbols] for fi in self.f])
 
     def span_df(self) -> Codistribution:
         ch = self.chart
-        forms = [OneForm(ch, tuple(sp.diff(fi, s) for s in ch.syms)) for fi in self.f]
+        forms = [OneForm(ch, tuple(sp.diff(fi, s) for s in ch.symbols)) for fi in self.f]
         return Codistribution.span(ch, forms)
 
-    def input_shift_symbol(self, j: int, order: int) -> Symbol:
+    def input_shift_symbol(self, j: int, order: int) -> sp.Symbol:
         """The order-th forward shift of input j (order 0 is the input itself)."""
         base = self.inputs[j]
         if order == 0:
             return base
-        return Symbol(f"{base.name}_{order}", kind=SHIFTED_INPUT)
+        return sp.Symbol(f"{base.name}_{order}")
 
     def _shift_order_of(self, s: sp.Symbol) -> tuple[int, int] | None:
         """(input index, shift order) if s is an input or a shifted input."""
         for j, u in enumerate(self.inputs):
-            if s == u.s:
+            if s == u:
                 return j, 0
             mt = re.fullmatch(re.escape(u.name) + r"_(\d+)", s.name)
             if mt:
@@ -132,15 +129,15 @@ class SubmersivityReport:
     notes: list[str] = field(default_factory=list)
 
 
-def _rank_at_point(M: sp.Matrix, subs: Mapping, params: Sequence[Symbol]) -> int | None:
+def _rank_at_point(M: sp.Matrix, subs: Mapping, params: Sequence[sp.Symbol]) -> int | None:
     """Exact rank of M at a rational point, params sampled nonzero; None if
     the matrix does not become rational there."""
     rng = symcore._session.rng
     for _ in range(20):
         psubs = dict(subs)
         for p in params:
-            psubs[p.s] = sp.Rational(rng.randint(1, 97) * rng.choice((-1, 1)),
-                                     rng.randint(1, 13))
+            psubs[p] = sp.Rational(rng.randint(1, 97) * rng.choice((-1, 1)),
+                                   rng.randint(1, 13))
         Mv = M.xreplace(psubs)
         Mv = Mv.applyfunc(sp.cancel)
         if Mv.has(sp.zoo, sp.nan, sp.oo):
@@ -182,8 +179,8 @@ class AdaptedChart:
     """(theta, xi) = (f(x, u), h(x, u)) together with the inverse map."""
 
     system: DiscreteTimeSystem
-    theta: tuple[Symbol, ...]
-    xi: tuple[Symbol, ...]
+    theta: tuple[sp.Symbol, ...]
+    xi: tuple[sp.Symbol, ...]
     h: tuple[Expr, ...]
     from_adapted: tuple[Expr, ...]  # (x, u) as expressions in (theta, xi)
 
@@ -193,13 +190,12 @@ class AdaptedChart:
 
     def to_adapted_subs(self) -> dict:
         """x_i -> F_x_i(theta, xi), u_j -> F_u_j(theta, xi)."""
-        old = self.system.chart.syms
-        return {s: e for s, e in zip(old, self.from_adapted)}
+        return dict(zip(self.system.chart.symbols, self.from_adapted))
 
     def from_adapted_subs(self) -> dict:
         """theta_i -> f_i(x, u), xi_j -> h_j(x, u)."""
-        subs = {t.s: fi for t, fi in zip(self.theta, self.system.f)}
-        subs.update({x.s: hj for x, hj in zip(self.xi, self.h)})
+        subs = dict(zip(self.theta, self.system.f))
+        subs.update(zip(self.xi, self.h))
         return subs
 
     def equilibrium_subs(self) -> dict | None:
@@ -207,12 +203,12 @@ class AdaptedChart:
         eq = self.system.equilibrium_subs()
         subs = {}
         for t, x0 in zip(self.theta, self.system.x0):
-            subs[t.s] = x0  # theta0 = f(x0, u0) = x0
+            subs[t] = x0  # theta0 = f(x0, u0) = x0
         for x, hj in zip(self.xi, self.h):
             v = sp.cancel(sp.sympify(hj).xreplace(eq))
             if not v.is_Rational:
                 return None
-            subs[x.s] = v
+            subs[x] = v
         return subs
 
     def span_dtheta(self) -> Codistribution:
@@ -220,7 +216,6 @@ class AdaptedChart:
         return Codistribution.span(ch, [basis_oneform(ch, i) for i in range(len(self.theta))])
 
     def xi_directions(self) -> Distribution:
-        from .extcalc import basis_vectorfield
         ch = self.chart
         n = len(self.theta)
         return Distribution.span(
@@ -239,7 +234,7 @@ def _candidate_complements(sys: DiscreteTimeSystem):
     """m-subsets of the coordinates, inputs before states, ascending index."""
     coords = list(sys.inputs) + list(sys.states)
     for combo in itertools.combinations(coords, sys.m):
-        yield tuple(s.s for s in combo)
+        yield combo
 
 
 def _solve_inverse(eqs: Sequence[Expr], unknowns: Sequence[sp.Symbol],
@@ -263,21 +258,28 @@ def _solve_inverse(eqs: Sequence[Expr], unknowns: Sequence[sp.Symbol],
     return None
 
 
+def inverse_chart_symbols(n: int, m: int) -> tuple[sp.Symbol, ...]:
+    """th1..thn, xi1..xim: the adapted coordinates as a supplied inverse
+    chart writes them.  The chart's own names get a trailing underscore
+    where a state, input or parameter has the name; build_adapted_chart maps
+    these names onto the chart's."""
+    return (tuple(sp.Symbol(f"th{i + 1}") for i in range(n))
+            + tuple(sp.Symbol(f"xi{j + 1}") for j in range(m)))
+
+
 def build_adapted_chart(sys: DiscreteTimeSystem) -> AdaptedChart:
     """Construct adapted coordinates, completing span{df} automatically when
     no complement was supplied."""
     taken = {s.name for s in sys.states + sys.inputs + sys.params}
-    theta = tuple(Symbol(nm, kind=ADAPTED_THETA)
-                  for nm in _fresh_names("th", sys.n, set(taken)))
-    xi = tuple(Symbol(nm, kind=ADAPTED_XI)
-               for nm in _fresh_names("xi", sys.m, set(taken)))
+    theta = tuple(sp.Symbol(nm) for nm in _fresh_names("th", sys.n, set(taken)))
+    xi = tuple(sp.Symbol(nm) for nm in _fresh_names("xi", sys.m, set(taken)))
 
     if sys.complement_h is not None:
         candidates = [tuple(sp.sympify(e) for e in sys.complement_h)]
     else:
         candidates = list(_candidate_complements(sys))
 
-    chart_syms = sys.chart.syms
+    chart_syms = sys.chart.symbols
     J = sys.jacobian()
     failures = []
     for h in candidates:
@@ -286,11 +288,12 @@ def build_adapted_chart(sys: DiscreteTimeSystem) -> AdaptedChart:
         if symcore.rank(full) < sys.n + sys.m:
             failures.append(f"{h}: (f, h) Jacobian rank deficient")
             continue
-        back = {t.s: fi for t, fi in zip(theta, sys.f)}
-        back.update({x.s: hj for x, hj in zip(xi, h)})
+        back = dict(zip(theta, sys.f))
+        back.update(zip(xi, h))
         if sys.inverse_chart is not None:
-            inv = tuple(sp.sympify(e) for e in sys.inverse_chart)
-            ok = all(is_zero(sp.sympify(e).xreplace(back) - s)
+            to_chart = dict(zip(inverse_chart_symbols(sys.n, sys.m), theta + xi))
+            inv = tuple(sp.sympify(e).xreplace(to_chart) for e in sys.inverse_chart)
+            ok = all(is_zero(e.xreplace(back) - s)
                      for e, s in zip(inv, chart_syms))
             if not ok:
                 raise InversionFailed(
@@ -327,10 +330,10 @@ def forward_shift(g, sys: DiscreteTimeSystem, max_shift: int = DEFAULT_MAX_SHIFT
     if top + 1 > max_shift:
         raise ShiftBudgetExceeded(
             f"forward shift needs input shift order {top + 1} > cap {max_shift}")
-    subs = {x.s: fi for x, fi in zip(sys.states, sys.f)}
+    subs = dict(zip(sys.states, sys.f))
     for j in range(sys.m):
         for a in range(top + 1):
-            subs[sys.input_shift_symbol(j, a).s] = sys.input_shift_symbol(j, a + 1).s
+            subs[sys.input_shift_symbol(j, a)] = sys.input_shift_symbol(j, a + 1)
     return normalize(g.xreplace(subs))
 
 
@@ -347,8 +350,8 @@ def backward_shift_oneform(w: OneForm, ac: AdaptedChart) -> OneForm:
         if not is_zero(c):
             raise NotShiftable(f"nonzero d{ac.xi[j].name}-component: {normalize(c)}")
     coeffs = []
-    xisyms = {x.s for x in ac.xi}
-    theta_to_x = {t.s: x.s for t, x in zip(ac.theta, ac.system.states)}
+    xisyms = set(ac.xi)
+    theta_to_x = dict(zip(ac.theta, ac.system.states))
     for c in w.coeffs[:n]:
         c = normalize(c)
         if c.free_symbols & xisyms:
@@ -361,13 +364,12 @@ def backward_shift_oneform(w: OneForm, ac: AdaptedChart) -> OneForm:
 # --------------------------------------------------------------------------
 # flat-output verification
 
-def flat_output_symbol(j: int, order: int) -> Symbol:
+def flat_output_symbol(j: int, order: int) -> sp.Symbol:
     """Component j (0-based) of the flat output, shifted `order` times.
 
     Named y{j+1} for order 0 and y{j+1}_{order} above.
     """
-    name = f"y{j + 1}" if order == 0 else f"y{j + 1}_{order}"
-    return Symbol(name, kind=STATE)
+    return sp.Symbol(f"y{j + 1}" if order == 0 else f"y{j + 1}_{order}")
 
 
 @dataclass(frozen=True)
@@ -425,21 +427,21 @@ def verify_flat_output(sys: DiscreteTimeSystem, cand: FlatOutputCandidate,
     shifted: dict[sp.Symbol, sp.Expr] = {}
     for j, phi in enumerate(cand.phi):
         val = sp.sympify(phi)
-        shifted[flat_output_symbol(j, 0).s] = val
+        shifted[flat_output_symbol(j, 0)] = val
         for k in range(1, top + 1):
             val = forward_shift(val, sys, max_shift=max_shift)
-            shifted[flat_output_symbol(j, k).s] = val
-    res_x = [normalize(sp.sympify(Fi).xreplace(shifted) - x.s)
+            shifted[flat_output_symbol(j, k)] = val
+    res_x = [normalize(sp.sympify(Fi).xreplace(shifted) - x)
              for Fi, x in zip(cand.F_x, sys.states)]
-    res_u = [normalize(sp.sympify(Fj).xreplace(shifted) - u.s)
+    res_u = [normalize(sp.sympify(Fj).xreplace(shifted) - u)
              for Fj, u in zip(cand.F_u, sys.inputs)]
     # delta(F_x) = f(F_x, F_u) as functions of the flat output
     y_shift = {}
     for j in range(sys.m):
         for k in range(top + 1):
-            y_shift[flat_output_symbol(j, k).s] = flat_output_symbol(j, k + 1).s
-    into_y = {x.s: Fi for x, Fi in zip(sys.states, cand.F_x)}
-    into_y.update({u.s: Fj for u, Fj in zip(sys.inputs, cand.F_u)})
+            y_shift[flat_output_symbol(j, k)] = flat_output_symbol(j, k + 1)
+    into_y = dict(zip(sys.states, cand.F_x))
+    into_y.update(zip(sys.inputs, cand.F_u))
     res_c = [normalize(sp.sympify(Fi).xreplace(y_shift)
                        - sp.sympify(fi).xreplace(into_y))
              for Fi, fi in zip(cand.F_x, sys.f)]
@@ -475,11 +477,10 @@ class DecompositionVerdict:
     ok: bool
     reasons: list[str]
     # transformed-system data, populated when the transformation inverts
-    xbar: tuple[Symbol, ...] | None = None
-    ubar: tuple[Symbol, ...] | None = None
+    xbar: tuple[sp.Symbol, ...] | None = None
+    ubar: tuple[sp.Symbol, ...] | None = None
     fbar: tuple[Expr, ...] | None = None
     state_inverse: tuple[Expr, ...] | None = None   # x in terms of xbar
-    input_inverse: tuple[Expr, ...] | None = None   # u in terms of (xbar, ubar)
     xbar0: tuple | None = None
     ubar0: tuple | None = None
 
@@ -498,47 +499,43 @@ def verify_triangular_decomposition(sys: DiscreteTimeSystem,
         reasons.append("dim(x1) must be at least 1")
     if len(dec.state_map) != sys.n or len(dec.input_map) != sys.m:
         return DecompositionVerdict(False, ["transformation has wrong arity"])
-    state_syms = [x.s for x in sys.states]
     for e in dec.state_map:
-        if sp.sympify(e).free_symbols - set(state_syms) - {p.s for p in sys.params}:
+        if sp.sympify(e).free_symbols - set(sys.states) - set(sys.params):
             return DecompositionVerdict(False, ["state map must depend on x alone"])
 
-    Jx = sp.Matrix([[sp.diff(e, s) for s in state_syms] for e in dec.state_map])
+    Jx = sp.Matrix([[sp.diff(e, s) for s in sys.states] for e in dec.state_map])
     if symcore.rank(Jx) < sys.n:
         return DecompositionVerdict(False, ["state map is not invertible"])
-    full = sp.Matrix([[sp.diff(e, s) for s in sys.chart.syms]
+    full = sp.Matrix([[sp.diff(e, s) for s in sys.chart.symbols]
                       for e in tuple(dec.state_map) + tuple(dec.input_map)])
     if symcore.rank(full) < sys.n + sys.m:
         return DecompositionVerdict(False, ["(state, input) map is not invertible"])
 
     taken = {s.name for s in sys.states + sys.inputs + sys.params}
-    xbar = tuple(Symbol(nm, kind=STATE)
-                 for nm in _fresh_names("xb", sys.n, set(taken)))
-    ubar = tuple(Symbol(nm, kind=INPUT)
-                 for nm in _fresh_names("ub", sys.m, set(taken)))
-    back = {xb.s: e for xb, e in zip(xbar, dec.state_map)}
-    back.update({ub.s: e for ub, e in zip(ubar, dec.input_map)})
-    state_inv = _solve_inverse([xb.s - e for xb, e in zip(xbar, dec.state_map)],
-                               state_syms, back)
+    xbar = tuple(sp.Symbol(nm) for nm in _fresh_names("xb", sys.n, set(taken)))
+    ubar = tuple(sp.Symbol(nm) for nm in _fresh_names("ub", sys.m, set(taken)))
+    back = dict(zip(xbar, dec.state_map))
+    back.update(zip(ubar, dec.input_map))
+    state_inv = _solve_inverse([xb - e for xb, e in zip(xbar, dec.state_map)],
+                               list(sys.states), back)
     if state_inv is None:
         return DecompositionVerdict(False, ["state map could not be inverted "
                                             "by the built-in solver"])
-    x_subs = {s: e for s, e in zip(state_syms, state_inv)}
-    input_eqs = [ub.s - sp.sympify(e).xreplace(x_subs)
+    x_subs = dict(zip(sys.states, state_inv))
+    input_eqs = [ub - sp.sympify(e).xreplace(x_subs)
                  for ub, e in zip(ubar, dec.input_map)]
-    input_inv = _solve_inverse(input_eqs, [u.s for u in sys.inputs], back)
+    input_inv = _solve_inverse(input_eqs, list(sys.inputs), back)
     if input_inv is None:
         return DecompositionVerdict(False, ["input map could not be inverted "
                                             "by the built-in solver"])
     inv_subs = dict(x_subs)
-    inv_subs.update({u.s: e for u, e in zip(sys.inputs, input_inv)})
+    inv_subs.update(zip(sys.inputs, input_inv))
 
     f_subbed = [sp.sympify(fi).xreplace(inv_subs) for fi in sys.f]
-    fbar = tuple(normalize(sp.sympify(e).xreplace({x.s: fi for x, fi
-                                                   in zip(sys.states, f_subbed)}))
+    fbar = tuple(normalize(sp.sympify(e).xreplace(dict(zip(sys.states, f_subbed))))
                  for e in dec.state_map)
 
-    u1_syms = [ubar[j].s for j in range(m1)]
+    u1_syms = ubar[:m1]
     for i in range(n1, sys.n):
         for us in u1_syms:
             if not is_zero(sp.diff(fbar[i], us)):
@@ -554,8 +551,8 @@ def verify_triangular_decomposition(sys: DiscreteTimeSystem,
     xbar0 = tuple(sp.cancel(sp.sympify(e).xreplace(eq)) for e in dec.state_map)
     ubar0 = tuple(sp.cancel(sp.sympify(e).xreplace(eq)) for e in dec.input_map)
     if all(v.is_Rational for v in xbar0 + ubar0):
-        eq_bar = {xb.s: v for xb, v in zip(xbar, xbar0)}
-        eq_bar.update({ub.s: v for ub, v in zip(ubar, ubar0)})
+        eq_bar = dict(zip(xbar, xbar0))
+        eq_bar.update(zip(ubar, ubar0))
         rk0 = _rank_at_point(B1, eq_bar, sys.params) if n1 and m1 else 0
         if rk0 is not None and rk0 != n1:
             reasons.append(f"rank of d f1 / d u1 at the equilibrium is {rk0}")
@@ -566,5 +563,5 @@ def verify_triangular_decomposition(sys: DiscreteTimeSystem,
 
     ok = not reasons
     return DecompositionVerdict(ok, reasons, xbar=xbar, ubar=ubar, fbar=fbar,
-                                state_inverse=state_inv, input_inverse=input_inv,
+                                state_inverse=state_inv,
                                 xbar0=xbar0, ubar0=ubar0)

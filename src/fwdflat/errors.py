@@ -38,10 +38,6 @@ class NotShiftable(FwdflatError):
     the complement coordinates.  This indicates an internal sequencing bug."""
 
 
-class NonConstantDimension(FwdflatError):
-    """A generically computed solution space has no well-defined dimension."""
-
-
 class ShiftBudgetExceeded(FwdflatError):
     """A verification needed more forward shifts than the configured cap."""
 

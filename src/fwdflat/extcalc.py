@@ -4,29 +4,31 @@ Forms, vector fields, Lie derivatives, annihilators, intersections,
 integrability, invariance, invariant extensions and Cauchy characteristics,
 all over the exact expression field of :mod:`fwdflat.symcore`.
 
-Codistributions and distributions are stored with their coefficient matrix
+Codistributions (row spaces of 1-forms) and distributions (row spaces of
+vector fields) share one implementation: the coefficient matrix is stored
 in reduced row echelon form, so equality of spans is equality of canonical
-matrices and membership is a pivot reduction.
+matrices and membership is a pivot reduction.  Coordinates are plain
+``sympy.Symbol`` objects.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import sympy as sp
 
 from . import symcore
 from .errors import ExprSyntaxError, InternalInconsistency
-from .symcore import Expr, Symbol, as_sympy, is_zero, normalize
+from .symcore import Expr, is_zero, normalize
 
 
 @dataclass(frozen=True)
 class Chart:
     """Ordered local coordinates of the manifold forms and fields live on."""
 
-    symbols: tuple[Symbol, ...]
+    symbols: tuple[sp.Symbol, ...]
 
     def __post_init__(self):
         names = [s.name for s in self.symbols]
@@ -37,13 +39,6 @@ class Chart:
     def dim(self) -> int:
         return len(self.symbols)
 
-    @property
-    def syms(self) -> tuple[sp.Symbol, ...]:
-        return tuple(s.s for s in self.symbols)
-
-    def index(self, s) -> int:
-        return self.syms.index(as_sympy(s))
-
 
 def _check_same_chart(a, b) -> None:
     if a.chart != b.chart:
@@ -51,7 +46,9 @@ def _check_same_chart(a, b) -> None:
 
 
 @dataclass(frozen=True)
-class OneForm:
+class _Coefficients:
+    """Coefficients on a chart, in chart order."""
+
     chart: Chart
     coeffs: tuple[Expr, ...]
 
@@ -60,25 +57,19 @@ class OneForm:
             raise ValueError("coefficient count does not match chart dimension")
         object.__setattr__(self, "coeffs", tuple(sp.sympify(c) for c in self.coeffs))
 
+
+class OneForm(_Coefficients):
+    """sum_i coeffs[i] dx^i."""
+
     def is_zero_form(self) -> bool:
         return all(is_zero(c) for c in self.coeffs)
 
-    def normalized(self) -> "OneForm":
-        return OneForm(self.chart, tuple(normalize(c) for c in self.coeffs))
 
-
-@dataclass(frozen=True)
-class VectorField:
-    chart: Chart
-    comps: tuple[Expr, ...]
-
-    def __post_init__(self):
-        if len(self.comps) != self.chart.dim:
-            raise ValueError("component count does not match chart dimension")
-        object.__setattr__(self, "comps", tuple(sp.sympify(c) for c in self.comps))
+class VectorField(_Coefficients):
+    """sum_i coeffs[i] d/dx^i."""
 
     def is_zero_field(self) -> bool:
-        return all(is_zero(c) for c in self.comps)
+        return all(is_zero(c) for c in self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -129,13 +120,13 @@ def exterior_derivative(obj, chart: Chart | None = None):
         ch = obj.chart
         terms = {}
         for i, j in itertools.combinations(range(ch.dim), 2):
-            c = sp.diff(obj.coeffs[j], ch.syms[i]) - sp.diff(obj.coeffs[i], ch.syms[j])
+            c = sp.diff(obj.coeffs[j], ch.symbols[i]) - sp.diff(obj.coeffs[i], ch.symbols[j])
             terms[(i, j)] = c
         return KForm(ch, 2, terms)
     if chart is None:
         raise ValueError("a chart is required to differentiate a scalar")
     e = sp.sympify(obj)
-    return OneForm(chart, tuple(normalize(sp.diff(e, s)) for s in chart.syms))
+    return OneForm(chart, tuple(normalize(sp.diff(e, s)) for s in chart.symbols))
 
 
 def wedge(a, b) -> KForm:
@@ -180,13 +171,13 @@ def contract(v: VectorField, alpha):
     """Interior product; for 1-forms it returns a scalar."""
     _check_same_chart(v, alpha)
     if isinstance(alpha, OneForm):
-        return normalize(sum(vi * ci for vi, ci in zip(v.comps, alpha.coeffs)))
+        return normalize(sum(vi * ci for vi, ci in zip(v.coeffs, alpha.coeffs)))
     terms: dict = {}
     for idx, c in alpha.terms.items():
         for pos, i in enumerate(idx):
             rest = idx[:pos] + idx[pos + 1:]
             sign = (-1) ** pos
-            terms[rest] = terms.get(rest, 0) + sign * v.comps[i] * c
+            terms[rest] = terms.get(rest, 0) + sign * v.coeffs[i] * c
     out = KForm(alpha.chart, alpha.degree - 1, terms)
     if out.degree == 1:
         coeffs = [sp.Integer(0)] * alpha.chart.dim
@@ -196,19 +187,14 @@ def contract(v: VectorField, alpha):
     return out
 
 
-def lie_derivative_scalar(v: VectorField, f) -> Expr:
-    return normalize(sum(vi * sp.diff(sp.sympify(f), s)
-                         for vi, s in zip(v.comps, v.chart.syms)))
-
-
 def lie_derivative_form(v: VectorField, w: OneForm) -> OneForm:
     """L_v w by the coefficient formula (v^k d_k w_i) dx^i + w_i dv^i."""
     _check_same_chart(v, w)
     ch = v.chart
     coeffs = []
     for i in range(ch.dim):
-        c = sum(v.comps[k] * sp.diff(w.coeffs[i], ch.syms[k]) for k in range(ch.dim))
-        c += sum(w.coeffs[j] * sp.diff(v.comps[j], ch.syms[i]) for j in range(ch.dim))
+        c = sum(v.coeffs[k] * sp.diff(w.coeffs[i], ch.symbols[k]) for k in range(ch.dim))
+        c += sum(w.coeffs[j] * sp.diff(v.coeffs[j], ch.symbols[i]) for j in range(ch.dim))
         coeffs.append(normalize(c))
     return OneForm(ch, tuple(coeffs))
 
@@ -223,47 +209,44 @@ def sub_oneforms(a: OneForm, b: OneForm) -> OneForm:
     return OneForm(a.chart, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
 
 
-def scale_oneform(c, w: OneForm) -> OneForm:
-    return OneForm(w.chart, tuple(sp.sympify(c) * x for x in w.coeffs))
-
-
 def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     _check_same_chart(v, w)
     ch = v.chart
-    comps = []
+    coeffs = []
     for i in range(ch.dim):
-        c = sum(v.comps[k] * sp.diff(w.comps[i], ch.syms[k])
-                - w.comps[k] * sp.diff(v.comps[i], ch.syms[k])
+        c = sum(v.coeffs[k] * sp.diff(w.coeffs[i], ch.symbols[k])
+                - w.coeffs[k] * sp.diff(v.coeffs[i], ch.symbols[k])
                 for k in range(ch.dim))
-        comps.append(normalize(c))
-    return VectorField(ch, tuple(comps))
+        coeffs.append(normalize(c))
+    return VectorField(ch, tuple(coeffs))
 
 
 # --------------------------------------------------------------------------
 # codistributions and distributions (canonical rref storage)
 
-def _canonical_rows(chart: Chart, rows: Iterable[Sequence]) -> list[tuple[Expr, ...]]:
-    rows = [tuple(sp.sympify(c) for c in r) for r in rows]
-    if not rows:
-        return []
-    M = sp.Matrix(rows)
-    R, pivots = symcore.rref(M)
-    return [tuple(R.row(i)) for i in range(len(pivots))]
-
-
 @dataclass(frozen=True)
 class Codistribution:
+    """Row space of 1-forms, stored as its canonical (rref) basis.
+
+    This class holds the only implementation of the row-space methods;
+    :class:`Distribution` reuses them for vector fields.
+    """
+
+    element: ClassVar[type] = OneForm
     chart: Chart
-    basis: tuple[OneForm, ...]
+    basis: tuple
 
     @classmethod
-    def span(cls, chart: Chart, forms: Iterable[OneForm]) -> "Codistribution":
-        forms = list(forms)
-        for f in forms:
-            if f.chart != chart:
-                raise ValueError("form chart mismatch")
-        rows = _canonical_rows(chart, [f.coeffs for f in forms])
-        return cls(chart, tuple(OneForm(chart, r) for r in rows))
+    def span(cls, chart: Chart, elements: Iterable) -> "Codistribution":
+        elements = list(elements)
+        for e in elements:
+            if e.chart != chart:
+                raise ValueError(f"{cls.element.__name__} chart mismatch")
+        if not elements:
+            return cls(chart, ())
+        R, pivots = symcore.rref(sp.Matrix([e.coeffs for e in elements]))
+        return cls(chart, tuple(cls.element(chart, tuple(R.row(i)))
+                                for i in range(len(pivots))))
 
     @property
     def dim(self) -> int:
@@ -272,82 +255,44 @@ class Codistribution:
     def matrix(self) -> sp.Matrix:
         if not self.basis:
             return sp.zeros(0, self.chart.dim)
-        return sp.Matrix([list(f.coeffs) for f in self.basis])
+        return sp.Matrix([list(e.coeffs) for e in self.basis])
 
     def pivots(self) -> tuple[int, ...]:
-        piv = []
-        for f in self.basis:
-            piv.append(next(i for i, c in enumerate(f.coeffs) if c == 1))
-        return tuple(piv)
+        return tuple(next(i for i, c in enumerate(e.coeffs) if c == 1)
+                     for e in self.basis)
 
-    def contains(self, w: OneForm) -> bool:
-        return self.reduce(w).is_zero_form()
+    def contains(self, w) -> bool:
+        return all(is_zero(c) for c in self.reduce(w).coeffs)
 
-    def reduce(self, w: OneForm) -> OneForm:
+    def reduce(self, w):
         """Residual of w after elimination against the canonical basis."""
         _check_same_chart(self, w)
+        if not isinstance(w, self.element):
+            raise TypeError(f"expected a {self.element.__name__}, got {w!r}")
         res = list(w.coeffs)
-        for f, pc in zip(self.basis, self.pivots()):
+        for e, pc in zip(self.basis, self.pivots()):
             factor = res[pc]
             if factor == 0:
                 continue
             for j in range(self.chart.dim):
-                res[j] = normalize(res[j] - factor * f.coeffs[j])
-        return OneForm(self.chart, tuple(res))
+                res[j] = normalize(res[j] - factor * e.coeffs[j])
+        return self.element(self.chart, tuple(res))
 
     def equals(self, other: "Codistribution") -> bool:
-        if self.chart != other.chart or self.dim != other.dim:
+        if (type(other) is not type(self) or self.chart != other.chart
+                or self.dim != other.dim):
             return False
         return all(
             is_zero(a - b)
-            for fa, fb in zip(self.basis, other.basis)
-            for a, b in zip(fa.coeffs, fb.coeffs)
+            for ea, eb in zip(self.basis, other.basis)
+            for a, b in zip(ea.coeffs, eb.coeffs)
         )
 
 
-@dataclass(frozen=True)
-class Distribution:
-    chart: Chart
-    basis: tuple[VectorField, ...]
+class Distribution(Codistribution):
+    """Row space of vector fields, stored like a codistribution."""
 
-    @classmethod
-    def span(cls, chart: Chart, fields: Iterable[VectorField]) -> "Distribution":
-        fields = list(fields)
-        for f in fields:
-            if f.chart != chart:
-                raise ValueError("field chart mismatch")
-        rows = _canonical_rows(chart, [f.comps for f in fields])
-        return cls(chart, tuple(VectorField(chart, r) for r in rows))
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def matrix(self) -> sp.Matrix:
-        if not self.basis:
-            return sp.zeros(0, self.chart.dim)
-        return sp.Matrix([list(f.comps) for f in self.basis])
-
-    def contains(self, v: VectorField) -> bool:
-        _check_same_chart(self, v)
-        res = list(v.comps)
-        for f in self.basis:
-            pc = next(i for i, c in enumerate(f.comps) if c == 1)
-            factor = res[pc]
-            if factor == 0:
-                continue
-            for j in range(self.chart.dim):
-                res[j] = normalize(res[j] - factor * f.comps[j])
-        return all(is_zero(c) for c in res)
-
-    def equals(self, other: "Distribution") -> bool:
-        if self.chart != other.chart or self.dim != other.dim:
-            return False
-        return all(
-            is_zero(a - b)
-            for fa, fb in zip(self.basis, other.basis)
-            for a, b in zip(fa.comps, fb.comps)
-        )
+    element = VectorField
 
 
 def pullback(old_in_new: Sequence[Expr], chart: Chart):
@@ -360,7 +305,7 @@ def pullback(old_in_new: Sequence[Expr], chart: Chart):
     once here.  The old chart's remaining coordinates are dropped; a form
     with a nonzero component along them raises InternalInconsistency.
     """
-    J = [[sp.diff(F, s) for s in chart.syms] for F in old_in_new]
+    J = [[sp.diff(F, s) for s in chart.symbols] for F in old_in_new]
 
     def apply(forms: Iterable[OneForm]) -> Codistribution:
         pulled = []
@@ -368,7 +313,7 @@ def pullback(old_in_new: Sequence[Expr], chart: Chart):
             if any(c != 0 and not is_zero(c) for c in w.coeffs[len(J):]):
                 raise InternalInconsistency(
                     "form has components along coordinates the map drops")
-            subs = dict(zip(w.chart.syms, old_in_new))
+            subs = dict(zip(w.chart.symbols, old_in_new))
             coeffs = [sp.Integer(0)] * chart.dim
             for c_old, dF in zip(w.coeffs, J):
                 if c_old == 0:
@@ -383,25 +328,20 @@ def pullback(old_in_new: Sequence[Expr], chart: Chart):
     return apply
 
 
-def annihilator_of_codistribution(P: Codistribution) -> Distribution:
-    kernel = symcore.nullspace(P.matrix())
-    fields = [VectorField(P.chart, tuple(v)) for v in kernel]
-    return Distribution.span(P.chart, fields)
-
-
-def annihilator_of_distribution(D: Distribution) -> Codistribution:
-    kernel = symcore.nullspace(D.matrix())
-    forms = [OneForm(D.chart, tuple(v)) for v in kernel]
-    return Codistribution.span(D.chart, forms)
+def annihilator(S: Codistribution) -> Codistribution:
+    """The annihilator of a codistribution (a distribution) or of a
+    distribution (a codistribution): the right kernel of its matrix."""
+    dual = Codistribution if isinstance(S, Distribution) else Distribution
+    kernel = symcore.nullspace(S.matrix())
+    return dual.span(S.chart, [dual.element(S.chart, tuple(v)) for v in kernel])
 
 
 def intersect(P: Codistribution, Q: Codistribution) -> Codistribution:
     """P and Q as row spaces, via annihilator(P_perp + Q_perp)."""
     _check_same_chart(P, Q)
-    dp = annihilator_of_codistribution(P)
-    dq = annihilator_of_codistribution(Q)
-    joint = Distribution.span(P.chart, dp.basis + dq.basis)
-    return annihilator_of_distribution(joint)
+    dp = annihilator(P)
+    dq = annihilator(Q)
+    return annihilator(Distribution.span(P.chart, dp.basis + dq.basis))
 
 
 def is_integrable(P: Codistribution) -> bool:
@@ -462,7 +402,7 @@ def cauchy_distribution(P: Codistribution) -> Distribution:
     rows: list[list[Expr]] = []
     for w in P.basis:
         rows.append(list(w.coeffs))
-    perp = annihilator_of_codistribution(P)
+    perp = annihilator(P)
     for w in P.basis:
         dw = exterior_derivative(w)
         # antisymmetric coefficient matrix of the 2-form
@@ -473,7 +413,7 @@ def cauchy_distribution(P: Codistribution) -> Distribution:
         for q in perp.basis:
             # membership of v _| dw in P <=> q _| (v _| dw) = 0 for q in P_perp
             rows.append([
-                normalize(sum(A[i, j] * q.comps[j] for j in range(ch.dim)))
+                normalize(sum(A[i, j] * q.coeffs[j] for j in range(ch.dim)))
                 for i in range(ch.dim)
             ])
     M = sp.Matrix(rows) if rows else sp.zeros(0, ch.dim)
@@ -516,7 +456,7 @@ def render_oneform(w: OneForm) -> str:
 def parse_oneform(text: str, chart: Chart) -> OneForm:
     """Parse the rendering syntax back into a OneForm on the chart."""
     dsyms = {f"d{s.name}": sp.Symbol(f"d{s.name}") for s in chart.symbols}
-    allowed = list(chart.syms) + list(dsyms.values())
+    allowed = list(chart.symbols) + list(dsyms.values())
     e = symcore.parse_expr(text, allowed)
     e = sp.expand(e)
     coeffs = []

@@ -135,7 +135,7 @@ def _close_under_dxi(Q: Codistribution, n: int) -> Codistribution:
     ch = Q.chart
     while True:
         derived = [OneForm(ch, tuple(sp.diff(c, xi) for c in w.coeffs))
-                   for xi in ch.syms[n:] for w in Q.basis]
+                   for xi in ch.symbols[n:] for w in Q.basis]
         extended = Codistribution.span(ch, list(Q.basis) + derived)
         if extended.dim == Q.dim:
             return Q
@@ -323,15 +323,10 @@ def subsystem_consistency_check(sys: DiscreteTimeSystem,
                                           + "; ".join(v.reasons)],
                                   decomposition=v)
     n1, _, m1, _ = dec.split
-    if v.xbar0 is None:
-        return ConsistencyVerdict(
-            False, ["transformed equilibrium is not rational; the subsystem "
-                    "sequence cannot be anchored"], decomposition=v)
-
     x2_syms = v.xbar[n1:]
     in_syms = v.xbar[:n1] + v.ubar[m1:]
     f2 = v.fbar[n1:]
-    forbidden = {v.ubar[j].s for j in range(m1)}
+    forbidden = set(v.ubar[:m1])
     for e in f2:
         if sp.sympify(e).free_symbols & forbidden:
             return ConsistencyVerdict(
@@ -352,7 +347,7 @@ def subsystem_consistency_check(sys: DiscreteTimeSystem,
     # both sequences in the xbar chart; input components must vanish
     xbar_chart = Chart(v.xbar)
     main_to_xbar = pullback(v.state_inverse, xbar_chart)
-    sub_to_xbar = pullback([x.s for x in x2_syms], xbar_chart)
+    sub_to_xbar = pullback(x2_syms, xbar_chart)
     main_in_xbar = [main_to_xbar(s.P.basis) for s in main.steps[1:]]
     sub_in_xbar = [sub_to_xbar(s.P.basis) for s in sub.steps]
     reasons: list[str] = []

@@ -7,8 +7,8 @@ reduces to :func:`is_zero` on elements of this field, so the canonical form
 produced by :func:`normalize` is the load-bearing piece: an expression
 represents the zero function iff its canonical form is literally 0.
 
-Expressions are plain (immutable) sympy expressions; :class:`Symbol` is a
-thin metadata wrapper that remembers what role a coordinate plays.
+Expressions are plain (immutable) sympy expressions, and coordinates and
+parameters are plain ``sympy.Symbol`` objects.
 """
 
 from __future__ import annotations
@@ -33,40 +33,6 @@ from .errors import (
 
 Expr = sp.Expr
 ExprMatrix = sp.Matrix
-
-STATE = "state"
-INPUT = "input"
-ADAPTED_THETA = "adapted-theta"
-ADAPTED_XI = "adapted-xi"
-PARAMETER = "parameter"
-SHIFTED_INPUT = "shifted-input"
-
-_KINDS = {STATE, INPUT, ADAPTED_THETA, ADAPTED_XI, PARAMETER, SHIFTED_INPUT}
-
-
-@dataclass(frozen=True, order=True)
-class Symbol:
-    """A named coordinate or parameter together with its role."""
-
-    name: str
-    kind: str = STATE
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown symbol kind {self.kind!r}")
-
-    @property
-    def s(self) -> sp.Symbol:
-        return sp.Symbol(self.name)
-
-
-def as_sympy(s) -> sp.Symbol:
-    """Coerce a Symbol or sympy symbol to the underlying sympy symbol."""
-    if isinstance(s, Symbol):
-        return s.s
-    if isinstance(s, sp.Symbol):
-        return s
-    raise TypeError(f"not a symbol: {s!r}")
 
 
 # --------------------------------------------------------------------------
@@ -187,12 +153,12 @@ def is_zero(e) -> bool:
 
 def diff(e, s) -> Expr:
     """Exact partial derivative, normalized."""
-    return normalize(sp.diff(sp.sympify(e), as_sympy(s)))
+    return normalize(sp.diff(sp.sympify(e), s))
 
 
 def substitute(e, bindings: Mapping) -> Expr:
     """Single simultaneous substitution pass, then normalize."""
-    repl = {as_sympy(k): sp.sympify(v) for k, v in bindings.items()}
+    repl = {k: sp.sympify(v) for k, v in bindings.items()}
     return normalize(sp.sympify(e).xreplace(repl))
 
 
@@ -203,7 +169,7 @@ def evaluate(e, point: Mapping):
     (sin -> 0, cos -> 1); anything else raises NonRationalTrigArgument.
     """
     e = sp.sympify(e)
-    repl = {as_sympy(k): sp.Rational(v) for k, v in point.items()}
+    repl = {k: sp.Rational(v) for k, v in point.items()}
     trig = {}
     for t in e.atoms(sp.sin, sp.cos):
         a = t.args[0]
@@ -334,7 +300,7 @@ def parse_expr(text: str, symbols: Iterable) -> Expr:
     Grammar: identifiers, integer and p/q literals, + - * / ^ with
     conventional precedence, parentheses, sin(.)/cos(.) of a single symbol.
     """
-    syms = {as_sympy(s).name: as_sympy(s) for s in symbols}
+    syms = {s.name: s for s in symbols}
     local = dict(syms)
     local["sin"] = sp.sin
     local["cos"] = sp.cos

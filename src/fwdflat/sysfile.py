@@ -16,6 +16,7 @@ Keys::
     h:          optional complement function, one line per input
     inverse:    optional inverse chart, one line per coordinate: first the
                 states, then the inputs, in terms of th1..thn and xi1..xim
+                (these names always mean the adapted coordinates)
     phi:        optional flat-output component, one line per input, in the
                 states, inputs, and shifted inputs u<j>_<k>
     Fx:         one line per state, in y<j> and shifts y<j>_<k>
@@ -39,15 +40,10 @@ from .dtsys import (
     FlatOutputCandidate,
     TriangularDecomposition,
     flat_output_symbol,
+    inverse_chart_symbols,
 )
 from .errors import SystemFileError
-from .symcore import (
-    INPUT,
-    PARAMETER,
-    STATE,
-    Symbol,
-    parse_expr,
-)
+from .symcore import parse_expr
 
 _KEYS = {"name", "states", "inputs", "params", "f", "x0", "u0", "h",
          "inverse", "phi", "Fx", "Fu", "R", "state_map", "input_map", "split"}
@@ -91,8 +87,8 @@ def _one(fields, key, default=None):
     return vals[0]
 
 
-def _names(line: str, kind: str) -> tuple[Symbol, ...]:
-    return tuple(Symbol(nm, kind=kind) for nm in line.split())
+def _names(line: str) -> tuple[sp.Symbol, ...]:
+    return tuple(sp.Symbol(nm) for nm in line.split())
 
 
 def _rationals(line: str, count: int, what: str):
@@ -110,10 +106,9 @@ def parse_system_text(text: str, name: str = "system") -> SystemFile:
     for key in ("states", "inputs", "f", "x0", "u0"):
         if key not in fields:
             raise SystemFileError(f"missing required key {key!r}")
-    states = _names(_one(fields, "states"), STATE)
-    inputs = _names(_one(fields, "inputs"), INPUT)
-    params = _names(_one(fields, "params", ""), PARAMETER) \
-        if "params" in fields else ()
+    states = _names(_one(fields, "states"))
+    inputs = _names(_one(fields, "inputs"))
+    params = _names(_one(fields, "params", ""))
     base_syms = states + inputs + params
     names = [s.name for s in base_syms]
     duplicates = sorted({nm for nm in names if names.count(nm) > 1})
@@ -138,9 +133,8 @@ def parse_system_text(text: str, name: str = "system") -> SystemFile:
     if "inverse" in fields:
         if len(fields["inverse"]) != n + m:
             raise SystemFileError(f"expected {n + m} 'inverse:' lines")
-        adapted = tuple(Symbol(f"th{i + 1}", kind="adapted-theta") for i in range(n)) \
-            + tuple(Symbol(f"xi{j + 1}", kind="adapted-xi") for j in range(m))
-        inverse = tuple(parse_expr(t, adapted + params) for t in fields["inverse"])
+        inverse = tuple(parse_expr(t, inverse_chart_symbols(n, m) + params)
+                        for t in fields["inverse"])
 
     try:
         system = DiscreteTimeSystem(states=states, inputs=inputs, f=f,
@@ -157,9 +151,8 @@ def parse_system_text(text: str, name: str = "system") -> SystemFile:
                 raise SystemFileError(f"flat output needs {key!r} lines")
             if len(fields[key]) != count:
                 raise SystemFileError(f"expected {count} {key!r} lines")
-        shift_syms = tuple(
-            Symbol(f"{u.name}_{k}", kind="shifted-input")
-            for u in inputs for k in range(1, _MAX_SHIFT_ALPHABET))
+        shift_syms = tuple(sp.Symbol(f"{u.name}_{k}")
+                           for u in inputs for k in range(1, _MAX_SHIFT_ALPHABET))
         y_syms = tuple(flat_output_symbol(j, k)
                        for j in range(m) for k in range(_MAX_SHIFT_ALPHABET))
         phi = tuple(parse_expr(t, base_syms + shift_syms) for t in fields["phi"])

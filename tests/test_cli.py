@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from conftest import FIXTURES
-from fwdflat import cli
+from fwdflat import cli, dtsys, flatness
 
 RUNNING = str(FIXTURES / "running.sys")
 ACADEMIC = str(FIXTURES / "academic.sys")
@@ -28,6 +28,19 @@ class TestAnalyze:
 
     def test_missing_file_exit_two(self, capsys):
         assert cli.run(["analyze", "/no/such/file.sys"]) == cli.EXIT_INPUT
+
+    def test_inverse_names_adapted_coordinates_when_a_state_has_the_name(
+            self, tmp_path, capsys):
+        # the chart renames its th1 to th1_, since the state th1 has the
+        # name; 'inverse:' still writes th1 for the adapted coordinate
+        sysfile = tmp_path / "th1.sys"
+        sysfile.write_text(
+            "states: th1 x2\ninputs: u1\nf: x2\nf: u1\nx0: 0 0\nu0: 0\n"
+            "h: th1\ninverse: xi1\ninverse: th1\ninverse: th2\n")
+        assert cli.run(["analyze", str(sysfile), "--json"]) == cli.EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "StaticFeedbackLinearizable"
+        assert payload["dims"] == [2, 1, 0]
 
     def test_bad_usage_exit_two(self, capsys):
         assert cli.run(["analyze"]) == cli.EXIT_INPUT
@@ -111,6 +124,20 @@ class TestVerifyDecomposition:
 
     def test_not_declared(self, capsys):
         assert cli.run(["verify-decomposition", NONFLAT]) == cli.EXIT_INPUT
+
+    def test_verifies_the_decomposition_once(self, monkeypatch, capsys):
+        calls = []
+        original = dtsys.verify_triangular_decomposition
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (dtsys, flatness, cli):
+            monkeypatch.setattr(module, "verify_triangular_decomposition",
+                                counting, raising=False)
+        assert cli.run(["verify-decomposition", RUNNING]) == cli.EXIT_OK
+        assert len(calls) == 1
 
     def test_invalid_split(self, tmp_path, capsys):
         text = (FIXTURES / "running.sys").read_text()

@@ -19,15 +19,15 @@ from fwdflat.dtsys import (
 from fwdflat.errors import InversionFailed, ShiftBudgetExceeded
 from fwdflat.extcalc import (
     OneForm,
-    annihilator_of_codistribution,
+    annihilator,
 )
-from fwdflat.symcore import Symbol, is_zero, normalize
+from fwdflat.symcore import is_zero, normalize
 
 
 def _sys(states, inputs, f, x0, u0, **kw):
     return DiscreteTimeSystem(
-        states=tuple(Symbol(s) for s in states),
-        inputs=tuple(Symbol(s, kind="input") for s in inputs),
+        states=tuple(sp.Symbol(s) for s in states),
+        inputs=tuple(sp.Symbol(s) for s in inputs),
         f=tuple(f), x0=tuple(x0), u0=tuple(u0), **kw)
 
 
@@ -81,12 +81,12 @@ class TestAdaptedChart:
         # forward/backward substitution composes to the identity on (x, u)
         to_ad = ac.to_adapted_subs()
         from_ad = ac.from_adapted_subs()
-        for s in running.system.chart.syms:
+        for s in running.system.chart.symbols:
             assert is_zero(to_ad[s].xreplace(from_ad) - s)
 
     def test_annihilator_of_dtheta_is_xi_directions(self, running):
         ac = build_adapted_chart(running.system)
-        D = annihilator_of_codistribution(ac.span_dtheta())
+        D = annihilator(ac.span_dtheta())
         assert D.equals(ac.xi_directions())
 
     def test_explicit_complement_academic(self, academic):
@@ -97,7 +97,7 @@ class TestAdaptedChart:
         assert ac.h == (x1, x3)
         to_ad = ac.to_adapted_subs()
         from_ad = ac.from_adapted_subs()
-        for sym in s.chart.syms:
+        for sym in s.chart.symbols:
             assert is_zero(to_ad[sym].xreplace(from_ad) - sym)
 
     def test_supplied_inverse_vtol(self, vtol):
@@ -106,7 +106,7 @@ class TestAdaptedChart:
         ac = build_adapted_chart(s)
         to_ad = ac.to_adapted_subs()
         from_ad = ac.from_adapted_subs()
-        for sym in s.chart.syms:
+        for sym in s.chart.symbols:
             assert is_zero(to_ad[sym].xreplace(from_ad) - sym)
 
     def test_adapted_equilibrium(self, running):
@@ -115,7 +115,7 @@ class TestAdaptedChart:
         assert eq is not None
         # theta0 = x0
         for t, v in zip(ac.theta, running.system.x0):
-            assert eq[t.s] == v
+            assert eq[t] == v
 
     def test_inversion_failure(self):
         x1, u1 = sp.symbols("x1 u1")
@@ -150,7 +150,7 @@ class TestForwardShift:
 
     def test_budget(self, running):
         s = running.system
-        g = s.input_shift_symbol(0, 24).s
+        g = s.input_shift_symbol(0, 24)
         with pytest.raises(ShiftBudgetExceeded):
             forward_shift(g, s, max_shift=24)
         assert forward_shift(g, s, max_shift=25) == sp.Symbol("u1_25")
@@ -160,7 +160,7 @@ class TestBackwardShift:
     def test_theta_form(self, running):
         ac = build_adapted_chart(running.system)
         ch = ac.chart
-        th1, th2 = ac.theta[0].s, ac.theta[1].s
+        th1, th2 = ac.theta[0], ac.theta[1]
         w = OneForm(ch, (th2, -th1, 0, 0, 0))
         back = backward_shift_oneform(w, ac)
         x1, x2 = sp.symbols("x1 x2")
@@ -179,7 +179,7 @@ class TestBackwardShift:
         from fwdflat.errors import NotShiftable
         ac = build_adapted_chart(running.system)
         ch = ac.chart
-        w = OneForm(ch, (ac.xi[0].s, 0, 0, 0, 0))
+        w = OneForm(ch, (ac.xi[0], 0, 0, 0, 0))
         with pytest.raises(NotShiftable):
             backward_shift_oneform(w, ac)
 
@@ -187,8 +187,8 @@ class TestBackwardShift:
         # sigma_i(theta) dtheta^i backward-shifts to sigma_i(x) dx^i
         ac = build_adapted_chart(running.system)
         ch = ac.chart
-        thsyms = [t.s for t in ac.theta]
-        xsyms = [x.s for x in running.system.states]
+        thsyms = list(ac.theta)
+        xsyms = list(running.system.states)
         rng = random.Random(21)
         for _ in range(100):
             sigmas = [random_poly(rng, thsyms, 2, 3, 2) for _ in range(3)]
@@ -241,7 +241,7 @@ class TestTriangularDecomposition:
         assert v.ok, v.reasons
         assert v.fbar is not None and len(v.fbar) == 3
         # x2-block rows contain no ubar1
-        u1b = v.ubar[0].s
+        u1b = v.ubar[0]
         for row in v.fbar[1:]:
             assert is_zero(sp.diff(row, u1b))
 
@@ -252,11 +252,11 @@ class TestTriangularDecomposition:
     def test_transform_round_trip(self, running):
         v = verify_triangular_decomposition(running.system, running.decomposition)
         dec = running.decomposition
-        subs = {x.s: e for x, e in zip(running.system.states, v.state_inverse)}
+        subs = dict(zip(running.system.states, v.state_inverse))
         for xb, e in zip(v.xbar, dec.state_map):
             # substituting the inverse into the map returns xbar
             got = normalize(sp.sympify(e).xreplace(subs))
-            assert is_zero(got - xb.s)
+            assert is_zero(got - xb)
 
     def test_degenerate_split_rejected(self, running):
         dec = running.decomposition

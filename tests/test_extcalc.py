@@ -1,5 +1,6 @@
 import random
 
+import pytest
 import sympy as sp
 
 from conftest import random_poly
@@ -9,8 +10,7 @@ from fwdflat.extcalc import (
     Distribution,
     OneForm,
     VectorField,
-    annihilator_of_codistribution,
-    annihilator_of_distribution,
+    annihilator,
     basis_oneform,
     basis_vectorfield,
     cauchy_distribution,
@@ -28,11 +28,11 @@ from fwdflat.extcalc import (
     wedge,
     wedge_all,
 )
-from fwdflat.symcore import Symbol, is_zero
+from fwdflat.symcore import is_zero
 
-X4 = Chart(tuple(Symbol(f"x{i}") for i in range(1, 5)))
-X3 = Chart(tuple(Symbol(f"x{i}") for i in range(1, 4)))
-x1, x2, x3, x4 = (s.s for s in X4.symbols)
+X4 = Chart(tuple(sp.Symbol(f"x{i}") for i in range(1, 5)))
+X3 = Chart(tuple(sp.Symbol(f"x{i}") for i in range(1, 4)))
+x1, x2, x3, x4 = X4.symbols
 
 
 def running_chart(running):
@@ -42,7 +42,7 @@ def running_chart(running):
 
 def _sparse_oneform(rng, ch):
     """Random one-form with few nonzero, low-degree coefficients."""
-    syms = list(ch.syms)
+    syms = list(ch.symbols)
     coeffs = [sp.Integer(0)] * ch.dim
     for i in rng.sample(range(ch.dim), rng.randint(1, 2)):
         coeffs[i] = random_poly(rng, syms, 2, 2, 1)
@@ -66,7 +66,7 @@ class TestExteriorDerivative:
 
     def test_dd_zero_randomized(self):
         rng = random.Random(2)
-        syms = list(X4.syms)
+        syms = list(X4.symbols)
         for _ in range(100):
             f = random_poly(rng, syms)
             ddf = exterior_derivative(exterior_derivative(f, X4))
@@ -86,7 +86,7 @@ class TestWedge:
     def test_independence_iff_nonzero_randomized(self):
         import fwdflat.symcore as symcore
         rng = random.Random(4)
-        syms = list(X4.syms)
+        syms = list(X4.symbols)
         for _ in range(100):
             forms = [OneForm(X4, tuple(random_poly(rng, syms, 2, 2, 1)
                                        for _ in range(4)))
@@ -103,7 +103,7 @@ class TestContract:
         assert is_zero(contract(v, w))
 
     def test_cauchy_example_contractions(self):
-        xa, xb, xc = X3.syms
+        xa, xb, xc = X3.symbols
         w1 = OneForm(X3, (0, 1, xa))          # dx2 + x1 dx3
         w2 = OneForm(X3, (1, 0, -1))          # dx1 - dx3
         v = VectorField(X3, (1, -xa, 1))
@@ -126,7 +126,7 @@ class TestLieDerivative:
 
     def test_running_example_value(self, running):
         ch, s = running_chart(running)
-        X1, U1, U2 = s.states[0].s, s.inputs[0].s, s.inputs[1].s
+        X1, U1, U2 = s.states[0], s.inputs[0], s.inputs[1]
         v2 = VectorField(ch, (-X1, U1 - U2, 0, U1 - U2, 0))
         w1 = OneForm(ch, (U1 - U2, X1, 0, 0, 0))
         got = lie_derivative_form(v2, w1)
@@ -140,7 +140,7 @@ class TestLieDerivative:
 
     def test_cartan_identity_randomized(self):
         rng = random.Random(6)
-        syms = list(X4.syms)
+        syms = list(X4.symbols)
         from fwdflat.extcalc import add_oneforms, sub_oneforms
         for _ in range(100):
             v = VectorField(X4, tuple(random_poly(rng, syms, 2, 2, 1)
@@ -165,39 +165,50 @@ class TestLieBracket:
     def test_scaling_field(self):
         v = VectorField(X4, (x1, 0, 0, 0))
         w = basis_vectorfield(X4, 0)
-        assert lie_bracket(v, w).comps == (-1, 0, 0, 0)
+        assert lie_bracket(v, w).coeffs == (-1, 0, 0, 0)
 
 
 class TestAnnihilators:
     def test_span_df_running(self, running):
         ch, s = running_chart(running)
-        D = annihilator_of_codistribution(s.span_df())
+        D = annihilator(s.span_df())
         assert D.dim == 2
-        X1, U1, U2 = s.states[0].s, s.inputs[0].s, s.inputs[1].s
+        X1, U1, U2 = s.states[0], s.inputs[0], s.inputs[1]
         v1 = VectorField(ch, (0, 0, 1, 0, 0))
         v2 = VectorField(ch, (-X1, U1 - U2, 0, U1 - U2, 0))
         assert D.contains(v1) and D.contains(v2)
 
     def test_full_span_annihilates_to_zero(self):
         P = Codistribution.span(X3, [basis_oneform(X3, i) for i in range(3)])
-        assert annihilator_of_codistribution(P).dim == 0
+        assert annihilator(P).dim == 0
 
     def test_zero_codistribution(self):
         P = Codistribution.span(X3, [])
-        assert annihilator_of_codistribution(P).dim == 3
+        assert annihilator(P).dim == 3
 
     def test_zero_distribution(self):
         D = Distribution.span(X3, [])
-        assert annihilator_of_distribution(D).dim == 3
+        assert annihilator(D).dim == 3
+
+    def test_dual_types_stay_apart(self):
+        D = annihilator(Codistribution.span(X3, [basis_oneform(X3, 0)]))
+        assert type(D) is Distribution
+        assert type(annihilator(D)) is Codistribution
+        same_rows = Codistribution.span(X3, [basis_oneform(X3, 1),
+                                             basis_oneform(X3, 2)])
+        assert D.matrix() == same_rows.matrix()
+        assert not D.equals(same_rows)
+        with pytest.raises(TypeError):
+            D.contains(basis_oneform(X3, 1))
 
     def test_duality_randomized(self):
         rng = random.Random(8)
         for _ in range(100):
             n = rng.choice([3, 4])
-            ch = Chart(tuple(Symbol(f"x{i}") for i in range(1, n + 1)))
+            ch = Chart(tuple(sp.Symbol(f"x{i}") for i in range(1, n + 1)))
             P = Codistribution.span(
                 ch, [_sparse_oneform(rng, ch) for _ in range(rng.randint(1, 2))])
-            Q = annihilator_of_distribution(annihilator_of_codistribution(P))
+            Q = annihilator(annihilator(P))
             assert Q.equals(P)
 
 
@@ -206,7 +217,7 @@ class TestIntersect:
         ch, s = running_chart(running)
         P1 = Codistribution.span(ch, [basis_oneform(ch, i) for i in range(3)])
         got = intersect(P1, s.span_df())
-        X1, U1, U2 = s.states[0].s, s.inputs[0].s, s.inputs[1].s
+        X1, U1, U2 = s.states[0], s.inputs[0], s.inputs[1]
         expect = Codistribution.span(ch, [OneForm(ch, (U1 - U2, X1, 0, 0, 0))])
         assert got.equals(expect)
 
@@ -223,9 +234,9 @@ class TestIntersect:
                 ch, [_sparse_oneform(rng, ch) for _ in range(p)])
             P, Q = mk(rng.randint(1, 2)), mk(rng.randint(1, 2))
             # (P cap Q)_perp = P_perp + Q_perp as row spaces
-            lhs = annihilator_of_codistribution(intersect(P, Q))
-            dp = annihilator_of_codistribution(P)
-            dq = annihilator_of_codistribution(Q)
+            lhs = annihilator(intersect(P, Q))
+            dp = annihilator(P)
+            dq = annihilator(Q)
             rhs = Distribution.span(ch, dp.basis + dq.basis)
             assert lhs.equals(rhs)
 
@@ -236,8 +247,8 @@ class TestIntegrability:
         assert is_integrable(P)
 
     def test_academic_terminal_basis(self):
-        ch = Chart(tuple(Symbol(f"x{i}") for i in range(1, 6)))
-        a1, a2, a3, a4, a5 = ch.syms
+        ch = Chart(tuple(sp.Symbol(f"x{i}") for i in range(1, 6)))
+        a1, a2, a3, a4, a5 = ch.symbols
         P = Codistribution.span(ch, [
             OneForm(ch, (a2 + 1, -a1, 0, 0, 0)),
             OneForm(ch, (0, 0, 1, 0, -1)),
@@ -245,7 +256,7 @@ class TestIntegrability:
         assert is_integrable(P)
 
     def test_contact_form_not_integrable(self):
-        xa = X3.syms[0]
+        xa = X3.symbols[0]
         P = Codistribution.span(X3, [OneForm(X3, (0, 1, xa))])
         assert not is_integrable(P)
 
@@ -294,10 +305,10 @@ class TestInvariantExtension:
 
     def test_running_example_extension(self, running):
         ch, s = running_chart(running)
-        X1, U1, U2 = s.states[0].s, s.inputs[0].s, s.inputs[1].s
+        X1, U1, U2 = s.states[0], s.inputs[0], s.inputs[1]
         w1 = OneForm(ch, (U1 - U2, X1, 0, 0, 0))
         P = Codistribution.span(ch, [w1])
-        D = annihilator_of_codistribution(s.span_df())
+        D = annihilator(s.span_df())
         Phat = invariant_extension(P, D)
         lv2w1 = OneForm(ch, (U1 - U2, 0, 0, X1, -X1))
         assert Phat.dim == 2
@@ -319,14 +330,14 @@ class TestInvariantExtension:
 
 class TestCauchy:
     def _cauchy_P(self):
-        xa = X3.syms[0]
+        xa = X3.symbols[0]
         w1 = OneForm(X3, (0, 1, xa))
         w2 = OneForm(X3, (1, 0, -1))
         return Codistribution.span(X3, [w1, w2])
 
     def test_membership(self):
         P = self._cauchy_P()
-        xa = X3.syms[0]
+        xa = X3.symbols[0]
         v = VectorField(X3, (1, -xa, 1))
         assert is_cauchy_characteristic(v, P)
 
@@ -340,13 +351,13 @@ class TestCauchy:
 
     def test_distribution_contains_field(self):
         P = self._cauchy_P()
-        xa = X3.syms[0]
+        xa = X3.symbols[0]
         v = VectorField(X3, (1, -xa, 1))
         C = cauchy_distribution(P)
         assert C.contains(v)
 
     def test_simple_distribution(self):
-        ch = Chart((Symbol("x1"), Symbol("x2")))
+        ch = Chart((sp.Symbol("x1"), sp.Symbol("x2")))
         P = Codistribution.span(ch, [basis_oneform(ch, 0)])
         C = cauchy_distribution(P)
         assert C.dim == 1 and C.contains(basis_vectorfield(ch, 1))
@@ -367,13 +378,13 @@ class TestCauchy:
 
 class TestRendering:
     def test_render_parse_round_trip(self):
-        w = OneForm(X3, (X3.syms[1] - X3.syms[0], 0, sp.Integer(-1)))
+        w = OneForm(X3, (X3.symbols[1] - X3.symbols[0], 0, sp.Integer(-1)))
         text = render_oneform(w)
         back = parse_oneform(text, X3)
         assert all(is_zero(a - b) for a, b in zip(w.coeffs, back.coeffs))
 
     def test_render_style(self):
-        ch = Chart((Symbol("x1"), Symbol("x2"), Symbol("u1", kind="input")))
+        ch = Chart((sp.Symbol("x1"), sp.Symbol("x2"), sp.Symbol("u1")))
         u1s, x1s = sp.Symbol("u1"), sp.Symbol("x1")
         w = OneForm(ch, (u1s - x1s, x1s, 0))
         assert render_oneform(w) == "(u1 - x1)*dx1 + x1*dx2"

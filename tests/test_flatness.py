@@ -28,13 +28,12 @@ from fwdflat.flatness import (
     decomposability,
     subsystem_consistency_check,
 )
-from fwdflat.symcore import Symbol
 
 
 def _sys(states, inputs, f, x0, u0, **kw):
     return DiscreteTimeSystem(
-        states=tuple(Symbol(s) for s in states),
-        inputs=tuple(Symbol(s, kind="input") for s in inputs),
+        states=tuple(sp.Symbol(s) for s in states),
+        inputs=tuple(sp.Symbol(s) for s in inputs),
         f=tuple(f), x0=tuple(x0), u0=tuple(u0), **kw)
 
 
@@ -223,12 +222,10 @@ class TestAdaptedCoordinateShortcuts:
         nontrivial = 0
         for _ in range(50):
             n, m = rng.choice(((2, 1), (2, 2), (3, 1)))
-            ch = Chart(tuple(Symbol(f"th{i}", kind="adapted-theta")
-                             for i in range(1, n + 1))
-                       + tuple(Symbol(f"xi{j}", kind="adapted-xi")
-                               for j in range(1, m + 1)))
+            ch = Chart(tuple(sp.Symbol(f"th{i}") for i in range(1, n + 1))
+                       + tuple(sp.Symbol(f"xi{j}") for j in range(1, m + 1)))
             forms = [OneForm(ch, tuple(
-                random_poly(rng, ch.syms, 2, 3, 1) if rng.random() < 0.5 else 0
+                random_poly(rng, ch.symbols, 2, 3, 1) if rng.random() < 0.5 else 0
                 for _ in range(ch.dim)))
                 for _ in range(rng.randint(m, n + m - 1))]
             P = Codistribution.span(ch, forms)
