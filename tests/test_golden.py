@@ -1,10 +1,13 @@
-"""Byte-for-byte golden outputs of the CLI's ``--json`` reports.
+"""Byte-for-byte golden outputs of the CLI's ``--json`` reports and of
+``analyze --trace``.
 
 Each case runs one command on one fixture and compares stdout and the exit
 code with the recorded ones.  The files under ``tests/golden/`` were written
 by ``python -m fwdflat COMMAND fixtures/FIXTURE.sys --json >
-tests/golden/COMMAND-FIXTURE.json``; a change that alters a verdict, a
-basis, a warning or the JSON layout shows up here as a diff.
+tests/golden/COMMAND-FIXTURE.json`` and ``python -m fwdflat analyze
+fixtures/FIXTURE.sys --trace > tests/golden/analyze-trace-FIXTURE.txt``; a
+change that alters a verdict, a basis, a warning, the per-iteration progress
+or the JSON layout shows up here as a diff.
 """
 
 from pathlib import Path
@@ -34,3 +37,20 @@ def test_json_output_matches_golden(command, fixture, code, capsys):
     out = capsys.readouterr().out
     assert rc == code
     assert out == (GOLDEN / f"{command}-{fixture}.json").read_text()
+
+
+TRACE_CASES = [
+    ("nonflat", cli.EXIT_NEGATIVE),
+    ("running", cli.EXIT_OK),
+    ("academic", cli.EXIT_OK),
+    ("vtol", cli.EXIT_OK),
+]
+
+
+@pytest.mark.parametrize("fixture,code", TRACE_CASES,
+                         ids=[f for f, _ in TRACE_CASES])
+def test_trace_output_matches_golden(fixture, code, capsys):
+    rc = cli.run(["analyze", str(ROOT / "fixtures" / f"{fixture}.sys"), "--trace"])
+    out = capsys.readouterr().out
+    assert rc == code
+    assert out == (GOLDEN / f"analyze-trace-{fixture}.txt").read_text()
