@@ -144,7 +144,7 @@ def _rank_at_point(M: sp.Matrix, subs: Mapping, params: Sequence[sp.Symbol]) -> 
             continue
         if Mv.free_symbols or Mv.atoms(sp.sin, sp.cos):
             return None
-        return Mv.rank()
+        return symcore.rank(Mv)
     return None
 
 

@@ -2,10 +2,13 @@
 
 The field of computation is the rational functions in all declared symbols,
 extended by sin(a) and cos(a) of single symbols subject to the side relation
-cos(a)**2 = 1 - sin(a)**2.  Every rank decision in the package ultimately
-reduces to :func:`is_zero` on elements of this field, so the canonical form
-produced by :func:`normalize` is the load-bearing piece: an expression
-represents the zero function iff its canonical form is literally 0.
+cos(a)**2 = 1 - sin(a)**2.  Every rank decision in the package reduces to
+:func:`rref` or :func:`is_zero`, and both decide in one exact domain
+(:class:`_Domain`): sympy's sparse rational functions over QQ, with a
+generator pair for cos(a), sin(a) and numerators and denominators reduced
+modulo the side relation.  There an element is the zero function iff it is
+literally zero.  :func:`normalize` rewrites expressions for rendering and
+substitution; no decision rests on it.
 
 Expressions are plain (immutable) sympy expressions, and coordinates and
 parameters are plain ``sympy.Symbol`` objects.
@@ -13,11 +16,16 @@ parameters are plain ``sympy.Symbol`` objects.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.fields import FracField
+from sympy.polys.orderings import lex
+from sympy.polys.polyerrors import CoercionFailed
 from sympy.parsing.sympy_parser import (
     convert_xor,
     parse_expr as _sympy_parse,
@@ -80,75 +88,164 @@ def normalize(e) -> Expr:
     return sp.cancel(num / den)
 
 
-def _trig_sample_map(e: Expr, rng: random.Random) -> dict:
-    """Exact rational point on the sin/cos variety, via half-angle rationals."""
-    repl = {}
-    for a in {t.args[0] for t in e.atoms(sp.sin, sp.cos)}:
-        t = sp.Rational(rng.randint(-99, 99), rng.randint(1, 30))
-        repl[sp.sin(a)] = 2 * t / (1 + t**2)
-        repl[sp.cos(a)] = (1 - t**2) / (1 + t**2)
-    return repl
+# --------------------------------------------------------------------------
+# the exact domain of a batch of expressions
+
+# One (c_a, s_a) generator pair per trig argument a for the whole process, so
+# that repeated conversions build the same fields.
+_TRIG_GENS: dict[sp.Symbol, tuple[sp.Dummy, sp.Dummy]] = {}
 
 
-def _rational_sample(e: Expr, rng: random.Random):
-    """Evaluate e at a random rational point; None on a pole."""
-    repl = _trig_sample_map(e, rng)
-    e = e.xreplace(repl)
-    for s in e.free_symbols:
-        p = rng.randint(1, 99) * rng.choice((-1, 1))
-        e = e.xreplace({s: sp.Rational(p, rng.randint(1, 30))})
-    v = sp.cancel(e)
-    if v.has(sp.zoo, sp.nan, sp.oo):
-        return None
-    return v
+@functools.lru_cache(maxsize=256)
+def _field(gens: tuple) -> FracField:
+    return FracField(gens, QQ, lex)
 
 
-def _obviously_nonzero(n: Expr) -> bool:
-    """Canonical forms that cannot be the zero function: nonzero rationals
-    and single monomials with a nonzero rational coefficient."""
-    if n.is_Rational:
-        return n != 0
-    num, _ = n.as_numer_denom()
-    if num.is_Symbol or isinstance(num, (sp.sin, sp.cos)):
-        return True
-    if num.is_Pow or num.is_Mul:
-        coeff, factors = num.as_coeff_mul()
-        return all(
-            (f.is_Symbol or isinstance(f, (sp.sin, sp.cos)))
-            or (f.is_Pow and f.exp.is_Integer
-                and (f.base.is_Symbol or isinstance(f.base, (sp.sin, sp.cos))))
-            for f in factors
-        ) and coeff != 0
-    return False
+def _rational(e):
+    try:
+        return QQ.from_sympy(e)
+    except CoercionFailed:
+        raise InternalInconsistency(
+            f"{e} is not a rational function of symbols, sin and cos") from None
+
+
+def _rational_sample(p, k: int, rng: random.Random):
+    """Value of the polynomial p at a random rational point: its first k
+    generators c_a paired with the next k generators s_a on the unit circle,
+    through half-angle rationals, and the other generators nonzero."""
+    point = [QQ.zero] * p.ring.ngens
+    for i in range(k):
+        t = QQ(rng.randint(-99, 99), rng.randint(1, 30))
+        point[i] = (1 - t**2) / (1 + t**2)
+        point[k + i] = 2 * t / (1 + t**2)
+    for i in range(2 * k, len(point)):
+        point[i] = QQ(rng.randint(1, 99) * rng.choice((-1, 1)), rng.randint(1, 30))
+    value = QQ.zero
+    for monom, coeff in p.iterterms():
+        for v, n in zip(point, monom):
+            if n:
+                coeff *= v**n
+        value += coeff
+    return value
+
+
+class _Domain:
+    """One exact domain holding a batch of expressions.
+
+    ``QQ`` when no expression has a symbol or sin/cos.  Otherwise sympy's
+    sparse rational functions over ``QQ`` in lex order, in the generators
+    c_a (one per cos(a)), then s_a (one per sin(a)), then the free symbols
+    sorted by ``default_sort_key``.  Numerators and denominators are kept
+    reduced modulo c_a**2 + s_a**2 - 1: with the c_a first in lex order this
+    leaves every cos-degree below 2, which is a normal form modulo the
+    relations.  The quotient ring is an integral domain, so an element is
+    the zero function iff it is falsy.
+    """
+
+    def __init__(self, exprs: Iterable):
+        exprs = [sp.sympify(e) for e in exprs]
+        args = sorted({t.args[0] for e in exprs for t in e.atoms(sp.sin, sp.cos)},
+                      key=sp.default_sort_key)
+        free = sorted(set().union(*(e.free_symbols for e in exprs)),
+                      key=sp.default_sort_key)
+        self.k = len(args)
+        self.field = None
+        self.relations = []
+        if not free:
+            self.elements = [_rational(e) for e in exprs]
+            return
+        for a in args:
+            if a not in _TRIG_GENS:
+                _TRIG_GENS[a] = (sp.Dummy(f"c_{a}"), sp.Dummy(f"s_{a}"))
+        gens = ([_TRIG_GENS[a][0] for a in args] + [_TRIG_GENS[a][1] for a in args]
+                + free)
+        self.gen_exprs = ([sp.cos(a) for a in args] + [sp.sin(a) for a in args]
+                          + free)
+        self.field = _field(tuple(gens))
+        g = self.field.ring.gens
+        self.relations = [g[i]**2 + g[self.k + i]**2 - 1 for i in range(self.k)]
+        self._gen_of = dict(zip(self.gen_exprs, g))
+        self.elements = [self._new(*self._fraction(e)) for e in exprs]
+
+    def _fraction(self, e):
+        """Numerator and denominator of e in the field's polynomial ring,
+        combined without cancelling."""
+        ring = self.field.ring
+        gen = self._gen_of.get(e)
+        if gen is not None:
+            return gen, ring.one
+        if e.is_Add or e.is_Mul:
+            num, den = self._fraction(e.args[0])
+            for a in e.args[1:]:
+                n, d = self._fraction(a)
+                if e.is_Mul:
+                    num, den = num * n, den * d
+                elif d == den:
+                    num = num + n
+                else:
+                    num, den = num * d + n * den, den * d
+            return num, den
+        if e.is_Pow and e.exp.is_Integer:
+            num, den = self._fraction(e.base)
+            k = int(e.exp)
+            return (num**k, den**k) if k >= 0 else (den**-k, num**-k)
+        return ring.ground_new(_rational(e)), ring.one
+
+    def _reducible(self, p) -> bool:
+        return any(m[i] >= 2 for m in p.itermonoms() for i in range(self.k))
+
+    def _new(self, num, den):
+        """The element num/den, both reduced modulo the relations and their
+        gcd cancelled."""
+        if self.relations:
+            if self._reducible(num):
+                num = num.rem(self.relations)
+            if self._reducible(den):
+                den = den.rem(self.relations)
+        if not den:
+            raise InternalInconsistency(
+                "division by an expression that is zero modulo "
+                "cos**2 + sin**2 = 1")
+        return self.field.new(num, den)
+
+    def reduce(self, x):
+        """The result x of a field operation, reduced modulo the relations."""
+        if self.relations and (self._reducible(x.numer)
+                               or self._reducible(x.denom)):
+            return self._new(x.numer, x.denom)
+        return x
+
+    def check_nonzero(self, x) -> None:
+        """Numeric cross-check of an exactly nonzero element: unless its
+        numerator is a single term, it must be nonzero at one of
+        ``_session.samples`` random points, or InternalInconsistency."""
+        if self.field is None or len(x.numer) <= 1:
+            return
+        for _ in range(_session.samples):
+            if _rational_sample(x.numer, self.k, _session.rng):
+                return
+        raise InternalInconsistency(
+            f"exactly nonzero expression {self.to_expr(x)} vanished at "
+            f"{_session.samples} random points")
+
+    def to_expr(self, x) -> Expr:
+        if self.field is None:
+            return QQ.to_sympy(x)
+        return x.numer.as_expr(*self.gen_exprs) / x.denom.as_expr(*self.gen_exprs)
 
 
 def is_zero(e) -> bool:
     """True iff e represents the zero function.
 
-    The verdict is the canonical normalization; canonically nonzero results
-    are cross-checked numerically, and a disagreement raises
-    InternalInconsistency instead of being silently resolved.
+    The verdict is exact, in the domain of :class:`_Domain`; a nonzero
+    result is cross-checked numerically (see ``_Domain.check_nonzero``).
     """
-    n = normalize(e)
-    if n == 0:
+    dom = _Domain([e])
+    x = dom.elements[0]
+    if not x:
         return True
-    if _obviously_nonzero(n):
-        return False
-    rng = _session.rng
-    for _ in range(_session.samples):
-        v = None
-        for _ in range(50):
-            v = _rational_sample(n, rng)
-            if v is not None:
-                break
-        if v is None:
-            raise InternalInconsistency(
-                f"could not find a pole-free sample point for {n}")
-        if v != 0:
-            return False
-    raise InternalInconsistency(
-        f"canonically nonzero expression {n} vanished at "
-        f"{_session.samples} random points")
+    dom.check_nonzero(x)
+    return False
 
 
 def diff(e, s) -> Expr:
@@ -193,40 +290,38 @@ def evaluate(e, point: Mapping):
 def rref(M: ExprMatrix) -> tuple[ExprMatrix, tuple[int, ...]]:
     """Reduced row echelon form over the expression field.
 
-    Pivot selection is deterministic: leftmost column first, then the lowest
-    row index whose entry is not the zero function.
+    The entries are converted once into one :class:`_Domain`, eliminated
+    there, and converted back once.  Pivot selection is deterministic:
+    leftmost column first, then the lowest row index whose entry is not the
+    zero function.
     """
-    M = sp.Matrix(M).applyfunc(normalize)
+    M = sp.Matrix(M)
     rows, cols = M.shape
+    dom = _Domain(M)
+    A = [dom.elements[i * cols:(i + 1) * cols] for i in range(rows)]
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        pr = next((i for i in range(r, rows) if not is_zero(M[i, c])), None)
+        pr = next((i for i in range(r, rows) if A[i][c]), None)
         if pr is None:
             continue
-        if pr != r:
-            M.row_swap(pr, r)
-        piv = M[r, c]
-        for j in range(cols):
-            M[r, j] = normalize(M[r, j] / piv)
-        M[r, c] = sp.Integer(1)
+        A[r], A[pr] = A[pr], A[r]
+        piv = A[r][c]
+        dom.check_nonzero(piv)
+        A[r] = [dom.reduce(a / piv) if a else a for a in A[r]]
         for i in range(rows):
-            if i == r:
+            factor = A[i][c]
+            if i == r or not factor:
                 continue
-            factor = M[i, c]
-            if factor == 0:
-                continue
-            for j in range(cols):
-                M[i, j] = normalize(M[i, j] - factor * M[r, j])
-            M[i, c] = sp.Integer(0)
+            A[i] = [dom.reduce(a - factor * b) if b else a
+                    for a, b in zip(A[i], A[r])]
         pivots.append(c)
         r += 1
-    for i in range(r, rows):
-        for j in range(cols):
-            M[i, j] = sp.Integer(0)
-    return M, tuple(pivots)
+    entries = [dom.to_expr(a) for row in A[:r] for a in row]
+    entries += [sp.Integer(0)] * ((rows - r) * cols)
+    return sp.Matrix(rows, cols, entries), tuple(pivots)
 
 
 def rank(M: ExprMatrix) -> int:
@@ -243,7 +338,7 @@ def nullspace(M: ExprMatrix) -> list[ExprMatrix]:
         v = sp.zeros(cols, 1)
         v[fc, 0] = sp.Integer(1)
         for r, pc in enumerate(pivots):
-            v[pc, 0] = normalize(-R[r, fc])
+            v[pc, 0] = -R[r, fc]
         basis.append(v)
     return basis
 

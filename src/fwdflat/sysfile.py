@@ -9,7 +9,9 @@ Keys::
     name:       identifier (optional, defaults to the file stem)
     states:     space-separated state names (one line)
     inputs:     space-separated input names (one line)
-    params:     space-separated parameter names, assumed nonzero (optional)
+    params:     space-separated parameter names, assumed nonzero (optional);
+                not th<i>/xi<j> with 'inverse:', nor y<j>/y<j>_<k> with
+                a flat output, as those names are taken there
     f:          one line per state, the map component in (x, u)
     x0:         state equilibrium, space-separated rationals (one line)
     u0:         input equilibrium, space-separated rationals (one line)
@@ -91,6 +93,13 @@ def _names(line: str) -> tuple[sp.Symbol, ...]:
     return tuple(sp.Symbol(nm) for nm in line.split())
 
 
+def _reject_params_named_like(params, reserved, what: str) -> None:
+    clash = sorted(p.name for p in params if p in set(reserved))
+    if clash:
+        raise SystemFileError(
+            f"parameters named like {what}: {clash}; rename them")
+
+
 def _rationals(line: str, count: int, what: str):
     parts = line.split()
     if len(parts) != count:
@@ -133,7 +142,10 @@ def parse_system_text(text: str, name: str = "system") -> SystemFile:
     if "inverse" in fields:
         if len(fields["inverse"]) != n + m:
             raise SystemFileError(f"expected {n + m} 'inverse:' lines")
-        inverse = tuple(parse_expr(t, inverse_chart_symbols(n, m) + params)
+        adapted = inverse_chart_symbols(n, m)
+        _reject_params_named_like(params, adapted,
+                                  "adapted coordinates in 'inverse:'")
+        inverse = tuple(parse_expr(t, adapted + params)
                         for t in fields["inverse"])
 
     try:
@@ -155,6 +167,7 @@ def parse_system_text(text: str, name: str = "system") -> SystemFile:
                            for u in inputs for k in range(1, _MAX_SHIFT_ALPHABET))
         y_syms = tuple(flat_output_symbol(j, k)
                        for j in range(m) for k in range(_MAX_SHIFT_ALPHABET))
+        _reject_params_named_like(params, y_syms, "flat-output symbols")
         phi = tuple(parse_expr(t, base_syms + shift_syms) for t in fields["phi"])
         Fx = tuple(parse_expr(t, y_syms + params) for t in fields["Fx"])
         Fu = tuple(parse_expr(t, y_syms + params) for t in fields["Fu"])

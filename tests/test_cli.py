@@ -185,6 +185,46 @@ def test_input_errors_exit_two_without_traceback(tmp_path, capsys, text):
     assert "Traceback" not in err
 
 
+def test_identically_undefined_map_exit_four(tmp_path, capsys):
+    # sin(x2)^2 + cos(x2)^2 - 1 is the zero function, so f1 is nowhere
+    # defined; the zero test refuses it instead of guessing
+    bad = tmp_path / "undefined.sys"
+    bad.write_text("states: x1 x2\ninputs: u1\n"
+                   "f: x2 + x1/(sin(x2)^2 + cos(x2)^2 - 1)\nf: u1\n"
+                   "x0: 0 0\nu0: 0\n")
+    assert cli.run(["analyze", str(bad)]) == cli.EXIT_INTERNAL
+    assert "Traceback" not in capsys.readouterr().err
+
+
+PARAM_NAMED_LIKE_ADAPTED_COORDINATE = (
+    "states: x1 x2\ninputs: u1\nparams: th1\nf: th1*x2\nf: u1\n"
+    "x0: 0 0\nu0: 0\nh: x1\n"
+    "inverse: xi1\ninverse: th1/th1\ninverse: th2\n")
+PARAM_NAMED_LIKE_FLAT_OUTPUT = (
+    "states: x1\ninputs: u1\nparams: y1\nf: y1*u1\nx0: 0\nu0: 0\n"
+    "phi: x1\nFx: y1\nFu: y1_1/y1\nR: 1\n")
+
+
+@pytest.mark.parametrize("command,text,name", [
+    ("analyze", PARAM_NAMED_LIKE_ADAPTED_COORDINATE, "th1"),
+    ("verify-flat-output", PARAM_NAMED_LIKE_FLAT_OUTPUT, "y1"),
+], ids=["th1-in-inverse", "y1-in-flat-output"])
+def test_parameter_named_like_a_reserved_symbol_exit_two(
+        tmp_path, capsys, command, text, name):
+    # in 'inverse:' th<i>/xi<j> mean the adapted coordinates, and in Fx/Fu
+    # y<j>/y<j>_<k> mean the flat output, so such a parameter would be
+    # read as one of them and give a wrong verdict
+    bad = tmp_path / "bad.sys"
+    bad.write_text(text)
+    assert cli.run([command, str(bad)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{name}'" in err
+    renamed = tmp_path / "renamed.sys"
+    renamed.write_text(text.replace(f"params: {name}", "params: p")
+                       .replace(f"{name}*", "p*").replace(f"/{name}\n", "/p\n"))
+    assert cli.run([command, str(renamed)]) == cli.EXIT_OK
+
+
 def test_python_m_fwdflat_help():
     src = str(FIXTURES.parent / "src")
     env = dict(os.environ)

@@ -6,6 +6,7 @@ import sympy as sp
 from fwdflat import symcore
 from fwdflat.errors import (
     ExprSyntaxError,
+    InternalInconsistency,
     NonRationalTrigArgument,
     PoleAtPoint,
 )
@@ -222,6 +223,105 @@ class TestLinearAlgebra:
         assert sol is not None
         assert all(is_zero(c) for c in A * sol - b)
         assert solve_linear(sp.Matrix([[1, 1], [1, 1]]), sp.Matrix([0, 1])) is None
+
+
+def oracle_rref(M):
+    """Elimination over sympy expressions that normalizes every entry at
+    every pivot; symcore.rref computed this way before it moved into one
+    exact domain.  With every entry normalized, an entry is the zero
+    function iff it is literally 0."""
+    M = sp.Matrix(M).applyfunc(normalize)
+    rows, cols = M.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if M[i, c] != 0), None)
+        if pr is None:
+            continue
+        M.row_swap(pr, r)
+        piv = M[r, c]
+        for j in range(cols):
+            M[r, j] = normalize(M[r, j] / piv)
+        for i in range(rows):
+            factor = M[i, c]
+            if i == r or factor == 0:
+                continue
+            for j in range(cols):
+                M[i, j] = normalize(M[i, j] - factor * M[r, j])
+        pivots.append(c)
+        r += 1
+    return M, tuple(pivots)
+
+
+def _random_matrix(rng, entry, rows, cols):
+    """A random matrix whose last row is, half of the time, a combination
+    of the others, so that rank-deficient cases occur."""
+    M = sp.Matrix(rows, cols, lambda i, j: entry())
+    if rows > 1 and rng.random() < 0.5:
+        combo = sp.zeros(1, cols)
+        for i in range(rows - 1):
+            combo += entry() * M.row(i)
+        M[rows - 1, :] = combo
+    return M
+
+
+class TestRrefAgainstOracle:
+    x = sp.Symbol("x")
+
+    def _compare(self, M):
+        R, piv = rref(M)
+        O, opiv = oracle_rref(M)
+        assert piv == opiv, M
+        assert all(is_zero(a - b) for a, b in zip(R, O)), M
+
+    def test_rational_matrices(self):
+        from conftest import random_poly
+        rng = random.Random(21)
+        syms = [x1, x2]
+        for _ in range(40):
+            def entry():
+                return (random_poly(rng, syms, 2, 3, 1)
+                        / random_poly(rng, syms, 2, 3, 1))
+            self._compare(_random_matrix(rng, entry, rng.randint(2, 3), 3))
+
+    def test_trig_matrices(self):
+        from conftest import random_poly
+        rng = random.Random(22)
+        x = self.x
+        syms = [x, sp.sin(x), sp.cos(x)]
+        pythagoras = sp.sin(x) ** 2 + sp.cos(x) ** 2 - 1
+        for _ in range(30):
+            def entry():
+                # a multiple of sin**2 + cos**2 - 1 hides a zero summand
+                return (random_poly(rng, syms, 2, 3, 2)
+                        + random_poly(rng, syms, 1, 3, 1) * pythagoras)
+            self._compare(_random_matrix(rng, entry, rng.randint(2, 3), 3))
+
+    def test_numeric_matrices(self):
+        rng = random.Random(23)
+        for _ in range(30):
+            def entry():
+                return sp.Rational(rng.randint(-5, 5), rng.randint(1, 4))
+            self._compare(_random_matrix(rng, entry, rng.randint(2, 4), 4))
+
+    def test_pythagorean_zero_is_not_a_pivot(self):
+        x = self.x
+        R, piv = rref(sp.Matrix([[sp.sin(x) ** 2 + sp.cos(x) ** 2 - 1, 1]]))
+        assert piv == (1,)
+
+    def test_cos_cubed_zero_is_not_a_pivot(self):
+        x = self.x
+        e = sp.cos(x) ** 3 - sp.cos(x) + sp.cos(x) * sp.sin(x) ** 2
+        R, piv = rref(sp.Matrix([[e, x]]))
+        assert piv == (1,)
+
+    def test_division_by_a_disguised_zero_raises(self):
+        x = self.x
+        undefined = x / (sp.sin(x) ** 2 + sp.cos(x) ** 2 - 1)
+        with pytest.raises(InternalInconsistency):
+            rref(sp.Matrix([[undefined, 1]]))
 
 
 class TestParse:

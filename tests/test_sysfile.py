@@ -97,6 +97,23 @@ class TestParse:
                 MINIMAL + "state_map: x1\nstate_map: x2\ninput_map: u1\n"
                           "split: 1 1\n")
 
+    def test_param_named_like_adapted_coordinate_with_inverse(self):
+        text = ("states: x1 x2\ninputs: u1\nparams: {0}\nf: {0}*x2\nf: u1\n"
+                "x0: 0 0\nu0: 0\nh: x1\n"
+                "inverse: xi1\ninverse: th1/{0}\ninverse: th2\n")
+        assert parse_system_text(text.format("xi2")).system.inverse_chart
+        for name in ("th1", "xi1"):
+            with pytest.raises(SystemFileError, match=name):
+                parse_system_text(text.format(name))
+
+    def test_param_named_like_flat_output_symbol(self):
+        text = ("states: x1\ninputs: u1\nparams: {0}\nf: {0}*u1\nx0: 0\n"
+                "u0: 0\nphi: x1\nFx: y1\nFu: y1_1/{0}\n")
+        assert parse_system_text(text.format("y2")).flat_output is not None
+        for name in ("y1", "y1_3"):
+            with pytest.raises(SystemFileError, match=name):
+                parse_system_text(text.format(name))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(SystemFileError):
             parse_system_file(tmp_path / "nope.sys")
