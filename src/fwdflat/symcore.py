@@ -120,13 +120,7 @@ def _rational_sample(p, k: int, rng: random.Random):
         point[k + i] = 2 * t / (1 + t**2)
     for i in range(2 * k, len(point)):
         point[i] = QQ(rng.randint(1, 99) * rng.choice((-1, 1)), rng.randint(1, 30))
-    value = QQ.zero
-    for monom, coeff in p.iterterms():
-        for v, n in zip(point, monom):
-            if n:
-                coeff *= v**n
-        value += coeff
-    return value
+    return p(*point)
 
 
 class _Domain:
@@ -135,7 +129,9 @@ class _Domain:
     ``QQ`` when no expression has a symbol or sin/cos.  Otherwise sympy's
     sparse rational functions over ``QQ`` in lex order, in the generators
     c_a (one per cos(a)), then s_a (one per sin(a)), then the free symbols
-    sorted by ``default_sort_key``.  Numerators and denominators are kept
+    sorted by ``default_sort_key``.  A number left as a trig argument by
+    substituting a point, as in sin(1), gets its own pair like a symbol.
+    Numerators and denominators are kept
     reduced modulo c_a**2 + s_a**2 - 1: with the c_a first in lex order this
     leaves every cos-degree below 2, which is a normal form modulo the
     relations.  The quotient ring is an integral domain, so an element is
@@ -151,7 +147,7 @@ class _Domain:
         self.k = len(args)
         self.field = None
         self.relations = []
-        if not free:
+        if not free and not args:
             self.elements = [_rational(e) for e in exprs]
             return
         for a in args:

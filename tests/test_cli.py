@@ -175,7 +175,10 @@ RUNNING_TEXT = (FIXTURES / "running.sys").read_text()
     RUNNING_TEXT.replace("split: 1 2 1 1", "split: a b c d"),
     "states: x1 x2\ninputs: x2\nf: x2\nf: x1\nx0: 0 0\nu0: 0\n",
     "states: x1\ninputs: u1\nf: x1 + u1\nx0: 0\nu0: 1\n",
-], ids=["split-not-integers", "state-named-like-input", "not-an-equilibrium"])
+    # the residual sin(1) is a number, not a rational
+    "states: x1 x2\ninputs: u1\nf: sin(x2)\nf: x2 + u1\nx0: 0 1\nu0: 0\n",
+], ids=["split-not-integers", "state-named-like-input", "not-an-equilibrium",
+        "trig-residual-not-an-equilibrium"])
 def test_input_errors_exit_two_without_traceback(tmp_path, capsys, text):
     bad = tmp_path / "bad.sys"
     bad.write_text(text)
@@ -183,6 +186,22 @@ def test_input_errors_exit_two_without_traceback(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text,code", [
+    ("states: x1 x2\ninputs: u1\nf: x1 + sin(x2)^2 + cos(x2)^2 - 1\n"
+     "f: x2 + u1\nx0: 0 1\nu0: 0\n", cli.EXIT_NEGATIVE),
+    ("states: x1 x2\ninputs: u1\nf: x2 + sin(x1)^2 + cos(x1)^2\nf: u1\n"
+     "x0: 1 0\nu0: 0\n", cli.EXIT_OK),
+], ids=["x1-uncontrolled", "flat"])
+def test_pythagorean_residual_at_a_nonzero_point_is_zero(tmp_path, capsys,
+                                                         text, code):
+    # at the equilibrium the residual holds sin(1)**2 + cos(1)**2 - 1,
+    # which is zero; the first system leaves x1 uncontrolled
+    sysfile = tmp_path / "pythagoras.sys"
+    sysfile.write_text(text)
+    assert cli.run(["analyze", str(sysfile)]) == code
+    assert capsys.readouterr().err == ""
 
 
 def test_identically_undefined_map_exit_four(tmp_path, capsys):
