@@ -17,7 +17,13 @@ from typing import Mapping, Sequence
 import sympy as sp
 
 from . import symcore
-from .errors import InversionFailed, NotShiftable, ShiftBudgetExceeded
+from .errors import (
+    ExprSyntaxError,
+    InversionFailed,
+    NotShiftable,
+    PoleAtPoint,
+    ShiftBudgetExceeded,
+)
 from .extcalc import (
     Chart,
     Codistribution,
@@ -130,21 +136,18 @@ class SubmersivityReport:
 
 
 def _rank_at_point(M: sp.Matrix, subs: Mapping, params: Sequence[sp.Symbol]) -> int | None:
-    """Exact rank of M at a rational point, params sampled nonzero; None if
-    the matrix does not become rational there."""
+    """Exact rank of M at a rational point, params sampled nonzero and drawn
+    again at a pole; None if the matrix does not become rational there."""
     rng = symcore._session.rng
     for _ in range(20):
         psubs = dict(subs)
         for p in params:
             psubs[p] = sp.Rational(rng.randint(1, 97) * rng.choice((-1, 1)),
                                    rng.randint(1, 13))
-        Mv = M.xreplace(psubs)
-        Mv = Mv.applyfunc(sp.cancel)
-        if Mv.has(sp.zoo, sp.nan, sp.oo):
+        try:
+            return symcore.rank_at(M, psubs)
+        except PoleAtPoint:
             continue
-        if Mv.free_symbols or Mv.atoms(sp.sin, sp.cos):
-            return None
-        return symcore.rank(Mv)
     return None
 
 
@@ -224,8 +227,8 @@ class AdaptedChart:
 
 def _fragment_ok(e: sp.Expr, allowed: set[sp.Symbol]) -> bool:
     try:
-        symcore._validate_tree(sp.sympify(e), allowed, str(e))
-    except Exception:
+        symcore._validate_tree(e, allowed, "")  # the text only labels errors
+    except ExprSyntaxError:
         return False
     return True
 
@@ -239,23 +242,20 @@ def _candidate_complements(sys: DiscreteTimeSystem):
 
 def _solve_inverse(eqs: Sequence[Expr], unknowns: Sequence[sp.Symbol],
                    back_subs: Mapping):
-    """Solve eqs = 0 for the unknowns.  The first branch that stays in the
-    expression fragment over the equations' other symbols and passes the
-    round trip (substituting back_subs gives the unknowns back) wins."""
-    try:
-        sols = sp.solve(eqs, unknowns, dict=True)
-    except Exception:
-        return None
+    """Solve eqs = 0 for the unknowns by elimination (see
+    symcore.solve_by_elimination).  Each solution must stay in the
+    expression fragment over the equations' other symbols and pass the
+    round trip (substituting back_subs gives the unknowns back).  Raises
+    InversionFailed otherwise."""
+    eqs = [sp.sympify(e) for e in eqs]
+    exprs = symcore.solve_by_elimination(eqs, unknowns)
     allowed = set().union(*(e.free_symbols for e in eqs)) - set(unknowns)
-    for sol in sols:
-        if set(sol) != set(unknowns):
-            continue
-        exprs = [sp.cancel(sol[s]) for s in unknowns]
-        if not all(_fragment_ok(e, allowed) for e in exprs):
-            continue
-        if all(is_zero(e.xreplace(back_subs) - s) for e, s in zip(exprs, unknowns)):
-            return tuple(exprs)
-    return None
+    for e, u in zip(exprs, unknowns):
+        if not _fragment_ok(e, allowed):
+            raise InversionFailed(f"{u} = {e} leaves the expression fragment")
+        if not is_zero(e.xreplace(back_subs) - u):
+            raise InversionFailed(f"{u} = {e} does not invert the map")
+    return exprs
 
 
 def inverse_chart_symbols(n: int, m: int) -> tuple[sp.Symbol, ...]:
@@ -299,16 +299,17 @@ def build_adapted_chart(sys: DiscreteTimeSystem) -> AdaptedChart:
                 raise InversionFailed(
                     "supplied inverse chart does not invert (f, h)")
         else:
-            inv = _solve_inverse([s - e for s, e in back.items()],
-                                 list(chart_syms), back)
-            if inv is None:
-                failures.append(f"{h}: not invertible by the built-in solver")
+            try:
+                inv = _solve_inverse([s - e for s, e in back.items()],
+                                     list(chart_syms), back)
+            except InversionFailed as exc:
+                failures.append(f"{h}: {exc}")
                 continue
         return AdaptedChart(sys, theta, xi, tuple(sp.sympify(e) for e in h), inv)
     raise InversionFailed(
         "no invertible adapted chart found; supply an explicit complement "
-        "(h) and, if needed, the inverse chart map. Tried: "
-        + "; ".join(failures[:8]))
+        "(h) and, if needed, the inverse chart map. Tried:\n  h = "
+        + "\n  h = ".join(failures))
 
 
 # --------------------------------------------------------------------------
@@ -516,18 +517,18 @@ def verify_triangular_decomposition(sys: DiscreteTimeSystem,
     ubar = tuple(sp.Symbol(nm) for nm in _fresh_names("ub", sys.m, set(taken)))
     back = dict(zip(xbar, dec.state_map))
     back.update(zip(ubar, dec.input_map))
-    state_inv = _solve_inverse([xb - e for xb, e in zip(xbar, dec.state_map)],
-                               list(sys.states), back)
-    if state_inv is None:
-        return DecompositionVerdict(False, ["state map could not be inverted "
-                                            "by the built-in solver"])
+    try:
+        state_inv = _solve_inverse(
+            [xb - e for xb, e in zip(xbar, dec.state_map)], list(sys.states), back)
+    except InversionFailed as exc:
+        return DecompositionVerdict(False, [f"state map could not be inverted: {exc}"])
     x_subs = dict(zip(sys.states, state_inv))
     input_eqs = [ub - sp.sympify(e).xreplace(x_subs)
                  for ub, e in zip(ubar, dec.input_map)]
-    input_inv = _solve_inverse(input_eqs, list(sys.inputs), back)
-    if input_inv is None:
-        return DecompositionVerdict(False, ["input map could not be inverted "
-                                            "by the built-in solver"])
+    try:
+        input_inv = _solve_inverse(input_eqs, list(sys.inputs), back)
+    except InversionFailed as exc:
+        return DecompositionVerdict(False, [f"input map could not be inverted: {exc}"])
     inv_subs = dict(x_subs)
     inv_subs.update(zip(sys.inputs, input_inv))
 

@@ -3,12 +3,13 @@
 The field of computation is the rational functions in all declared symbols,
 extended by sin(a) and cos(a) of single symbols subject to the side relation
 cos(a)**2 = 1 - sin(a)**2.  Every rank decision in the package reduces to
-:func:`rref` or :func:`is_zero`, and both decide in one exact domain
-(:class:`_Domain`): sympy's sparse rational functions over QQ, with a
-generator pair for cos(a), sin(a) and numerators and denominators reduced
-modulo the side relation.  There an element is the zero function iff it is
-literally zero.  :func:`normalize` rewrites expressions for rendering and
-substitution; no decision rests on it.
+:func:`rref`, :func:`rank_at` or :func:`is_zero`, and all three decide in
+one exact domain (:class:`_Domain`): sympy's sparse rational functions
+over QQ, with a generator pair for cos(a), sin(a) and numerators and
+denominators reduced modulo the side relation.  There an element is the
+zero function iff it is literally zero.  Chart inversions solve in the
+same domain (:func:`solve_by_elimination`).  :func:`normalize` rewrites
+expressions for rendering and substitution; no decision rests on it.
 
 Expressions are plain (immutable) sympy expressions, and coordinates and
 parameters are plain ``sympy.Symbol`` objects.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import sympy as sp
 from sympy.polys.domains import QQ
@@ -35,6 +36,7 @@ from sympy.parsing.sympy_parser import (
 from .errors import (
     ExprSyntaxError,
     InternalInconsistency,
+    InversionFailed,
     NonRationalTrigArgument,
     PoleAtPoint,
 )
@@ -123,6 +125,11 @@ def _rational_sample(p, k: int, rng: random.Random):
     return p(*point)
 
 
+def _gens_of(p) -> set[int]:
+    """Indices of the generators that the polynomial p uses."""
+    return {i for m in p.itermonoms() for i, e in enumerate(m) if e}
+
+
 class _Domain:
     """One exact domain holding a batch of expressions.
 
@@ -204,6 +211,35 @@ class _Domain:
                 "cos**2 + sin**2 = 1")
         return self.field.new(num, den)
 
+    def index(self, e) -> int | None:
+        """Generator index of a symbol, cos(a) or sin(a); None if absent."""
+        gen = self._gen_of.get(e)
+        return None if gen is None else self.field.ring.index(gen)
+
+    def _compose(self, p, values: Mapping):
+        """p with generator i replaced by the element values[i], as a
+        numerator and a denominator: the denominators of the values are
+        raised to p's degree in their generator and multiplied out."""
+        ring = self.field.ring
+        deg = {i: max((m[i] for m in p.itermonoms()), default=0) for i in values}
+        den = ring.one
+        for i, d in deg.items():
+            den *= values[i].denom ** d
+        num = ring.zero
+        for monom, coeff in p.iterterms():
+            t = ring({tuple(0 if i in values else e for i, e in enumerate(monom)): coeff})
+            for i, v in values.items():
+                if deg[i]:
+                    t *= v.numer ** monom[i] * v.denom ** (deg[i] - monom[i])
+            num += t
+        return num, den
+
+    def substitute(self, x, values: Mapping):
+        """The element x with generator i replaced by the element values[i]."""
+        n1, d1 = self._compose(x.numer, values)
+        n2, d2 = self._compose(x.denom, values)
+        return self._new(n1 * d2, d1 * n2)
+
     def reduce(self, x):
         """The result x of a field operation, reduced modulo the relations."""
         if self.relations and (self._reducible(x.numer)
@@ -283,21 +319,14 @@ def evaluate(e, point: Mapping):
 # --------------------------------------------------------------------------
 # exact linear algebra over the expression field
 
-def rref(M: ExprMatrix) -> tuple[ExprMatrix, tuple[int, ...]]:
-    """Reduced row echelon form over the expression field.
-
-    The entries are converted once into one :class:`_Domain`, eliminated
-    there, and converted back once.  Pivot selection is deterministic:
-    leftmost column first, then the lowest row index whose entry is not the
-    zero function.
-    """
-    M = sp.Matrix(M)
-    rows, cols = M.shape
-    dom = _Domain(M)
-    A = [dom.elements[i * cols:(i + 1) * cols] for i in range(rows)]
+def _row_reduce(dom: _Domain, A: list) -> list[int]:
+    """Bring the rows A of elements of dom to reduced row echelon form in
+    place and return the pivot columns: leftmost column first, then the
+    lowest row index whose entry is not the zero function."""
+    rows = len(A)
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
+    for c in range(len(A[0]) if A else 0):
         if r == rows:
             break
         pr = next((i for i in range(r, rows) if A[i][c]), None)
@@ -315,6 +344,26 @@ def rref(M: ExprMatrix) -> tuple[ExprMatrix, tuple[int, ...]]:
                     for a, b in zip(A[i], A[r])]
         pivots.append(c)
         r += 1
+    return pivots
+
+
+def _rows(elements: list, shape: tuple[int, int]) -> list:
+    rows, cols = shape
+    return [elements[i * cols:(i + 1) * cols] for i in range(rows)]
+
+
+def rref(M: ExprMatrix) -> tuple[ExprMatrix, tuple[int, ...]]:
+    """Reduced row echelon form over the expression field.
+
+    The entries are converted once into one :class:`_Domain`, eliminated
+    there (see :func:`_row_reduce`), and converted back once.
+    """
+    M = sp.Matrix(M)
+    rows, cols = M.shape
+    dom = _Domain(M)
+    A = _rows(dom.elements, M.shape)
+    pivots = _row_reduce(dom, A)
+    r = len(pivots)
     entries = [dom.to_expr(a) for row in A[:r] for a in row]
     entries += [sp.Integer(0)] * ((rows - r) * cols)
     return sp.Matrix(rows, cols, entries), tuple(pivots)
@@ -322,6 +371,21 @@ def rref(M: ExprMatrix) -> tuple[ExprMatrix, tuple[int, ...]]:
 
 def rank(M: ExprMatrix) -> int:
     return len(rref(M)[1])
+
+
+def rank_at(M: ExprMatrix, point: Mapping) -> int | None:
+    """Exact rank of M at a rational point, decided in ``QQ``.
+
+    None if an entry keeps a symbol that the point does not bind, or sin/cos
+    of a nonzero number.  Raises PoleAtPoint if an entry has a pole there.
+    """
+    M = sp.Matrix(M).xreplace(point)
+    if M.has(sp.zoo, sp.nan, sp.oo):
+        raise PoleAtPoint(f"pole at {dict(point)}")
+    dom = _Domain(M)
+    if dom.field is not None:
+        return None
+    return len(_row_reduce(dom, _rows(dom.elements, M.shape)))
 
 
 def nullspace(M: ExprMatrix) -> list[ExprMatrix]:
@@ -349,6 +413,114 @@ def solve_linear(A: ExprMatrix, b: ExprMatrix) -> ExprMatrix | None:
     for r, pc in enumerate(pivots):
         x[pc, 0] = R[r, A.cols]
     return x
+
+
+# --------------------------------------------------------------------------
+# solving by elimination
+
+def _linear_split(p, j: int):
+    """(a, b) with p = a*g_j + b, if the polynomial p has degree 1 in its
+    generator j; None otherwise."""
+    a, b = {}, {}
+    for monom, coeff in p.iterterms():
+        if monom[j] > 1:
+            return None
+        (a if monom[j] else b)[monom[:j] + (0,) + monom[j + 1:]] = coeff
+    return (p.ring(a), p.ring(b)) if a else None
+
+
+def _linear_candidates(dom, pending: dict, remaining, own: dict, bare: dict,
+                       solutions):
+    """(equation index, unknown, coefficient, substitution, free) for each
+    pending numerator of degree 1 in a remaining unknown, in equation order
+    and then in unknown order.  The substitution maps the unknown's
+    generator to its solution, and its sin/cos generators to those of a bare
+    symbol; free tells whether the coefficient is free of the other
+    remaining unknowns."""
+    ring = dom.field.ring
+    for i, p in pending.items():
+        used = _gens_of(p)
+        for u in remaining:
+            j = dom.index(u)
+            split = _linear_split(p, j) if j in used else None
+            if split is None:
+                continue
+            a, b = split
+            trig = own[u] - {j}
+            if trig & (_gens_of(a) | _gens_of(b)):
+                continue  # u is also inside sin/cos of this equation
+            sol = dom._new(-b, a)
+            values = {j: sol}
+            elsewhere = [q for k, q in pending.items() if k != i]
+            elsewhere += [x for s in solutions for x in (s.numer, s.denom)]
+            if trig and any(trig & _gens_of(q) for q in elsewhere):
+                v = bare.get(sol.numer) if sol.denom == 1 else None
+                if v is None:
+                    continue  # sin/cos would take an argument that is no symbol
+                for f in (sp.cos, sp.sin):
+                    values[dom.index(f(u))] = dom._new(ring.gens[dom.index(f(v))],
+                                                       ring.one)
+            others = set().union(*(own[w] for w in remaining if w != u))
+            yield i, u, a, values, not _gens_of(a) & others
+
+
+def solve_by_elimination(eqs: Iterable, unknowns: Sequence[sp.Symbol]
+                         ) -> tuple[Expr, ...]:
+    """Solve eqs = 0 for the unknowns by elimination in the exact domain.
+
+    Each step takes the first pending equation whose numerator has degree 1
+    in a remaining unknown (the first such unknown in `unknowns` order),
+    preferring a coefficient free of the other remaining unknowns, records
+    the solution and substitutes it into the pending equations only.  An
+    unknown inside sin/cos is eliminated only where its solution is a bare
+    symbol that is not an unknown, so that sin/cos keep a symbol argument.
+    Each step removes an unknown, so the elimination ends.  The solutions
+    are back-substituted in reverse order.  Raises InversionFailed, naming
+    the unsolved equations, when no step is possible.
+    """
+    eqs = [sp.sympify(e) for e in eqs]
+    symbols = set().union(*(e.free_symbols for e in eqs))
+    args = {t.args[0] for e in eqs for t in e.atoms(sp.sin, sp.cos)}
+    # with an unknown inside sin/cos, every symbol gets sin/cos generators,
+    # so that sin(u) can become sin(v) when u is solved as v
+    dom = _Domain(eqs + ([sp.cos(v) for v in symbols]
+                         if args & set(unknowns) else []))
+    ring = dom.field.ring
+    own = {u: {i for i in (dom.index(u), dom.index(sp.cos(u)), dom.index(sp.sin(u)))
+               if i is not None} for u in unknowns}
+    bare = {ring.gens[dom.index(v)]: v for v in symbols - set(unknowns)}
+    pending = {i: dom.elements[i].numer for i in range(len(eqs))}
+    remaining = list(unknowns)
+    steps = []  # (unknown, substitution)
+    while remaining:
+        step = None
+        for *cand, free in _linear_candidates(dom, pending, remaining, own, bare,
+                                              [v[dom.index(u)] for u, v in steps]):
+            if step is None or free:
+                step = cand
+            if free:
+                break
+        if step is None:
+            raise InversionFailed(
+                f"no equation is linear in {', '.join(map(str, remaining))}; "
+                f"unsolved: {', '.join(f'{eqs[i]} = 0' for i in pending)}")
+        i, u, a, values = step
+        dom.check_nonzero(dom._new(a, ring.one))  # as for an rref pivot
+        del pending[i]
+        remaining.remove(u)
+        steps.append((u, values))
+        for k, q in pending.items():
+            if _gens_of(q) & set(values):
+                pending[k] = dom.substitute(dom._new(q, ring.one), values).numer
+    solved, later = {}, {}
+    for u, values in reversed(steps):
+        try:
+            solved[u] = dom.substitute(values[dom.index(u)], later)
+        except InternalInconsistency:
+            raise InversionFailed(f"the solution for {u} divides by zero") from None
+        later.update(values)
+        later[dom.index(u)] = solved[u]
+    return tuple(dom.to_expr(solved[u]) for u in unknowns)
 
 
 # --------------------------------------------------------------------------

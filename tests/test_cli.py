@@ -245,11 +245,46 @@ def test_parameter_named_like_a_reserved_symbol_exit_two(
 
 
 def test_python_m_fwdflat_help():
+    r = _python_m_fwdflat("--help")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("usage: fwdflat")
+
+
+def _python_m_fwdflat(*args):
     src = str(FIXTURES.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    r = subprocess.run([sys.executable, "-m", "fwdflat", "--help"],
-                       capture_output=True, text=True, env=env, timeout=120)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.startswith("usage: fwdflat")
+    return subprocess.run([sys.executable, "-m", "fwdflat", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_cubic_system_has_no_chart_and_exits_three(tmp_path):
+    # no coordinate complement leaves an equation linear in an unknown;
+    # chart inversion once ran for minutes on this system
+    sysfile = tmp_path / "cubic.sys"
+    sysfile.write_text("states: x1 x2 x3\ninputs: u1\n"
+                       "f: x2 + x1^3\nf: x3 + x2^3*x1\nf: u1^3 + u1 + x3^2\n"
+                       "x0: 0 0 0\nu0: 0\n")
+    r = _python_m_fwdflat("analyze", str(sysfile))
+    assert r.returncode == cli.EXIT_INVERSION, r.stderr
+    assert r.stderr.startswith("inversion failed: ")
+    assert "Traceback" not in r.stderr
+    assert "h = (u1,): no equation is linear in x1; unsolved: " \
+           "th3 - u1**3 - u1 - x3**2 = 0" in r.stderr
+
+
+def test_transformed_running_example_is_flat(tmp_path):
+    # the running example after x2 = z2 + z1^2, u1 = v1 + z1*z3,
+    # u2 = v2 + z2; inverting its chart once ran for minutes
+    sysfile = tmp_path / "transformed.sys"
+    sysfile.write_text(
+        "states: z1 z2 z3\ninputs: v1 v2\n"
+        "f: v1 + z1*z3 - z2 - z1^2\n"
+        "f: z1*(v1 + z1*z3 - v2 - z2) - (v1 + z1*z3 - z2 - z1^2)^2\n"
+        "f: v2 + z2\n"
+        "x0: 1/2 1/4 0\nu0: 1 -1/4\n")
+    r = _python_m_fwdflat("analyze", str(sysfile))
+    assert r.returncode == cli.EXIT_OK, r.stderr
+    assert "verdict: ForwardFlat\n" in r.stdout
+    assert "dims: [3, 2, 0]\n" in r.stdout

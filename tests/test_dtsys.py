@@ -8,6 +8,7 @@ from fwdflat.dtsys import (
     DiscreteTimeSystem,
     FlatOutputCandidate,
     TriangularDecomposition,
+    _solve_inverse,
     backward_shift_oneform,
     build_adapted_chart,
     check_submersivity,
@@ -130,6 +131,73 @@ class TestAdaptedChart:
                  complement_h=(u1,), inverse_chart=(th1, xi1 + 1))
         with pytest.raises(InversionFailed):
             build_adapted_chart(s)
+
+
+    def test_automatic_chart_keeps_trig_arguments_symbols(self, vtol):
+        # x5 sits inside sin/cos, so it is eliminated only as the bare xi1
+        import dataclasses
+        s = dataclasses.replace(vtol.system, complement_h=None, inverse_chart=None)
+        ac = build_adapted_chart(s)
+        x5, u1 = sp.symbols("x5 u1")
+        assert ac.h == (u1, x5)
+        assert ac.from_adapted[4] == ac.xi[1]
+        to_ad, from_ad = ac.to_adapted_subs(), ac.from_adapted_subs()
+        for sym in s.chart.symbols:
+            assert is_zero(to_ad[sym].xreplace(from_ad) - sym)
+
+    def test_inversion_failure_names_unsolved_equations(self):
+        x1, u1 = sp.symbols("x1 u1")
+        s = _sys(["x1"], ["u1"], [x1 + u1 + (x1 + u1) ** 5], [0], [0])
+        with pytest.raises(InversionFailed) as exc:
+            build_adapted_chart(s)
+        msg = str(exc.value)
+        # one line per complement tried, each naming its unsolved equation
+        assert "h = (u1,): no equation is linear in x1; unsolved: th1 - " in msg
+        assert "h = (x1,): no equation is linear in u1; unsolved: th1 - " in msg
+
+
+class TestSolveInverse:
+    """_solve_inverse eliminates one unknown per step and checks the round
+    trip; these cases have a known inverse to compare with exactly."""
+
+    def test_random_triangular_maps(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            n = rng.randint(2, 4)
+            z = sp.symbols(f"z1:{n + 1}")
+            x = sp.symbols(f"x1:{n + 1}")
+            # x_i = z_i + p_i(z_<i); its inverse is z_i = x_i - p_i(z_<i)
+            ps = [random_poly(rng, z[:i], 3, 3, 2) if i else sp.Integer(0)
+                  for i in range(n)]
+            back = {x[i]: z[i] + ps[i] for i in range(n)}
+            known: dict = {}
+            for i in range(n):
+                known[z[i]] = sp.expand(x[i] - ps[i].xreplace(known))
+            eqs = [x[i] - back[x[i]] for i in range(n)]
+            rng.shuffle(eqs)
+            got = _solve_inverse(eqs, list(z), back)
+            assert all(is_zero(g - known[zi]) for g, zi in zip(got, z)), (eqs, got)
+
+    def test_coefficients_depending_on_another_unknown(self):
+        x1, x2, th1, th2 = sp.symbols("x1 x2 th1 th2")
+        cases = [
+            # solved first for x1 = th1*(1 + x2)
+            ((x1 / (1 + x2), x2 / (1 + x1)),
+             (th1 * (1 + th2) / (1 - th1 * th2), th2 * (1 + th1) / (1 - th1 * th2))),
+            # every linear coefficient depends on the other unknown
+            ((x1 * x2, x2 + x1 * x2), (th1 / (th2 - th1), th2 - th1)),
+        ]
+        for (f1, f2), known in cases:
+            back = {th1: f1, th2: f2}
+            got = _solve_inverse([th1 - f1, th2 - f2], [x1, x2], back)
+            assert all(is_zero(g - k) for g, k in zip(got, known)), got
+
+    def test_nonlinear_equation_is_named(self):
+        x1, x2, a, b = sp.symbols("x1 x2 a b")
+        back = {a: x1 + x2 ** 2, b: x2 ** 3}
+        with pytest.raises(InversionFailed,
+                           match=r"linear in x2; unsolved: b - x2\*\*3 = 0$"):
+            _solve_inverse([a - back[a], b - back[b]], [x1, x2], back)
 
 
 class TestForwardShift:
@@ -279,6 +347,15 @@ class TestTriangularDecomposition:
         v = verify_triangular_decomposition(running.system, bad)
         assert not v.ok
         assert any("x alone" in r for r in v.reasons)
+
+    def test_uninvertible_state_map_names_the_unsolved_equation(self, running):
+        x1, x2, x3 = sp.symbols("x1 x2 x3")
+        dec = running.decomposition
+        bad = TriangularDecomposition((x3 ** 3, x1 - x3, x2), dec.input_map, dec.split)
+        v = verify_triangular_decomposition(running.system, bad)
+        assert not v.ok
+        assert v.reasons == ["state map could not be inverted: no equation is "
+                             "linear in x3; unsolved: -x3**3 + xb1 = 0"]
 
     def test_non_triangular_structure_detected(self, running):
         # swapping the input blocks breaks the structure: with ubar1 = u1 - u2

@@ -17,6 +17,7 @@ from fwdflat.symcore import (
     normalize,
     nullspace,
     parse_expr,
+    rank_at,
     render,
     rref,
     solve_linear,
@@ -231,6 +232,20 @@ class TestLinearAlgebra:
         assert sol is not None
         assert all(is_zero(c) for c in A * sol - b)
         assert solve_linear(sp.Matrix([[1, 1], [1, 1]]), sp.Matrix([0, 1])) is None
+
+    def test_rank_at(self):
+        M = sp.Matrix([[x1, x2], [x1 * x2, x2 ** 2]])
+        assert rank_at(M, {x1: 1, x2: 2}) == 1
+        assert rank_at(M, {x1: 0, x2: 0}) == 0
+        assert rank_at(sp.Matrix([[1, 0], [0, 1 + x1]]), {x1: -1}) == 1
+        # sin/cos evaluate exactly only at 0
+        T = sp.Matrix([[sp.cos(x1), sp.sin(x1)]])
+        assert rank_at(T, {x1: 0}) == 1
+        assert rank_at(T, {x1: 1}) is None
+        # a symbol the point does not bind
+        assert rank_at(M, {x1: 1}) is None
+        with pytest.raises(PoleAtPoint):
+            rank_at(sp.Matrix([[1 / (x1 - 1), x2]]), {x1: 1, x2: 0})
 
 
 def oracle_rref(M):
