@@ -97,14 +97,18 @@ class DiscreteTimeSystem:
         subs.update(zip(self.inputs, self.u0))
         return subs
 
-    def jacobian(self) -> sp.Matrix:
-        """d f / d (x, u), an n x (n+m) matrix."""
-        return sp.Matrix([[sp.diff(fi, s) for s in self.chart.symbols] for fi in self.f])
+    def jacobian(self) -> sp.ImmutableMatrix:
+        """d f / d (x, u), an n x (n+m) matrix, computed on first use."""
+        J = self.__dict__.get("_jacobian")
+        if J is None:
+            J = sp.ImmutableMatrix(symcore.jacobian(self.f, self.chart.symbols))
+            object.__setattr__(self, "_jacobian", J)
+        return J
 
     def span_df(self) -> Codistribution:
         ch = self.chart
-        forms = [OneForm(ch, tuple(sp.diff(fi, s) for s in ch.symbols)) for fi in self.f]
-        return Codistribution.span(ch, forms)
+        J = self.jacobian()
+        return Codistribution.span(ch, [OneForm(ch, tuple(J.row(i))) for i in range(self.n)])
 
     def input_shift_symbol(self, j: int, order: int) -> sp.Symbol:
         """The order-th forward shift of input j (order 0 is the input itself)."""
@@ -283,7 +287,7 @@ def build_adapted_chart(sys: DiscreteTimeSystem) -> AdaptedChart:
     J = sys.jacobian()
     failures = []
     for h in candidates:
-        Jh = sp.Matrix([[sp.diff(hj, s) for s in chart_syms] for hj in h])
+        Jh = symcore.jacobian(h, chart_syms)
         full = J.col_join(Jh)
         if symcore.rank(full) < sys.n + sys.m:
             failures.append(f"{h}: (f, h) Jacobian rank deficient")
@@ -504,11 +508,9 @@ def verify_triangular_decomposition(sys: DiscreteTimeSystem,
         if sp.sympify(e).free_symbols - set(sys.states) - set(sys.params):
             return DecompositionVerdict(False, ["state map must depend on x alone"])
 
-    Jx = sp.Matrix([[sp.diff(e, s) for s in sys.states] for e in dec.state_map])
-    if symcore.rank(Jx) < sys.n:
+    full = symcore.jacobian(dec.state_map + dec.input_map, sys.chart.symbols)
+    if symcore.rank(full[:sys.n, :sys.n]) < sys.n:
         return DecompositionVerdict(False, ["state map is not invertible"])
-    full = sp.Matrix([[sp.diff(e, s) for s in sys.chart.symbols]
-                      for e in tuple(dec.state_map) + tuple(dec.input_map)])
     if symcore.rank(full) < sys.n + sys.m:
         return DecompositionVerdict(False, ["(state, input) map is not invertible"])
 
@@ -536,14 +538,11 @@ def verify_triangular_decomposition(sys: DiscreteTimeSystem,
     fbar = tuple(normalize(sp.sympify(e).xreplace(dict(zip(sys.states, f_subbed))))
                  for e in dec.state_map)
 
-    u1_syms = ubar[:m1]
+    B = symcore.jacobian(fbar, ubar[:m1])
     for i in range(n1, sys.n):
-        for us in u1_syms:
-            if not is_zero(sp.diff(fbar[i], us)):
-                reasons.append(f"x2-row {i - n1 + 1} depends on the u1-block")
-                break
-    B1 = sp.Matrix([[sp.diff(fbar[i], us) for us in u1_syms] for i in range(n1)]) \
-        if n1 and m1 else sp.zeros(n1, m1)
+        if not all(is_zero(b) for b in B.row(i)):
+            reasons.append(f"x2-row {i - n1 + 1} depends on the u1-block")
+    B1 = B[:n1, :]
     rk = symcore.rank(B1) if n1 and m1 else 0
     if rk != n1:
         reasons.append(f"rank of d f1 / d u1 is {rk}, need dim(x1) = {n1}")

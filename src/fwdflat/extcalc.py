@@ -118,15 +118,12 @@ def exterior_derivative(obj, chart: Chart | None = None):
     """d of a scalar (-> OneForm) or of a OneForm (-> 2-form)."""
     if isinstance(obj, OneForm):
         ch = obj.chart
-        terms = {}
-        for i, j in itertools.combinations(range(ch.dim), 2):
-            c = sp.diff(obj.coeffs[j], ch.symbols[i]) - sp.diff(obj.coeffs[i], ch.symbols[j])
-            terms[(i, j)] = c
-        return KForm(ch, 2, terms)
+        J = symcore.jacobian(obj.coeffs, ch.symbols)
+        return KForm(ch, 2, {(i, j): J[j, i] - J[i, j]
+                             for i, j in itertools.combinations(range(ch.dim), 2)})
     if chart is None:
         raise ValueError("a chart is required to differentiate a scalar")
-    e = sp.sympify(obj)
-    return OneForm(chart, tuple(normalize(sp.diff(e, s)) for s in chart.symbols))
+    return OneForm(chart, tuple(normalize(d) for d in symcore.jacobian([obj], chart.symbols)))
 
 
 def wedge(a, b) -> KForm:
@@ -191,12 +188,11 @@ def lie_derivative_form(v: VectorField, w: OneForm) -> OneForm:
     """L_v w by the coefficient formula (v^k d_k w_i) dx^i + w_i dv^i."""
     _check_same_chart(v, w)
     ch = v.chart
-    coeffs = []
-    for i in range(ch.dim):
-        c = sum(v.coeffs[k] * sp.diff(w.coeffs[i], ch.symbols[k]) for k in range(ch.dim))
-        c += sum(w.coeffs[j] * sp.diff(v.coeffs[j], ch.symbols[i]) for j in range(ch.dim))
-        coeffs.append(normalize(c))
-    return OneForm(ch, tuple(coeffs))
+    n = ch.dim
+    J = symcore.jacobian(v.coeffs + w.coeffs, ch.symbols)  # rows of v, then of w
+    return OneForm(ch, tuple(
+        normalize(sum(v.coeffs[k] * J[n + i, k] + w.coeffs[k] * J[k, i] for k in range(n)))
+        for i in range(n)))
 
 
 def add_oneforms(a: OneForm, b: OneForm) -> OneForm:
@@ -212,13 +208,11 @@ def sub_oneforms(a: OneForm, b: OneForm) -> OneForm:
 def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     _check_same_chart(v, w)
     ch = v.chart
-    coeffs = []
-    for i in range(ch.dim):
-        c = sum(v.coeffs[k] * sp.diff(w.coeffs[i], ch.symbols[k])
-                - w.coeffs[k] * sp.diff(v.coeffs[i], ch.symbols[k])
-                for k in range(ch.dim))
-        coeffs.append(normalize(c))
-    return VectorField(ch, tuple(coeffs))
+    n = ch.dim
+    J = symcore.jacobian(v.coeffs + w.coeffs, ch.symbols)  # rows of v, then of w
+    return VectorField(ch, tuple(
+        normalize(sum(v.coeffs[k] * J[n + i, k] - w.coeffs[k] * J[i, k] for k in range(n)))
+        for i in range(n)))
 
 
 # --------------------------------------------------------------------------
@@ -305,7 +299,7 @@ def pullback(old_in_new: Sequence[Expr], chart: Chart):
     once here.  The old chart's remaining coordinates are dropped; a form
     with a nonzero component along them raises InternalInconsistency.
     """
-    J = [[sp.diff(F, s) for s in chart.symbols] for F in old_in_new]
+    J = symcore.jacobian(old_in_new, chart.symbols).tolist()
 
     def apply(forms: Iterable[OneForm]) -> Codistribution:
         pulled = []
@@ -348,11 +342,11 @@ def is_integrable(P: Codistribution) -> bool:
     """Frobenius wedge criterion dw^i ^ w^1 ^ ... ^ w^p = 0 for every i."""
     if P.dim == 0:
         return True
+    dws = [exterior_derivative(w) for w in P.basis]
+    if all(dw.is_zero_form() for dw in dws):
+        return True
     top = wedge_all(list(P.basis))
-    for w in P.basis:
-        if not wedge(exterior_derivative(w), top).is_zero_form():
-            return False
-    return True
+    return all(wedge(dw, top).is_zero_form() for dw in dws)
 
 
 def is_invariant(P: Codistribution, D: Distribution) -> bool:

@@ -134,55 +134,46 @@ def _close_under_dxi(Q: Codistribution, n: int) -> Codistribution:
     rounds run."""
     ch = Q.chart
     while True:
-        derived = [OneForm(ch, tuple(sp.diff(c, xi) for c in w.coeffs))
-                   for xi in ch.symbols[n:] for w in Q.basis]
+        J = symcore.jacobian([c for w in Q.basis for c in w.coeffs], ch.symbols[n:])
+        derived = [OneForm(ch, tuple(J[i * ch.dim:(i + 1) * ch.dim, j]))
+                   for j in range(J.cols) for i in range(Q.dim)]
         extended = Codistribution.span(ch, list(Q.basis) + derived)
         if extended.dim == Q.dim:
             return Q
         Q = extended
 
 
-def _clear_row_denominators(M: sp.Matrix) -> sp.Matrix:
-    """Scale each row by the lcm of its denominators (rank-preserving
-    generically; keeps the entries pole-free at generic points)."""
-    rows = []
-    for i in range(M.rows):
-        entries = [sp.cancel(e) for e in M.row(i)]
-        denoms = [sp.fraction(e)[1] for e in entries]
-        try:
-            d = sp.lcm(denoms)
-        except Exception:
-            d = sp.Mul(*denoms)
-        rows.append([sp.cancel(e * d) for e in entries])
-    return sp.Matrix(rows) if rows else M
-
-
 def _dim_at_equilibrium(M: sp.Matrix, eq_subs, params, generic_dim: int,
-                        warnings: list[str], label: str) -> None:
+                        warnings: list[str], label: str
+                        ) -> tuple[sp.Matrix, int | None]:
+    """M with its row denominators cleared (see symcore.clear_denominators:
+    polynomial rows, so no pole at the point) and its rank at the
+    equilibrium, warning when that rank is not generic_dim."""
     if M.rows == 0:
-        return
-    rk = _rank_at_point(_clear_row_denominators(M), eq_subs, params)
+        return M, 0
+    M = symcore.clear_denominators(M)
+    rk = _rank_at_point(M, eq_subs, params)
     if rk is None:
         warnings.append(f"{label}: rank at the equilibrium could not be "
                         "evaluated exactly")
     elif rk != generic_dim:
         warnings.append(f"{label}: generic dimension {generic_dim} drops to "
                         f"{rk} at the equilibrium")
+    return M, rk
 
 
-def _intersection_dim_at_equilibrium(A: sp.Matrix, B: sp.Matrix, eq_subs,
+def _intersection_dim_at_equilibrium(A: sp.Matrix, ra: int | None,
+                                     B: sp.Matrix, rb: int | None, eq_subs,
                                      params, generic_dim: int,
                                      warnings: list[str], label: str) -> None:
-    """Pointwise dim(rowspace(A) ∩ rowspace(B)) = rk A + rk B − rk [A; B].
+    """Pointwise dim(rowspace(A) ∩ rowspace(B)) = rk A + rk B − rk [A; B],
+    for A and B with cleared row denominators and their ranks ra and rb at
+    the equilibrium (None where not exact).
 
     Evaluating a canonical basis of the intersection at the point is not
     reliable (pivot normalization can degenerate there), so the dimension is
     reconstructed from the evaluated generating matrices instead.
     """
-    A = _clear_row_denominators(A)
-    B = _clear_row_denominators(B)
-    ra = _rank_at_point(A, eq_subs, params)
-    rb = _rank_at_point(B, eq_subs, params)
     rab = _rank_at_point(A.col_join(B), eq_subs, params)
     if None in (ra, rb, rab):
         warnings.append(f"{label}: rank at the equilibrium could not be "
@@ -214,10 +205,17 @@ def compute_sequence(sys: DiscreteTimeSystem,
     say(f"adapted chart complement: {tuple(str(h) for h in ac.h)}")
 
     warnings: list[str] = []
-    eq_ad = ac.equilibrium_subs()
-    if eq_ad is None:
+    eq_xu = None
+    if ac.equilibrium_subs() is None:
         warnings.append("adapted-chart equilibrium is not rational; "
                         "equilibrium rank checks skipped")
+    else:
+        # per run: J_f, and P_1 = span{dx_i} of rank n; P_k's cleared
+        # matrix and rank come from the previous shifted-codistribution check
+        eq_xu = sys.equilibrium_subs()
+        J_eq = symcore.clear_denominators(sys.jacobian())
+        rank_J = _rank_at_point(J_eq, eq_xu, sys.params)
+        P_eq, rank_P = sp.eye(sys.n, sys.n + sys.m), sys.n
 
     xu = sys.chart
     to_adapted = pullback(ac.from_adapted, ac.chart)
@@ -256,13 +254,13 @@ def compute_sequence(sys: DiscreteTimeSystem,
             raise InternalInconsistency(
                 f"P_{k + 1} is not integrable; the backward shift is invalid")
 
-        if eq_ad is not None:
-            eq_xu = sys.equilibrium_subs()
+        if eq_xu is not None:
             _intersection_dim_at_equilibrium(
-                step.P.matrix(), sys.jacobian(), eq_xu, sys.params, Q.dim,
+                P_eq, rank_P, J_eq, rank_J, eq_xu, sys.params, Q.dim,
                 warnings, f"k = {k}, intersection")
-            _dim_at_equilibrium(P_next.matrix(), eq_xu, sys.params, P_next.dim,
-                                warnings, f"k = {k}, shifted codistribution")
+            P_eq, rank_P = _dim_at_equilibrium(
+                P_next.matrix(), eq_xu, sys.params, P_next.dim, warnings,
+                f"k = {k}, shifted codistribution")
 
         if P_next.dim == step.dim:
             if not P_next.equals(step.P):

@@ -8,8 +8,11 @@ one exact domain (:class:`_Domain`): sympy's sparse rational functions
 over QQ, with a generator pair for cos(a), sin(a) and numerators and
 denominators reduced modulo the side relation.  There an element is the
 zero function iff it is literally zero.  Chart inversions solve in the
-same domain (:func:`solve_by_elimination`).  :func:`normalize` rewrites
-expressions for rendering and substitution; no decision rests on it.
+same domain (:func:`solve_by_elimination`), and every derivative is taken
+there (:func:`jacobian`: the ring's derivations, with d cos(a)/da =
+-sin(a) and d sin(a)/da = cos(a), and the quotient rule).
+:func:`normalize` rewrites expressions for rendering and substitution; no
+decision rests on it.
 
 Expressions are plain (immutable) sympy expressions, and coordinates and
 parameters are plain ``sympy.Symbol`` objects.
@@ -18,6 +21,7 @@ parameters are plain ``sympy.Symbol`` objects.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -122,7 +126,8 @@ def _rational_sample(p, k: int, rng: random.Random):
         point[k + i] = 2 * t / (1 + t**2)
     for i in range(2 * k, len(point)):
         point[i] = QQ(rng.randint(1, 99) * rng.choice((-1, 1)), rng.randint(1, 30))
-    return p(*point)
+    return sum((math.prod((x**e for x, e in zip(point, monom) if e), start=c)
+                for monom, c in p.iterterms()), QQ.zero)
 
 
 def _gens_of(p) -> set[int]:
@@ -240,6 +245,24 @@ class _Domain:
         n2, d2 = self._compose(x.denom, values)
         return self._new(n1 * d2, d1 * n2)
 
+    def derivation(self, v: sp.Symbol):
+        """d/dv on the elements, or None if v is no generator: the ring's
+        derivation by v, plus d c_v/dv = -s_v and d s_v/dv = c_v when v has
+        a trig pair, applied by the quotient rule."""
+        i, ic = self.index(v), self.index(sp.cos(v))
+        if i is None:
+            return None
+        g = self.field.ring.gens
+
+        def d(p):
+            if ic is None:
+                return p.diff(g[i])
+            c, s = g[ic], g[ic + self.k]
+            return p.diff(g[i]) + p.diff(s) * c - p.diff(c) * s
+
+        return lambda x: self._new(d(x.numer) * x.denom - x.numer * d(x.denom),
+                                   x.denom**2)
+
     def reduce(self, x):
         """The result x of a field operation, reduced modulo the relations."""
         if self.relations and (self._reducible(x.numer)
@@ -280,9 +303,28 @@ def is_zero(e) -> bool:
     return False
 
 
+def jacobian(exprs: Sequence, symbols: Sequence[sp.Symbol]) -> ExprMatrix:
+    """The matrix of the partial derivatives d exprs[i] / d symbols[j].
+
+    The expressions are converted once into one :class:`_Domain`,
+    differentiated there (see ``_Domain.derivation``) and converted back
+    once.  A symbol that is not a generator of the domain gives 0.
+    """
+    dom = _Domain(exprs)
+    J = sp.zeros(len(dom.elements), len(symbols))
+    if dom.field is None:
+        return J
+    for j, v in enumerate(symbols):
+        d = dom.derivation(v)
+        if d is not None:
+            for i, x in enumerate(dom.elements):
+                J[i, j] = dom.to_expr(d(x))
+    return J
+
+
 def diff(e, s) -> Expr:
     """Exact partial derivative, normalized."""
-    return normalize(sp.diff(sp.sympify(e), s))
+    return normalize(jacobian([e], [s])[0, 0])
 
 
 def substitute(e, bindings: Mapping) -> Expr:
@@ -367,6 +409,26 @@ def rref(M: ExprMatrix) -> tuple[ExprMatrix, tuple[int, ...]]:
     entries = [dom.to_expr(a) for row in A[:r] for a in row]
     entries += [sp.Integer(0)] * ((rows - r) * cols)
     return sp.Matrix(rows, cols, entries), tuple(pivots)
+
+
+def clear_denominators(M: ExprMatrix) -> ExprMatrix:
+    """M with each row multiplied by the lcm of its entries' reduced
+    denominators, taken in the exact domain, so that every entry is a
+    polynomial; the span of each row over the field is unchanged.  A matrix
+    of numbers is returned as it is."""
+    M = sp.Matrix(M)
+    dom = _Domain(M)
+    if dom.field is None:
+        return M
+    entries = []
+    for row in _rows(dom.elements, M.shape):
+        lcm = dom.field.ring.one
+        for x in row:
+            if x.denom != lcm:
+                lcm = lcm.lcm(x.denom)
+        entries += [(x.numer * lcm.exquo(x.denom)).as_expr(*dom.gen_exprs)
+                    for x in row]
+    return sp.Matrix(*M.shape, entries)
 
 
 def rank(M: ExprMatrix) -> int:

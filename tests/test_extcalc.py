@@ -4,6 +4,7 @@ import pytest
 import sympy as sp
 
 from conftest import random_poly
+from fwdflat import extcalc
 from fwdflat.extcalc import (
     Chart,
     Codistribution,
@@ -259,6 +260,20 @@ class TestIntegrability:
         xa = X3.symbols[0]
         P = Codistribution.span(X3, [OneForm(X3, (0, 1, xa))])
         assert not is_integrable(P)
+
+    def test_closed_basis_skips_the_top_wedge(self, monkeypatch):
+        """With every dw zero the criterion holds without the top wedge,
+        which only a basis with a nonzero dw builds."""
+        def no_wedge(forms):
+            raise AssertionError("top wedge built")
+
+        monkeypatch.setattr(extcalc, "wedge_all", no_wedge)
+        closed = Codistribution.span(X3, [OneForm(X3, (1, 0, 1)),
+                                          OneForm(X3, (0, 1, 0))])
+        assert is_integrable(closed)
+        xa = X3.symbols[0]
+        with pytest.raises(AssertionError, match="top wedge"):
+            is_integrable(Codistribution.span(X3, [OneForm(X3, (0, 1, xa))]))
 
 
 class TestInvariance:

@@ -1,10 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 import sympy as sp
 
 from conftest import random_poly
-from fwdflat import symcore
+from fwdflat import dtsys, flatness, symcore
 from fwdflat.dtsys import DiscreteTimeSystem, TriangularDecomposition
 from fwdflat.errors import FwdflatError
 from fwdflat.extcalc import (
@@ -239,3 +240,30 @@ class TestAdaptedCoordinateShortcuts:
             assert _close_under_dxi(P, n).equals(invariant_extension(P, dxi))
             nontrivial += Q.dim > 0
         assert nontrivial >= 10
+
+
+class TestEquilibriumChecksPerRun:
+    @pytest.mark.parametrize("name", ["running", "vtol"])
+    def test_jacobian_once_and_ranks_bounded(self, name, request, monkeypatch):
+        """One compute_sequence differentiates f once and takes at most
+        3 + 2 k_bar ranks at the equilibrium: J_f's and P_k's ranks there
+        are not recomputed at every k."""
+        # a fresh instance, without the Jacobian cached by other tests
+        sys = dataclasses.replace(request.getfixturevalue(name).system)
+        jacobians, ranks = [], []
+        jacobian, rank_at_point = symcore.jacobian, dtsys._rank_at_point
+
+        def counting_jacobian(exprs, symbols):
+            jacobians.append(tuple(exprs))
+            return jacobian(exprs, symbols)
+
+        def counting_rank(*args):
+            ranks.append(args)
+            return rank_at_point(*args)
+
+        monkeypatch.setattr(symcore, "jacobian", counting_jacobian)
+        monkeypatch.setattr(dtsys, "_rank_at_point", counting_rank)
+        monkeypatch.setattr(flatness, "_rank_at_point", counting_rank)
+        report = compute_sequence(sys)
+        assert jacobians.count(sys.f) == 1
+        assert len(ranks) <= 3 + 2 * report.k_bar

@@ -113,6 +113,67 @@ class TestDiff:
             assert is_zero(lhs - rhs)
 
 
+class TestJacobian:
+    def test_matches_sp_diff_randomized(self):
+        """Every entry equals sp.diff, decided by is_zero of the difference,
+        on 100 random rational expressions in states, a parameter, sin/cos
+        of symbols and sin(1); x3 and u1 never occur and give 0."""
+        from conftest import random_poly
+        rng = random.Random(31)
+        a = sp.Symbol("a")
+        atoms = [x1, x2, a, sp.sin(x1), sp.cos(x1), sp.cos(x2), sp.sin(1)]
+        wrt = [x1, x2, x3, a, u1]
+        for _ in range(50):
+            exprs = [random_poly(rng, atoms, 3, 4, 2) / random_poly(rng, atoms, 2, 3, 2)
+                     for _ in range(2)]
+            J = symcore.jacobian(exprs, wrt)
+            assert J.shape == (2, len(wrt))
+            for i, e in enumerate(exprs):
+                for j, v in enumerate(wrt):
+                    assert is_zero(J[i, j] - sp.diff(e, v)), (e, v)
+                assert J[i, 2] == J[i, 4] == 0
+
+    def test_numbers_give_zeros(self):
+        assert symcore.jacobian([2, sp.Rational(1, 3)], [x1, x2]) == sp.zeros(2, 2)
+        assert symcore.jacobian([], [x1]).shape == (0, 1)
+
+
+def _reference_sample(p, k, rng):
+    """The reference for _rational_sample: the same point, drawn the same
+    way, evaluated through PolyElement.__call__."""
+    from sympy.polys.domains import QQ
+    point = [QQ.zero] * p.ring.ngens
+    for i in range(k):
+        t = QQ(rng.randint(-99, 99), rng.randint(1, 30))
+        point[i] = (1 - t**2) / (1 + t**2)
+        point[k + i] = 2 * t / (1 + t**2)
+    for i in range(2 * k, len(point)):
+        point[i] = QQ(rng.randint(1, 99) * rng.choice((-1, 1)), rng.randint(1, 30))
+    return p(*point)
+
+
+class TestRationalSample:
+    def test_matches_polynomial_call_randomized(self):
+        """Same value and same RNG draws as p(*point), on random numerators
+        with and without trig pairs."""
+        from conftest import random_poly
+        rng = random.Random(37)
+        atoms = [x1, x2, x3, u1, sp.sin(x1), sp.cos(x1), sp.sin(u1)]
+        tested = 0
+        for _ in range(60):
+            dom = symcore._Domain([random_poly(rng, atoms, 5, 4, 3)])
+            if dom.field is None:
+                continue
+            p = dom.elements[0].numer
+            seed = rng.randint(0, 10**6)
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert symcore._rational_sample(p, dom.k, ours) == \
+                _reference_sample(p, dom.k, theirs)
+            assert ours.getstate() == theirs.getstate()
+            tested += 1
+        assert tested >= 40
+
+
 class TestSubstitute:
     def test_simple(self):
         f1 = sp.Symbol("f1")
