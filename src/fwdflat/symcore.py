@@ -1,16 +1,19 @@
 """Symbolic expression kernel and exact linear algebra over the expression field.
 
 The field of computation is the rational functions in all declared symbols,
-extended by sin(a) and cos(a) of single symbols subject to the side relation
-cos(a)**2 = 1 - sin(a)**2.  Every rank decision in the package reduces to
-:func:`rref`, :func:`rank_at` or :func:`is_zero`, and all three decide in
-one exact domain (:class:`_Domain`): sympy's sparse rational functions
-over QQ, with a generator pair for cos(a), sin(a) and numerators and
-denominators reduced modulo the side relation.  There an element is the
+extended by sin(a) and cos(a) subject to the side relation
+cos(a)**2 = 1 - sin(a)**2.  Parsed input keeps each a a single symbol;
+substituting maps or points into it leaves compound or numeric arguments.
+Every rank decision in the package reduces to :func:`rref`,
+:func:`rank_at` or :func:`is_zero`, and all three decide in one exact
+domain (:class:`_Domain`): sympy's sparse rational functions over QQ,
+with a generator pair for cos(a), sin(a) and numerators and denominators
+reduced modulo the side relation.  There an element is the
 zero function iff it is literally zero.  Chart inversions solve in the
 same domain (:func:`solve_by_elimination`), and every derivative is taken
 there (:func:`jacobian`: the ring's derivations, with d cos(a)/da =
--sin(a) and d sin(a)/da = cos(a), and the quotient rule).
+-sin(a) and d sin(a)/da = cos(a), the chain rule through a compound
+argument a, and the quotient rule).
 :func:`normalize` rewrites expressions for rendering and substitution; no
 decision rests on it.
 
@@ -111,7 +114,10 @@ def _rational(e):
     try:
         return QQ.from_sympy(e)
     except CoercionFailed:
-        raise InternalInconsistency(
+        # an undefined value (0/0, 1/0) stays an internal inconsistency;
+        # any other leaf (exp, sqrt, pi) is outside the supported domain
+        undefined = e.has(sp.nan, sp.zoo, sp.oo, -sp.oo)
+        raise (InternalInconsistency if undefined else ExprSyntaxError)(
             f"{e} is not a rational function of symbols, sin and cos") from None
 
 
@@ -157,6 +163,7 @@ class _Domain:
         free = sorted(set().union(*(e.free_symbols for e in exprs)),
                       key=sp.default_sort_key)
         self.k = len(args)
+        self.args = args
         self.field = None
         self.relations = []
         if not free and not args:
@@ -246,22 +253,45 @@ class _Domain:
         return self._new(n1 * d2, d1 * n2)
 
     def derivation(self, v: sp.Symbol):
-        """d/dv on the elements, or None if v is no generator: the ring's
-        derivation by v, plus d c_v/dv = -s_v and d s_v/dv = c_v when v has
-        a trig pair, applied by the quotient rule."""
-        i, ic = self.index(v), self.index(sp.cos(v))
+        """d/dv on the elements, or None if v is no generator.
+
+        The ring's derivation by v, plus d c_v/dv = -s_v and d s_v/dv = c_v
+        when v has a trig pair, applied by the quotient rule; then, by the
+        chain rule, d/da times da/dv for every other trig argument a that
+        contains v, where d/da maps c_a to -s_a and s_a to c_a.
+        """
+        i = self.index(v)
         if i is None:
             return None
         g = self.field.ring.gens
 
-        def d(p):
-            if ic is None:
-                return p.diff(g[i])
-            c, s = g[ic], g[ic + self.k]
-            return p.diff(g[i]) + p.diff(s) * c - p.diff(c) * s
+        def quotient_rule(D):
+            return lambda x: self._new(D(x.numer) * x.denom - x.numer * D(x.denom),
+                                       x.denom**2)
 
-        return lambda x: self._new(d(x.numer) * x.denom - x.numer * d(x.denom),
-                                   x.denom**2)
+        def along(j):
+            c, s = g[j], g[self.k + j]
+            return lambda p: p.diff(s) * c - p.diff(c) * s
+
+        ic = self.index(sp.cos(v))
+        own = along(ic) if ic is not None else None
+        explicit = quotient_rule(lambda p: p.diff(g[i]) if own is None
+                                 else p.diff(g[i]) + own(p))
+        chain = {j: quotient_rule(along(j)) for j, a in enumerate(self.args)
+                 if a != v and v in a.free_symbols}
+        da = {}
+
+        def d(x):
+            y = explicit(x)
+            for j, d_along in chain.items():
+                dx = d_along(x)
+                if dx:
+                    if j not in da:  # an argument holds only smaller ones
+                        da[j] = d(self._new(*self._fraction(self.args[j])))
+                    y = self.reduce(y + dx * da[j])
+            return y
+
+        return d
 
     def reduce(self, x):
         """The result x of a field operation, reduced modulo the relations."""
@@ -308,7 +338,8 @@ def jacobian(exprs: Sequence, symbols: Sequence[sp.Symbol]) -> ExprMatrix:
 
     The expressions are converted once into one :class:`_Domain`,
     differentiated there (see ``_Domain.derivation``) and converted back
-    once.  A symbol that is not a generator of the domain gives 0.
+    once.  A symbol that is not a generator of the domain gives 0; an
+    expression outside the domain, such as exp(x1), raises ExprSyntaxError.
     """
     dom = _Domain(exprs)
     J = sp.zeros(len(dom.elements), len(symbols))

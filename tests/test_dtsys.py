@@ -357,6 +357,16 @@ class TestTriangularDecomposition:
         assert v.reasons == ["state map could not be inverted: no equation is "
                              "linear in x3; unsolved: -x3**3 + xb1 = 0"]
 
+    def test_x2_row_depending_on_u1_through_a_trig_argument_rejected(self):
+        # fbar2 = xb2 - sin(xb1) + sin(xb1 + ub1): the u1-block enters the
+        # x2-row only inside the compound argument of a sine
+        x1, x2, u1 = sp.symbols("x1 x2 u1")
+        sys = _sys(["x1", "x2"], ["u1"], [x1 + u1, x2], [0, 0], [0])
+        dec = TriangularDecomposition((x1, x2 + sp.sin(x1)), (u1,), (1, 1, 1, 0))
+        v = verify_triangular_decomposition(sys, dec)
+        assert not v.ok
+        assert "x2-row 1 depends on the u1-block" in v.reasons
+
     def test_non_triangular_structure_detected(self, running):
         # swapping the input blocks breaks the structure: with ubar1 = u1 - u2
         # demoted and u2 promoted, the x2-rows pick up the promoted block

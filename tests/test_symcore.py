@@ -117,11 +117,13 @@ class TestJacobian:
     def test_matches_sp_diff_randomized(self):
         """Every entry equals sp.diff, decided by is_zero of the difference,
         on 100 random rational expressions in states, a parameter, sin/cos
-        of symbols and sin(1); x3 and u1 never occur and give 0."""
+        of symbols and of compound arguments, and sin(1); x3 and u1 never
+        occur and give 0."""
         from conftest import random_poly
         rng = random.Random(31)
         a = sp.Symbol("a")
-        atoms = [x1, x2, a, sp.sin(x1), sp.cos(x1), sp.cos(x2), sp.sin(1)]
+        atoms = [x1, x2, a, sp.sin(x1), sp.cos(x1), sp.cos(x2), sp.sin(1),
+                 sp.sin(x1 + x2), sp.cos(a * x2)]
         wrt = [x1, x2, x3, a, u1]
         for _ in range(50):
             exprs = [random_poly(rng, atoms, 3, 4, 2) / random_poly(rng, atoms, 2, 3, 2)
@@ -132,6 +134,26 @@ class TestJacobian:
                 for j, v in enumerate(wrt):
                     assert is_zero(J[i, j] - sp.diff(e, v)), (e, v)
                 assert J[i, 2] == J[i, 4] == 0
+
+    def test_compound_trig_arguments_follow_the_chain_rule(self):
+        """Arguments that are sums, products, quotients or themselves trig
+        functions of the symbols differentiate like sp.diff."""
+        a = sp.Symbol("a")
+        wrt = [x1, x2, u1, a]
+        exprs = [sp.sin(x1 + u1), sp.cos(a * x2), x2 * sp.sin(sp.sin(x1)),
+                 sp.cos(x1 / (x2 + 1)) / (1 + sp.sin(u1 * x1)),
+                 x2 - sp.sin(x1) + sp.sin(x1 + u1),
+                 sp.sin(x1) * sp.cos(x1 + sp.cos(x2 / u1)),
+                 sp.cos(x1 + u1) ** 3 + sp.sin(2 * x1) * sp.sin(1 + x2)]
+        J = symcore.jacobian(exprs, wrt)
+        for i, e in enumerate(exprs):
+            for j, v in enumerate(wrt):
+                assert is_zero(J[i, j] - sp.diff(e, v)), (e, v)
+        assert J[0, 2] == sp.cos(x1 + u1)
+
+    def test_function_outside_the_domain_is_a_user_error(self):
+        with pytest.raises(ExprSyntaxError, match="exp"):
+            symcore.jacobian([x1 + sp.exp(x1)], [x1])
 
     def test_numbers_give_zeros(self):
         assert symcore.jacobian([2, sp.Rational(1, 3)], [x1, x2]) == sp.zeros(2, 2)
