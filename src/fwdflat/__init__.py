@@ -17,7 +17,6 @@ from .errors import (
     FwdflatError,
     InternalInconsistency,
     InversionFailed,
-    NonRationalTrigArgument,
     NotShiftable,
     PoleAtPoint,
     ShiftBudgetExceeded,
@@ -32,14 +31,12 @@ from .extcalc import (
     OneForm,
     VectorField,
     annihilator,
-    cauchy_distribution,
     contract,
     exterior_derivative,
     intersect,
     invariant_extension,
     is_cauchy_characteristic,
     is_integrable,
-    is_invariant,
     lie_bracket,
     lie_derivative_form,
     parse_oneform,
@@ -69,6 +66,6 @@ from .flatness import (
     decomposability,
     subsystem_consistency_check,
 )
-from .sysfile import SystemFile, parse_system_file, parse_system_text, serialize_system
+from .sysfile import SystemFile, parse_system_file, parse_system_text
 
 __version__ = "0.1.0"

@@ -24,14 +24,7 @@ from .errors import (
     PoleAtPoint,
     ShiftBudgetExceeded,
 )
-from .extcalc import (
-    Chart,
-    Codistribution,
-    Distribution,
-    OneForm,
-    basis_oneform,
-    basis_vectorfield,
-)
+from .extcalc import Chart, Codistribution, OneForm
 from .symcore import Expr, is_zero, normalize
 
 DEFAULT_MAX_SHIFT = 25
@@ -195,16 +188,6 @@ class AdaptedChart:
     def chart(self) -> Chart:
         return Chart(self.theta + self.xi)
 
-    def to_adapted_subs(self) -> dict:
-        """x_i -> F_x_i(theta, xi), u_j -> F_u_j(theta, xi)."""
-        return dict(zip(self.system.chart.symbols, self.from_adapted))
-
-    def from_adapted_subs(self) -> dict:
-        """theta_i -> f_i(x, u), xi_j -> h_j(x, u)."""
-        subs = dict(zip(self.theta, self.system.f))
-        subs.update(zip(self.xi, self.h))
-        return subs
-
     def equilibrium_subs(self) -> dict | None:
         """Adapted-coordinate equilibrium, if it is exactly rational."""
         eq = self.system.equilibrium_subs()
@@ -217,16 +200,6 @@ class AdaptedChart:
                 return None
             subs[x] = v
         return subs
-
-    def span_dtheta(self) -> Codistribution:
-        ch = self.chart
-        return Codistribution.span(ch, [basis_oneform(ch, i) for i in range(len(self.theta))])
-
-    def xi_directions(self) -> Distribution:
-        ch = self.chart
-        n = len(self.theta)
-        return Distribution.span(
-            ch, [basis_vectorfield(ch, n + j) for j in range(len(self.xi))])
 
 
 def _fragment_ok(e: sp.Expr, allowed: set[sp.Symbol]) -> bool:

@@ -13,10 +13,6 @@ class PoleAtPoint(FwdflatError):
     """Exact evaluation hit a vanishing denominator."""
 
 
-class NonRationalTrigArgument(FwdflatError):
-    """sin/cos cannot be evaluated exactly unless the argument is bound to 0."""
-
-
 class InternalInconsistency(FwdflatError):
     """The symbolic zero test and the numeric cross-check disagree.
 

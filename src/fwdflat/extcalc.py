@@ -1,7 +1,7 @@
 """Exterior differential calculus and codistribution algebra.
 
 Forms, vector fields, Lie derivatives, annihilators, intersections,
-integrability, invariance, invariant extensions and Cauchy characteristics,
+integrability, invariant extensions and Cauchy characteristics,
 all over the exact expression field of :mod:`fwdflat.symcore`.
 
 Codistributions (row spaces of 1-forms) and distributions (row spaces of
@@ -349,14 +349,6 @@ def is_integrable(P: Codistribution) -> bool:
     return all(wedge(dw, top).is_zero_form() for dw in dws)
 
 
-def is_invariant(P: Codistribution, D: Distribution) -> bool:
-    return all(
-        P.contains(lie_derivative_form(v, w))
-        for v in D.basis
-        for w in P.basis
-    )
-
-
 def invariant_extension(P: Codistribution, D: Distribution) -> Codistribution:
     """Smallest codistribution containing P that is invariant w.r.t. D.
 
@@ -385,38 +377,6 @@ def is_cauchy_characteristic(v: VectorField, P: Codistribution) -> bool:
         if not P.contains(contract(v, exterior_derivative(w))):
             return False
     return True
-
-
-def cauchy_distribution(P: Codistribution) -> Distribution:
-    """All v with v _| P = 0 and v _| dP in P, as one stacked linear system.
-
-    Involutivity of the result is asserted via Lie bracket membership.
-    """
-    ch = P.chart
-    rows: list[list[Expr]] = []
-    for w in P.basis:
-        rows.append(list(w.coeffs))
-    perp = annihilator(P)
-    for w in P.basis:
-        dw = exterior_derivative(w)
-        # antisymmetric coefficient matrix of the 2-form
-        A = sp.zeros(ch.dim, ch.dim)
-        for (i, j), c in dw.terms.items():
-            A[i, j] = c
-            A[j, i] = -c
-        for q in perp.basis:
-            # membership of v _| dw in P <=> q _| (v _| dw) = 0 for q in P_perp
-            rows.append([
-                normalize(sum(A[i, j] * q.coeffs[j] for j in range(ch.dim)))
-                for i in range(ch.dim)
-            ])
-    M = sp.Matrix(rows) if rows else sp.zeros(0, ch.dim)
-    kernel = symcore.nullspace(M)
-    D = Distribution.span(ch, [VectorField(ch, tuple(v)) for v in kernel])
-    for a, b in itertools.combinations(D.basis, 2):
-        if not D.contains(lie_bracket(a, b)):
-            raise AssertionError("Cauchy-characteristic distribution not involutive")
-    return D
 
 
 # --------------------------------------------------------------------------

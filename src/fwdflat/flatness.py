@@ -211,10 +211,13 @@ def compute_sequence(sys: DiscreteTimeSystem,
                         "equilibrium rank checks skipped")
     else:
         # per run: J_f, and P_1 = span{dx_i} of rank n; P_k's cleared
-        # matrix and rank come from the previous shifted-codistribution check
+        # matrix and rank come from the previous shifted-codistribution check.
+        # Clearing scales each row of J_f by a polynomial that is nonzero
+        # where J_f has no pole, so its rank there is the submersivity
+        # check's.
         eq_xu = sys.equilibrium_subs()
         J_eq = symcore.clear_denominators(sys.jacobian())
-        rank_J = _rank_at_point(J_eq, eq_xu, sys.params)
+        rank_J = sub.rank_at_equilibrium
         P_eq, rank_P = sp.eye(sys.n, sys.n + sys.m), sys.n
 
     xu = sys.chart

@@ -13,9 +13,9 @@ zero function iff it is literally zero.  Chart inversions solve in the
 same domain (:func:`solve_by_elimination`), and every derivative is taken
 there (:func:`jacobian`: the ring's derivations, with d cos(a)/da =
 -sin(a) and d sin(a)/da = cos(a), the chain rule through a compound
-argument a, and the quotient rule).
-:func:`normalize` rewrites expressions for rendering and substitution; no
-decision rests on it.
+argument a, and the quotient rule).  The same domain fixes every canonical
+form: :func:`normalize` converts an expression into it and back, for
+rendering and substitution; no decision rests on it.
 
 Expressions are plain (immutable) sympy expressions, and coordinates and
 parameters are plain ``sympy.Symbol`` objects.
@@ -44,7 +44,6 @@ from .errors import (
     ExprSyntaxError,
     InternalInconsistency,
     InversionFailed,
-    NonRationalTrigArgument,
     PoleAtPoint,
 )
 
@@ -72,32 +71,6 @@ def configure(seed: int = 0, samples: int = 8) -> None:
 
 
 # --------------------------------------------------------------------------
-# normalization
-
-def _reduce_cos_powers(poly: sp.Expr) -> sp.Expr:
-    """Reduce every cos(a)-degree below 2 via cos(a)**2 -> 1 - sin(a)**2."""
-    args = sorted({t.args[0] for t in poly.atoms(sp.cos)}, key=sp.default_sort_key)
-    for a in args:
-        c, s = sp.cos(a), sp.sin(a)
-        p = sp.Poly(poly, c)
-        poly = sp.expand(
-            sp.Add(*(coeff * (1 - s**2) ** (k // 2) * c ** (k % 2)
-                     for (k,), coeff in p.terms()))
-        )
-    return poly
-
-
-def normalize(e) -> Expr:
-    """Canonical form: a ratio of expanded polynomials in the symbols and in
-    sin(a), cos(a), with cos-degrees reduced below 2 and the gcd cancelled."""
-    e = sp.cancel(sp.together(sp.sympify(e)))
-    num, den = e.as_numer_denom()
-    num = _reduce_cos_powers(sp.expand(num))
-    den = _reduce_cos_powers(sp.expand(den))
-    return sp.cancel(num / den)
-
-
-# --------------------------------------------------------------------------
 # the exact domain of a batch of expressions
 
 # One (c_a, s_a) generator pair per trig argument a for the whole process, so
@@ -110,14 +83,16 @@ def _field(gens: tuple) -> FracField:
     return FracField(gens, QQ, lex)
 
 
+_UNDEFINED = (sp.nan, sp.zoo, sp.oo, -sp.oo)
+
+
 def _rational(e):
     try:
         return QQ.from_sympy(e)
     except CoercionFailed:
         # an undefined value (0/0, 1/0) stays an internal inconsistency;
         # any other leaf (exp, sqrt, pi) is outside the supported domain
-        undefined = e.has(sp.nan, sp.zoo, sp.oo, -sp.oo)
-        raise (InternalInconsistency if undefined else ExprSyntaxError)(
+        raise (InternalInconsistency if e.has(*_UNDEFINED) else ExprSyntaxError)(
             f"{e} is not a rational function of symbols, sin and cos") from None
 
 
@@ -333,6 +308,19 @@ def is_zero(e) -> bool:
     return False
 
 
+def normalize(e) -> Expr:
+    """Canonical form of e: converted into its :class:`_Domain` and back,
+    so numerator and denominator are reduced modulo the side relations and
+    their gcd is cancelled; ``sp.cancel`` then fixes the sign and the
+    content.  An expression holding nan, zoo or oo is returned unchanged;
+    one outside the domain, such as exp(x1), raises ExprSyntaxError."""
+    e = sp.sympify(e)
+    if e.has(*_UNDEFINED):
+        return e
+    dom = _Domain([e])
+    return sp.cancel(dom.to_expr(dom.elements[0]))
+
+
 def jacobian(exprs: Sequence, symbols: Sequence[sp.Symbol]) -> ExprMatrix:
     """The matrix of the partial derivatives d exprs[i] / d symbols[j].
 
@@ -351,42 +339,6 @@ def jacobian(exprs: Sequence, symbols: Sequence[sp.Symbol]) -> ExprMatrix:
             for i, x in enumerate(dom.elements):
                 J[i, j] = dom.to_expr(d(x))
     return J
-
-
-def diff(e, s) -> Expr:
-    """Exact partial derivative, normalized."""
-    return normalize(jacobian([e], [s])[0, 0])
-
-
-def substitute(e, bindings: Mapping) -> Expr:
-    """Single simultaneous substitution pass, then normalize."""
-    repl = {k: sp.sympify(v) for k, v in bindings.items()}
-    return normalize(sp.sympify(e).xreplace(repl))
-
-
-def evaluate(e, point: Mapping):
-    """Exact rational value of e at a rational point.
-
-    sin/cos are evaluated only when their argument symbol is bound to 0
-    (sin -> 0, cos -> 1); anything else raises NonRationalTrigArgument.
-    """
-    e = sp.sympify(e)
-    repl = {k: sp.Rational(v) for k, v in point.items()}
-    trig = {}
-    for t in e.atoms(sp.sin, sp.cos):
-        a = t.args[0]
-        if repl.get(a, None) != 0:
-            raise NonRationalTrigArgument(
-                f"{t} cannot be evaluated exactly at {a} = {repl.get(a)}")
-        trig[t] = sp.Integer(0) if isinstance(t, sp.sin) else sp.Integer(1)
-    e = e.xreplace(trig)
-    missing = e.free_symbols - set(repl)
-    if missing:
-        raise ValueError(f"unbound symbols at evaluation point: {missing}")
-    v = sp.cancel(e.xreplace(repl))
-    if v.has(sp.zoo, sp.nan, sp.oo):
-        raise PoleAtPoint(f"pole while evaluating {e}")
-    return sp.Rational(v)
 
 
 # --------------------------------------------------------------------------
@@ -473,7 +425,7 @@ def rank_at(M: ExprMatrix, point: Mapping) -> int | None:
     of a nonzero number.  Raises PoleAtPoint if an entry has a pole there.
     """
     M = sp.Matrix(M).xreplace(point)
-    if M.has(sp.zoo, sp.nan, sp.oo):
+    if M.has(*_UNDEFINED):
         raise PoleAtPoint(f"pole at {dict(point)}")
     dom = _Domain(M)
     if dom.field is not None:
@@ -494,18 +446,6 @@ def nullspace(M: ExprMatrix) -> list[ExprMatrix]:
             v[pc, 0] = -R[r, fc]
         basis.append(v)
     return basis
-
-
-def solve_linear(A: ExprMatrix, b: ExprMatrix) -> ExprMatrix | None:
-    """One solution of A x = b over the expression field, or None."""
-    aug = A.row_join(sp.Matrix(b))
-    R, pivots = rref(aug)
-    if A.cols in pivots:
-        return None
-    x = sp.zeros(A.cols, 1)
-    for r, pc in enumerate(pivots):
-        x[pc, 0] = R[r, A.cols]
-    return x
 
 
 # --------------------------------------------------------------------------

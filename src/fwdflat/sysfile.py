@@ -212,33 +212,3 @@ def parse_system_file(path) -> SystemFile:
     except OSError as exc:
         raise SystemFileError(f"cannot read {p}: {exc}") from exc
     return parse_system_text(text, name=p.stem)
-
-
-def serialize_system(sf: SystemFile) -> str:
-    """Inverse of :func:`parse_system_text` up to formatting."""
-    sys = sf.system
-    out = [f"name: {sys.name}"]
-    out.append("states: " + " ".join(s.name for s in sys.states))
-    out.append("inputs: " + " ".join(s.name for s in sys.inputs))
-    if sys.params:
-        out.append("params: " + " ".join(s.name for s in sys.params))
-    out += [f"f: {fi}" for fi in sys.f]
-    out.append("x0: " + " ".join(str(v) for v in sys.x0))
-    out.append("u0: " + " ".join(str(v) for v in sys.u0))
-    if sys.complement_h is not None:
-        out += [f"h: {e}" for e in sys.complement_h]
-    if sys.inverse_chart is not None:
-        out += [f"inverse: {e}" for e in sys.inverse_chart]
-    if sf.flat_output is not None:
-        fo = sf.flat_output
-        out += [f"phi: {e}" for e in fo.phi]
-        out += [f"Fx: {e}" for e in fo.F_x]
-        out += [f"Fu: {e}" for e in fo.F_u]
-        if fo.R is not None:
-            out.append("R: " + " ".join(str(r) for r in fo.R))
-    if sf.decomposition is not None:
-        dec = sf.decomposition
-        out += [f"state_map: {e}" for e in dec.state_map]
-        out += [f"input_map: {e}" for e in dec.input_map]
-        out.append("split: " + " ".join(str(v) for v in dec.split))
-    return "\n".join(out) + "\n"

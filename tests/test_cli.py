@@ -215,6 +215,37 @@ def test_identically_undefined_map_exit_four(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_flat_output_residual_with_a_pole_is_printed(tmp_path, capsys):
+    # x1+ = x1 makes y1_1 - y1 vanish, so Fu has a pole: the input residual
+    # holds zoo and is reported as failing, not refused as inconsistent
+    sysfile = tmp_path / "pole.sys"
+    sysfile.write_text("states: x1 x2\ninputs: u1\nf: x1\nf: u1\n"
+                       "x0: 0 0\nu0: 0\nphi: x1\nFx: y1\nFx: y1_1\n"
+                       "Fu: y1_2 + 1/(y1_1 - y1)\n")
+    code = cli.run(["verify-flat-output", str(sysfile), "--json"])
+    assert code == cli.EXIT_NEGATIVE
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["residuals"]["u"] == ["-u1 + x1 + zoo"]
+    assert payload["failing_components"] == [
+        "x2", "u1", "shift-consistency 1", "shift-consistency 2"]
+
+
+def test_residual_with_cos_inside_a_trig_argument_exits_one(tmp_path, capsys):
+    # substituting Fu into sin(u1) leaves cos(y1) inside a sin argument,
+    # which the Expr-level cos-power reduction once failed on with a traceback
+    sysfile = tmp_path / "nested.sys"
+    sysfile.write_text("states: x1 x2\ninputs: u1\nf: x2\nf: sin(u1)\n"
+                       "x0: 0 0\nu0: 0\nphi: x1\nFx: y1\n"
+                       "Fx: y1_1 + cos(y1)^2 + sin(y1)^2 - 1\n"
+                       "Fu: y1_2 + (cos(y1)^2 - 1)/(cos(y1) + 1)^2\n")
+    code = cli.run(["verify-flat-output", str(sysfile), "--json"])
+    assert code == cli.EXIT_NEGATIVE
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["failing_components"] == [
+        "u1", "shift-consistency 2"]
+
+
 PARAM_NAMED_LIKE_ADAPTED_COORDINATE = (
     "states: x1 x2\ninputs: u1\nparams: th1\nf: th1*x2\nf: u1\n"
     "x0: 0 0\nu0: 0\nh: x1\n"

@@ -19,8 +19,12 @@ from fwdflat.dtsys import (
 )
 from fwdflat.errors import InversionFailed, ShiftBudgetExceeded
 from fwdflat.extcalc import (
+    Codistribution,
+    Distribution,
     OneForm,
     annihilator,
+    basis_oneform,
+    basis_vectorfield,
 )
 from fwdflat.symcore import is_zero, normalize
 
@@ -75,20 +79,28 @@ class TestSubmersivity:
         assert not r.ok and r.generic_rank == 1
 
 
+def _assert_inverts(ac):
+    """(x, u) = from_adapted(theta, xi), with theta -> f and xi -> h
+    substituted, is the identity on (x, u)."""
+    sys = ac.system
+    to_xu = dict(zip(ac.theta + ac.xi, sys.f + ac.h))
+    for sym, e in zip(sys.chart.symbols, ac.from_adapted):
+        assert is_zero(e.xreplace(to_xu) - sym)
+
+
 class TestAdaptedChart:
     def test_auto_complement_running(self, running):
         ac = build_adapted_chart(running.system)
         assert len(ac.theta) == 3 and len(ac.xi) == 2
-        # forward/backward substitution composes to the identity on (x, u)
-        to_ad = ac.to_adapted_subs()
-        from_ad = ac.from_adapted_subs()
-        for s in running.system.chart.symbols:
-            assert is_zero(to_ad[s].xreplace(from_ad) - s)
+        _assert_inverts(ac)
 
     def test_annihilator_of_dtheta_is_xi_directions(self, running):
         ac = build_adapted_chart(running.system)
-        D = annihilator(ac.span_dtheta())
-        assert D.equals(ac.xi_directions())
+        ch, n = ac.chart, len(ac.theta)
+        dtheta = Codistribution.span(ch, [basis_oneform(ch, i) for i in range(n)])
+        dxi = Distribution.span(
+            ch, [basis_vectorfield(ch, n + j) for j in range(len(ac.xi))])
+        assert annihilator(dtheta).equals(dxi)
 
     def test_explicit_complement_academic(self, academic):
         s = academic.system
@@ -96,19 +108,12 @@ class TestAdaptedChart:
         ac = build_adapted_chart(s)
         x1, x3 = sp.symbols("x1 x3")
         assert ac.h == (x1, x3)
-        to_ad = ac.to_adapted_subs()
-        from_ad = ac.from_adapted_subs()
-        for sym in s.chart.symbols:
-            assert is_zero(to_ad[sym].xreplace(from_ad) - sym)
+        _assert_inverts(ac)
 
     def test_supplied_inverse_vtol(self, vtol):
         s = vtol.system
         assert s.inverse_chart is not None
-        ac = build_adapted_chart(s)
-        to_ad = ac.to_adapted_subs()
-        from_ad = ac.from_adapted_subs()
-        for sym in s.chart.symbols:
-            assert is_zero(to_ad[sym].xreplace(from_ad) - sym)
+        _assert_inverts(build_adapted_chart(s))
 
     def test_adapted_equilibrium(self, running):
         ac = build_adapted_chart(running.system)
@@ -141,9 +146,7 @@ class TestAdaptedChart:
         x5, u1 = sp.symbols("x5 u1")
         assert ac.h == (u1, x5)
         assert ac.from_adapted[4] == ac.xi[1]
-        to_ad, from_ad = ac.to_adapted_subs(), ac.from_adapted_subs()
-        for sym in s.chart.symbols:
-            assert is_zero(to_ad[sym].xreplace(from_ad) - sym)
+        _assert_inverts(ac)
 
     def test_inversion_failure_names_unsolved_equations(self):
         x1, u1 = sp.symbols("x1 u1")

@@ -247,7 +247,8 @@ class TestEquilibriumChecksPerRun:
     def test_jacobian_once_and_ranks_bounded(self, name, request, monkeypatch):
         """One compute_sequence differentiates f once and takes at most
         3 + 2 k_bar ranks at the equilibrium: J_f's and P_k's ranks there
-        are not recomputed at every k."""
+        are not recomputed at every k, and J_f's, the only n-row matrix, is
+        taken once, by the submersivity check."""
         # a fresh instance, without the Jacobian cached by other tests
         sys = dataclasses.replace(request.getfixturevalue(name).system)
         jacobians, ranks = [], []
@@ -267,3 +268,4 @@ class TestEquilibriumChecksPerRun:
         report = compute_sequence(sys)
         assert jacobians.count(sys.f) == 1
         assert len(ranks) <= 3 + 2 * report.k_bar
+        assert [M.rows for M, *_ in ranks].count(sys.n) == 1

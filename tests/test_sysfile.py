@@ -2,12 +2,10 @@ import pytest
 import sympy as sp
 
 from fwdflat.errors import SystemFileError
-from fwdflat.symcore import is_zero
 from fwdflat.sysfile import (
     SystemFile,
     parse_system_file,
     parse_system_text,
-    serialize_system,
 )
 
 MINIMAL = """
@@ -117,36 +115,3 @@ class TestParse:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SystemFileError):
             parse_system_file(tmp_path / "nope.sys")
-
-
-class TestSerialize:
-    def test_round_trip_minimal(self):
-        sf = parse_system_text(MINIMAL, name="mini")
-        back = parse_system_text(serialize_system(sf), name="other")
-        assert back.system.name == "mini"
-        assert back.system.f == sf.system.f
-        assert back.system.x0 == sf.system.x0
-
-    @pytest.mark.parametrize("fixture", ["running", "academic", "vtol"])
-    def test_round_trip_fixtures(self, fixture, request):
-        sf = request.getfixturevalue(fixture)
-        back = parse_system_text(serialize_system(sf))
-        a, b = sf.system, back.system
-        assert a.name == b.name
-        assert [s.name for s in a.states] == [s.name for s in b.states]
-        assert [s.name for s in a.inputs] == [s.name for s in b.inputs]
-        for fa, fb in zip(a.f, b.f):
-            assert is_zero(fa - fb)
-        assert a.x0 == b.x0 and a.u0 == b.u0
-        if sf.flat_output is not None:
-            assert back.flat_output is not None
-            for ea, eb in zip(sf.flat_output.F_x, back.flat_output.F_x):
-                assert is_zero(ea - eb)
-        if sf.decomposition is not None:
-            assert back.decomposition.split == sf.decomposition.split
-            for ea, eb in zip(sf.decomposition.state_map,
-                              back.decomposition.state_map):
-                assert is_zero(ea - eb)
-        if a.inverse_chart is not None:
-            for ea, eb in zip(a.inverse_chart, b.inverse_chart):
-                assert is_zero(ea - eb)
