@@ -458,7 +458,6 @@ class DecompositionVerdict:
     xbar: tuple[sp.Symbol, ...] | None = None
     ubar: tuple[sp.Symbol, ...] | None = None
     fbar: tuple[Expr, ...] | None = None
-    state_inverse: tuple[Expr, ...] | None = None   # x in terms of xbar
     xbar0: tuple | None = None
     ubar0: tuple | None = None
 
@@ -536,5 +535,4 @@ def verify_triangular_decomposition(sys: DiscreteTimeSystem,
 
     ok = not reasons
     return DecompositionVerdict(ok, reasons, xbar=xbar, ubar=ubar, fbar=fbar,
-                                state_inverse=state_inv,
                                 xbar0=xbar0, ubar0=ubar0)

@@ -5,15 +5,15 @@ between a triangular decomposition and the sequence of its subsystem.
 Each iteration, starting from a codistribution P_k spanned by exact state
 differentials, performs three moves:
 
-1. intersect P_k with the span of the df-differentials;
+1. intersect P_k with the span of the df-differentials, in (x, u);
 2. close the intersection under Lie derivatives along the complement
    directions (the smallest invariant extension);
 3. shift the result backward, which in adapted coordinates is the
    substitution theta -> x.
 
-In the adapted chart (theta, xi) the first two moves are coordinate
-operations: span{df} is span{d theta}, and the complement directions are
-the constant fields d/d xi.
+In the adapted chart (theta, xi) df is d theta, so only the intersection's
+coefficients pass through the inverse chart, never P_k itself; the
+complement directions are the constant fields d/d xi.
 
 The sequence is strictly decreasing until it stabilizes; the system is
 forward flat exactly when it reaches the zero codistribution, and static
@@ -40,7 +40,6 @@ from .dtsys import (
 )
 from .errors import FwdflatError, InternalInconsistency
 from .extcalc import (
-    Chart,
     Codistribution,
     OneForm,
     basis_oneform,
@@ -112,19 +111,27 @@ class SequenceReport:
         return d
 
 
-def _intersect_dtheta(P: Codistribution, n: int) -> Codistribution:
-    """P ∩ span{dθ} on a chart whose first n coordinates are θ.
+def _intersect_df(P: Codistribution, ac: AdaptedChart) -> Codistribution:
+    """P ∩ span{df} in the adapted chart, for P on the (x, u) chart.
 
-    In the rref of P with the ξ columns moved first, the rows without a
-    ξ-pivot vanish on every ξ column and span the intersection; in (θ, ξ)
-    order they are already the canonical rref.
+    In the rref of [[P, 0], [J_f, I]] the rows with a pivot in the right block
+    read [0, a] with a·df ∈ P.  As df = dθ, the intersection is spanned by
+    Σ a_i(x(θ, ξ)) dθ_i: only these coefficients pass through the inverse
+    chart, which maps independent rows to independent rows.
     """
-    M = P.matrix()
-    m = M.cols - n
-    R, pivots = symcore.rref(M[:, n:].row_join(M[:, :n]))
-    rows = [tuple(R[i, m:]) + tuple(R[i, :m])
-            for i, c in enumerate(pivots) if c >= m]
-    return Codistribution(P.chart, tuple(OneForm(P.chart, r) for r in rows))
+    J = ac.system.jacobian()
+    n, N = J.shape
+    M = P.matrix().row_join(sp.zeros(P.dim, n)).col_join(J.row_join(sp.eye(n)))
+    R, pivots = symcore.rref(M)
+    subs = dict(zip(P.chart.symbols, ac.from_adapted))
+    rows = [OneForm(ac.chart, tuple(a.xreplace(subs) for a in R[i, N:])
+                    + (0,) * (N - n))
+            for i, c in enumerate(pivots) if c >= N]
+    Q = Codistribution.span(ac.chart, rows)
+    if Q.dim != len(rows):
+        raise InternalInconsistency(
+            "the inverse chart made independent forms dependent")
+    return Q
 
 
 def _close_under_dxi(Q: Codistribution, n: int) -> Codistribution:
@@ -185,9 +192,7 @@ def _intersection_dim_at_equilibrium(A: sp.Matrix, ra: int | None,
                         f"{d} at the equilibrium")
 
 
-def compute_sequence(sys: DiscreteTimeSystem,
-                     adapted: AdaptedChart | None = None,
-                     trace=None) -> SequenceReport:
+def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
     """Run the decreasing sequence of codistributions to its fixed point.
 
     ``trace``, if given, is called with one human-readable line per event.
@@ -201,7 +206,7 @@ def compute_sequence(sys: DiscreteTimeSystem,
         raise FwdflatError(
             "the system map is not a submersion (precondition of the test): "
             + "; ".join(sub.notes))
-    ac = adapted if adapted is not None else build_adapted_chart(sys)
+    ac = build_adapted_chart(sys)
     say(f"adapted chart complement: {tuple(str(h) for h in ac.h)}")
 
     warnings: list[str] = []
@@ -221,8 +226,6 @@ def compute_sequence(sys: DiscreteTimeSystem,
         P_eq, rank_P = sp.eye(sys.n, sys.n + sys.m), sys.n
 
     xu = sys.chart
-    to_adapted = pullback(ac.from_adapted, ac.chart)
-
     P = Codistribution.span(xu, [basis_oneform(xu, i) for i in range(sys.n)])
     steps = [SequenceStep(1, P, P.dim)]
     k_bar = 1
@@ -230,11 +233,7 @@ def compute_sequence(sys: DiscreteTimeSystem,
         step = steps[-1]
         if step.dim == 0:
             break
-        P_ad = to_adapted(step.P.basis)
-        if P_ad.dim != step.dim:
-            raise InternalInconsistency(
-                f"pullback changed the dimension at k = {k}")
-        Q = _intersect_dtheta(P_ad, sys.n)
+        Q = _intersect_df(step.P, ac)
         Qhat = _close_under_dxi(Q, sys.n)
         step.intersection_dim = Q.dim
         step.lie_derivatives_added = Qhat.dim - Q.dim
@@ -345,19 +344,18 @@ def subsystem_consistency_check(sys: DiscreteTimeSystem,
     main = compute_sequence(sys)
     sub = compute_sequence(sub_sys)
 
-    # both sequences in the xbar chart; input components must vanish
-    xbar_chart = Chart(v.xbar)
-    main_to_xbar = pullback(v.state_inverse, xbar_chart)
-    sub_to_xbar = pullback(x2_syms, xbar_chart)
-    main_in_xbar = [main_to_xbar(s.P.basis) for s in main.steps[1:]]
-    sub_in_xbar = [sub_to_xbar(s.P.basis) for s in sub.steps]
+    # the subsystem's sequence in (x, u), through x2bar = state_map[n1:](x);
+    # its input components must vanish
+    sub_to_xu = pullback(dec.state_map[n1:], sys.chart)
+    sub_in_xu = [sub_to_xu(s.P.basis) for s in sub.steps]
+    main_tail = [s.P for s in main.steps[1:]]
     reasons: list[str] = []
 
-    if len(sub_in_xbar) != len(main_in_xbar):
+    if len(sub_in_xu) != len(main_tail):
         reasons.append(
-            f"sequence lengths differ: subsystem has {len(sub_in_xbar)} "
-            f"codistributions, the full system's tail has {len(main_in_xbar)}")
-    for k, (a, b) in enumerate(zip(sub_in_xbar, main_in_xbar), start=1):
+            f"sequence lengths differ: subsystem has {len(sub_in_xu)} "
+            f"codistributions, the full system's tail has {len(main_tail)}")
+    for k, (a, b) in enumerate(zip(sub_in_xu, main_tail), start=1):
         if not a.equals(b):
             reasons.append(
                 f"subsystem codistribution {k} (dim {a.dim}) differs from the "

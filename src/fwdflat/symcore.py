@@ -124,15 +124,22 @@ class _Domain:
     c_a (one per cos(a)), then s_a (one per sin(a)), then the free symbols
     sorted by ``default_sort_key``.  A number left as a trig argument by
     substituting a point, as in sin(1), gets its own pair like a symbol.
-    Numerators and denominators are kept
-    reduced modulo c_a**2 + s_a**2 - 1: with the c_a first in lex order this
-    leaves every cos-degree below 2, which is a normal form modulo the
-    relations.  The quotient ring is an integral domain, so an element is
-    the zero function iff it is falsy.
+    A compound argument is keyed on its :func:`normalize` form, so that
+    sin(y*(y + 1)) and sin(y**2 + y) share a pair; multiple angles such as
+    sin(2*y) still get pairs of their own.  Numerators and denominators are
+    kept reduced modulo c_a**2 + s_a**2 - 1: with the c_a first in lex
+    order this leaves every cos-degree below 2, which is a normal form
+    modulo the relations.  The quotient ring is an integral domain, so an
+    element is the zero function iff it is falsy.
     """
 
     def __init__(self, exprs: Iterable):
         exprs = [sp.sympify(e) for e in exprs]
+        compound = {t: t.func(normalize(t.args[0]))
+                    for e in exprs for t in e.atoms(sp.sin, sp.cos)
+                    if not (t.args[0].is_Symbol or t.args[0].is_Number)}
+        if compound:
+            exprs = [e.xreplace(compound) for e in exprs]
         args = sorted({t.args[0] for e in exprs for t in e.atoms(sp.sin, sp.cos)},
                       key=sp.default_sort_key)
         free = sorted(set().union(*(e.free_symbols for e in exprs)),

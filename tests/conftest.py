@@ -1,13 +1,20 @@
 import random
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
 import sympy as sp
+from hypothesis import settings
 
 from fwdflat import symcore
 from fwdflat.sysfile import parse_system_file
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# every run draws the same examples, and keeps no example database
+settings.register_profile("fwdflat", derandomize=True,
+                          deadline=timedelta(seconds=30), database=None)
+settings.load_profile("fwdflat")
 
 
 @pytest.fixture(autouse=True)

@@ -246,6 +246,19 @@ def test_residual_with_cos_inside_a_trig_argument_exits_one(tmp_path, capsys):
         "u1", "shift-consistency 2"]
 
 
+def test_residual_with_a_zero_summand_inside_a_trig_argument_is_zero(
+        tmp_path, capsys):
+    # F_x2 = y1_1 + (sin(y1)^2 + cos(y1)^2 - 1) is y1_1, so sin(F_x2) in the
+    # shift-consistency residual must cancel against sin(y1_1)
+    sysfile = tmp_path / "summand.sys"
+    sysfile.write_text("states: x1 x2\ninputs: u1\nf: x2\nf: u1 + sin(x2)\n"
+                       "x0: 0 0\nu0: 0\nphi: x1\nFx: y1\n"
+                       "Fx: y1_1 + sin(y1)^2 + cos(y1)^2 - 1\n"
+                       "Fu: y1_2 - sin(y1_1)\n")
+    assert cli.run(["verify-flat-output", str(sysfile)]) == cli.EXIT_OK
+    assert "flat output verified: True" in capsys.readouterr().out
+
+
 PARAM_NAMED_LIKE_ADAPTED_COORDINATE = (
     "states: x1 x2\ninputs: u1\nparams: th1\nf: th1*x2\nf: u1\n"
     "x0: 0 0\nu0: 0\nh: x1\n"

@@ -5,11 +5,10 @@ import pytest
 import sympy as sp
 
 from conftest import random_poly
-from fwdflat import dtsys, flatness, symcore
+from fwdflat import dtsys, extcalc, flatness, symcore
 from fwdflat.dtsys import DiscreteTimeSystem, TriangularDecomposition
 from fwdflat.errors import FwdflatError
 from fwdflat.extcalc import (
-    Chart,
     Codistribution,
     Distribution,
     OneForm,
@@ -18,13 +17,14 @@ from fwdflat.extcalc import (
     intersect,
     invariant_extension,
     parse_oneform,
+    pullback,
 )
 from fwdflat.flatness import (
     FORWARD_FLAT,
     NOT_FORWARD_FLAT,
     STATIC_FEEDBACK_LINEARIZABLE,
     _close_under_dxi,
-    _intersect_dtheta,
+    _intersect_df,
     compute_sequence,
     decomposability,
     subsystem_consistency_check,
@@ -214,32 +214,99 @@ class TestTrace:
                    for ln in lines)
 
 
+def _random_adapted_chart(rng, n, m):
+    """A system with f(0, 0) = 0 and its adapted chart, built from a random
+    triangular polynomial map (x, u) = G(θ, ξ) in shuffled variable orders:
+    each output is one input plus a polynomial without constant term in the
+    inputs before it, so (f, h) = G⁻¹ is polynomial too."""
+    xu = [sp.Symbol(f"x{i}") for i in range(1, n + 1)] + [
+        sp.Symbol(f"u{j}") for j in range(1, m + 1)]
+    th_xi = [sp.Symbol(f"th{i}") for i in range(1, n + 1)] + [
+        sp.Symbol(f"xi{j}") for j in range(1, m + 1)]
+    ins, outs = rng.sample(th_xi, n + m), rng.sample(xu, n + m)
+    G, inv = {}, {}
+    for k, (v, w) in enumerate(zip(ins, outs)):
+        p = sp.Add(*(rng.choice((-2, -1, 1, 2)) * rng.choice(ins[:k])
+                     * rng.choice((1, *ins[:k]))
+                     for _ in range(rng.randint(0, 2) if k else 0)))
+        G[w] = v + p
+        inv[v] = sp.expand(w - p.xreplace(inv))
+    sys = DiscreteTimeSystem(
+        states=tuple(xu[:n]), inputs=tuple(xu[n:]),
+        f=tuple(inv[t] for t in th_xi[:n]), x0=(0,) * n, u0=(0,) * m)
+    return sys, dtsys.AdaptedChart(sys, tuple(th_xi[:n]), tuple(th_xi[n:]),
+                                   tuple(inv[x] for x in th_xi[n:]),
+                                   tuple(G[w] for w in xu))
+
+
 class TestAdaptedCoordinateShortcuts:
     def test_match_general_routines_randomized(self):
-        """The ξ-first intersection and the ∂ξ closure equal intersect with
-        span{dθ} and invariant_extension along ∂ξ, on random codistributions
-        with polynomial coefficients."""
+        """The intersection with span{df} taken in (x, u) equals the old
+        route, intersect with span{dθ} after pulling P back into (θ, ξ),
+        and the ∂ξ closure equals invariant_extension along ∂ξ, on random
+        adapted charts and codistributions with polynomial coefficients."""
         rng = random.Random(4242)
         nontrivial = 0
         for _ in range(50):
             n, m = rng.choice(((2, 1), (2, 2), (3, 1)))
-            ch = Chart(tuple(sp.Symbol(f"th{i}") for i in range(1, n + 1))
-                       + tuple(sp.Symbol(f"xi{j}") for j in range(1, m + 1)))
-            forms = [OneForm(ch, tuple(
-                random_poly(rng, ch.symbols, 2, 3, 1) if rng.random() < 0.5 else 0
-                for _ in range(ch.dim)))
+            sys, ac = _random_adapted_chart(rng, n, m)
+            xu, ch = sys.chart, ac.chart
+            forms = [OneForm(xu, tuple(
+                random_poly(rng, xu.symbols, 2, 3, 1) if rng.random() < 0.5 else 0
+                for _ in range(xu.dim)))
                 for _ in range(rng.randint(m, n + m - 1))]
-            P = Codistribution.span(ch, forms)
+            P = Codistribution.span(xu, forms)
+            P_ad = pullback(ac.from_adapted, ch)(P.basis)
             dtheta = Codistribution.span(
                 ch, [basis_oneform(ch, i) for i in range(n)])
             dxi = Distribution.span(
                 ch, [basis_vectorfield(ch, n + j) for j in range(m)])
-            Q = _intersect_dtheta(P, n)
-            assert Q.equals(intersect(P, dtheta))
+            Q = _intersect_df(P, ac)
+            assert Q.equals(intersect(P_ad, dtheta))
             assert _close_under_dxi(Q, n).equals(invariant_extension(Q, dxi))
-            assert _close_under_dxi(P, n).equals(invariant_extension(P, dxi))
+            # the same polynomial forms, written on (θ, ξ)
+            rename = dict(zip(xu.symbols, ch.symbols))
+            P_th = Codistribution.span(ch, [OneForm(ch, tuple(
+                c.xreplace(rename) for c in w.coeffs)) for w in forms])
+            assert _close_under_dxi(P_th, n).equals(invariant_extension(P_th, dxi))
             nontrivial += Q.dim > 0
         assert nontrivial >= 10
+
+    @pytest.mark.parametrize("name", ["running", "vtol"])
+    def test_no_codistribution_passes_through_the_inverse_chart(
+            self, name, request, monkeypatch):
+        """compute_sequence composes only the intersection's coefficients
+        with the inverse chart: it pulls no form back and never
+        differentiates the inverse chart."""
+        sys = request.getfixturevalue(name).system
+        from_adapted = dtsys.build_adapted_chart(sys).from_adapted
+        pullbacks, inverse_jacobians = [], []
+        jacobian = symcore.jacobian
+
+        def counting_jacobian(exprs, symbols):
+            if tuple(exprs) == from_adapted:
+                inverse_jacobians.append(symbols)
+            return jacobian(exprs, symbols)
+
+        monkeypatch.setattr(symcore, "jacobian", counting_jacobian)
+        for module in (extcalc, flatness):
+            monkeypatch.setattr(module, "pullback",
+                                lambda *a: pullbacks.append(a) or pullback(*a))
+        compute_sequence(sys)
+        assert pullbacks == []
+        assert inverse_jacobians == []
+
+
+def test_nonlinear_chain_of_ten_states():
+    """x_i+ = x_{i+1} + x_i x_{i+1}, x_n+ = u1: the nonlinear chain whose
+    pullback through the inverse chart once took 18 s at n = 10."""
+    n = 10
+    x = sp.symbols(f"x1:{n + 1}")
+    u1 = sp.Symbol("u1")
+    f = [x[i + 1] + x[i] * x[i + 1] for i in range(n - 1)] + [u1]
+    r = compute_sequence(_sys([s.name for s in x], ["u1"], f, [0] * n, [0]))
+    assert r.verdict == STATIC_FEEDBACK_LINEARIZABLE
+    assert r.dims == list(range(n, -1, -1))
 
 
 class TestEquilibriumChecksPerRun:

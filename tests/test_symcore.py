@@ -187,6 +187,13 @@ class TestIsZero:
         assert not is_zero(s**2 + c**2)
         assert rref(sp.Matrix([[s**2 + c**2 - 1, s], [1, c]]))[1] == (0, 1)
 
+    def test_trig_arguments_written_differently(self):
+        # equal compound arguments share one generator pair
+        assert is_zero(sp.sin(x1 * (x1 + 1)) - sp.sin(x1**2 + x1))
+        assert is_zero(sp.cos(x2 + sp.sin(x1)**2 + sp.cos(x1)**2 - 1)
+                       - sp.cos(x2))
+        assert not is_zero(sp.sin(x1 * (x1 + 1)) - sp.sin(x1**2))
+
 
 class TestDiff:
     def test_product(self):
