@@ -24,7 +24,7 @@ from .errors import (
     PoleAtPoint,
     ShiftBudgetExceeded,
 )
-from .extcalc import Chart, Codistribution, OneForm
+from .extcalc import Chart, OneForm
 from .symcore import Expr, is_zero, normalize
 
 DEFAULT_MAX_SHIFT = 25
@@ -97,11 +97,6 @@ class DiscreteTimeSystem:
             J = sp.ImmutableMatrix(symcore.jacobian(self.f, self.chart.symbols))
             object.__setattr__(self, "_jacobian", J)
         return J
-
-    def span_df(self) -> Codistribution:
-        ch = self.chart
-        J = self.jacobian()
-        return Codistribution.span(ch, [OneForm(ch, tuple(J.row(i))) for i in range(self.n)])
 
     def input_shift_symbol(self, j: int, order: int) -> sp.Symbol:
         """The order-th forward shift of input j (order 0 is the input itself)."""
@@ -187,19 +182,6 @@ class AdaptedChart:
     @property
     def chart(self) -> Chart:
         return Chart(self.theta + self.xi)
-
-    def equilibrium_subs(self) -> dict | None:
-        """Adapted-coordinate equilibrium, if it is exactly rational."""
-        eq = self.system.equilibrium_subs()
-        subs = {}
-        for t, x0 in zip(self.theta, self.system.x0):
-            subs[t] = x0  # theta0 = f(x0, u0) = x0
-        for x, hj in zip(self.xi, self.h):
-            v = sp.cancel(sp.sympify(hj).xreplace(eq))
-            if not v.is_Rational:
-                return None
-            subs[x] = v
-        return subs
 
 
 def _fragment_ok(e: sp.Expr, allowed: set[sp.Symbol]) -> bool:

@@ -6,9 +6,8 @@ all over the exact expression field of :mod:`fwdflat.symcore`.
 
 Codistributions (row spaces of 1-forms) and distributions (row spaces of
 vector fields) share one implementation: the coefficient matrix is stored
-in reduced row echelon form, so equality of spans is equality of canonical
-matrices and membership is a pivot reduction.  Coordinates are plain
-``sympy.Symbol`` objects.
+in reduced row echelon form, and membership, and with it equality of
+spans, is a rank test.  Coordinates are plain ``sympy.Symbol`` objects.
 """
 
 from __future__ import annotations
@@ -86,8 +85,7 @@ class KForm:
             idx = tuple(idx)
             if len(idx) != self.degree or list(idx) != sorted(set(idx)):
                 raise ValueError(f"bad index tuple {idx} for degree {self.degree}")
-            c = normalize(c)
-            if c != 0:
+            if c != 0 and (c := normalize(c)) != 0:
                 clean[idx] = c
         object.__setattr__(self, "terms", clean)
 
@@ -247,40 +245,23 @@ class Codistribution:
         return len(self.basis)
 
     def matrix(self) -> sp.Matrix:
-        if not self.basis:
-            return sp.zeros(0, self.chart.dim)
-        return sp.Matrix([list(e.coeffs) for e in self.basis])
+        return sp.Matrix(self.dim, self.chart.dim,
+                         [c for e in self.basis for c in e.coeffs])
 
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(next(i for i, c in enumerate(e.coeffs) if c == 1)
-                     for e in self.basis)
-
-    def contains(self, w) -> bool:
-        return all(is_zero(c) for c in self.reduce(w).coeffs)
-
-    def reduce(self, w):
-        """Residual of w after elimination against the canonical basis."""
-        _check_same_chart(self, w)
-        if not isinstance(w, self.element):
-            raise TypeError(f"expected a {self.element.__name__}, got {w!r}")
-        res = list(w.coeffs)
-        for e, pc in zip(self.basis, self.pivots()):
-            factor = res[pc]
-            if factor == 0:
-                continue
-            for j in range(self.chart.dim):
-                res[j] = normalize(res[j] - factor * e.coeffs[j])
-        return self.element(self.chart, tuple(res))
+    def contains(self, *elements) -> bool:
+        """Whether every element lies in the span: one rank of the basis
+        stacked over the elements."""
+        for w in elements:
+            _check_same_chart(self, w)
+            if not isinstance(w, self.element):
+                raise TypeError(f"expected a {self.element.__name__}, got {w!r}")
+        rows = self.basis + elements
+        M = sp.Matrix(len(rows), self.chart.dim, [c for w in rows for c in w.coeffs])
+        return symcore.rank(M) == self.dim
 
     def equals(self, other: "Codistribution") -> bool:
-        if (type(other) is not type(self) or self.chart != other.chart
-                or self.dim != other.dim):
-            return False
-        return all(
-            is_zero(a - b)
-            for ea, eb in zip(self.basis, other.basis)
-            for a, b in zip(ea.coeffs, eb.coeffs)
-        )
+        return (type(other) is type(self) and self.chart == other.chart
+                and self.dim == other.dim and self.contains(*other.basis))
 
 
 class Distribution(Codistribution):
@@ -370,13 +351,9 @@ def invariant_extension(P: Codistribution, D: Distribution) -> Codistribution:
 def is_cauchy_characteristic(v: VectorField, P: Codistribution) -> bool:
     """v _| P = 0 and v _| dP contained in P."""
     _check_same_chart(v, P)
-    for w in P.basis:
-        if not is_zero(contract(v, w)):
-            return False
-    for w in P.basis:
-        if not P.contains(contract(v, exterior_derivative(w))):
-            return False
-    return True
+    if not all(is_zero(contract(v, w)) for w in P.basis):
+        return False
+    return P.contains(*(contract(v, exterior_derivative(w)) for w in P.basis))
 
 
 # --------------------------------------------------------------------------
@@ -387,8 +364,7 @@ def render_oneform(w: OneForm) -> str:
     ``(u1 - u2)*dx1 + x1*dx2``."""
     parts = []
     for s, c in zip(w.chart.symbols, w.coeffs):
-        c = normalize(c)
-        if c == 0:
+        if c == 0 or (c := normalize(c)) == 0:
             continue
         if c == 1:
             parts.append(f"d{s.name}")

@@ -209,21 +209,15 @@ def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
     ac = build_adapted_chart(sys)
     say(f"adapted chart complement: {tuple(str(h) for h in ac.h)}")
 
+    # per run: J_f, and P_1 = span{dx_i} of rank n; P_k's cleared matrix
+    # and rank come from the previous shifted-codistribution check.
+    # Clearing scales each row of J_f by a polynomial that is nonzero where
+    # J_f has no pole, so its rank there is the submersivity check's.
     warnings: list[str] = []
-    eq_xu = None
-    if ac.equilibrium_subs() is None:
-        warnings.append("adapted-chart equilibrium is not rational; "
-                        "equilibrium rank checks skipped")
-    else:
-        # per run: J_f, and P_1 = span{dx_i} of rank n; P_k's cleared
-        # matrix and rank come from the previous shifted-codistribution check.
-        # Clearing scales each row of J_f by a polynomial that is nonzero
-        # where J_f has no pole, so its rank there is the submersivity
-        # check's.
-        eq_xu = sys.equilibrium_subs()
-        J_eq = symcore.clear_denominators(sys.jacobian())
-        rank_J = sub.rank_at_equilibrium
-        P_eq, rank_P = sp.eye(sys.n, sys.n + sys.m), sys.n
+    eq_xu = sys.equilibrium_subs()
+    J_eq = symcore.clear_denominators(sys.jacobian())
+    rank_J = sub.rank_at_equilibrium
+    P_eq, rank_P = sp.eye(sys.n, sys.n + sys.m), sys.n
 
     xu = sys.chart
     P = Codistribution.span(xu, [basis_oneform(xu, i) for i in range(sys.n)])
@@ -245,24 +239,22 @@ def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
         P_next = Codistribution.span(xu, shifted)
 
         # runtime invariants of the construction
-        for w in P_next.basis:
-            if not step.P.contains(w):
-                raise InternalInconsistency(
-                    f"sequence is not nested at k = {k}")
-            if any(not is_zero(c) for c in w.coeffs[sys.n:]):
-                raise InternalInconsistency(
-                    f"P_{k + 1} has input-differential components")
+        if not step.P.contains(*P_next.basis):
+            raise InternalInconsistency(f"sequence is not nested at k = {k}")
+        if any(c != 0 and not is_zero(c)
+               for w in P_next.basis for c in w.coeffs[sys.n:]):
+            raise InternalInconsistency(
+                f"P_{k + 1} has input-differential components")
         if not is_integrable(P_next):
             raise InternalInconsistency(
                 f"P_{k + 1} is not integrable; the backward shift is invalid")
 
-        if eq_xu is not None:
-            _intersection_dim_at_equilibrium(
-                P_eq, rank_P, J_eq, rank_J, eq_xu, sys.params, Q.dim,
-                warnings, f"k = {k}, intersection")
-            P_eq, rank_P = _dim_at_equilibrium(
-                P_next.matrix(), eq_xu, sys.params, P_next.dim, warnings,
-                f"k = {k}, shifted codistribution")
+        _intersection_dim_at_equilibrium(
+            P_eq, rank_P, J_eq, rank_J, eq_xu, sys.params, Q.dim,
+            warnings, f"k = {k}, intersection")
+        P_eq, rank_P = _dim_at_equilibrium(
+            P_next.matrix(), eq_xu, sys.params, P_next.dim, warnings,
+            f"k = {k}, shifted codistribution")
 
         if P_next.dim == step.dim:
             if not P_next.equals(step.P):

@@ -4,18 +4,19 @@ The field of computation is the rational functions in all declared symbols,
 extended by sin(a) and cos(a) subject to the side relation
 cos(a)**2 = 1 - sin(a)**2.  Parsed input keeps each a a single symbol;
 substituting maps or points into it leaves compound or numeric arguments.
-Every rank decision in the package reduces to :func:`rref`,
-:func:`rank_at` or :func:`is_zero`, and all three decide in one exact
-domain (:class:`_Domain`): sympy's sparse rational functions over QQ,
-with a generator pair for cos(a), sin(a) and numerators and denominators
-reduced modulo the side relation.  There an element is the
-zero function iff it is literally zero.  Chart inversions solve in the
-same domain (:func:`solve_by_elimination`), and every derivative is taken
-there (:func:`jacobian`: the ring's derivations, with d cos(a)/da =
--sin(a) and d sin(a)/da = cos(a), the chain rule through a compound
-argument a, and the quotient rule).  The same domain fixes every canonical
-form: :func:`normalize` converts an expression into it and back, for
-rendering and substitution; no decision rests on it.
+Every rank decision in the package reduces to one elimination, behind
+:func:`rref`, :func:`rank` and :func:`rank_at`, or to :func:`is_zero`, and
+all of them decide in one exact domain (:class:`_Domain`): sympy's
+sparse rational functions over QQ, with a generator pair for cos(a),
+sin(a) and numerators and denominators reduced modulo the side relation.
+There an element is the zero function iff it is literally zero.  Chart
+inversions solve in the same domain (:func:`solve_by_elimination`), and
+every derivative is taken there (:func:`jacobian`: the ring's
+derivations, with d cos(a)/da = -sin(a) and d sin(a)/da = cos(a), the
+chain rule through a compound argument a, and the quotient rule).  The
+same domain fixes every canonical form: :func:`normalize` converts an
+expression into it and back, for rendering and substitution; no decision
+rests on it.
 
 Expressions are plain (immutable) sympy expressions, and coordinates and
 parameters are plain ``sympy.Symbol`` objects.
@@ -421,8 +422,15 @@ def clear_denominators(M: ExprMatrix) -> ExprMatrix:
     return sp.Matrix(*M.shape, entries)
 
 
+def _pivot_count(dom: _Domain, shape: tuple[int, int]) -> int:
+    return len(_row_reduce(dom, _rows(dom.elements, shape)))
+
+
 def rank(M: ExprMatrix) -> int:
-    return len(rref(M)[1])
+    """Rank over the expression field: the pivot count of :func:`rref`'s
+    elimination, without converting the reduced matrix back."""
+    M = sp.Matrix(M)
+    return _pivot_count(_Domain(M), M.shape)
 
 
 def rank_at(M: ExprMatrix, point: Mapping) -> int | None:
@@ -437,7 +445,7 @@ def rank_at(M: ExprMatrix, point: Mapping) -> int | None:
     dom = _Domain(M)
     if dom.field is not None:
         return None
-    return len(_row_reduce(dom, _rows(dom.elements, M.shape)))
+    return _pivot_count(dom, M.shape)
 
 
 def nullspace(M: ExprMatrix) -> list[ExprMatrix]:

@@ -42,6 +42,23 @@ class TestAnalyze:
         assert payload["verdict"] == "StaticFeedbackLinearizable"
         assert payload["dims"] == [2, 1, 0]
 
+    def test_irrational_complement_at_the_equilibrium_keeps_rank_checks(
+            self, tmp_path, capsys):
+        # h = x1*cos(x2) is cos(1) at the equilibrium; the rank checks run in
+        # (x, u) at the rational (x0, u0), so they are not skipped
+        sysfile = tmp_path / "cos_complement.sys"
+        sysfile.write_text(
+            "states: x1 x2\ninputs: u1\nf: x2\nf: u1\nx0: 1 1\nu0: 1\n"
+            "h: x1*cos(x2)\ninverse: xi1/cos(th1)\ninverse: th1\n"
+            "inverse: th2\n")
+        assert cli.run(["analyze", str(sysfile), "--json"]) == cli.EXIT_OK
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["verdict"] == "StaticFeedbackLinearizable"
+        assert payload["dims"] == [2, 1, 0]
+        assert payload["warnings"] == []
+        assert captured.err == ""
+
     def test_bad_usage_exit_two(self, capsys):
         assert cli.run(["analyze"]) == cli.EXIT_INPUT
 

@@ -115,14 +115,6 @@ class TestAdaptedChart:
         assert s.inverse_chart is not None
         _assert_inverts(build_adapted_chart(s))
 
-    def test_adapted_equilibrium(self, running):
-        ac = build_adapted_chart(running.system)
-        eq = ac.equilibrium_subs()
-        assert eq is not None
-        # theta0 = x0
-        for t, v in zip(ac.theta, running.system.x0):
-            assert eq[t] == v
-
     def test_inversion_failure(self):
         x1, u1 = sp.symbols("x1 u1")
         s = _sys(["x1"], ["u1"], [x1 + u1 + (x1 + u1) ** 5], [0], [0])

@@ -4,13 +4,14 @@ import pytest
 import sympy as sp
 
 from conftest import random_poly
-from fwdflat import extcalc
+from fwdflat import extcalc, flatness, symcore
 from fwdflat.extcalc import (
     Chart,
     Codistribution,
     Distribution,
     OneForm,
     VectorField,
+    add_oneforms,
     annihilator,
     basis_oneform,
     basis_vectorfield,
@@ -24,10 +25,11 @@ from fwdflat.extcalc import (
     lie_derivative_form,
     parse_oneform,
     render_oneform,
+    sub_oneforms,
     wedge,
     wedge_all,
 )
-from fwdflat.symcore import is_zero
+from fwdflat.symcore import is_zero, normalize
 
 X4 = Chart(tuple(sp.Symbol(f"x{i}") for i in range(1, 5)))
 X3 = Chart(tuple(sp.Symbol(f"x{i}") for i in range(1, 4)))
@@ -38,6 +40,35 @@ def is_invariant(P, D):
     """L_v w lies in P for every v in D and w in P."""
     return all(P.contains(lie_derivative_form(v, w))
                for v in D.basis for w in P.basis)
+
+
+def span_df(sys):
+    """span{df} on the (x, u) chart: the rows of the system's Jacobian."""
+    ch = sys.chart
+    J = sys.jacobian()
+    return Codistribution.span(ch, [OneForm(ch, tuple(J.row(i))) for i in range(sys.n)])
+
+
+def reference_contains(P, w):
+    """Membership by the elimination Codistribution used before its rank
+    test: w reduced against the canonical basis pivot by pivot, every entry
+    normalized, and the residual tested for zero."""
+    res = list(w.coeffs)
+    for e in P.basis:
+        pc = next(i for i, c in enumerate(e.coeffs) if c == 1)
+        factor = res[pc]
+        if factor == 0:
+            continue
+        for j in range(P.chart.dim):
+            res[j] = normalize(res[j] - factor * e.coeffs[j])
+    return all(is_zero(c) for c in res)
+
+
+def reference_equals(P, Q):
+    """Equality by entrywise comparison of the canonical bases."""
+    return (type(P) is type(Q) and P.chart == Q.chart and P.dim == Q.dim
+            and all(is_zero(a - b) for ea, eb in zip(P.basis, Q.basis)
+                    for a, b in zip(ea.coeffs, eb.coeffs)))
 
 
 def running_chart(running):
@@ -89,7 +120,6 @@ class TestWedge:
         assert is_zero(s)
 
     def test_independence_iff_nonzero_randomized(self):
-        import fwdflat.symcore as symcore
         rng = random.Random(4)
         syms = list(X4.symbols)
         for _ in range(100):
@@ -139,14 +169,12 @@ class TestLieDerivative:
         # v2 .| dw1 = -x1 dx2 + x1 du1 - x1 du2
         assert got.coeffs == (0, -X1, 0, X1, -X1)
         # equivalent modulo w1 to the representative (u1-u2)dx1 + x1du1 - x1du2
-        from fwdflat.extcalc import add_oneforms
         alt = add_oneforms(got, w1)
         assert alt.coeffs == (U1 - U2, 0, 0, X1, -X1)
 
     def test_cartan_identity_randomized(self):
         rng = random.Random(6)
         syms = list(X4.symbols)
-        from fwdflat.extcalc import add_oneforms, sub_oneforms
         for _ in range(100):
             v = VectorField(X4, tuple(random_poly(rng, syms, 2, 2, 1)
                                       for _ in range(4)))
@@ -176,7 +204,7 @@ class TestLieBracket:
 class TestAnnihilators:
     def test_span_df_running(self, running):
         ch, s = running_chart(running)
-        D = annihilator(s.span_df())
+        D = annihilator(span_df(s))
         assert D.dim == 2
         X1, U1, U2 = s.states[0], s.inputs[0], s.inputs[1]
         v1 = VectorField(ch, (0, 0, 1, 0, 0))
@@ -217,11 +245,114 @@ class TestAnnihilators:
             assert Q.equals(P)
 
 
+PARAMS = sp.symbols("p1 p2")  # symbols outside every chart
+
+
+def _coefficient(rng, kind, syms):
+    """A random coefficient: a rational function, a polynomial in the
+    coordinates and one sin or cos of a coordinate, or a polynomial that
+    also holds parameters."""
+    if kind == "rational":
+        return random_poly(rng, syms, 2, 3, 1) / random_poly(rng, syms, 2, 3, 1)
+    if kind == "trig":
+        trig = rng.choice((sp.sin, sp.cos))(rng.choice(syms))
+        return random_poly(rng, syms + [trig], 2, 3, 2)
+    return random_poly(rng, syms + list(PARAMS), 2, 3, 2)
+
+
+def _hide_zeros(rng, w, syms):
+    """w with sin(x)**2 + cos(x)**2, which is 1 only modulo the side
+    relation, as a factor of one coefficient and, minus 1, as a factor of a
+    summand of another."""
+    def pythagoras():
+        s = rng.choice(syms)
+        return sp.sin(s) ** 2 + sp.cos(s) ** 2
+
+    coeffs = list(w.coeffs)
+    i, j = rng.sample(range(len(coeffs)), 2)
+    coeffs[i] *= pythagoras()
+    coeffs[j] += (pythagoras() - 1) * random_poly(rng, syms)
+    return OneForm(w.chart, tuple(coeffs))
+
+
+def _combination(rng, forms, ch):
+    """Σ r_i forms[i] with random polynomial multipliers r_i."""
+    total = OneForm(ch, (0,) * ch.dim)
+    for w in forms:
+        r = random_poly(rng, list(ch.symbols), 2, 3, 1)
+        total = add_oneforms(total, OneForm(ch, tuple(r * c for c in w.coeffs)))
+    return total
+
+
+def _row_space_instance(rng, kind, ch, member):
+    """(P, w, Q): P spanned by random generators; w in P, or w in P plus a
+    coordinate form; Q spanned by P's generators mixed, or with one of them
+    replaced by a random form.  Hidden zeros sit in w and in Q's generators."""
+    syms = list(ch.symbols)
+    gens = [OneForm(ch, tuple(_coefficient(rng, kind, syms) if rng.random() < 0.6
+                              else 0 for _ in range(ch.dim)))
+            for _ in range(rng.randint(1, 2))]
+    w = _hide_zeros(rng, _combination(rng, gens, ch), syms)
+    mixed = [_hide_zeros(rng, add_oneforms(g, _combination(rng, gens[k + 1:], ch)), syms)
+             for k, g in enumerate(gens)]
+    if not member:
+        w = add_oneforms(w, basis_oneform(ch, rng.randrange(ch.dim)))
+        mixed[rng.randrange(len(mixed))] = OneForm(ch, tuple(
+            random_poly(rng, syms, 2, 3, 1) for _ in range(ch.dim)))
+    return Codistribution.span(ch, gens), w, Codistribution.span(ch, mixed)
+
+
+class TestRowSpaceTestsByRank:
+    """contains and equals, decided by one rank, agree with the pivot
+    elimination and the entrywise comparison they replaced."""
+
+    def test_agree_with_the_references_randomized(self):
+        rng = random.Random(12)
+        outcomes = {"contains": [], "equals": []}
+        for i in range(102):
+            P, w, Q = _row_space_instance(rng, ("rational", "trig", "params")[i % 3],
+                                          X4, member=i % 2 == 0)
+            expected = reference_contains(P, w)
+            assert P.contains(w) == expected
+            outcomes["contains"].append(expected)
+            expected = reference_equals(P, Q)
+            assert P.equals(Q) == expected == Q.equals(P)
+            outcomes["equals"].append(expected)
+        for name, results in outcomes.items():
+            assert results.count(True) >= 30, name
+            assert results.count(False) >= 30, name
+
+    @pytest.mark.parametrize("name", ["running", "vtol"])
+    def test_one_rank_and_no_canonical_form(self, name, request, monkeypatch):
+        """On the sequence of a fixture, each contains and each equals call
+        takes one symcore.rank and neither normalizes an entry nor calls
+        the zero test."""
+        report = flatness.compute_sequence(request.getfixturevalue(name).system)
+        pairs = [(a.P, b.P) for a, b in zip(report.steps, report.steps[1:])]
+        reordered = [Codistribution.span(P.chart, P.basis[::-1]) for P, _ in pairs]
+        calls = []
+
+        def counting(label, f):
+            return lambda *args: calls.append(label) or f(*args)
+
+        monkeypatch.setattr(symcore, "rank", counting("rank", symcore.rank))
+        for module in (symcore, extcalc):
+            for label in ("normalize", "is_zero"):
+                monkeypatch.setattr(module, label,
+                                    counting(label, getattr(module, label)))
+        for (P, P_next), same in zip(pairs, reordered):
+            for check in (lambda: P.contains(*P_next.basis),
+                          lambda: P.equals(same)):
+                calls.clear()
+                assert check()
+                assert calls == ["rank"]
+
+
 class TestIntersect:
     def test_running_intersection(self, running):
         ch, s = running_chart(running)
         P1 = Codistribution.span(ch, [basis_oneform(ch, i) for i in range(3)])
-        got = intersect(P1, s.span_df())
+        got = intersect(P1, span_df(s))
         X1, U1, U2 = s.states[0], s.inputs[0], s.inputs[1]
         expect = Codistribution.span(ch, [OneForm(ch, (U1 - U2, X1, 0, 0, 0))])
         assert got.equals(expect)
@@ -327,7 +458,7 @@ class TestInvariantExtension:
         X1, U1, U2 = s.states[0], s.inputs[0], s.inputs[1]
         w1 = OneForm(ch, (U1 - U2, X1, 0, 0, 0))
         P = Codistribution.span(ch, [w1])
-        D = annihilator(s.span_df())
+        D = annihilator(span_df(s))
         Phat = invariant_extension(P, D)
         lv2w1 = OneForm(ch, (U1 - U2, 0, 0, X1, -X1))
         assert Phat.dim == 2

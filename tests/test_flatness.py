@@ -336,3 +336,21 @@ class TestEquilibriumChecksPerRun:
         assert jacobians.count(sys.f) == 1
         assert len(ranks) <= 3 + 2 * report.k_bar
         assert [M.rows for M, *_ in ranks].count(sys.n) == 1
+
+
+class TestNestingChecksPerRun:
+    @pytest.mark.parametrize("name", ["running", "vtol"])
+    def test_nesting_checked_once_per_iteration(self, name, request, monkeypatch):
+        """P_{k+1} ⊂ P_k is one contains call on the whole basis of P_{k+1}
+        per iteration, not one call per form."""
+        calls = []
+        contains = Codistribution.contains
+
+        def counting(P, *elements):
+            calls.append(len(elements))
+            return contains(P, *elements)
+
+        monkeypatch.setattr(Codistribution, "contains", counting)
+        report = compute_sequence(request.getfixturevalue(name).system)
+        assert report.dims[-1] == 0  # no fixed point, so no equals call
+        assert calls == report.dims[1:]

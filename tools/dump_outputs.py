@@ -1,0 +1,88 @@
+"""Write every output of fwdflat on a fixed set of inputs, one file per
+output, so that two checkouts can be compared byte for byte.
+
+Usage, from the root of a checkout:
+
+    python3 tools/dump_outputs.py OUTDIR
+
+and then, for the outputs of two checkouts, ``diff -r OUTDIR_A OUTDIR_B``.
+The outputs are:
+
+- the exit code, stdout and stderr of ``analyze``, ``verify-flat-output``
+  and ``verify-decomposition``, each plain, with ``--json`` and with
+  ``--trace``, on ``fixtures/*.sys`` and ``tests/golden/systems/*.sys``;
+- ``compute_sequence(...).to_json_dict()`` on chain(3) to chain(7);
+- the same on the 70 ``linear`` systems of each of the benchmark seeds
+  1 to 3, generated by ``bench/workloads.py``.
+
+Every command runs in this process with the zero test configured as the
+CLI configures it by default.  The package is imported from ``src/`` of
+the checkout that holds this script.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from fwdflat import cli, flatness, symcore, sysfile  # noqa: E402
+
+COMMANDS = ("analyze", "verify-flat-output", "verify-decomposition")
+MODES = {"plain": [], "json": ["--json"], "trace": ["--trace"]}
+SYSTEM_DIRS = (ROOT / "fixtures", ROOT / "tests" / "golden" / "systems")
+CHAIN_SIZES = range(3, 8)
+LINEAR_SEEDS = (1, 2, 3)
+
+
+def _cli_output(argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return f"exit: {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+
+
+def _report(text: str) -> str:
+    symcore.configure()
+    report = flatness.compute_sequence(sysfile.parse_system_text(text).system)
+    return json.dumps(report.to_json_dict(), indent=2) + "\n"
+
+
+def outputs():
+    """(file name, text) of every output, in a fixed order."""
+    for directory in SYSTEM_DIRS:
+        for path in sorted(directory.glob("*.sys")):
+            for command in COMMANDS:
+                for mode, flags in MODES.items():
+                    yield (f"{directory.name}-{path.stem}.{command}.{mode}.txt",
+                           _cli_output([command, str(path), *flags]))
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+    for n in CHAIN_SIZES:
+        yield f"chain{n}.json", _report(workloads.chain_text(n))
+    for seed in LINEAR_SEEDS:
+        for i, (text, _) in enumerate(workloads.linear_systems(seed), start=1):
+            yield f"linear-seed{seed}-{i:02d}.json", _report(text)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/dump_outputs.py OUTDIR", file=sys.stderr)
+        return 2
+    outdir = Path(argv[0])
+    outdir.mkdir(parents=True, exist_ok=True)
+    count = 0
+    for name, text in outputs():
+        (outdir / name).write_text(text)
+        count += 1
+    print(f"{count} outputs written to {outdir}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
