@@ -1,0 +1,537 @@
+"""The exact domain of the expression kernel.
+
+Sympy expressions in the supported fragment (rational functions of symbols,
+sin and cos) are converted into one of a family of fields: ``QQ`` numbers
+for constants, and otherwise sympy's sparse rational functions over QQ, with
+a generator pair for cos(a), sin(a) and numerators and denominators reduced
+modulo the side relation cos(a)**2 + sin(a)**2 = 1 (:class:`_Field`).  There
+an element is the zero function iff it is literally zero (:func:`is_zero`),
+and its conversion back is the canonical form (:func:`normalize`).  An
+element moves from one field into another by remapping its exponents, or
+by composing generators with elements of the other field (:class:`_Plan`).
+The row kernel of :mod:`fwdflat.symcore` computes on these elements.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+import random
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping
+
+import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.fields import FracField
+from sympy.polys.orderings import lex
+from sympy.polys.polyerrors import CoercionFailed
+
+from .errors import ExprSyntaxError, InternalInconsistency
+
+Expr = sp.Expr
+
+
+# --------------------------------------------------------------------------
+# session: seeded RNGs for the numeric cross-check and for parameter values
+
+@dataclass
+class _Session:
+    seed: int = 0
+    samples: int = 8
+    rng: random.Random = field(default_factory=lambda: random.Random(0))
+    # parameter values of the equilibrium rank checks: a stream of their
+    # own, so that the cross-check's draws do not move them
+    param_rng: random.Random = field(default_factory=lambda: random.Random(0))
+
+
+_session = _Session()
+
+
+def configure(seed: int = 0, samples: int = 8) -> None:
+    """Reset the RNGs and the sample count for a new analysis session."""
+    global _session
+    _session = _Session(seed, samples, random.Random(seed), random.Random(seed))
+
+
+# --------------------------------------------------------------------------
+# exact fields
+
+# A generator key is a Symbol, or ("c", a) or ("s", a) for cos(a) or sin(a)
+# of a base angle a.  Every field orders its keys the same way: the c_a,
+# then the s_a, each by the default_sort_key of a, then the symbols by
+# theirs.  So keys keep their relative order in every field that holds
+# them, and an element moves between fields by remapping exponents.
+_ORDER: dict = {}
+# One (c_a, s_a) generator pair per base angle a for the whole process, so
+# that equal keys build equal fields.
+_TRIG_GENS: dict[Expr, tuple[sp.Dummy, sp.Dummy]] = {}
+_CONTENT: dict = {}
+
+
+def _order(key):
+    o = _ORDER.get(key)
+    if o is None:
+        o = _ORDER[key] = ((0 if key[0] == "c" else 1, sp.default_sort_key(key[1]))
+                           if isinstance(key, tuple) else (2, sp.default_sort_key(key)))
+    return o
+
+
+def _content_primitive(a):
+    cp = _CONTENT.get(a)
+    if cp is None:
+        cp = _CONTENT[a] = a.as_content_primitive()
+    return cp
+
+
+def _angles(keys) -> list:
+    return [key[1] for key in keys if isinstance(key, tuple) and key[0] == "c"]
+
+
+def _bases(args) -> dict:
+    """a -> (b, n) with a = n*b, n a positive integer, for each trig
+    argument a: arguments that are rational multiples of one another (equal
+    primitive parts in as_content_primitive) share one base angle b."""
+    groups: dict = {}
+    for a in args:
+        q, p = _content_primitive(a)
+        groups.setdefault(p, []).append((q, a))
+    out = {}
+    for p, members in groups.items():
+        g = functools.reduce(lambda x, y: sp.Rational(math.gcd(x.p * y.q, y.p * x.q),
+                                                      x.q * y.q),
+                             (q for q, _ in members))
+        base = next((a for q, a in members if q == g), None)
+        if base is None:
+            base = normalize(g * p)
+        for q, a in members:
+            out[a] = (base, int(q / g))
+    return out
+
+
+_UNDEFINED = (sp.nan, sp.zoo, sp.oo, -sp.oo)
+_MPQ = QQ.dtype
+
+
+def _rational(e):
+    try:
+        return QQ.from_sympy(e)
+    except CoercionFailed:
+        # an undefined value (0/0, 1/0) stays an internal inconsistency;
+        # any other leaf (exp, sqrt, pi) is outside the supported domain
+        raise (InternalInconsistency if e.has(*_UNDEFINED) else ExprSyntaxError)(
+            f"{e} is not a rational function of symbols, sin and cos") from None
+
+
+def _rational_sample(p, k: int, rng: random.Random):
+    """Value of the polynomial p at a random rational point: its first k
+    generators c_a paired with the next k generators s_a on the unit circle,
+    through half-angle rationals, and the other generators nonzero."""
+    point = [QQ.zero] * p.ring.ngens
+    for i in range(k):
+        t = QQ(rng.randint(-99, 99), rng.randint(1, 30))
+        point[i] = (1 - t**2) / (1 + t**2)
+        point[k + i] = 2 * t / (1 + t**2)
+    for i in range(2 * k, len(point)):
+        point[i] = QQ(rng.randint(1, 99) * rng.choice((-1, 1)), rng.randint(1, 30))
+    return _evaluate(p, point)
+
+
+def _demote(x):
+    """x, as a QQ number when it is a constant element of a field."""
+    if type(x) is _MPQ or not (x.numer.is_ground and x.denom.is_ground):
+        return x
+    return x.numer.LC / x.denom.LC if x.numer else QQ.zero
+
+
+def _evaluate(p, values):
+    """The polynomial p at generator values (None for an unbound one): a QQ
+    number, or None when it still depends on an unbound generator."""
+    const, rest = QQ.zero, {}
+    for monom, c in p.iterterms():
+        unbound = []
+        for i, e in enumerate(monom):
+            if e:
+                v = values[i]
+                if v is None:
+                    unbound.append((i, e))
+                else:
+                    c *= v**e
+        if c:
+            if unbound:
+                rest[tuple(unbound)] = rest.get(tuple(unbound), QQ.zero) + c
+            else:
+                const += c
+    return None if any(rest.values()) else const
+
+
+class _Field:
+    """Sympy's sparse rational functions over ``QQ`` in lex order, in the
+    generators of sorted keys (see ``_order``), one field per set of keys.
+
+    Numerators and denominators are kept reduced modulo c_a**2 + s_a**2 - 1:
+    with the c_a first in lex order this leaves every cos-degree below 2,
+    which is a normal form modulo the relations.  The quotient ring is an
+    integral domain, so an element is the zero function iff it is falsy.
+    Constants are kept as ``QQ`` numbers, outside every field.
+    """
+
+    _fields: dict = {}
+
+    @classmethod
+    def of(cls, keys) -> "_Field | None":
+        keys = tuple(sorted(set(keys), key=_order))
+        if not keys:
+            return None
+        F = cls._fields.get(keys)
+        if F is None:
+            F = cls._fields[keys] = cls(keys)
+        return F
+
+    @classmethod
+    def union(cls, fields) -> "_Field | None":
+        """The field of all the fields' keys, with one base angle for angles
+        that are rational multiples of one another (see ``plan_from``)."""
+        keys = set().union(*(F.keys for F in fields if F is not None))
+        angles = _angles(keys)
+        if len(angles) > 1:
+            bases = _bases(angles)
+            if any(n != 1 for _, n in bases.values()):
+                keys = {key for key in keys if not isinstance(key, tuple)}
+                for b, _ in bases.values():
+                    keys |= {("c", b), ("s", b)} | b.free_symbols
+        return cls.of(keys)
+
+    def __init__(self, keys: tuple):
+        self.keys = keys
+        self.args = _angles(keys)
+        k = self.k = len(self.args)
+        for a in self.args:
+            if a not in _TRIG_GENS:
+                _TRIG_GENS[a] = (sp.Dummy(f"c_{a}"), sp.Dummy(f"s_{a}"))
+        cs = {"c": (0, sp.cos), "s": (1, sp.sin)}
+        gens = [_TRIG_GENS[key[1]][cs[key[0]][0]] if isinstance(key, tuple) else key
+                for key in keys]
+        self.gen_exprs = [cs[key[0]][1](key[1]) if isinstance(key, tuple) else key
+                          for key in keys]
+        self.field = FracField(tuple(gens), QQ, lex)
+        self.ring = self.field.ring
+        g = self.ring.gens
+        self.relations = [g[i]**2 + g[k + i]**2 - 1 for i in range(k)]
+        self.index = {key: i for i, key in enumerate(keys)}
+        self.gen_of = dict(zip(self.gen_exprs, g))
+        # the generators that an element using generator i depends on: its
+        # angle's pair and the angle's symbols, as the angle's sin/cos hold them
+        self.closure = [{i} if not isinstance(key, tuple) else
+                        {self.index[("c", key[1])], self.index[("s", key[1])]}
+                        | {self.index[s] for s in key[1].free_symbols}
+                        for i, key in enumerate(keys)]
+        self._plans: dict = {}
+
+    def fraction(self, e, lookup: Mapping):
+        """Numerator and denominator of e in the field's polynomial ring,
+        combined without cancelling; lookup maps sin/cos and symbols to
+        polynomials."""
+        ring = self.ring
+        gen = lookup.get(e)
+        if gen is not None:
+            return gen, ring.one
+        if e.is_Add or e.is_Mul:
+            num, den = self.fraction(e.args[0], lookup)
+            for a in e.args[1:]:
+                n, d = self.fraction(a, lookup)
+                if e.is_Mul:
+                    num, den = num * n, den * d
+                elif d == den:
+                    num = num + n
+                else:
+                    num, den = num * d + n * den, den * d
+            return num, den
+        if e.is_Pow and e.exp.is_Integer:
+            num, den = self.fraction(e.base, lookup)
+            k = int(e.exp)
+            return (num**k, den**k) if k >= 0 else (den**-k, num**-k)
+        return ring.ground_new(_rational(e)), ring.one
+
+    def multiple(self, b, n: int):
+        """cos(n*b) and sin(n*b) as polynomials in c_b and s_b."""
+        g = self.ring.gens
+        c, s = g[self.index[("c", b)]], g[self.index[("s", b)]]
+        cn, sn = self.ring.one, self.ring.zero
+        for _ in range(n):
+            cn, sn = cn * c - sn * s, sn * c + cn * s
+        return cn, sn
+
+    def _reducible(self, p) -> bool:
+        return any(m[i] >= 2 for m in p.itermonoms() for i in range(self.k))
+
+    def _new(self, num, den):
+        """The element num/den, both reduced modulo the relations and their
+        gcd cancelled."""
+        if self.relations:
+            if self._reducible(num):
+                num = num.rem(self.relations)
+            if self._reducible(den):
+                den = den.rem(self.relations)
+        if not den:
+            raise InternalInconsistency(
+                "division by an expression that is zero modulo "
+                "cos**2 + sin**2 = 1")
+        return self.field.new(num, den)
+
+    def reduce(self, x):
+        """The result x of a field operation, reduced modulo the relations."""
+        if type(x) is _MPQ:
+            return x
+        if self.relations and (self._reducible(x.numer)
+                               or self._reducible(x.denom)):
+            x = self._new(x.numer, x.denom)
+        return _demote(x)
+
+    def used(self, elements) -> set:
+        """Keys of the generators that the elements depend on."""
+        used = set()
+        for x in elements:
+            if type(x) is not _MPQ:
+                for p in (x.numer, x.denom):
+                    for m in p.itermonoms():
+                        for i, e in enumerate(m):
+                            if e:
+                                used.add(i)
+        return {self.keys[j] for i in used for j in self.closure[i]}
+
+    def symbols_of(self, x) -> set:
+        """The symbols that the element x depends on, also inside sin/cos."""
+        return {key for key in self.used([x]) if not isinstance(key, tuple)}
+
+    def plan_from(self, F: "_Field") -> "_Plan":
+        """How elements of F move into this field.  Each of F's keys is one
+        of ours, or an angle a = n*b for a base angle b of ours (then c_a
+        and s_a become cos(n*b) and sin(n*b)), or unused."""
+        plan = self._plans.get(F)
+        if plan is None:
+            targets = []
+            for key in F.keys:
+                i = self.index.get(key)
+                if i is None and isinstance(key, tuple):
+                    q, p = _content_primitive(key[1])
+                    for b in self.args:
+                        qb, pb = _content_primitive(b)
+                        if pb == p:
+                            cn, sn = self.multiple(b, int(q / qb))
+                            i = self._new(cn if key[0] == "c" else sn, self.ring.one)
+                            break
+                targets.append(i)
+            plan = self._plans[F] = _Plan(self, targets)
+        return plan
+
+    def substitute(self, x, values: Mapping):
+        """The element x with generator i replaced by the element values[i]."""
+        targets = [values.get(i, i) for i in range(self.ring.ngens)]
+        return _Plan(self, targets).compose(x)
+
+    def derivation(self, v: sp.Symbol):
+        """d/dv on the elements, or None if v is no generator.
+
+        The ring's derivation by v, plus d c_v/dv = -s_v and d s_v/dv = c_v
+        when v has a trig pair, applied by the quotient rule; then, by the
+        chain rule, d/da times da/dv for every other trig argument a that
+        contains v, where d/da maps c_a to -s_a and s_a to c_a.
+        """
+        i = self.index.get(v)
+        if i is None:
+            return None
+        g = self.ring.gens
+
+        def quotient_rule(D):
+            return lambda x: self._new(D(x.numer) * x.denom - x.numer * D(x.denom),
+                                       x.denom**2)
+
+        def along(j):
+            c, s = g[j], g[self.k + j]
+            return lambda p: p.diff(s) * c - p.diff(c) * s
+
+        ic = self.index.get(("c", v))
+        own = along(ic) if ic is not None else None
+        explicit = quotient_rule(lambda p: p.diff(g[i]) if own is None
+                                 else p.diff(g[i]) + own(p))
+        chain = {j: quotient_rule(along(j)) for j, a in enumerate(self.args)
+                 if a != v and v in a.free_symbols}
+        da = {}
+
+        def d(x):
+            y = explicit(x)
+            for j, d_along in chain.items():
+                dx = d_along(x)
+                if dx:
+                    if j not in da:  # an argument holds only smaller ones
+                        da[j] = d(self._new(*self.fraction(self.args[j], self.gen_of)))
+                    y = self.reduce(y + dx * da[j])
+            return y
+
+        return d
+
+    def check_nonzero(self, x) -> None:
+        """Numeric cross-check of an exactly nonzero element: unless its
+        numerator is a single term, it must be nonzero at one of
+        ``_session.samples`` random points, or InternalInconsistency."""
+        if type(x) is _MPQ or len(x.numer) <= 1:
+            return
+        for _ in range(_session.samples):
+            if _rational_sample(x.numer, self.k, _session.rng):
+                return
+        raise InternalInconsistency(
+            f"exactly nonzero expression {self.to_expr(x)} vanished at "
+            f"{_session.samples} random points")
+
+    def point_values(self, point: Mapping) -> list:
+        """Each generator's value at a rational point: None where the point
+        binds no symbol, or the angle is a nonzero number."""
+        values = []
+        for key in self.keys:
+            if isinstance(key, tuple):
+                zero = key[1].xreplace(point) == 0
+                values.append((QQ.one if key[0] == "c" else QQ.zero) if zero else None)
+            else:
+                v = point.get(key)
+                values.append(None if v is None else QQ.from_sympy(sp.sympify(v)))
+        return values
+
+    def to_expr(self, x) -> Expr:
+        if type(x) is _MPQ:
+            return QQ.to_sympy(x)
+        return x.numer.as_expr(*self.gen_exprs) / x.denom.as_expr(*self.gen_exprs)
+
+
+class _Plan:
+    """Elements of one field moved into the field G: the source's
+    generator i goes to targets[i], an index of G or an element of G, or
+    None where no element uses it."""
+
+    def __init__(self, G: _Field, targets: list):
+        self.G = G
+        ring = G.ring
+        targets = list(targets)
+        # a bare generator of G is an index, where no two generators meet
+        bare = {i: t.numer.LM.index(1) for i, t in enumerate(targets)
+                if t is not None and not isinstance(t, int) and type(t) is not _MPQ
+                and t.denom == 1 and len(t.numer) == 1 and t.numer.LC == 1
+                and sum(t.numer.LM) == 1}
+        ints = [t for t in targets if isinstance(t, int)] + list(bare.values())
+        if len(set(ints)) == len(ints):
+            targets = [bare.get(i, t) for i, t in enumerate(targets)]
+        self.values = {
+            i: (ring.ground_new(t), ring.one) if type(t) is _MPQ else (t.numer, t.denom)
+            for i, t in enumerate(targets) if t is not None and not isinstance(t, int)}
+        self.targets = targets
+        ints = [t for t in targets if isinstance(t, int)]
+        self.monotone = ints == sorted(ints)
+
+    def _remap(self, p):
+        n, targets = self.G.ring.ngens, self.targets
+        out = {}
+        for monom, c in p.iterterms():
+            e = [0] * n
+            for i, k in enumerate(monom):
+                if k:
+                    e[targets[i]] = k
+            out[tuple(e)] = c
+        return self.G.ring.dtype(out)
+
+    def _compose(self, p):
+        """p with the values composed in, as a numerator and a denominator:
+        the values' denominators are raised to p's degree in their
+        generator and multiplied out."""
+        ring, targets, values = self.G.ring, self.targets, self.values
+        deg = {}
+        for monom in p.itermonoms():
+            for i in values:
+                if monom[i] > deg.get(i, 0):
+                    deg[i] = monom[i]
+        den = ring.one
+        for i, d in deg.items():
+            den *= values[i][1] ** d
+        num = ring.zero
+        for monom, coeff in p.iterterms():
+            e = [0] * ring.ngens
+            for i, k in enumerate(monom):
+                if k and i not in values:
+                    e[targets[i]] = k
+            t = ring.dtype({tuple(e): coeff})
+            for i, d in deg.items():
+                vn, vd = values[i]
+                t *= vn ** monom[i] * vd ** (d - monom[i])
+            num += t
+        return num, den
+
+    def compose(self, x):
+        """x in G, as an element of G.field: monomials remapped, and the
+        values composed in with one cancellation."""
+        if any(m[i] for p in (x.numer, x.denom) for m in p.itermonoms()
+               for i in self.values):
+            n1, d1 = self._compose(x.numer)
+            n2, d2 = self._compose(x.denom)
+            return self.G._new(n1 * d2, d1 * n2)
+        num, den = self._remap(x.numer), self._remap(x.denom)
+        if not self.monotone and den.LC < 0:
+            num, den = -num, -den
+        return self.G.field.dtype(num, den)
+
+    def __call__(self, x):
+        return x if type(x) is _MPQ else _demote(self.compose(x))
+
+
+def _convert(exprs: Iterable) -> tuple[_Field | None, list]:
+    """The expressions as elements of one field, that of their symbols and
+    of a pair (c_a, s_a) per base angle a of their sin/cos arguments (see
+    ``_bases``); None when there is neither, and then every element is a
+    ``QQ`` number.  A compound argument is keyed on its :func:`normalize`
+    form, so that sin(y*(y + 1)) and sin(y**2 + y) share a pair, and
+    cos(n*a) and sin(n*a) become polynomials in c_a and s_a.  A number left
+    as a trig argument by substituting a point, as in sin(1), gets its own
+    pair like a symbol."""
+    exprs = [sp.sympify(e) for e in exprs]
+    compound = {t: t.func(normalize(t.args[0]))
+                for e in exprs for t in e.atoms(sp.sin, sp.cos)
+                if not (t.args[0].is_Symbol or t.args[0].is_Number)}
+    if compound:
+        exprs = [e.xreplace(compound) for e in exprs]
+    args = {t.args[0] for e in exprs for t in e.atoms(sp.sin, sp.cos)}
+    free = set().union(*(e.free_symbols for e in exprs))
+    if not free and not args:
+        return None, [_rational(e) for e in exprs]
+    bases = _bases(args)
+    F = _Field.of(free | {(t, b) for b, _ in bases.values() for t in "cs"})
+    lookup = F.gen_of
+    if any(n != 1 for _, n in bases.values()):
+        lookup = dict(lookup)
+        for a, (b, n) in bases.items():
+            lookup[sp.cos(a)], lookup[sp.sin(a)] = F.multiple(b, n)
+    return F, [_demote(F._new(*F.fraction(e, lookup))) for e in exprs]
+
+
+def is_zero(e) -> bool:
+    """True iff e represents the zero function.
+
+    The verdict is exact, in the field of :func:`_convert`; a nonzero
+    result is cross-checked numerically (see ``_Field.check_nonzero``).
+    """
+    F, (x,) = _convert([e])
+    if not x:
+        return True
+    if F is not None:
+        F.check_nonzero(x)
+    return False
+
+
+def normalize(e) -> Expr:
+    """Canonical form of e: converted into its field (see :func:`_convert`)
+    and back, so numerator and denominator are reduced modulo the side
+    relations and their gcd is cancelled; ``sp.cancel`` then fixes the sign
+    and the content.  An expression holding nan, zoo or oo is returned
+    unchanged; one outside the domain, such as exp(x1), raises
+    ExprSyntaxError."""
+    e = sp.sympify(e)
+    if e.has(*_UNDEFINED):
+        return e
+    F, (x,) = _convert([e])
+    return sp.cancel(QQ.to_sympy(x) if F is None else F.to_expr(x))

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import sympy as sp
+from sympy.polys.domains import QQ
 
-from . import symcore
+from . import domain, symcore
 from .errors import (
     ExprSyntaxError,
     InversionFailed,
@@ -90,11 +91,20 @@ class DiscreteTimeSystem:
         subs.update(zip(self.inputs, self.u0))
         return subs
 
+    def jacobian_rows(self) -> symcore.Rows:
+        """d f / d (x, u), n rows of n+m exact elements, computed on first
+        use."""
+        J = self.__dict__.get("_jacobian_rows")
+        if J is None:
+            J = symcore.jacobian_rows(self.f, self.chart.symbols)
+            object.__setattr__(self, "_jacobian_rows", J)
+        return J
+
     def jacobian(self) -> sp.ImmutableMatrix:
-        """d f / d (x, u), an n x (n+m) matrix, computed on first use."""
+        """d f / d (x, u) as an n x (n+m) matrix of expressions."""
         J = self.__dict__.get("_jacobian")
         if J is None:
-            J = sp.ImmutableMatrix(symcore.jacobian(self.f, self.chart.symbols))
+            J = sp.ImmutableMatrix(self.jacobian_rows().to_matrix())
             object.__setattr__(self, "_jacobian", J)
         return J
 
@@ -127,17 +137,18 @@ class SubmersivityReport:
     notes: list[str] = field(default_factory=list)
 
 
-def _rank_at_point(M: sp.Matrix, subs: Mapping, params: Sequence[sp.Symbol]) -> int | None:
+def _rank_at_point(M: symcore.Rows, subs: Mapping,
+                   params: Sequence[sp.Symbol]) -> int | None:
     """Exact rank of M at a rational point, params sampled nonzero and drawn
     again at a pole; None if the matrix does not become rational there."""
-    rng = symcore._session.rng
+    rng = domain._session.param_rng
     for _ in range(20):
         psubs = dict(subs)
         for p in params:
             psubs[p] = sp.Rational(rng.randint(1, 97) * rng.choice((-1, 1)),
                                    rng.randint(1, 13))
         try:
-            return symcore.rank_at(M, psubs)
+            return M.rank_at(psubs)
         except PoleAtPoint:
             continue
     return None
@@ -145,12 +156,12 @@ def _rank_at_point(M: sp.Matrix, subs: Mapping, params: Sequence[sp.Symbol]) -> 
 
 def check_submersivity(sys: DiscreteTimeSystem) -> SubmersivityReport:
     """rank of d f / d (x, u), generically and at the equilibrium."""
-    J = sys.jacobian()
-    generic = symcore.rank(J)
+    J = sys.jacobian_rows()
+    generic = J.rank()
     at_eq = _rank_at_point(J, sys.equilibrium_subs(), sys.params)
     notes = []
     if generic < sys.n:
-        R, pivots = symcore.rref(J.T)
+        _, pivots = symcore.Rows(J.F, [list(c) for c in zip(*J.rows)], sys.n).reduced()
         deficient = [i for i in range(sys.n) if i not in pivots]
         notes.append(f"generic rank {generic} < n = {sys.n}; "
                      f"dependent rows {deficient}")
@@ -158,8 +169,7 @@ def check_submersivity(sys: DiscreteTimeSystem) -> SubmersivityReport:
         notes.append("rank at equilibrium could not be evaluated exactly")
     elif at_eq < sys.n:
         notes.append(f"rank at equilibrium {at_eq} < n = {sys.n}")
-    Ju = J[:, sys.n:]
-    ru = symcore.rank(Ju)
+    ru = symcore.Rows(J.F, [row[sys.n:] for row in J.rows], sys.m).rank()
     if ru < sys.m:
         notes.append(f"rank of d f / d u is {ru} < m = {sys.m} (redundant inputs)")
     ok = generic == sys.n and (at_eq is None or at_eq == sys.n)
@@ -297,28 +307,39 @@ def forward_shift(g, sys: DiscreteTimeSystem, max_shift: int = DEFAULT_MAX_SHIFT
     return normalize(g.xreplace(subs))
 
 
-def backward_shift_oneform(w: OneForm, ac: AdaptedChart) -> OneForm:
-    """delta^{-1} of a 1-form written in the adapted chart.
+def backward_shift(Q: symcore.Rows, ac: AdaptedChart,
+                   theta_to_x: symcore.Substitution) -> symcore.Rows:
+    """delta^{-1} of rows of 1-forms written in the adapted chart, as rows
+    on the system's chart: theta -> x (theta_to_x), and the input
+    components 0.
 
     Requires zero d-xi components and xi-free coefficients; a violation is
     an internal sequencing bug, not a user error.
     """
+    n, xisyms = len(ac.theta), set(ac.xi)
+    for row in Q.rows:
+        for j, c in enumerate(row[n:]):
+            if c:
+                raise NotShiftable(f"nonzero d{ac.xi[j].name}-component: "
+                                   f"{normalize(Q.to_expr(c))}")
+        for c in row[:n]:
+            if c and Q.F is not None and Q.F.symbols_of(c) & xisyms:
+                raise NotShiftable("coefficient depends on the complement: "
+                                   f"{normalize(Q.to_expr(c))}")
+    shifted = theta_to_x(symcore.Rows(Q.F, [row[:n] for row in Q.rows], n))
+    zeros = [QQ.zero] * ac.system.m
+    return symcore.Rows(shifted.F, [row + zeros for row in shifted.rows],
+                        ac.system.chart.dim)
+
+
+def backward_shift_oneform(w: OneForm, ac: AdaptedChart) -> OneForm:
+    """delta^{-1} of a 1-form written in the adapted chart (see
+    :func:`backward_shift`)."""
     if w.chart != ac.chart:
         raise ValueError("form is not expressed in the adapted chart")
-    n = len(ac.theta)
-    for j, c in enumerate(w.coeffs[n:]):
-        if not is_zero(c):
-            raise NotShiftable(f"nonzero d{ac.xi[j].name}-component: {normalize(c)}")
-    coeffs = []
-    xisyms = set(ac.xi)
-    theta_to_x = dict(zip(ac.theta, ac.system.states))
-    for c in w.coeffs[:n]:
-        c = normalize(c)
-        if c.free_symbols & xisyms:
-            raise NotShiftable(f"coefficient depends on the complement: {c}")
-        coeffs.append(c.xreplace(theta_to_x))
-    sys_chart = ac.system.chart
-    return OneForm(sys_chart, tuple(coeffs) + (sp.Integer(0),) * ac.system.m)
+    theta_to_x = symcore.Substitution(zip(ac.theta, ac.system.states))
+    R = backward_shift(symcore.Rows.of([w.coeffs]), ac, theta_to_x)
+    return OneForm(ac.system.chart, tuple(R.to_expr(c) for c in R.rows[0]))
 
 
 # --------------------------------------------------------------------------
@@ -507,7 +528,8 @@ def verify_triangular_decomposition(sys: DiscreteTimeSystem,
     if all(v.is_Rational for v in xbar0 + ubar0):
         eq_bar = dict(zip(xbar, xbar0))
         eq_bar.update(zip(ubar, ubar0))
-        rk0 = _rank_at_point(B1, eq_bar, sys.params) if n1 and m1 else 0
+        rk0 = (_rank_at_point(symcore.Rows.of(B1), eq_bar, sys.params)
+               if n1 and m1 else 0)
         if rk0 is not None and rk0 != n1:
             reasons.append(f"rank of d f1 / d u1 at the equilibrium is {rk0}")
     else:

@@ -25,15 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import sympy as sp
+from sympy.polys.domains import QQ
 
-from . import symcore
 from .dtsys import (
-    AdaptedChart,
     DecompositionVerdict,
     DiscreteTimeSystem,
     TriangularDecomposition,
     _rank_at_point,
-    backward_shift_oneform,
+    backward_shift,
     build_adapted_chart,
     check_submersivity,
     verify_triangular_decomposition,
@@ -42,12 +41,11 @@ from .errors import FwdflatError, InternalInconsistency
 from .extcalc import (
     Codistribution,
     OneForm,
-    basis_oneform,
     is_integrable,
     pullback,
     render_oneform,
 )
-from .symcore import is_zero
+from .symcore import Rows, Substitution
 
 FORWARD_FLAT = "ForwardFlat"
 STATIC_FEEDBACK_LINEARIZABLE = "StaticFeedbackLinearizable"
@@ -111,54 +109,50 @@ class SequenceReport:
         return d
 
 
-def _intersect_df(P: Codistribution, ac: AdaptedChart) -> Codistribution:
-    """P ∩ span{df} in the adapted chart, for P on the (x, u) chart.
+def _intersect_df(P: Rows, J: Rows, to_adapted: Substitution) -> Rows:
+    """P ∩ span{df} in the adapted chart, in reduced row echelon form, for
+    the rows P on the (x, u) chart and J = J_f.
 
     In the rref of [[P, 0], [J_f, I]] the rows with a pivot in the right block
     read [0, a] with a·df ∈ P.  As df = dθ, the intersection is spanned by
     Σ a_i(x(θ, ξ)) dθ_i: only these coefficients pass through the inverse
-    chart, which maps independent rows to independent rows.
+    chart (to_adapted), which maps independent rows to independent rows.
     """
-    J = ac.system.jacobian()
-    n, N = J.shape
-    M = P.matrix().row_join(sp.zeros(P.dim, n)).col_join(J.row_join(sp.eye(n)))
-    R, pivots = symcore.rref(M)
-    subs = dict(zip(P.chart.symbols, ac.from_adapted))
-    rows = [OneForm(ac.chart, tuple(a.xreplace(subs) for a in R[i, N:])
-                    + (0,) * (N - n))
-            for i, c in enumerate(pivots) if c >= N]
-    Q = Codistribution.span(ac.chart, rows)
-    if Q.dim != len(rows):
+    n, N = len(J.rows), J.width
+    zeros = [QQ.zero] * n
+    unit = [[QQ.one if i == j else QQ.zero for j in range(n)] for i in range(n)]
+    R, pivots = Rows.stack(Rows(P.F, [row + zeros for row in P.rows], N + n),
+                           Rows(J.F, [row + e for row, e in zip(J.rows, unit)],
+                                N + n)).reduced()
+    A = to_adapted(Rows(R.F, [row[N:] for row, c in zip(R.rows, pivots) if c >= N], n))
+    zeros = [QQ.zero] * (N - n)
+    Q, pivots = Rows(A.F, [row + zeros for row in A.rows], N).reduced()
+    if len(pivots) != len(A.rows):
         raise InternalInconsistency(
             "the inverse chart made independent forms dependent")
     return Q
 
 
-def _close_under_dxi(Q: Codistribution, n: int) -> Codistribution:
-    """Smallest extension of Q invariant under ∂ξ, the coordinate fields
-    after the first n: ∂ξ is constant, so L_∂ξ ω is ∂ω/∂ξ coefficientwise.
-    The dimension grows every round until it stops, so at most chart.dim
-    rounds run."""
-    ch = Q.chart
+def _close_under_dxi(Q: Rows, xi) -> Rows:
+    """Smallest extension of the rows Q, in reduced row echelon form,
+    invariant under ∂ξ for the coordinates xi: ∂ξ is constant, so L_∂ξ ω is
+    ∂ω/∂ξ coefficientwise.  The dimension grows every round until it stops,
+    so at most chart.dim rounds run."""
     while True:
-        J = symcore.jacobian([c for w in Q.basis for c in w.coeffs], ch.symbols[n:])
-        derived = [OneForm(ch, tuple(J[i * ch.dim:(i + 1) * ch.dim, j]))
-                   for j in range(J.cols) for i in range(Q.dim)]
-        extended = Codistribution.span(ch, list(Q.basis) + derived)
-        if extended.dim == Q.dim:
+        extended, pivots = Rows.stack(Q, *(Q.derivative(v) for v in xi)).reduced()
+        if len(pivots) == len(Q.rows):
             return Q
         Q = extended
 
 
-def _dim_at_equilibrium(M: sp.Matrix, eq_subs, params, generic_dim: int,
-                        warnings: list[str], label: str
-                        ) -> tuple[sp.Matrix, int | None]:
-    """M with its row denominators cleared (see symcore.clear_denominators:
-    polynomial rows, so no pole at the point) and its rank at the
-    equilibrium, warning when that rank is not generic_dim."""
-    if M.rows == 0:
+def _dim_at_equilibrium(M: Rows, eq_subs, params, generic_dim: int,
+                        warnings: list[str], label: str) -> tuple[Rows, int | None]:
+    """M with its row denominators cleared (see Rows.cleared: polynomial
+    rows, so no pole at the point) and its rank at the equilibrium, warning
+    when that rank is not generic_dim."""
+    if not M.rows:
         return M, 0
-    M = symcore.clear_denominators(M)
+    M = M.cleared()
     rk = _rank_at_point(M, eq_subs, params)
     if rk is None:
         warnings.append(f"{label}: rank at the equilibrium could not be "
@@ -169,10 +163,10 @@ def _dim_at_equilibrium(M: sp.Matrix, eq_subs, params, generic_dim: int,
     return M, rk
 
 
-def _intersection_dim_at_equilibrium(A: sp.Matrix, ra: int | None,
-                                     B: sp.Matrix, rb: int | None, eq_subs,
-                                     params, generic_dim: int,
-                                     warnings: list[str], label: str) -> None:
+def _intersection_dim_at_equilibrium(A: Rows, ra: int | None, B: Rows,
+                                     rb: int | None, eq_subs, params,
+                                     generic_dim: int, warnings: list[str],
+                                     label: str) -> None:
     """Pointwise dim(rowspace(A) ∩ rowspace(B)) = rk A + rk B − rk [A; B],
     for A and B with cleared row denominators and their ranks ra and rb at
     the equilibrium (None where not exact).
@@ -181,7 +175,7 @@ def _intersection_dim_at_equilibrium(A: sp.Matrix, ra: int | None,
     reliable (pivot normalization can degenerate there), so the dimension is
     reconstructed from the evaluated generating matrices instead.
     """
-    rab = _rank_at_point(A.col_join(B), eq_subs, params)
+    rab = _rank_at_point(Rows.stack(A, B), eq_subs, params)
     if None in (ra, rb, rab):
         warnings.append(f"{label}: rank at the equilibrium could not be "
                         "evaluated exactly")
@@ -195,7 +189,9 @@ def _intersection_dim_at_equilibrium(A: sp.Matrix, ra: int | None,
 def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
     """Run the decreasing sequence of codistributions to its fixed point.
 
-    ``trace``, if given, is called with one human-readable line per event.
+    The sequence runs on rows of exact elements (symcore.Rows); sympy
+    forms are built once per step, for the report.  ``trace``, if given, is
+    called with one human-readable line per event.
     """
     def say(msg):
         if trace is not None:
@@ -209,68 +205,87 @@ def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
     ac = build_adapted_chart(sys)
     say(f"adapted chart complement: {tuple(str(h) for h in ac.h)}")
 
-    # per run: J_f, and P_1 = span{dx_i} of rank n; P_k's cleared matrix
-    # and rank come from the previous shifted-codistribution check.
-    # Clearing scales each row of J_f by a polynomial that is nonzero where
-    # J_f has no pole, so its rank there is the submersivity check's.
+    # per run: J_f and the inverse chart in the exact domain, and
+    # P_1 = span{dx_i} of rank n; P_k's cleared rows and rank at the
+    # equilibrium come from the previous iteration.  Clearing scales each
+    # row of J_f by a polynomial that is nonzero where J_f has no pole, so
+    # its rank there is the submersivity check's.
     warnings: list[str] = []
     eq_xu = sys.equilibrium_subs()
-    J_eq = symcore.clear_denominators(sys.jacobian())
-    rank_J = sub.rank_at_equilibrium
-    P_eq, rank_P = sp.eye(sys.n, sys.n + sys.m), sys.n
-
-    xu = sys.chart
-    P = Codistribution.span(xu, [basis_oneform(xu, i) for i in range(sys.n)])
-    steps = [SequenceStep(1, P, P.dim)]
+    J = sys.jacobian_rows()
+    J_eq, rank_J = J.cleared(), sub.rank_at_equilibrium
+    to_adapted = Substitution(zip(sys.chart.symbols, ac.from_adapted))
+    theta_to_x = Substitution(zip(ac.theta, sys.states))
+    n, N = sys.n, sys.n + sys.m
+    P = Rows(None, [[QQ.one if i == j else QQ.zero for j in range(N)]
+                    for i in range(n)], N)
+    P_eq, rank_P = P, n
+    sequence = [P]   # P_1, P_2, ..., each in reduced row echelon form
+    extensions = []  # (dim of the intersection, dim added by the closure)
     k_bar = 1
-    for k in range(1, sys.n + 2):
-        step = steps[-1]
-        if step.dim == 0:
+    for k in range(1, n + 2):
+        P = sequence[-1]
+        if not P.rows:
             break
-        Q = _intersect_df(step.P, ac)
-        Qhat = _close_under_dxi(Q, sys.n)
-        step.intersection_dim = Q.dim
-        step.lie_derivatives_added = Qhat.dim - Q.dim
-        step.step2_trivial = Qhat.dim == Q.dim
-        say(f"k = {k}: dim P = {step.dim}, intersection {Q.dim}, "
-            f"extension added {step.lie_derivatives_added}")
+        Q = _intersect_df(P, J, to_adapted)
+        Qhat = _close_under_dxi(Q, ac.xi)
+        extensions.append((len(Q.rows), len(Qhat.rows) - len(Q.rows)))
+        say(f"k = {k}: dim P = {len(P.rows)}, intersection {len(Q.rows)}, "
+            f"extension added {extensions[-1][1]}")
+        P_next, _ = backward_shift(Qhat, ac, theta_to_x).reduced()
 
-        shifted = [backward_shift_oneform(w, ac) for w in Qhat.basis]
-        P_next = Codistribution.span(xu, shifted)
-
-        # runtime invariants of the construction
-        if not step.P.contains(*P_next.basis):
+        # runtime invariants of the construction; nested with the same
+        # dimension is equal, so the nesting rank also decides the fixed point
+        if not P.spans(P_next):
             raise InternalInconsistency(f"sequence is not nested at k = {k}")
-        if any(c != 0 and not is_zero(c)
-               for w in P_next.basis for c in w.coeffs[sys.n:]):
+        if any(c for row in P_next.rows for c in row[n:]):
             raise InternalInconsistency(
                 f"P_{k + 1} has input-differential components")
-        if not is_integrable(P_next):
-            raise InternalInconsistency(
-                f"P_{k + 1} is not integrable; the backward shift is invalid")
 
         _intersection_dim_at_equilibrium(
-            P_eq, rank_P, J_eq, rank_J, eq_xu, sys.params, Q.dim,
+            P_eq, rank_P, J_eq, rank_J, eq_xu, sys.params, len(Q.rows),
             warnings, f"k = {k}, intersection")
         P_eq, rank_P = _dim_at_equilibrium(
-            P_next.matrix(), eq_xu, sys.params, P_next.dim, warnings,
+            P_next, eq_xu, sys.params, len(P_next.rows), warnings,
             f"k = {k}, shifted codistribution")
 
-        if P_next.dim == step.dim:
-            if not P_next.equals(step.P):
-                raise InternalInconsistency(
-                    f"dimension stalled at k = {k} but the spans differ")
+        if len(P_next.rows) == len(P.rows):
             k_bar = k
             say(f"fixed point at k = {k}")
             break
-        steps.append(SequenceStep(k + 1, P_next, P_next.dim))
+        sequence.append(P_next)
         k_bar = k + 1
-        if P_next.dim == 0:
+        if not P_next.rows:
             say(f"reached the zero codistribution at k = {k + 1}")
             break
     else:
         raise InternalInconsistency(
             "the sequence did not stabilize within n + 1 iterations")
+    return _report(sys, sequence, extensions, k_bar, warnings)
+
+
+def _codistribution(chart, R: Rows) -> Codistribution:
+    """The span of rows in reduced row echelon form, with those rows as its
+    canonical basis."""
+    return Codistribution(chart, tuple(
+        OneForm(chart, tuple(R.to_expr(c) for c in row)) for row in R.rows))
+
+
+def _report(sys: DiscreteTimeSystem, sequence: list[Rows], extensions: list,
+            k_bar: int, warnings: list[str]) -> SequenceReport:
+    """The report of a sequence: each P_k as a Codistribution of sympy
+    forms, built once from its canonical rows; each P_{k+1} must be
+    integrable."""
+    steps = []
+    for k, P in enumerate(sequence, start=1):
+        step = SequenceStep(k, _codistribution(sys.chart, P), len(P.rows))
+        if k <= len(extensions):
+            step.intersection_dim, step.lie_derivatives_added = extensions[k - 1]
+            step.step2_trivial = step.lie_derivatives_added == 0
+        if k > 1 and not is_integrable(step.P):
+            raise InternalInconsistency(
+                f"P_{k} is not integrable; the backward shift is invalid")
+        steps.append(step)
 
     final = steps[-1]
     if final.dim == 0:

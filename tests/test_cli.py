@@ -276,6 +276,17 @@ def test_residual_with_a_zero_summand_inside_a_trig_argument_is_zero(
     assert "flat output verified: True" in capsys.readouterr().out
 
 
+def test_multiple_angles_in_a_residual_cancel(tmp_path, capsys):
+    # phi = x1/2 puts sin(x1/2)*cos(x1/2) beside sin(x1) in the residual,
+    # and Fu's 2*sin(y1)*cos(y1) meets sin(2*y1) in the shift consistency
+    sysfile = tmp_path / "double_angle.sys"
+    sysfile.write_text("states: x1 x2\ninputs: u1\nf: x2\nf: u1 + sin(x1)\n"
+                       "x0: 0 0\nu0: 0\nphi: x1/2\nFx: 2*y1\nFx: 2*y1_1\n"
+                       "Fu: 2*y1_2 - 2*sin(y1)*cos(y1)\n")
+    assert cli.run(["verify-flat-output", str(sysfile)]) == cli.EXIT_OK
+    assert "flat output verified: True" in capsys.readouterr().out
+
+
 PARAM_NAMED_LIKE_ADAPTED_COORDINATE = (
     "states: x1 x2\ninputs: u1\nparams: th1\nf: th1*x2\nf: u1\n"
     "x0: 0 0\nu0: 0\nh: x1\n"

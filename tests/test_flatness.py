@@ -5,7 +5,7 @@ import pytest
 import sympy as sp
 
 from conftest import random_poly
-from fwdflat import dtsys, extcalc, flatness, symcore
+from fwdflat import domain, dtsys, extcalc, flatness, symcore
 from fwdflat.dtsys import DiscreteTimeSystem, TriangularDecomposition
 from fwdflat.errors import FwdflatError
 from fwdflat.extcalc import (
@@ -24,11 +24,13 @@ from fwdflat.flatness import (
     NOT_FORWARD_FLAT,
     STATIC_FEEDBACK_LINEARIZABLE,
     _close_under_dxi,
+    _codistribution,
     _intersect_df,
     compute_sequence,
     decomposability,
     subsystem_consistency_check,
 )
+from fwdflat.symcore import Rows, Substitution
 
 
 def _sys(states, inputs, f, x0, u0, **kw):
@@ -241,10 +243,11 @@ def _random_adapted_chart(rng, n, m):
 
 class TestAdaptedCoordinateShortcuts:
     def test_match_general_routines_randomized(self):
-        """The intersection with span{df} taken in (x, u) equals the old
-        route, intersect with span{dθ} after pulling P back into (θ, ξ),
-        and the ∂ξ closure equals invariant_extension along ∂ξ, on random
-        adapted charts and codistributions with polynomial coefficients."""
+        """The intersection with span{df} taken on rows in (x, u) equals
+        the old route, intersect with span{dθ} after pulling P back into
+        (θ, ξ), and the ∂ξ closure of rows equals invariant_extension along
+        ∂ξ, on random adapted charts and codistributions with polynomial
+        coefficients."""
         rng = random.Random(4242)
         nontrivial = 0
         for _ in range(50):
@@ -261,14 +264,19 @@ class TestAdaptedCoordinateShortcuts:
                 ch, [basis_oneform(ch, i) for i in range(n)])
             dxi = Distribution.span(
                 ch, [basis_vectorfield(ch, n + j) for j in range(m)])
-            Q = _intersect_df(P, ac)
+            to_adapted = Substitution(zip(xu.symbols, ac.from_adapted))
+            Q_rows = _intersect_df(Rows.of(P.matrix()), sys.jacobian_rows(),
+                                   to_adapted)
+            Q = _codistribution(ch, Q_rows)
             assert Q.equals(intersect(P_ad, dtheta))
-            assert _close_under_dxi(Q, n).equals(invariant_extension(Q, dxi))
+            assert _codistribution(ch, _close_under_dxi(Q_rows, ac.xi)).equals(
+                invariant_extension(Q, dxi))
             # the same polynomial forms, written on (θ, ξ)
             rename = dict(zip(xu.symbols, ch.symbols))
             P_th = Codistribution.span(ch, [OneForm(ch, tuple(
                 c.xreplace(rename) for c in w.coeffs)) for w in forms])
-            assert _close_under_dxi(P_th, n).equals(invariant_extension(P_th, dxi))
+            closed = _close_under_dxi(Rows.of(P_th.matrix()), ac.xi)
+            assert _codistribution(ch, closed).equals(invariant_extension(P_th, dxi))
             nontrivial += Q.dim > 0
         assert nontrivial >= 10
 
@@ -276,25 +284,33 @@ class TestAdaptedCoordinateShortcuts:
     def test_no_codistribution_passes_through_the_inverse_chart(
             self, name, request, monkeypatch):
         """compute_sequence composes only the intersection's coefficients
-        with the inverse chart: it pulls no form back and never
-        differentiates the inverse chart."""
+        with the inverse chart: it pulls no form back, never
+        differentiates the inverse chart, and passes only rows of n
+        coefficients through it."""
         sys = request.getfixturevalue(name).system
         from_adapted = dtsys.build_adapted_chart(sys).from_adapted
-        pullbacks, inverse_jacobians = [], []
-        jacobian = symcore.jacobian
+        pullbacks, inverse_jacobians, composed_widths = [], [], []
+        jacobian_rows, substitute = symcore.jacobian_rows, Substitution.__call__
 
         def counting_jacobian(exprs, symbols):
             if tuple(exprs) == from_adapted:
                 inverse_jacobians.append(symbols)
-            return jacobian(exprs, symbols)
+            return jacobian_rows(exprs, symbols)
 
-        monkeypatch.setattr(symcore, "jacobian", counting_jacobian)
+        def counting_substitution(subs, R):
+            if tuple(subs.exprs.values()) == from_adapted:
+                composed_widths.append(R.width)
+            return substitute(subs, R)
+
+        monkeypatch.setattr(symcore, "jacobian_rows", counting_jacobian)
+        monkeypatch.setattr(Substitution, "__call__", counting_substitution)
         for module in (extcalc, flatness):
             monkeypatch.setattr(module, "pullback",
                                 lambda *a: pullbacks.append(a) or pullback(*a))
-        compute_sequence(sys)
+        report = compute_sequence(sys)
         assert pullbacks == []
         assert inverse_jacobians == []
+        assert composed_widths == [sys.n] * (report.k_bar - 1)
 
 
 def test_nonlinear_chain_of_ten_states():
@@ -319,38 +335,114 @@ class TestEquilibriumChecksPerRun:
         # a fresh instance, without the Jacobian cached by other tests
         sys = dataclasses.replace(request.getfixturevalue(name).system)
         jacobians, ranks = [], []
-        jacobian, rank_at_point = symcore.jacobian, dtsys._rank_at_point
+        jacobian_rows, rank_at_point = symcore.jacobian_rows, dtsys._rank_at_point
 
         def counting_jacobian(exprs, symbols):
             jacobians.append(tuple(exprs))
-            return jacobian(exprs, symbols)
+            return jacobian_rows(exprs, symbols)
 
         def counting_rank(*args):
             ranks.append(args)
             return rank_at_point(*args)
 
-        monkeypatch.setattr(symcore, "jacobian", counting_jacobian)
+        monkeypatch.setattr(symcore, "jacobian_rows", counting_jacobian)
         monkeypatch.setattr(dtsys, "_rank_at_point", counting_rank)
         monkeypatch.setattr(flatness, "_rank_at_point", counting_rank)
         report = compute_sequence(sys)
         assert jacobians.count(sys.f) == 1
         assert len(ranks) <= 3 + 2 * report.k_bar
-        assert [M.rows for M, *_ in ranks].count(sys.n) == 1
+        assert [len(M.rows) for M, *_ in ranks].count(sys.n) == 1
 
 
 class TestNestingChecksPerRun:
     @pytest.mark.parametrize("name", ["running", "vtol"])
     def test_nesting_checked_once_per_iteration(self, name, request, monkeypatch):
-        """P_{k+1} ⊂ P_k is one contains call on the whole basis of P_{k+1}
-        per iteration, not one call per form."""
+        """P_{k+1} ⊂ P_k is one rank of P_k's rows stacked over all rows of
+        P_{k+1} per iteration, not one per form."""
         calls = []
-        contains = Codistribution.contains
+        spans = Rows.spans
 
-        def counting(P, *elements):
-            calls.append(len(elements))
+        def counting(P, other):
+            calls.append(len(other.rows))
+            return spans(P, other)
+
+        monkeypatch.setattr(Rows, "spans", counting)
+        report = compute_sequence(request.getfixturevalue(name).system)
+        assert report.dims[-1] == 0  # no fixed point
+        assert calls == report.dims[1:]
+
+    def test_fixed_point_takes_the_nesting_rank_alone(self, nonflat, monkeypatch):
+        """At a fixed point, nested and of the same dimension is equal: the
+        one iteration of nonflat takes exactly one nesting rank, on 2 + 2
+        rows, and compares no codistributions."""
+        calls, compared = [], []
+        spans, contains = Rows.spans, Codistribution.contains
+
+        def counting(P, other):
+            calls.append((len(P.rows), len(other.rows)))
+            return spans(P, other)
+
+        def comparing(P, *elements):
+            compared.append(len(elements))
             return contains(P, *elements)
 
-        monkeypatch.setattr(Codistribution, "contains", counting)
-        report = compute_sequence(request.getfixturevalue(name).system)
-        assert report.dims[-1] == 0  # no fixed point, so no equals call
-        assert calls == report.dims[1:]
+        monkeypatch.setattr(Rows, "spans", counting)
+        monkeypatch.setattr(Codistribution, "contains", comparing)
+        report = compute_sequence(nonflat.system)
+        assert report.dims == [2] and report.k_bar == 1
+        assert calls == [(2, 2)]
+        assert compared == []
+
+
+def _linear_six():
+    """x+ = Ax + Bu with n = 6 and m = 2, static feedback linearizable in
+    four iterations."""
+    x = sp.symbols("x1:7")
+    u1, u2 = sp.symbols("u1 u2")
+    f = [x[1] + x[3], x[2], u1, x[4], x[5] - x[0], u2]
+    return _sys([s.name for s in x], ["u1", "u2"], f, [0] * 6, [0, 0])
+
+
+class TestRowsStayExact:
+    @pytest.mark.parametrize("name", ["running", "vtol", "linear6"])
+    def test_conversions_do_not_grow_with_k_bar(self, name, request, monkeypatch):
+        """Between building the adapted chart and building the report,
+        compute_sequence converts only the inverse chart and θ -> x, plus
+        two conversions (its normal form, then cos and sin) per trig angle
+        of f that passes through them; and it turns no row entry back into
+        an expression."""
+        sys = _linear_six() if name == "linear6" else request.getfixturevalue(name).system
+        phase, conversions, expressions = ["setup"], [], []
+        convert, chart, report = domain._convert, flatness.build_adapted_chart, flatness._report
+
+        def counting_convert(exprs):
+            conversions.append(phase[0])
+            return convert(exprs)
+
+        def chart_then_loop(s):
+            ac = chart(s)
+            phase[0] = "loop"
+            return ac
+
+        def report_phase(*args):
+            phase[0] = "report"
+            return report(*args)
+
+        for module in (domain, symcore):
+            monkeypatch.setattr(module, "_convert", counting_convert)
+        monkeypatch.setattr(flatness, "build_adapted_chart", chart_then_loop)
+        monkeypatch.setattr(flatness, "_report", report_phase)
+        for label in ("to_expr", "to_matrix"):
+            method = getattr(Rows, label)
+            monkeypatch.setattr(Rows, label, lambda R, *a, method=method: (
+                expressions.append(phase[0]) or method(R, *a)))
+        r = compute_sequence(sys)
+        angles = {t.args[0] for e in sys.f for t in e.atoms(sp.sin, sp.cos)}
+        assert r.k_bar >= 3
+        assert conversions.count("loop") == 2 + 2 * len(angles)
+        assert "loop" not in expressions and "report" in expressions
+
+    def test_linear_six(self):
+        r = compute_sequence(_linear_six())
+        assert r.verdict == STATIC_FEEDBACK_LINEARIZABLE
+        assert r.k_bar == 4

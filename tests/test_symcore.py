@@ -195,6 +195,47 @@ class TestIsZero:
         assert not is_zero(sp.sin(x1 * (x1 + 1)) - sp.sin(x1**2))
 
 
+class TestMultipleAngles:
+    """Arguments that are rational multiples of one another share one
+    base angle, and cos(n*b), sin(n*b) expand in its pair."""
+
+    y = sp.Symbol("y")
+
+    def test_double_angle(self):
+        y = self.y
+        assert is_zero(sp.sin(2 * y) - 2 * sp.sin(y) * sp.cos(y))
+        assert is_zero(sp.cos(2 * y) - (1 - 2 * sp.sin(y) ** 2))
+
+    def test_triple_angle(self):
+        y = self.y
+        assert is_zero(sp.sin(3 * y) - (3 * sp.sin(y) - 4 * sp.sin(y) ** 3))
+        assert not is_zero(sp.sin(3 * y) - 3 * sp.sin(y))
+
+    def test_half_angle(self):
+        assert is_zero(sp.cos(x1 / 2) ** 2 - (1 + sp.cos(x1)) / 2)
+        assert is_zero(sp.sin(3 * x1 / 2) * 2 * sp.cos(x1 / 2)
+                       - sp.sin(2 * x1) - sp.sin(x1))
+
+    def test_jacobian_matches_sp_diff(self):
+        y = self.y
+        exprs = [sp.sin(2 * y), sp.cos(2 * y) * sp.sin(y),
+                 sp.sin(y / 2) * sp.cos(3 * y / 2) / (1 + sp.cos(y)),
+                 sp.sin(2 * y + 2) * sp.cos(y + 1)]
+        J = symcore.jacobian(exprs, [y])
+        for e, d in zip(exprs, J):
+            assert is_zero(d - sp.diff(e, y)), e
+        assert is_zero(J[0, 0] - 2 * sp.cos(2 * y))
+
+    def test_other_arguments_keep_their_own_pairs(self):
+        y = self.y
+        F, _ = symcore._convert([sp.sin(y), sp.sin(y + 1), sp.cos(2 * y),
+                                 sp.sin(x1 * y), sp.cos(2 * y + 2)])
+        assert F.args == sorted([y, y + 1, x1 * y], key=sp.default_sort_key)
+        assert not is_zero(sp.sin(y + 1) - sp.sin(y))
+        assert not is_zero(sp.sin(x1 * y) - sp.sin(y))
+        assert not is_zero(sp.sin(y + 1) - sp.sin(1) - sp.sin(y))
+
+
 class TestDiff:
     def test_product(self):
         assert diff(x1 * x2, sp.Symbol("x1")) == x2
@@ -290,14 +331,14 @@ class TestRationalSample:
         atoms = [x1, x2, x3, u1, sp.sin(x1), sp.cos(x1), sp.sin(u1)]
         tested = 0
         for _ in range(60):
-            dom = symcore._Domain([random_poly(rng, atoms, 5, 4, 3)])
-            if dom.field is None:
+            F, (x,) = symcore._convert([random_poly(rng, atoms, 5, 4, 3)])
+            if F is None:
                 continue
-            p = dom.elements[0].numer
+            p = x.numer
             seed = rng.randint(0, 10**6)
             ours, theirs = random.Random(seed), random.Random(seed)
-            assert symcore._rational_sample(p, dom.k, ours) == \
-                _reference_sample(p, dom.k, theirs)
+            assert symcore._rational_sample(p, F.k, ours) == \
+                _reference_sample(p, F.k, theirs)
             assert ours.getstate() == theirs.getstate()
             tested += 1
         assert tested >= 40
@@ -547,3 +588,96 @@ class TestParse:
     def test_render_deterministic(self):
         e = parse_expr("x2 + x1*u1", self.SYMS)
         assert render(e) == render(u1 * x1 + x2)
+
+
+class TestWrappersMatchTheRowKernel:
+    """Each sympy-in, sympy-out function against the row kernel reached
+    another way: matrices converted in pieces and stacked across fields,
+    substitutions composed in the domain instead of by xreplace, and
+    independent references where one exists, on seeded random entries with
+    a parameter, sin/cos and multiple angles."""
+
+    a = sp.Symbol("a")
+
+    def _entries(self, rng):
+        from conftest import random_poly
+        a = self.a
+        atoms = [x1, x2, a, sp.sin(x1), sp.cos(x1), sp.sin(2 * x1), sp.cos(a)]
+
+        def entry():
+            if rng.random() < 0.3:
+                return sp.Integer(rng.randint(-2, 2))
+            # a denominator that vanishes at the point only now and then
+            den = x2**2 + random_poly(rng, [x2, a], 1, 2, 1) + rng.randint(0, 3)
+            return random_poly(rng, atoms, 2, 3, 1) / den
+        return entry
+
+    def test_rref_rank_and_rank_at(self):
+        rng = random.Random(51)
+        for _ in range(12):
+            entry = self._entries(rng)
+            top = _random_matrix(rng, entry, 2, 3)
+            bottom = _random_matrix(rng, entry, 1, 3)
+            M = top.col_join(bottom)
+            stacked = symcore.Rows.stack(symcore.Rows.of(top), symcore.Rows.of(bottom))
+            R, pivots = rref(M)
+            S, spivots = stacked.reduced()
+            assert pivots == tuple(spivots)
+            assert all(is_zero(r - s) for r, s in zip(R, S.to_matrix()))
+            assert symcore.rank(M) == stacked.rank() == len(pivots)
+            point = {x1: 0, x2: sp.Rational(rng.randint(-3, 3), 2),
+                     self.a: sp.Rational(rng.randint(1, 5))}
+            try:
+                at = rank_at(M, point)
+            except PoleAtPoint:
+                with pytest.raises(PoleAtPoint):
+                    stacked.rank_at(point)
+                continue
+            assert at == stacked.rank_at(point)
+            if at is not None:
+                assert at == M.xreplace(point).rank()
+
+    def test_jacobian(self):
+        rng = random.Random(52)
+        wrt = [x1, x2, self.a, u1]
+        for _ in range(15):
+            entry = self._entries(rng)
+            exprs = [entry() for _ in range(3)]
+            J = symcore.jacobian(exprs, wrt)
+            pieces = symcore.Rows.stack(*(symcore.jacobian_rows([e], wrt) for e in exprs))
+            for j, k in zip(J, pieces.to_matrix()):
+                assert is_zero(j - k)
+            for i, e in enumerate(exprs):
+                for j, v in enumerate(wrt):
+                    assert is_zero(J[i, j] - sp.diff(e, v))
+
+    def test_substitution_and_cleared_rows(self):
+        rng = random.Random(53)
+        a = self.a
+        z = sp.Symbol("z")
+        mapping = {x1: z + a * z, x2: z / (1 + a)}
+        for _ in range(15):
+            M = _random_matrix(rng, self._entries(rng), 2, 3)
+            R = symcore.Rows.of(M)
+            composed = symcore.Substitution(mapping)(R)
+            for c, e in zip(composed.to_matrix(), M.xreplace(mapping)):
+                assert is_zero(c - e)
+            assert rref(M.xreplace(mapping))[1] == tuple(composed.reduced()[1])
+            cleared = R.cleared()
+            assert all(type(c) is type(symcore.QQ.zero) or c.denom == 1
+                       for row in cleared.rows for c in row)
+            assert symcore.Rows.stack(R, cleared).rank() == R.rank() == cleared.rank()
+
+    def test_backward_shift(self, running):
+        from fwdflat.dtsys import backward_shift, backward_shift_oneform, build_adapted_chart
+        from fwdflat.extcalc import OneForm
+        ac = build_adapted_chart(running.system)
+        th1, th2, th3 = ac.theta
+        to_x = dict(zip(ac.theta, running.system.states))
+        coeffs = (sp.sin(2 * th1) / (th2 + 1), sp.cos(th1) * th3, 1 + sp.sin(th1), 0, 0)
+        back = backward_shift_oneform(OneForm(ac.chart, coeffs), ac)
+        rows = backward_shift(symcore.Rows.of([coeffs]), ac,
+                              symcore.Substitution(to_x))
+        for b, r, c in zip(back.coeffs, rows.to_matrix(), coeffs):
+            assert b == r
+            assert is_zero(b - sp.sympify(c).xreplace(to_x))

@@ -11,7 +11,9 @@ The outputs are:
 - the exit code, stdout and stderr of ``analyze``, ``verify-flat-output``
   and ``verify-decomposition``, each plain, with ``--json`` and with
   ``--trace``, on ``fixtures/*.sys`` and ``tests/golden/systems/*.sys``;
-- ``compute_sequence(...).to_json_dict()`` on chain(3) to chain(7);
+- the same of ``analyze --json --seed 1`` and ``--seed 2`` on those files,
+  since no verdict may depend on the random stream;
+- ``compute_sequence(...).to_json_dict()`` on chain(3) to chain(8);
 - the same on the 70 ``linear`` systems of each of the benchmark seeds
   1 to 3, generated by ``bench/workloads.py``.
 
@@ -35,8 +37,9 @@ from fwdflat import cli, flatness, symcore, sysfile  # noqa: E402
 
 COMMANDS = ("analyze", "verify-flat-output", "verify-decomposition")
 MODES = {"plain": [], "json": ["--json"], "trace": ["--trace"]}
+SEEDS = (1, 2)
 SYSTEM_DIRS = (ROOT / "fixtures", ROOT / "tests" / "golden" / "systems")
-CHAIN_SIZES = range(3, 8)
+CHAIN_SIZES = range(3, 9)
 LINEAR_SEEDS = (1, 2, 3)
 
 
@@ -61,6 +64,10 @@ def outputs():
                 for mode, flags in MODES.items():
                     yield (f"{directory.name}-{path.stem}.{command}.{mode}.txt",
                            _cli_output([command, str(path), *flags]))
+            for seed in SEEDS:
+                yield (f"{directory.name}-{path.stem}.analyze.json-seed{seed}.txt",
+                       _cli_output(["analyze", str(path), "--json",
+                                    "--seed", str(seed)]))
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
     for n in CHAIN_SIZES:
