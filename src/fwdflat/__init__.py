@@ -6,9 +6,10 @@ The top-level names re-export the working vocabulary.  Coordinates and
 parameters are plain ``sympy.Symbol`` objects and expressions are sympy
 expressions.  The implementation lives in :mod:`fwdflat.domain` (the
 exact fields and the zero test), :mod:`fwdflat.symcore` (expression
-kernel and exact linear algebra), :mod:`fwdflat.extcalc`
-(exterior calculus; one row-space class serves codistributions and
-distributions), :mod:`fwdflat.dtsys` (system model, adapted charts,
+kernel and the row kernel ``Rows``, under every rank, elimination and
+integrability decision), :mod:`fwdflat.extcalc` (exterior calculus; one
+row-space class serves codistributions and distributions),
+:mod:`fwdflat.dtsys` (system model, adapted charts,
 shifts, verifiers), :mod:`fwdflat.flatness` (the sequence and the
 classification) and :mod:`fwdflat.cli` (command line front end).
 """

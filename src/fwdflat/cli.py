@@ -26,6 +26,7 @@ from .errors import (
     NotShiftable,
     SystemFileError,
 )
+from .extcalc import render_oneform
 from .flatness import (
     NOT_FORWARD_FLAT,
     compute_sequence,
@@ -99,7 +100,6 @@ def _cmd_analyze(sf, args) -> int:
         lines.append(f"decomposable into blocks of dimensions {dd}")
     if report.obstruction is not None:
         lines.append("obstruction (final nonzero codistribution):")
-        from .extcalc import render_oneform
         for w in report.obstruction:
             lines.append(f"  {render_oneform(w)}")
     for w in report.warnings:

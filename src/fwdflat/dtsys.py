@@ -100,14 +100,6 @@ class DiscreteTimeSystem:
             object.__setattr__(self, "_jacobian_rows", J)
         return J
 
-    def jacobian(self) -> sp.ImmutableMatrix:
-        """d f / d (x, u) as an n x (n+m) matrix of expressions."""
-        J = self.__dict__.get("_jacobian")
-        if J is None:
-            J = sp.ImmutableMatrix(self.jacobian_rows().to_matrix())
-            object.__setattr__(self, "_jacobian", J)
-        return J
-
     def input_shift_symbol(self, j: int, order: int) -> sp.Symbol:
         """The order-th forward shift of input j (order 0 is the input itself)."""
         base = self.inputs[j]
@@ -202,13 +194,6 @@ def _fragment_ok(e: sp.Expr, allowed: set[sp.Symbol]) -> bool:
     return True
 
 
-def _candidate_complements(sys: DiscreteTimeSystem):
-    """m-subsets of the coordinates, inputs before states, ascending index."""
-    coords = list(sys.inputs) + list(sys.states)
-    for combo in itertools.combinations(coords, sys.m):
-        yield combo
-
-
 def _solve_inverse(eqs: Sequence[Expr], unknowns: Sequence[sp.Symbol],
                    back_subs: Mapping):
     """Solve eqs = 0 for the unknowns by elimination (see
@@ -245,16 +230,15 @@ def build_adapted_chart(sys: DiscreteTimeSystem) -> AdaptedChart:
 
     if sys.complement_h is not None:
         candidates = [tuple(sp.sympify(e) for e in sys.complement_h)]
-    else:
-        candidates = list(_candidate_complements(sys))
+    else:  # m-subsets of the coordinates, inputs before states
+        candidates = itertools.combinations(sys.inputs + sys.states, sys.m)
 
     chart_syms = sys.chart.symbols
-    J = sys.jacobian()
+    J = sys.jacobian_rows()
     failures = []
     for h in candidates:
-        Jh = symcore.jacobian(h, chart_syms)
-        full = J.col_join(Jh)
-        if symcore.rank(full) < sys.n + sys.m:
+        full = symcore.Rows.stack(J, symcore.jacobian_rows(h, chart_syms))
+        if full.rank() < sys.n + sys.m:
             failures.append(f"{h}: (f, h) Jacobian rank deficient")
             continue
         back = dict(zip(theta, sys.f))
@@ -338,7 +322,8 @@ def backward_shift_oneform(w: OneForm, ac: AdaptedChart) -> OneForm:
     if w.chart != ac.chart:
         raise ValueError("form is not expressed in the adapted chart")
     theta_to_x = symcore.Substitution(zip(ac.theta, ac.system.states))
-    R = backward_shift(symcore.Rows.of([w.coeffs]), ac, theta_to_x)
+    F, coeffs = domain._convert(w.coeffs)
+    R = backward_shift(symcore.Rows(F, [coeffs], ac.chart.dim), ac, theta_to_x)
     return OneForm(ac.system.chart, tuple(R.to_expr(c) for c in R.rows[0]))
 
 
@@ -483,10 +468,11 @@ def verify_triangular_decomposition(sys: DiscreteTimeSystem,
         if sp.sympify(e).free_symbols - set(sys.states) - set(sys.params):
             return DecompositionVerdict(False, ["state map must depend on x alone"])
 
-    full = symcore.jacobian(dec.state_map + dec.input_map, sys.chart.symbols)
-    if symcore.rank(full[:sys.n, :sys.n]) < sys.n:
+    full = symcore.jacobian_rows(dec.state_map + dec.input_map, sys.chart.symbols)
+    dx = symcore.Rows(full.F, [row[:sys.n] for row in full.rows[:sys.n]], sys.n)
+    if dx.rank() < sys.n:
         return DecompositionVerdict(False, ["state map is not invertible"])
-    if symcore.rank(full) < sys.n + sys.m:
+    if full.rank() < sys.n + sys.m:
         return DecompositionVerdict(False, ["(state, input) map is not invertible"])
 
     taken = {s.name for s in sys.states + sys.inputs + sys.params}
@@ -513,12 +499,15 @@ def verify_triangular_decomposition(sys: DiscreteTimeSystem,
     fbar = tuple(normalize(sp.sympify(e).xreplace(dict(zip(sys.states, f_subbed))))
                  for e in dec.state_map)
 
-    B = symcore.jacobian(fbar, ubar[:m1])
+    B = symcore.jacobian_rows(fbar, ubar[:m1])
     for i in range(n1, sys.n):
-        if not all(is_zero(b) for b in B.row(i)):
+        b = next((b for b in B.rows[i] if b), None)
+        if b is not None:
+            if B.F is not None:
+                B.F.check_nonzero(b)  # as is_zero cross-checks a nonzero
             reasons.append(f"x2-row {i - n1 + 1} depends on the u1-block")
-    B1 = B[:n1, :]
-    rk = symcore.rank(B1) if n1 and m1 else 0
+    B1 = symcore.Rows(B.F, B.rows[:n1], m1)
+    rk = B1.rank() if n1 and m1 else 0
     if rk != n1:
         reasons.append(f"rank of d f1 / d u1 is {rk}, need dim(x1) = {n1}")
 
@@ -528,7 +517,7 @@ def verify_triangular_decomposition(sys: DiscreteTimeSystem,
     if all(v.is_Rational for v in xbar0 + ubar0):
         eq_bar = dict(zip(xbar, xbar0))
         eq_bar.update(zip(ubar, ubar0))
-        rk0 = (_rank_at_point(symcore.Rows.of(B1), eq_bar, sys.params)
+        rk0 = (_rank_at_point(B1, eq_bar, sys.params)
                if n1 and m1 else 0)
         if rk0 is not None and rk0 != n1:
             reasons.append(f"rank of d f1 / d u1 at the equilibrium is {rk0}")

@@ -7,7 +7,11 @@ all over the exact expression field of :mod:`fwdflat.symcore`.
 Codistributions (row spaces of 1-forms) and distributions (row spaces of
 vector fields) share one implementation: the coefficient matrix is stored
 in reduced row echelon form, and membership, and with it equality of
-spans, is a rank test.  Coordinates are plain ``sympy.Symbol`` objects.
+spans, is a rank test.  Spans, ranks, annihilators and the integrability
+test all run on the exact rows of :class:`fwdflat.symcore.Rows`; the
+integrability test is the Frobenius condition on the annihilator of the
+reduced rows (:func:`integrable_rows`), not a wedge product.  Coordinates
+are plain ``sympy.Symbol`` objects.
 """
 
 from __future__ import annotations
@@ -153,15 +157,6 @@ def wedge(a, b) -> KForm:
     return KForm(a.chart, deg, terms)
 
 
-def wedge_all(forms: Sequence) -> KForm:
-    """Fold the wedge product over a nonempty sequence of forms."""
-    forms = list(forms)
-    out = forms[0] if isinstance(forms[0], KForm) else oneform_to_kform(forms[0])
-    for f in forms[1:]:
-        out = wedge(out, f)
-    return out
-
-
 def contract(v: VectorField, alpha):
     """Interior product; for 1-forms it returns a scalar."""
     _check_same_chart(v, alpha)
@@ -236,9 +231,15 @@ class Codistribution:
                 raise ValueError(f"{cls.element.__name__} chart mismatch")
         if not elements:
             return cls(chart, ())
-        R, pivots = symcore.rref(sp.Matrix([e.coeffs for e in elements]))
-        return cls(chart, tuple(cls.element(chart, tuple(R.row(i)))
-                                for i in range(len(pivots))))
+        R, _ = symcore.Rows.of([e.coeffs for e in elements]).reduced()
+        return cls.of_rows(chart, R)
+
+    @classmethod
+    def of_rows(cls, chart: Chart, R: symcore.Rows) -> "Codistribution":
+        """The span of rows in reduced row echelon form, with those rows as
+        its canonical basis."""
+        return cls(chart, tuple(cls.element(chart, tuple(R.to_expr(c) for c in row))
+                                for row in R.rows))
 
     @property
     def dim(self) -> int:
@@ -255,9 +256,8 @@ class Codistribution:
             _check_same_chart(self, w)
             if not isinstance(w, self.element):
                 raise TypeError(f"expected a {self.element.__name__}, got {w!r}")
-        rows = self.basis + elements
-        M = sp.Matrix(len(rows), self.chart.dim, [c for w in rows for c in w.coeffs])
-        return symcore.rank(M) == self.dim
+        return symcore.Rows.of([w.coeffs for w in self.basis + elements]
+                               ).rank() == self.dim
 
     def equals(self, other: "Codistribution") -> bool:
         return (type(other) is type(self) and self.chart == other.chart
@@ -307,8 +307,16 @@ def annihilator(S: Codistribution) -> Codistribution:
     """The annihilator of a codistribution (a distribution) or of a
     distribution (a codistribution): the right kernel of its matrix."""
     dual = Codistribution if isinstance(S, Distribution) else Distribution
-    kernel = symcore.nullspace(S.matrix())
-    return dual.span(S.chart, [dual.element(S.chart, tuple(v)) for v in kernel])
+    R, pivots = symcore.Rows.of(S.matrix()).reduced()
+    kernel = []
+    for c in range(S.chart.dim):
+        if c not in pivots:
+            v = [sp.Integer(0)] * S.chart.dim
+            v[c] = sp.Integer(1)
+            for row, p in zip(R.rows, pivots):
+                v[p] = -R.to_expr(row[c])
+            kernel.append(dual.element(S.chart, tuple(v)))
+    return dual.span(S.chart, kernel)
 
 
 def intersect(P: Codistribution, Q: Codistribution) -> Codistribution:
@@ -319,15 +327,40 @@ def intersect(P: Codistribution, Q: Codistribution) -> Codistribution:
     return annihilator(Distribution.span(P.chart, dp.basis + dq.basis))
 
 
+def integrable_rows(R: symcore.Rows, symbols: Sequence[sp.Symbol]) -> bool:
+    """Whether the span of rows in reduced row echelon form, with columns
+    along ``symbols``, is integrable: row i is ω_i = dx_{p_i} + Σ_j a_ij dx_j
+    over the free columns j.
+
+    The annihilator is spanned by v_j = ∂_j − Σ_r a_rj ∂_{p_r}, whose
+    brackets have only pivot components, so they lie in it only if they
+    vanish: by Frobenius, the span is integrable iff v_j(a_il) = v_l(a_ij)
+    for every row i and free columns j < l.  Each value is decided exactly.
+    """
+    pivots = [next(c for c, a in enumerate(row) if a) for row in R.rows]
+    free = [c for c in range(R.width) if c not in pivots]
+    if not free or R.F is None:
+        return True
+    reduce = R.F.reduce
+    D = {c: R.derivative(symbols[c]).rows for c in range(R.width)}
+
+    def along(j, i, l):
+        """v_j(a_il)."""
+        out = D[j][i][l]
+        for r, p in enumerate(pivots):
+            if R.rows[r][j] and D[p][i][l]:
+                out = reduce(out - R.rows[r][j] * D[p][i][l])
+        return out
+
+    return not any(reduce(along(j, i, l) - along(l, i, j))
+                   for i in range(len(R.rows))
+                   for j, l in itertools.combinations(free, 2))
+
+
 def is_integrable(P: Codistribution) -> bool:
-    """Frobenius wedge criterion dw^i ^ w^1 ^ ... ^ w^p = 0 for every i."""
-    if P.dim == 0:
-        return True
-    dws = [exterior_derivative(w) for w in P.basis]
-    if all(dw.is_zero_form() for dw in dws):
-        return True
-    top = wedge_all(list(P.basis))
-    return all(wedge(dw, top).is_zero_form() for dw in dws)
+    """Whether P is integrable (see :func:`integrable_rows`)."""
+    R, _ = symcore.Rows.of(P.matrix()).reduced()
+    return integrable_rows(R, P.chart.symbols)
 
 
 def invariant_extension(P: Codistribution, D: Distribution) -> Codistribution:

@@ -18,6 +18,10 @@ complement directions are the constant fields d/d xi.
 The sequence is strictly decreasing until it stabilizes; the system is
 forward flat exactly when it reaches the zero codistribution, and static
 feedback linearizable when, in addition, step 2 never adds anything.
+
+The iteration, its runtime checks and the integrability of every P_{k+1}
+run on exact rows (:class:`fwdflat.symcore.Rows`); each P_k becomes a
+Codistribution of sympy forms once, for the report.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .errors import FwdflatError, InternalInconsistency
 from .extcalc import (
     Codistribution,
     OneForm,
-    is_integrable,
+    integrable_rows,
     pullback,
     render_oneform,
 )
@@ -264,27 +268,21 @@ def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
     return _report(sys, sequence, extensions, k_bar, warnings)
 
 
-def _codistribution(chart, R: Rows) -> Codistribution:
-    """The span of rows in reduced row echelon form, with those rows as its
-    canonical basis."""
-    return Codistribution(chart, tuple(
-        OneForm(chart, tuple(R.to_expr(c) for c in row)) for row in R.rows))
-
-
 def _report(sys: DiscreteTimeSystem, sequence: list[Rows], extensions: list,
             k_bar: int, warnings: list[str]) -> SequenceReport:
-    """The report of a sequence: each P_k as a Codistribution of sympy
-    forms, built once from its canonical rows; each P_{k+1} must be
-    integrable."""
+    """The report of a sequence: each P_{k+1} must be integrable, which is
+    checked on its canonical rows; then each P_k becomes a Codistribution
+    of sympy forms, built once from those rows."""
+    for k, P in enumerate(sequence[1:], start=2):
+        if not integrable_rows(P, sys.chart.symbols):
+            raise InternalInconsistency(
+                f"P_{k} is not integrable; the backward shift is invalid")
     steps = []
     for k, P in enumerate(sequence, start=1):
-        step = SequenceStep(k, _codistribution(sys.chart, P), len(P.rows))
+        step = SequenceStep(k, Codistribution.of_rows(sys.chart, P), len(P.rows))
         if k <= len(extensions):
             step.intersection_dim, step.lie_derivatives_added = extensions[k - 1]
             step.step2_trivial = step.lie_derivatives_added == 0
-        if k > 1 and not is_integrable(step.P):
-            raise InternalInconsistency(
-                f"P_{k} is not integrable; the backward shift is invalid")
         steps.append(step)
 
     final = steps[-1]

@@ -10,9 +10,10 @@ the exact domain of :mod:`fwdflat.domain`, where an element is the zero
 function iff it is literally zero.  Rows stay in the domain from one
 operation to the next: each elimination moves them into the field of the
 generators that they use, by remapping exponents, and
-:class:`Substitution` composes them with a map.  :func:`rref`,
-:func:`rank`, :func:`rank_at` and :func:`jacobian` are the same
-operations for sympy matrices.  Chart inversions solve in the same domain
+:class:`Substitution` composes them with a map.  Every caller ranks and
+eliminates on rows; a sympy matrix is built only by :func:`jacobian` and
+``Rows.to_matrix``, for the form calculus of :mod:`fwdflat.extcalc`.
+Chart inversions solve in the same domain
 (:func:`solve_by_elimination`), and every derivative is taken there
 (:func:`jacobian_rows`: the ring's derivations, with d cos(a)/da = -sin(a)
 and d sin(a)/da = cos(a), the chain rule through a compound argument a,
@@ -58,7 +59,6 @@ from .errors import (
 )
 
 Expr = sp.Expr
-ExprMatrix = sp.Matrix
 
 
 # --------------------------------------------------------------------------
@@ -99,10 +99,12 @@ class Rows:
     """A matrix of exact elements, by rows: every entry is a ``QQ`` number
     or an element of the one field F (None when all are numbers).
 
-    The sequence of codistributions runs on these from start to finish;
-    each sympy-in, sympy-out function below converts once on the way in and
-    once on the way out.  Every elimination first moves the rows into the
-    field of the generators that they use.
+    Every rank, elimination and integrability decision runs on these: the
+    sequence of codistributions, the chart search, the decomposition
+    verifier and the row-space class of :mod:`fwdflat.extcalc`.  ``of``
+    and ``to_matrix`` convert from and to a sympy matrix, once each.  Every
+    elimination first moves the rows into the field of the generators that
+    they use.
     """
 
     __slots__ = ("F", "rows", "width")
@@ -120,7 +122,7 @@ class Rows:
     def to_expr(self, x) -> Expr:
         return QQ.to_sympy(x) if type(x) is _MPQ else self.F.to_expr(x)
 
-    def to_matrix(self) -> ExprMatrix:
+    def to_matrix(self) -> sp.Matrix:
         return sp.Matrix(len(self.rows), self.width,
                          [self.to_expr(x) for row in self.rows for x in row])
 
@@ -273,44 +275,10 @@ def jacobian_rows(exprs: Sequence, symbols: Sequence[sp.Symbol]) -> Rows:
                      for d in ds] for x in elements], len(symbols))
 
 
-def jacobian(exprs: Sequence, symbols: Sequence[sp.Symbol]) -> ExprMatrix:
-    """The matrix of :func:`jacobian_rows`."""
+def jacobian(exprs: Sequence, symbols: Sequence[sp.Symbol]) -> sp.Matrix:
+    """The matrix of :func:`jacobian_rows`, for the form calculus of
+    :mod:`fwdflat.extcalc`."""
     return jacobian_rows(exprs, symbols).to_matrix()
-
-
-def rref(M: ExprMatrix) -> tuple[ExprMatrix, tuple[int, ...]]:
-    """Reduced row echelon form over the expression field, by
-    ``Rows.reduced``."""
-    M = sp.Matrix(M)
-    R, pivots = Rows.of(M).reduced()
-    return (R.to_matrix().col_join(sp.zeros(M.rows - len(pivots), M.cols)),
-            tuple(pivots))
-
-
-def rank(M: ExprMatrix) -> int:
-    """Rank over the expression field: the pivot count of :func:`rref`'s
-    elimination."""
-    return Rows.of(M).rank()
-
-
-def rank_at(M: ExprMatrix, point: Mapping) -> int | None:
-    """Exact rank of M at a rational point (see ``Rows.rank_at``)."""
-    return Rows.of(M).rank_at(point)
-
-
-def nullspace(M: ExprMatrix) -> list[ExprMatrix]:
-    """Basis of the right kernel over the expression field."""
-    R, pivots = rref(M)
-    cols = R.cols
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = sp.zeros(cols, 1)
-        v[fc, 0] = sp.Integer(1)
-        for r, pc in enumerate(pivots):
-            v[pc, 0] = -R[r, fc]
-        basis.append(v)
-    return basis
 
 
 # --------------------------------------------------------------------------

@@ -50,7 +50,7 @@ class TestSystemBasics:
     def test_jacobian(self, running):
         s = running.system
         x1, u1, u2 = sp.symbols("x1 u1 u2")
-        J = s.jacobian()
+        J = s.jacobian_rows().to_matrix()
         assert J.shape == (3, 5)
         assert J.row(1) == sp.Matrix([[u1 - u2, 0, 0, x1, -x1]]).row(0)
 

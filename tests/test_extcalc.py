@@ -27,9 +27,9 @@ from fwdflat.extcalc import (
     render_oneform,
     sub_oneforms,
     wedge,
-    wedge_all,
 )
-from fwdflat.symcore import is_zero, normalize
+from fwdflat.symcore import Rows, is_zero, normalize
+from reference import rank, wedge_all, wedge_is_integrable
 
 X4 = Chart(tuple(sp.Symbol(f"x{i}") for i in range(1, 5)))
 X3 = Chart(tuple(sp.Symbol(f"x{i}") for i in range(1, 4)))
@@ -45,7 +45,7 @@ def is_invariant(P, D):
 def span_df(sys):
     """span{df} on the (x, u) chart: the rows of the system's Jacobian."""
     ch = sys.chart
-    J = sys.jacobian()
+    J = sys.jacobian_rows().to_matrix()
     return Codistribution.span(ch, [OneForm(ch, tuple(J.row(i))) for i in range(sys.n)])
 
 
@@ -128,7 +128,7 @@ class TestWedge:
                      for _ in range(rng.randint(2, 3))]
             M = sp.Matrix([list(f.coeffs) for f in forms])
             top = wedge_all(forms)
-            assert (not top.is_zero_form()) == (symcore.rank(M) == len(forms))
+            assert (not top.is_zero_form()) == (rank(M) == len(forms))
 
 
 class TestContract:
@@ -325,8 +325,8 @@ class TestRowSpaceTestsByRank:
     @pytest.mark.parametrize("name", ["running", "vtol"])
     def test_one_rank_and_no_canonical_form(self, name, request, monkeypatch):
         """On the sequence of a fixture, each contains and each equals call
-        takes one symcore.rank and neither normalizes an entry nor calls
-        the zero test."""
+        takes one Rows.rank and neither normalizes an entry nor calls the
+        zero test."""
         report = flatness.compute_sequence(request.getfixturevalue(name).system)
         pairs = [(a.P, b.P) for a, b in zip(report.steps, report.steps[1:])]
         reordered = [Codistribution.span(P.chart, P.basis[::-1]) for P, _ in pairs]
@@ -335,7 +335,7 @@ class TestRowSpaceTestsByRank:
         def counting(label, f):
             return lambda *args: calls.append(label) or f(*args)
 
-        monkeypatch.setattr(symcore, "rank", counting("rank", symcore.rank))
+        monkeypatch.setattr(Rows, "rank", counting("rank", Rows.rank))
         for module in (symcore, extcalc):
             for label in ("normalize", "is_zero"):
                 monkeypatch.setattr(module, label,
@@ -396,19 +396,80 @@ class TestIntegrability:
         P = Codistribution.span(X3, [OneForm(X3, (0, 1, xa))])
         assert not is_integrable(P)
 
-    def test_closed_basis_skips_the_top_wedge(self, monkeypatch):
-        """With every dw zero the criterion holds without the top wedge,
-        which only a basis with a nonzero dw builds."""
-        def no_wedge(forms):
-            raise AssertionError("top wedge built")
+    def test_builds_no_wedge(self, monkeypatch):
+        """The criterion runs on the reduced rows: neither a basis of closed
+        forms nor one with a nonzero dw builds a wedge or a k-form."""
+        def refuse(*args):
+            raise AssertionError("wedge calculus used")
 
-        monkeypatch.setattr(extcalc, "wedge_all", no_wedge)
+        for name in ("wedge", "exterior_derivative", "KForm"):
+            monkeypatch.setattr(extcalc, name, refuse)
         closed = Codistribution.span(X3, [OneForm(X3, (1, 0, 1)),
                                           OneForm(X3, (0, 1, 0))])
         assert is_integrable(closed)
         xa = X3.symbols[0]
-        with pytest.raises(AssertionError, match="top wedge"):
-            is_integrable(Codistribution.span(X3, [OneForm(X3, (0, 1, xa))]))
+        assert not is_integrable(Codistribution.span(X3, [OneForm(X3, (0, 1, xa))]))
+
+
+class TestIntegrabilityAgainstTheWedge:
+    """The row criterion agrees with the wedge criterion it replaced, on
+    seeded codistributions on a 4-dimensional chart with a parameter a:
+    spans of exact differentials rescaled and mixed by nonzero functions
+    with sin/cos and a, and random forms, most of them not integrable."""
+
+    a = sp.Symbol("a")
+
+    def _function(self, rng):
+        atoms = [x1, x2, x3, x4, self.a, sp.sin(x1), sp.cos(x2), sp.sin(x3)]
+        return random_poly(rng, atoms, 2, 3, 2)
+
+    def _scale(self, rng):
+        """A function that is not the zero function."""
+        a = self.a
+        return rng.choice([a * (1 + x1**2), 2 + sp.sin(x2), sp.cos(x3),
+                           a + x4**2, x1 - a * sp.cos(x4), sp.Integer(-3)])
+
+    def _scaled(self, rng, w):
+        g = self._scale(rng)
+        return OneForm(X4, tuple(g * c for c in w.coeffs))
+
+    def _integrable(self, rng):
+        p = rng.randint(1, 3)
+        exact = [exterior_derivative(self._function(rng), X4) for _ in range(p)]
+        forms = [self._scaled(rng, w) for w in exact]
+        if p > 1 and rng.random() < 0.5:
+            forms[0] = add_oneforms(forms[0], self._scaled(rng, exact[1]))
+        return Codistribution.span(X4, forms)
+
+    def _random(self, rng):
+        syms = [x1, x2, x3, x4, self.a]
+        forms = [OneForm(X4, tuple(random_poly(rng, syms, 2, 2, 1)
+                                   if rng.random() < 0.6 else 0 for _ in range(4)))
+                 for _ in range(rng.randint(1, 2))]
+        return Codistribution.span(X4, forms)
+
+    def test_agree_randomized(self):
+        rng = random.Random(61)
+        contact = OneForm(X4, (0, 1, x1, 0))
+        instances = [Codistribution.span(X4, [contact]),
+                     Codistribution.span(X4, [contact, basis_oneform(X4, 3)]),
+                     Codistribution.span(X4, [self._scaled(rng, contact)])]
+        instances += [self._integrable(rng) for _ in range(44)]
+        instances += [self._random(rng) for _ in range(16)]
+        outcomes = []
+        for P in instances:
+            expected = wedge_is_integrable(P)
+            assert is_integrable(P) == expected, P.basis
+            outcomes.append(expected)
+        assert outcomes[:3] == [False] * 3
+        assert outcomes.count(True) >= 40
+        assert outcomes.count(False) >= 10
+
+    @pytest.mark.parametrize("name", ["running", "academic", "vtol", "nonflat"])
+    def test_agree_on_the_fixtures(self, name, request):
+        report = flatness.compute_sequence(request.getfixturevalue(name).system)
+        for step in report.steps:
+            assert is_integrable(step.P) and wedge_is_integrable(step.P)
 
 
 class TestInvariance:

@@ -7,7 +7,7 @@ import sympy as sp
 from conftest import random_poly
 from fwdflat import domain, dtsys, extcalc, flatness, symcore
 from fwdflat.dtsys import DiscreteTimeSystem, TriangularDecomposition
-from fwdflat.errors import FwdflatError
+from fwdflat.errors import FwdflatError, InternalInconsistency
 from fwdflat.extcalc import (
     Codistribution,
     Distribution,
@@ -24,7 +24,6 @@ from fwdflat.flatness import (
     NOT_FORWARD_FLAT,
     STATIC_FEEDBACK_LINEARIZABLE,
     _close_under_dxi,
-    _codistribution,
     _intersect_df,
     compute_sequence,
     decomposability,
@@ -267,16 +266,17 @@ class TestAdaptedCoordinateShortcuts:
             to_adapted = Substitution(zip(xu.symbols, ac.from_adapted))
             Q_rows = _intersect_df(Rows.of(P.matrix()), sys.jacobian_rows(),
                                    to_adapted)
-            Q = _codistribution(ch, Q_rows)
+            Q = Codistribution.of_rows(ch, Q_rows)
             assert Q.equals(intersect(P_ad, dtheta))
-            assert _codistribution(ch, _close_under_dxi(Q_rows, ac.xi)).equals(
+            assert Codistribution.of_rows(ch, _close_under_dxi(Q_rows, ac.xi)).equals(
                 invariant_extension(Q, dxi))
             # the same polynomial forms, written on (θ, ξ)
             rename = dict(zip(xu.symbols, ch.symbols))
             P_th = Codistribution.span(ch, [OneForm(ch, tuple(
                 c.xreplace(rename) for c in w.coeffs)) for w in forms])
             closed = _close_under_dxi(Rows.of(P_th.matrix()), ac.xi)
-            assert _codistribution(ch, closed).equals(invariant_extension(P_th, dxi))
+            assert Codistribution.of_rows(ch, closed).equals(
+                invariant_extension(P_th, dxi))
             nontrivial += Q.dim > 0
         assert nontrivial >= 10
 
@@ -323,6 +323,21 @@ def test_nonlinear_chain_of_ten_states():
     r = compute_sequence(_sys([s.name for s in x], ["u1"], f, [0] * n, [0]))
     assert r.verdict == STATIC_FEEDBACK_LINEARIZABLE
     assert r.dims == list(range(n, -1, -1))
+
+
+def test_report_refuses_a_non_integrable_row_set(running, monkeypatch):
+    """_report checks every P_{k+1} on its rows before it builds a sympy
+    form: the contact form dx2 + x1 dx3 raises InternalInconsistency."""
+    sys = running.system
+    x1 = sys.states[0]
+    built = []
+    monkeypatch.setattr(Codistribution, "of_rows", classmethod(
+        lambda cls, *args: built.append(args)))
+    P1 = Rows.of(sp.eye(3).row_join(sp.zeros(3, 2)))
+    contact = Rows.of([[0, 1, x1, 0, 0]])
+    with pytest.raises(InternalInconsistency, match="P_2 is not integrable"):
+        flatness._report(sys, [P1, contact], [(1, 0)], 2, [])
+    assert built == []
 
 
 class TestEquilibriumChecksPerRun:
@@ -446,3 +461,69 @@ class TestRowsStayExact:
         r = compute_sequence(_linear_six())
         assert r.verdict == STATIC_FEEDBACK_LINEARIZABLE
         assert r.k_bar == 4
+
+    @staticmethod
+    def _count_round_trips(monkeypatch, phase):
+        """Count, by phase, Rows.of and Rows.to_matrix calls, and record the
+        expressions of every jacobian_rows call."""
+        round_trips, jacobians = [], []
+        of, to_matrix, jacobian_rows = Rows.of.__func__, Rows.to_matrix, symcore.jacobian_rows
+
+        def counting_of(cls, M):
+            round_trips.append(("of", phase[0]))
+            return of(cls, M)
+
+        def counting_to_matrix(R):
+            round_trips.append(("to_matrix", phase[0]))
+            return to_matrix(R)
+
+        def counting_jacobian(exprs, symbols):
+            jacobians.append(tuple(exprs))
+            return jacobian_rows(exprs, symbols)
+
+        monkeypatch.setattr(Rows, "of", classmethod(counting_of))
+        monkeypatch.setattr(Rows, "to_matrix", counting_to_matrix)
+        monkeypatch.setattr(symcore, "jacobian_rows", counting_jacobian)
+        return round_trips, jacobians
+
+    def test_chart_search_takes_no_round_trip(self, monkeypatch):
+        """With an automatic chart on a linear system with n = 5 and m = 2,
+        compute_sequence, chart search included, ranks every candidate
+        complement on rows: no sympy matrix becomes rows or comes back, and
+        f's Jacobian is taken once."""
+        x = sp.symbols("x1:6")
+        u1, u2 = sp.symbols("u1 u2")
+        sys = _sys([s.name for s in x], ["u1", "u2"],
+                   [x[1] + x[2], x[3], u1, x[4] - x[0], u2], [0] * 5, [0, 0])
+        round_trips, jacobians = self._count_round_trips(monkeypatch, ["run"])
+        compute_sequence(sys)
+        assert round_trips == []
+        assert jacobians.count(sys.f) == 1
+        assert len(jacobians) - 1 >= 2  # complements ranked: more than one
+
+    @pytest.mark.parametrize("name", ["running", "academic"])
+    def test_decomposition_verifier_takes_no_round_trip(
+            self, name, request, monkeypatch):
+        """verify-decomposition's check: the decomposition verifier converts
+        no sympy matrix into rows or back, and the Jacobian of the system's
+        map and of the subsystem's is taken once each."""
+        sf = request.getfixturevalue(name)
+        sys = dataclasses.replace(sf.system)  # without a cached Jacobian
+        phase = ["check"]
+        round_trips, jacobians = self._count_round_trips(monkeypatch, phase)
+        verify = flatness.verify_triangular_decomposition
+
+        def verify_phase(*args):
+            phase[0] = "verifier"
+            try:
+                return verify(*args)
+            finally:
+                phase[0] = "check"
+
+        monkeypatch.setattr(flatness, "verify_triangular_decomposition", verify_phase)
+        c = subsystem_consistency_check(sys, sf.decomposition)
+        assert c.ok
+        assert [call for call in round_trips if call[1] == "verifier"] == []
+        n1 = sf.decomposition.split[0]
+        assert jacobians.count(sys.f) == 1
+        assert jacobians.count(c.decomposition.fbar[n1:]) == 1

@@ -13,6 +13,10 @@ The outputs are:
   ``--trace``, on ``fixtures/*.sys`` and ``tests/golden/systems/*.sys``;
 - the same of ``analyze --json --seed 1`` and ``--seed 2`` on those files,
   since no verdict may depend on the random stream;
+- the same of ``verify-decomposition``, plain and with ``--json``, on
+  variants of the fixtures' decompositions (``DECOMPOSITION_VARIANTS``)
+  and on two small systems (``DECOMPOSITION_SYSTEMS``), which between them
+  give every reason that the decomposition verifier reports;
 - ``compute_sequence(...).to_json_dict()`` on chain(3) to chain(8);
 - the same on the 70 ``linear`` systems of each of the benchmark seeds
   1 to 3, generated by ``bench/workloads.py``.
@@ -28,6 +32,7 @@ import contextlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,6 +46,51 @@ SEEDS = (1, 2)
 SYSTEM_DIRS = (ROOT / "fixtures", ROOT / "tests" / "golden" / "systems")
 CHAIN_SIZES = range(3, 9)
 LINEAR_SEEDS = (1, 2, 3)
+
+# name -> (fixture, the lines that replace each listed key's lines)
+DECOMPOSITION_VARIANTS = {
+    "running-split-2111": ("running", {"split": ["2 1 1 1"]}),
+    "running-split-1111": ("running", {"split": ["1 1 1 1"]}),
+    "running-split-0311": ("running", {"split": ["0 3 1 1"]}),
+    "running-x2-row-on-u1": ("running", {"state_map": ["x1", "x3", "x2"],
+                                         "input_map": ["u1 - u2", "u2"]}),
+    "running-f1-u1-deficient": ("running", {"state_map": ["x1 - x3", "x3", "x2"]}),
+    "running-state-map-singular": ("running", {"state_map": ["x3", "x1 - x3", "x3"]}),
+    "running-input-map-singular": ("running", {"input_map": ["u2", "u2"]}),
+    "running-state-map-nonlinear": ("running", {"state_map": ["x3", "x1**2 - x3", "x2"]}),
+    "running-input-map-nonlinear": ("running", {"input_map": ["u2", "u1**3 - u2"]}),
+    "academic-x2-row-on-u1": ("academic", {"input_map": ["u1", "u2"]}),
+    "academic-split-2311": ("academic", {"split": ["2 3 1 1"]}),
+}
+# name -> system text
+DECOMPOSITION_SYSTEMS = {
+    "rank-drop-at-equilibrium": """\
+states: x1 x2
+inputs: u1
+f: x2
+f: u1**2 + x1
+x0: 0 0
+u0: 0
+state_map: x2
+state_map: x1
+input_map: u1
+split: 1 1 1 0
+""",
+    "irrational-equilibrium": """\
+states: x1 x2 x3
+inputs: u1
+f: x2
+f: x3
+f: u1
+x0: 1 1 1
+u0: 1
+state_map: x3
+state_map: x1
+state_map: x2 + sin(x1)
+input_map: u1
+split: 1 2 1 0
+""",
+}
 
 
 def _cli_output(argv: list[str]) -> str:
@@ -56,8 +106,32 @@ def _report(text: str) -> str:
     return json.dumps(report.to_json_dict(), indent=2) + "\n"
 
 
+def _variant(text: str, replace: dict) -> str:
+    """text with the lines of each key in replace swapped for new ones."""
+    lines = [line for line in text.splitlines()
+             if line.split(":")[0].strip() not in replace]
+    lines += [f"{key}: {value}" for key, values in replace.items() for value in values]
+    return "\n".join(lines) + "\n"
+
+
+def _decomposition_inputs():
+    """(name, system text) of every decomposition variant."""
+    for name, (fixture, replace) in DECOMPOSITION_VARIANTS.items():
+        yield name, _variant((ROOT / "fixtures" / f"{fixture}.sys").read_text(), replace)
+    yield from DECOMPOSITION_SYSTEMS.items()
+
+
 def outputs():
     """(file name, text) of every output, in a fixed order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in _decomposition_inputs():
+            # the file stem is the system's name where the text sets none
+            path = Path(tmp) / name / "system.sys"
+            path.parent.mkdir()
+            path.write_text(text)
+            for mode in ("plain", "json"):
+                yield (f"variant-{name}.verify-decomposition.{mode}.txt",
+                       _cli_output(["verify-decomposition", str(path), *MODES[mode]]))
     for directory in SYSTEM_DIRS:
         for path in sorted(directory.glob("*.sys")):
             for command in COMMANDS:
