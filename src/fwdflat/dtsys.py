@@ -173,17 +173,26 @@ def check_submersivity(sys: DiscreteTimeSystem) -> SubmersivityReport:
 
 @dataclass(frozen=True)
 class AdaptedChart:
-    """(theta, xi) = (f(x, u), h(x, u)) together with the inverse map."""
+    """(theta, xi) = (f(x, u), h(x, u)) together with the inverse map, which
+    is solved on first access to from_adapted when it is not given."""
 
     system: DiscreteTimeSystem
     theta: tuple[sp.Symbol, ...]
     xi: tuple[sp.Symbol, ...]
     h: tuple[Expr, ...]
-    from_adapted: tuple[Expr, ...]  # (x, u) as expressions in (theta, xi)
+    _from_adapted: tuple[Expr, ...] | None = field(default=None, compare=False)
 
     @property
     def chart(self) -> Chart:
         return Chart(self.theta + self.xi)
+
+    @property
+    def from_adapted(self) -> tuple[Expr, ...]:
+        """(x, u) as expressions in (theta, xi)."""
+        if self._from_adapted is None:
+            object.__setattr__(self, "_from_adapted",
+                               _invert(self.system, self.theta + self.xi, self.h))
+        return self._from_adapted
 
 
 def _fragment_ok(e: sp.Expr, allowed: set[sp.Symbol]) -> bool:
@@ -212,6 +221,15 @@ def _solve_inverse(eqs: Sequence[Expr], unknowns: Sequence[sp.Symbol],
     return exprs
 
 
+def _invert(sys: DiscreteTimeSystem, adapted: tuple[sp.Symbol, ...],
+            h: tuple[Expr, ...]) -> tuple[Expr, ...]:
+    """(x, u) in the adapted coordinates (theta, xi) = (f, h) by
+    elimination (see _solve_inverse)."""
+    back = dict(zip(adapted, sys.f + h))
+    return _solve_inverse([s - e for s, e in back.items()],
+                          list(sys.chart.symbols), back)
+
+
 def inverse_chart_symbols(n: int, m: int) -> tuple[sp.Symbol, ...]:
     """th1..thn, xi1..xim: the adapted coordinates as a supplied inverse
     chart writes them.  The chart's own names get a trailing underscore
@@ -223,7 +241,14 @@ def inverse_chart_symbols(n: int, m: int) -> tuple[sp.Symbol, ...]:
 
 def build_adapted_chart(sys: DiscreteTimeSystem) -> AdaptedChart:
     """Construct adapted coordinates, completing span{df} automatically when
-    no complement was supplied."""
+    no complement was supplied.
+
+    A candidate whose (f, h) Jacobian has full rank and only QQ entries is
+    an affine chart with constant coefficients: elimination always inverts
+    it, each step on an equation of degree 1 with a nonzero coefficient free
+    of the unknowns, so it is accepted on its rank test and inverted only
+    when from_adapted is first read.  Every other candidate is inverted
+    here, in turn."""
     taken = {s.name for s in sys.states + sys.inputs + sys.params}
     theta = tuple(sp.Symbol(nm) for nm in _fresh_names("th", sys.n, set(taken)))
     xi = tuple(sp.Symbol(nm) for nm in _fresh_names("xi", sys.m, set(taken)))
@@ -241,9 +266,9 @@ def build_adapted_chart(sys: DiscreteTimeSystem) -> AdaptedChart:
         if full.rank() < sys.n + sys.m:
             failures.append(f"{h}: (f, h) Jacobian rank deficient")
             continue
-        back = dict(zip(theta, sys.f))
-        back.update(zip(xi, h))
+        inv = None
         if sys.inverse_chart is not None:
+            back = dict(zip(theta + xi, sys.f + h))
             to_chart = dict(zip(inverse_chart_symbols(sys.n, sys.m), theta + xi))
             inv = tuple(sp.sympify(e).xreplace(to_chart) for e in sys.inverse_chart)
             ok = all(is_zero(e.xreplace(back) - s)
@@ -251,10 +276,9 @@ def build_adapted_chart(sys: DiscreteTimeSystem) -> AdaptedChart:
             if not ok:
                 raise InversionFailed(
                     "supplied inverse chart does not invert (f, h)")
-        else:
+        elif full.F is not None:
             try:
-                inv = _solve_inverse([s - e for s, e in back.items()],
-                                     list(chart_syms), back)
+                inv = _invert(sys, theta + xi, h)
             except InversionFailed as exc:
                 failures.append(f"{h}: {exc}")
                 continue

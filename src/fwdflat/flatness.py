@@ -27,6 +27,7 @@ Codistribution of sympy forms once, for the report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import sympy as sp
 from sympy.polys.domains import QQ
@@ -113,7 +114,7 @@ class SequenceReport:
         return d
 
 
-def _intersect_df(P: Rows, J: Rows, to_adapted: Substitution) -> Rows:
+def _intersect_df(P: Rows, J: Rows, to_adapted: Callable[[Rows], Rows]) -> Rows:
     """P ∩ span{df} in the adapted chart, in reduced row echelon form, for
     the rows P on the (x, u) chart and J = J_f.
 
@@ -209,17 +210,29 @@ def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
     ac = build_adapted_chart(sys)
     say(f"adapted chart complement: {tuple(str(h) for h in ac.h)}")
 
-    # per run: J_f and the inverse chart in the exact domain, and
-    # P_1 = span{dx_i} of rank n; P_k's cleared rows and rank at the
-    # equilibrium come from the previous iteration.  Clearing scales each
-    # row of J_f by a polynomial that is nonzero where J_f has no pole, so
-    # its rank there is the submersivity check's.
+    # per run: J_f in the exact domain, and P_1 = span{dx_i} of rank n;
+    # P_k's cleared rows and rank at the equilibrium come from the previous
+    # iteration.  Clearing scales each row of J_f by a polynomial that is
+    # nonzero where J_f has no pole, so its rank there is the submersivity
+    # check's.
     warnings: list[str] = []
     eq_xu = sys.equilibrium_subs()
     J = sys.jacobian_rows()
     J_eq, rank_J = J.cleared(), sub.rank_at_equilibrium
-    to_adapted = Substitution(zip(sys.chart.symbols, ac.from_adapted))
     theta_to_x = Substitution(zip(ac.theta, sys.states))
+    inverse = None
+
+    def to_adapted(R: Rows) -> Rows:
+        """R with its coefficients in (θ, ξ).  Rows of constants are their
+        own image, so the inverse chart is solved and converted only for
+        the first rows that hold a non-constant entry."""
+        nonlocal inverse
+        if R.F is None:
+            return R
+        if inverse is None:
+            inverse = Substitution(zip(sys.chart.symbols, ac.from_adapted))
+        return inverse(R)
+
     n, N = sys.n, sys.n + sys.m
     P = Rows(None, [[QQ.one if i == j else QQ.zero for j in range(N)]
                     for i in range(n)], N)

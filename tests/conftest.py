@@ -7,6 +7,7 @@ import sympy as sp
 from hypothesis import settings
 
 from fwdflat import symcore
+from fwdflat.dtsys import DiscreteTimeSystem
 from fwdflat.sysfile import parse_system_file
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -56,3 +57,38 @@ def random_poly(rng: random.Random, syms, max_terms=3, max_coeff=4, max_deg=2):
         terms.append(t)
     e = sp.Add(*terms)
     return e if e != 0 else sp.Integer(1)
+
+
+def random_affine_system(rng: random.Random, n: int, m: int):
+    """A submersive x+ = Ax + Bu + c with the entries of A and B in -2..2,
+    an equilibrium with entries in -1..1, and c the offset that it fixes.
+
+    Half the systems declare a parameter a.  The equilibrium pins the
+    constant term of f to a rational, so a enters f only as an offset that
+    the exact domain reduces to a constant, cos(a)**2 + sin(a)**2 - 1.  A
+    third of the systems supply an affine complement h with an invertible
+    (f, h) Jacobian; its offsets are genuine: + a, + sin(a) or + 1.
+    """
+    x, u = sp.symbols(f"x1:{n + 1}"), sp.symbols(f"u1:{m + 1}")
+    a = sp.Symbol("a")
+    while True:
+        A = sp.Matrix(n, n, lambda i, j: rng.randint(-2, 2))
+        B = sp.Matrix(n, m, lambda i, j: rng.randint(-2, 2))
+        if sp.Matrix.hstack(A, B).rank() == n:
+            break
+    x0 = sp.Matrix([rng.randint(-1, 1) for _ in range(n)])
+    u0 = sp.Matrix([rng.randint(-1, 1) for _ in range(m)])
+    f = list(A * sp.Matrix(x) + B * sp.Matrix(u) + x0 - A * x0 - B * u0)
+    params = (a,) if rng.random() < 0.5 else ()
+    if params:
+        f[rng.randrange(n)] += sp.cos(a) ** 2 + sp.sin(a) ** 2 - 1
+    h = None
+    if rng.random() < 1 / 3:
+        offsets = (0, 1, a, sp.sin(a)) if params else (0, 1)
+        while True:
+            C = sp.Matrix(m, n + m, lambda i, j: rng.randint(-2, 2))
+            if sp.Matrix.vstack(sp.Matrix.hstack(A, B), C).det() != 0:
+                break
+        h = tuple(e + rng.choice(offsets) for e in C * sp.Matrix(x + u))
+    return DiscreteTimeSystem(states=x, inputs=u, f=tuple(f), x0=tuple(x0),
+                              u0=tuple(u0), params=params, complement_h=h)

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 import sympy as sp
 
-from conftest import random_poly
+from conftest import random_affine_system, random_poly
+from fwdflat import dtsys
 from fwdflat.dtsys import (
     DiscreteTimeSystem,
     FlatOutputCandidate,
@@ -193,6 +195,58 @@ class TestSolveInverse:
         with pytest.raises(InversionFailed,
                            match=r"linear in x2; unsolved: b - x2\*\*3 = 0$"):
             _solve_inverse([a - back[a], b - back[b]], [x1, x2], back)
+
+
+def _counting_solve_inverse(monkeypatch) -> list:
+    """Record every call of dtsys._solve_inverse."""
+    calls, solve = [], dtsys._solve_inverse
+    monkeypatch.setattr(dtsys, "_solve_inverse",
+                        lambda *a: calls.append(a) or solve(*a))
+    return calls
+
+
+class TestDeferredInverse:
+    """An affine chart with constant coefficients is accepted on its rank
+    test and inverted on first access to from_adapted; every other chart is
+    inverted while the complements are tried."""
+
+    def test_affine_charts_invert_on_first_access(self, monkeypatch):
+        rng = random.Random(1212)
+        calls = _counting_solve_inverse(monkeypatch)
+        supplied = with_params = 0
+        for _ in range(60):
+            sys = random_affine_system(rng, rng.randint(2, 6), rng.randint(1, 2))
+            supplied += sys.complement_h is not None
+            with_params += bool(sys.params)
+            ac = build_adapted_chart(sys)
+            assert calls == [] and ac._from_adapted is None
+            # the chosen h is the first candidate of full rank, as before
+            if sys.complement_h is None:
+                first = next(h for h in itertools.combinations(
+                    sys.inputs + sys.states, sys.m)
+                    if sp.Matrix(sys.f + h).jacobian(sys.chart.symbols).det() != 0)
+                assert ac.h == first
+            back = dict(zip(ac.theta + ac.xi, sys.f + ac.h))
+            eager = _solve_inverse([s - e for s, e in back.items()],
+                                   list(sys.chart.symbols), back)
+            assert ac.from_adapted == eager
+            assert ac.from_adapted is ac.from_adapted and len(calls) == 1
+            _assert_inverts(ac)
+            calls.clear()
+        assert supplied >= 10 and with_params >= 20
+
+    @pytest.mark.parametrize("h", [None, ("x1 + x2**2",)])
+    def test_other_charts_invert_while_searching(self, monkeypatch, h):
+        """A parameter in the coefficients of f, or a nonlinear h, makes
+        the Jacobian non-constant: the chart is inverted in the search."""
+        x1, x2, u1, a = sp.symbols("x1 x2 u1 a")
+        f = [x2, u1 + (a * x1 if h is None else x1)]
+        s = _sys(["x1", "x2"], ["u1"], f, [0, 0], [0], params=(a,),
+                 complement_h=None if h is None else tuple(map(sp.sympify, h)))
+        calls = _counting_solve_inverse(monkeypatch)
+        ac = build_adapted_chart(s)
+        assert len(calls) == 1 and ac._from_adapted is not None
+        _assert_inverts(ac)
 
 
 class TestForwardShift:

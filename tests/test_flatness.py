@@ -4,7 +4,7 @@ import random
 import pytest
 import sympy as sp
 
-from conftest import random_poly
+from conftest import random_affine_system, random_poly
 from fwdflat import domain, dtsys, extcalc, flatness, symcore
 from fwdflat.dtsys import DiscreteTimeSystem, TriangularDecomposition
 from fwdflat.errors import FwdflatError, InternalInconsistency
@@ -313,6 +313,104 @@ class TestAdaptedCoordinateShortcuts:
         assert composed_widths == [sys.n] * (report.k_bar - 1)
 
 
+class TestDeferredInverse:
+    """compute_sequence solves and converts the inverse chart only for the
+    first intersection row with a non-constant entry."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        """Record every _solve_inverse call and the symbols replaced by every
+        Substitution that compute_sequence builds."""
+        inversions, substitutions = [], []
+        solve, substitution = dtsys._solve_inverse, Substitution
+
+        def counting_substitution(mapping):
+            S = substitution(mapping)
+            substitutions.append(tuple(S.exprs))
+            return S
+
+        monkeypatch.setattr(dtsys, "_solve_inverse",
+                            lambda *a: inversions.append(a) or solve(*a))
+        monkeypatch.setattr(flatness, "Substitution", counting_substitution)
+        return inversions, substitutions
+
+    def test_affine_charts_are_never_inverted(self, monkeypatch):
+        rng = random.Random(3434)
+        inversions, substitutions = self._count(monkeypatch)
+        for _ in range(50):
+            sys = random_affine_system(rng, rng.randint(2, 6), rng.randint(1, 2))
+            compute_sequence(sys)
+            assert inversions == []
+            assert sys.chart.symbols not in substitutions
+            assert len(substitutions) == 1  # θ -> x
+            substitutions.clear()
+
+    @pytest.mark.parametrize("name, h, count", [
+        ("running", ("u1", "x3"), 1), ("academic", ("x1", "x3"), 1),
+        ("vtol", ("x5", "u1"), 0), ("nonflat", ("u1",), 1)])
+    def test_nonlinear_charts_invert_as_before(self, name, h, count, request,
+                                               monkeypatch):
+        """On the fixtures the chosen complement and the number of
+        inversions are those of the eager search (vtol supplies its
+        inverse chart)."""
+        sys = request.getfixturevalue(name).system
+        inversions, _ = self._count(monkeypatch)
+        lines = []
+        compute_sequence(sys, trace=lines.append)
+        assert lines[0] == f"adapted chart complement: {h}"
+        assert len(inversions) == count
+
+
+def _kalman_dims(A: sp.Matrix, B: sp.Matrix) -> list[int]:
+    """[n, n - rank R_1, n - rank R_2, ...] until it reaches 0 or repeats,
+    with R_k = [B, AB, ..., A^(k-1) B]."""
+    dims, blocks = [A.rows], [B]
+    while dims[-1] > 0:
+        d = A.rows - sp.Matrix.hstack(*blocks).rank()
+        if d == dims[-1]:
+            break
+        dims.append(d)
+        blocks.append(A * blocks[-1])
+    return dims
+
+
+def test_transformed_linear_systems_match_the_kalman_oracle():
+    """x+ = Ax + Bu written in z and v, with x_i = z_i + p_i(z_<i) and
+    u_j = v_j + q_j(z) for polynomials p, q of degree at most 2 with at most
+    2 terms and no constant term: a state transformation and a static
+    feedback, which keep the equilibrium at 0 and leave the dims, k_bar and
+    the verdict of the Kalman oracle.  The charts of these systems are not
+    affine, so every run inverts its chart."""
+    rng = random.Random(2718)
+
+    def poly(syms):
+        p = random_poly(rng, syms, 2, 2, 2) if syms else sp.Integer(0)
+        return p - p.xreplace(dict.fromkeys(syms, 0))
+
+    for _ in range(16):
+        n, m = rng.choice((3, 4)), rng.choice((1, 2))
+        while True:
+            A = sp.Matrix(n, n, lambda i, j: rng.randint(-2, 2))
+            B = sp.Matrix(n, m, lambda i, j: rng.randint(-2, 2))
+            if sp.Matrix.hstack(A, B).rank() == n and B.rank() == m:
+                break
+        z, v = sp.symbols(f"z1:{n + 1}"), sp.symbols(f"v1:{m + 1}")
+        x = [z[i] + poly(z[:i]) for i in range(n)]
+        u = [v[j] + poly(z) for j in range(m)]
+        x_next = A * sp.Matrix(x) + B * sp.Matrix(u)
+        z_next: list = []  # z_i = x_i - p_i(z_<i), at x = x_next
+        for i in range(n):
+            p = x[i] - z[i]
+            z_next.append(sp.expand(x_next[i] - p.xreplace(dict(zip(z, z_next)))))
+        report = compute_sequence(DiscreteTimeSystem(
+            states=z, inputs=v, f=tuple(z_next), x0=(0,) * n, u0=(0,) * m))
+        dims = _kalman_dims(A, B)
+        assert report.dims == dims, (A, B, x, u)
+        assert report.k_bar == len(dims)
+        assert report.verdict == (STATIC_FEEDBACK_LINEARIZABLE if dims[-1] == 0
+                                  else NOT_FORWARD_FLAT)
+
+
 def test_nonlinear_chain_of_ten_states():
     """x_i+ = x_{i+1} + x_i x_{i+1}, x_n+ = u1: the nonlinear chain whose
     pullback through the inverse chart once took 18 s at n = 10."""
@@ -425,13 +523,18 @@ class TestRowsStayExact:
         compute_sequence converts only the inverse chart and θ -> x, plus
         two conversions (its normal form, then cos and sin) per trig angle
         of f that passes through them; and it turns no row entry back into
-        an expression."""
+        an expression.  On a linear system every row is constant, so the
+        inverse chart is neither solved nor converted: θ -> x alone is."""
         sys = _linear_six() if name == "linear6" else request.getfixturevalue(name).system
+        inverse = dtsys.build_adapted_chart(sys).from_adapted
         phase, conversions, expressions = ["setup"], [], []
         convert, chart, report = domain._convert, flatness.build_adapted_chart, flatness._report
 
         def counting_convert(exprs):
+            exprs = list(exprs)
             conversions.append(phase[0])
+            if tuple(exprs) == inverse:
+                conversions.append("inverse chart")
             return convert(exprs)
 
         def chart_then_loop(s):
@@ -454,7 +557,12 @@ class TestRowsStayExact:
         r = compute_sequence(sys)
         angles = {t.args[0] for e in sys.f for t in e.atoms(sp.sin, sp.cos)}
         assert r.k_bar >= 3
-        assert conversions.count("loop") == 2 + 2 * len(angles)
+        if name == "linear6":
+            assert conversions.count("loop") == 1
+            assert "inverse chart" not in conversions
+        else:
+            assert conversions.count("loop") == 2 + 2 * len(angles)
+            assert conversions.count("inverse chart") == 1
         assert "loop" not in expressions and "report" in expressions
 
     def test_linear_six(self):

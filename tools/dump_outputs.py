@@ -17,6 +17,10 @@ The outputs are:
   variants of the fixtures' decompositions (``DECOMPOSITION_VARIANTS``)
   and on two small systems (``DECOMPOSITION_SYSTEMS``), which between them
   give every reason that the decomposition verifier reports;
+- the same of ``analyze``, plain, with ``--json`` and with ``--trace``, on
+  four linear systems (``ANALYZE_SYSTEMS``) whose charts are found, or
+  supplied, in the ways that decide whether a chart is inverted while the
+  complements are tried or on first use;
 - ``compute_sequence(...).to_json_dict()`` on chain(3) to chain(8);
 - the same on the 70 ``linear`` systems of each of the benchmark seeds
   1 to 3, generated by ``bench/workloads.py``.
@@ -92,6 +96,53 @@ split: 1 2 1 0
 """,
 }
 
+# name -> system text, for analyze
+ANALYZE_SYSTEMS = {
+    # a constant offset, and a parameter that the exact domain reduces to
+    # one: the equilibrium pins the constant term of f to a rational
+    "linear-offsets": """\
+states: x1 x2 x3
+inputs: u1
+params: a
+f: x2 + 1
+f: x3 - x1 + cos(a)**2 + sin(a)**2
+f: u1 + x1
+x0: 2 1 2
+u0: 0
+""",
+    "linear-affine-h": """\
+states: x1 x2 x3
+inputs: u1 u2
+params: a
+f: x2 + u2
+f: x3 - x1
+f: u1 + u2
+h: x1 + sin(a)
+h: u2 - a
+x0: 0 0 0
+u0: 0 0
+""",
+    "linear-nonlinear-h": """\
+states: x1 x2
+inputs: u1
+f: x2
+f: u1 + x1
+h: x1 + x2**2
+x0: 0 0
+u0: 0
+""",
+    # h = u1 leaves the (f, h) Jacobian rank deficient; h = x1 is chosen
+    "linear-first-candidate-deficient": """\
+states: x1 x2 x3
+inputs: u1
+f: x2
+f: x3
+f: u1
+x0: 0 0 0
+u0: 0
+""",
+}
+
 
 def _cli_output(argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
@@ -132,6 +183,11 @@ def outputs():
             for mode in ("plain", "json"):
                 yield (f"variant-{name}.verify-decomposition.{mode}.txt",
                        _cli_output(["verify-decomposition", str(path), *MODES[mode]]))
+        for name, text in ANALYZE_SYSTEMS.items():
+            path = Path(tmp) / f"{name}.sys"
+            path.write_text(text)
+            for mode, flags in MODES.items():
+                yield f"{name}.analyze.{mode}.txt", _cli_output(["analyze", str(path), *flags])
     for directory in SYSTEM_DIRS:
         for path in sorted(directory.glob("*.sys")):
             for command in COMMANDS:
