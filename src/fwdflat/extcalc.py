@@ -5,26 +5,28 @@ integrability, invariant extensions and Cauchy characteristics,
 all over the exact expression field of :mod:`fwdflat.symcore`.
 
 Codistributions (row spaces of 1-forms) and distributions (row spaces of
-vector fields) share one implementation: the coefficient matrix is stored
-in reduced row echelon form, and membership, and with it equality of
-spans, is a rank test.  Spans, ranks, annihilators and the integrability
-test all run on the exact rows of :class:`fwdflat.symcore.Rows`; the
-integrability test is the Frobenius condition on the annihilator of the
-reduced rows (:func:`integrable_rows`), not a wedge product.  Coordinates
-are plain ``sympy.Symbol`` objects.
+vector fields) share one class, which holds the exact rows of the span
+(:class:`fwdflat.symcore.Rows`) in reduced row echelon form and builds
+sympy forms only when its basis is read.  Spans, membership and equality
+(one rank each), annihilators, pullbacks and the integrability test (the
+Frobenius condition on the annihilator of the rows, :func:`integrable_rows`)
+all run on those rows; forms, fields and their calculus stay sympy.
+Coordinates are plain ``sympy.Symbol`` objects.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Sequence
 
 import sympy as sp
+from sympy.polys.domains import QQ
 
 from . import symcore
 from .errors import ExprSyntaxError, InternalInconsistency
-from .symcore import Expr, is_zero, normalize
+from .symcore import Expr, Rows, Substitution, is_zero, normalize
 
 
 @dataclass(frozen=True)
@@ -211,57 +213,58 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
 # --------------------------------------------------------------------------
 # codistributions and distributions (canonical rref storage)
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codistribution:
-    """Row space of 1-forms, stored as its canonical (rref) basis.
+    """Row space of 1-forms on a chart, held as its rows in reduced row
+    echelon form, which are canonical.
 
     This class holds the only implementation of the row-space methods;
-    :class:`Distribution` reuses them for vector fields.
+    :class:`Distribution` reuses them for vector fields.  Instances are
+    ``==`` when they have the same type, chart and canonical basis.
     """
 
     element: ClassVar[type] = OneForm
     chart: Chart
-    basis: tuple
+    rows: Rows
 
     @classmethod
     def span(cls, chart: Chart, elements: Iterable) -> "Codistribution":
         elements = list(elements)
-        for e in elements:
-            if e.chart != chart:
-                raise ValueError(f"{cls.element.__name__} chart mismatch")
-        if not elements:
-            return cls(chart, ())
-        R, _ = symcore.Rows.of([e.coeffs for e in elements]).reduced()
-        return cls.of_rows(chart, R)
+        if any(e.chart != chart for e in elements):
+            raise ValueError(f"{cls.element.__name__} chart mismatch")
+        M = sp.Matrix(len(elements), chart.dim, [c for e in elements for c in e.coeffs])
+        return cls(chart, Rows.of(M).reduced()[0])
 
-    @classmethod
-    def of_rows(cls, chart: Chart, R: symcore.Rows) -> "Codistribution":
-        """The span of rows in reduced row echelon form, with those rows as
-        its canonical basis."""
-        return cls(chart, tuple(cls.element(chart, tuple(R.to_expr(c) for c in row))
-                                for row in R.rows))
+    @functools.cached_property
+    def basis(self) -> tuple:
+        """The canonical basis, one element per row, built on first use."""
+        R = self.rows
+        return tuple(self.element(self.chart, tuple(R.to_expr(c) for c in row))
+                     for row in R.rows)
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.chart == other.chart
+                and self.basis == other.basis)
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.chart, self.basis))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-    def matrix(self) -> sp.Matrix:
-        return sp.Matrix(self.dim, self.chart.dim,
-                         [c for e in self.basis for c in e.coeffs])
+        return len(self.rows.rows)
 
     def contains(self, *elements) -> bool:
-        """Whether every element lies in the span: one rank of the basis
+        """Whether every element lies in the span: one rank of the rows
         stacked over the elements."""
         for w in elements:
             _check_same_chart(self, w)
             if not isinstance(w, self.element):
                 raise TypeError(f"expected a {self.element.__name__}, got {w!r}")
-        return symcore.Rows.of([w.coeffs for w in self.basis + elements]
-                               ).rank() == self.dim
+        return self.rows.spans(Rows.of([w.coeffs for w in elements]))
 
     def equals(self, other: "Codistribution") -> bool:
         return (type(other) is type(self) and self.chart == other.chart
-                and self.dim == other.dim and self.contains(*other.basis))
+                and self.dim == other.dim and self.rows.spans(other.rows))
 
 
 class Distribution(Codistribution):
@@ -270,64 +273,41 @@ class Distribution(Codistribution):
     element = VectorField
 
 
-def pullback(old_in_new: Sequence[Expr], chart: Chart):
-    """The map that rewrites 1-forms through a change of coordinates.
-
-    ``old_in_new`` gives the leading coordinates of the forms' chart as
-    expressions on ``chart``.  The returned function takes forms on the old
-    chart and returns the span of their pullbacks on ``chart``: coefficients
-    through the map, differentials through its Jacobian, which is computed
-    once here.  The old chart's remaining coordinates are dropped; a form
-    with a nonzero component along them raises InternalInconsistency.
-    """
-    J = symcore.jacobian(old_in_new, chart.symbols).tolist()
-
-    def apply(forms: Iterable[OneForm]) -> Codistribution:
-        pulled = []
-        for w in forms:
-            if any(c != 0 and not is_zero(c) for c in w.coeffs[len(J):]):
-                raise InternalInconsistency(
-                    "form has components along coordinates the map drops")
-            subs = dict(zip(w.chart.symbols, old_in_new))
-            coeffs = [sp.Integer(0)] * chart.dim
-            for c_old, dF in zip(w.coeffs, J):
-                if c_old == 0:
-                    continue
-                c_new = c_old.xreplace(subs)
-                for a, d in enumerate(dF):
-                    if d != 0:
-                        coeffs[a] += c_new * d
-            pulled.append(OneForm(chart, tuple(coeffs)))
-        return Codistribution.span(chart, pulled)
-
-    return apply
+def pullback(P: Codistribution, old_in_new: Sequence[Expr], chart: Chart) -> Codistribution:
+    """P rewritten through a change of coordinates, where ``old_in_new``
+    gives the leading coordinates of P's chart as expressions on ``chart``:
+    the leading columns of P's rows composed with the map, times its
+    Jacobian.  P's other coordinates are dropped; a nonzero component along
+    them raises InternalInconsistency."""
+    k, R = len(old_in_new), P.rows
+    if any(c for row in R.rows for c in row[k:]):
+        raise InternalInconsistency("form has components along coordinates the map drops")
+    A = Substitution(zip(P.chart.symbols, old_in_new))(
+        Rows(R.F, [row[:k] for row in R.rows], k))
+    J = symcore.jacobian_rows(old_in_new, chart.symbols)
+    return Codistribution(chart, (A @ J).reduced()[0])
 
 
 def annihilator(S: Codistribution) -> Codistribution:
     """The annihilator of a codistribution (a distribution) or of a
-    distribution (a codistribution): the right kernel of its matrix."""
+    distribution (a codistribution): the right kernel of its rows, read off
+    their reduced row echelon form."""
     dual = Codistribution if isinstance(S, Distribution) else Distribution
-    R, pivots = symcore.Rows.of(S.matrix()).reduced()
-    kernel = []
-    for c in range(S.chart.dim):
-        if c not in pivots:
-            v = [sp.Integer(0)] * S.chart.dim
-            v[c] = sp.Integer(1)
-            for row, p in zip(R.rows, pivots):
-                v[p] = -R.to_expr(row[c])
-            kernel.append(dual.element(S.chart, tuple(v)))
-    return dual.span(S.chart, kernel)
+    R = S.rows
+    at = {next(c for c, a in enumerate(row) if a): row for row in R.rows}  # pivot: row
+    kernel = [[QQ.one if j == c else -at[j][c] if j in at else QQ.zero
+               for j in range(R.width)] for c in range(R.width) if c not in at]
+    return dual(S.chart, Rows(R.F, kernel, R.width).reduced()[0])
 
 
 def intersect(P: Codistribution, Q: Codistribution) -> Codistribution:
     """P and Q as row spaces, via annihilator(P_perp + Q_perp)."""
     _check_same_chart(P, Q)
-    dp = annihilator(P)
-    dq = annihilator(Q)
-    return annihilator(Distribution.span(P.chart, dp.basis + dq.basis))
+    perp = Rows.stack(annihilator(P).rows, annihilator(Q).rows)
+    return annihilator(Distribution(P.chart, perp.reduced()[0]))
 
 
-def integrable_rows(R: symcore.Rows, symbols: Sequence[sp.Symbol]) -> bool:
+def integrable_rows(R: Rows, symbols: Sequence[sp.Symbol]) -> bool:
     """Whether the span of rows in reduced row echelon form, with columns
     along ``symbols``, is integrable: row i is ω_i = dx_{p_i} + Σ_j a_ij dx_j
     over the free columns j.
@@ -359,8 +339,7 @@ def integrable_rows(R: symcore.Rows, symbols: Sequence[sp.Symbol]) -> bool:
 
 def is_integrable(P: Codistribution) -> bool:
     """Whether P is integrable (see :func:`integrable_rows`)."""
-    R, _ = symcore.Rows.of(P.matrix()).reduced()
-    return integrable_rows(R, P.chart.symbols)
+    return integrable_rows(P.rows, P.chart.symbols)
 
 
 def invariant_extension(P: Codistribution, D: Distribution) -> Codistribution:

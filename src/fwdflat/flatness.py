@@ -19,9 +19,9 @@ The sequence is strictly decreasing until it stabilizes; the system is
 forward flat exactly when it reaches the zero codistribution, and static
 feedback linearizable when, in addition, step 2 never adds anything.
 
-The iteration, its runtime checks and the integrability of every P_{k+1}
-run on exact rows (:class:`fwdflat.symcore.Rows`); each P_k becomes a
-Codistribution of sympy forms once, for the report.
+The iteration, its runtime checks, the integrability of every P_{k+1} and
+the report run on exact rows (:class:`fwdflat.symcore.Rows`): the report
+holds each P_k as a Codistribution of its rows and builds no sympy form.
 """
 
 from __future__ import annotations
@@ -82,15 +82,21 @@ class SequenceReport:
     steps: list[SequenceStep]
     k_bar: int
     verdict: str
-    obstruction: list[OneForm] | None
     warnings: list[str] = field(default_factory=list)
 
     @property
     def dims(self) -> list[int]:
         return [s.dim for s in self.steps]
 
+    @property
+    def obstruction(self) -> list[OneForm] | None:
+        """The basis of the final codistribution, when it is not zero."""
+        final = self.steps[-1].P
+        return list(final.basis) if final.dim else None
+
     def to_json_dict(self) -> dict:
-        d = {
+        obstruction = self.obstruction
+        return {
             "system": self.system_name,
             "verdict": self.verdict,
             "k_bar": self.k_bar,
@@ -106,12 +112,11 @@ class SequenceReport:
                 }
                 for s in self.steps
             ],
-            "obstruction": ([render_oneform(w) for w in self.obstruction]
-                            if self.obstruction is not None else None),
+            "obstruction": ([render_oneform(w) for w in obstruction]
+                            if obstruction is not None else None),
             "decomposition_dims": decomposability(self),
             "warnings": list(self.warnings),
         }
-        return d
 
 
 def _intersect_df(P: Rows, J: Rows, to_adapted: Callable[[Rows], Rows]) -> Rows:
@@ -194,8 +199,8 @@ def _intersection_dim_at_equilibrium(A: Rows, ra: int | None, B: Rows,
 def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
     """Run the decreasing sequence of codistributions to its fixed point.
 
-    The sequence runs on rows of exact elements (symcore.Rows); sympy
-    forms are built once per step, for the report.  ``trace``, if given, is
+    The sequence runs on rows of exact elements (symcore.Rows), and the
+    report holds them; it builds no sympy form.  ``trace``, if given, is
     called with one human-readable line per event.
     """
     def say(msg):
@@ -283,30 +288,22 @@ def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
 
 def _report(sys: DiscreteTimeSystem, sequence: list[Rows], extensions: list,
             k_bar: int, warnings: list[str]) -> SequenceReport:
-    """The report of a sequence: each P_{k+1} must be integrable, which is
-    checked on its canonical rows; then each P_k becomes a Codistribution
-    of sympy forms, built once from those rows."""
-    for k, P in enumerate(sequence[1:], start=2):
-        if not integrable_rows(P, sys.chart.symbols):
-            raise InternalInconsistency(
-                f"P_{k} is not integrable; the backward shift is invalid")
+    """The report of a sequence: each P_k's rows become a Codistribution,
+    and each P_{k+1} must be integrable, which is checked on those rows."""
     steps = []
     for k, P in enumerate(sequence, start=1):
-        step = SequenceStep(k, Codistribution.of_rows(sys.chart, P), len(P.rows))
+        if k > 1 and not integrable_rows(P, sys.chart.symbols):
+            raise InternalInconsistency(
+                f"P_{k} is not integrable; the backward shift is invalid")
+        step = SequenceStep(k, Codistribution(sys.chart, P), len(P.rows))
         if k <= len(extensions):
             step.intersection_dim, step.lie_derivatives_added = extensions[k - 1]
             step.step2_trivial = step.lie_derivatives_added == 0
         steps.append(step)
-
-    final = steps[-1]
-    if final.dim == 0:
-        trivial = all(s.step2_trivial for s in steps if s.step2_trivial is not None)
-        verdict = STATIC_FEEDBACK_LINEARIZABLE if trivial else FORWARD_FLAT
-        obstruction = None
-    else:
-        verdict = NOT_FORWARD_FLAT
-        obstruction = list(final.P.basis)
-    return SequenceReport(sys.name, steps, k_bar, verdict, obstruction, warnings)
+    verdict = (NOT_FORWARD_FLAT if steps[-1].dim
+               else FORWARD_FLAT if any(added for _, added in extensions)
+               else STATIC_FEEDBACK_LINEARIZABLE)
+    return SequenceReport(sys.name, steps, k_bar, verdict, warnings)
 
 
 def decomposability(report: SequenceReport) -> tuple[int, int] | None:
@@ -364,8 +361,7 @@ def subsystem_consistency_check(sys: DiscreteTimeSystem,
 
     # the subsystem's sequence in (x, u), through x2bar = state_map[n1:](x);
     # its input components must vanish
-    sub_to_xu = pullback(dec.state_map[n1:], sys.chart)
-    sub_in_xu = [sub_to_xu(s.P.basis) for s in sub.steps]
+    sub_in_xu = [pullback(s.P, dec.state_map[n1:], sys.chart) for s in sub.steps]
     main_tail = [s.P for s in main.steps[1:]]
     reasons: list[str] = []
 

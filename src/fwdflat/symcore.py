@@ -1,28 +1,21 @@
 """Symbolic expression kernel and exact linear algebra over the expression field.
 
 The field of computation is the rational functions in all declared symbols,
-extended by sin(a) and cos(a) subject to the side relation
-cos(a)**2 = 1 - sin(a)**2.  Parsed input keeps each a a single symbol;
-substituting maps or points into it leaves compound or numeric arguments.
-Every rank decision in the package reduces to one elimination in the row
-kernel (:class:`Rows`), or to :func:`is_zero`, and all of them decide in
-the exact domain of :mod:`fwdflat.domain`, where an element is the zero
-function iff it is literally zero.  Rows stay in the domain from one
-operation to the next: each elimination moves them into the field of the
-generators that they use, by remapping exponents, and
-:class:`Substitution` composes them with a map.  Every caller ranks and
-eliminates on rows; a sympy matrix is built only by :func:`jacobian` and
-``Rows.to_matrix``, for the form calculus of :mod:`fwdflat.extcalc`.
-Chart inversions solve in the same domain
-(:func:`solve_by_elimination`), and every derivative is taken there
-(:func:`jacobian_rows`: the ring's derivations, with d cos(a)/da = -sin(a)
-and d sin(a)/da = cos(a), the chain rule through a compound argument a,
-and the quotient rule).  The same domain fixes every canonical form:
-:func:`normalize` converts an expression into it and back, for rendering
-and substitution; no decision rests on it.
+extended by sin(a) and cos(a) subject to cos(a)**2 = 1 - sin(a)**2: the
+exact domain of :mod:`fwdflat.domain`, where an element is the zero
+function iff it is literally zero.  Every rank decision reduces to one
+elimination in the row kernel (:class:`Rows`) or to :func:`is_zero`.  Rows
+stay in the domain from one operation to the next: each elimination moves
+them into the field of the generators that they use, :class:`Substitution`
+composes them with a map and ``@`` multiplies them.  Derivatives
+(:func:`jacobian_rows`) and chart inversions (:func:`solve_by_elimination`)
+are taken in the domain too.  Only :func:`jacobian` and ``Rows.to_matrix``
+build a sympy matrix, for the form calculus of :mod:`fwdflat.extcalc`, and
+:func:`normalize` converts an expression into the domain and back, for
+rendering and substitution; no decision rests on it.
 
-Expressions are plain (immutable) sympy expressions, and coordinates and
-parameters are plain ``sympy.Symbol`` objects.
+Expressions are plain sympy expressions, and coordinates and parameters are
+plain ``sympy.Symbol`` objects.
 """
 
 from __future__ import annotations
@@ -101,10 +94,10 @@ class Rows:
 
     Every rank, elimination and integrability decision runs on these: the
     sequence of codistributions, the chart search, the decomposition
-    verifier and the row-space class of :mod:`fwdflat.extcalc`.  ``of``
-    and ``to_matrix`` convert from and to a sympy matrix, once each.  Every
-    elimination first moves the rows into the field of the generators that
-    they use.
+    verifier and the row-space class of :mod:`fwdflat.extcalc`, which holds
+    them.  ``of`` and ``to_matrix`` convert from and to a sympy matrix.
+    Every elimination first moves the rows into the field of the generators
+    that they use.
     """
 
     __slots__ = ("F", "rows", "width")
@@ -156,8 +149,17 @@ class Rows:
     def spans(self, other: "Rows") -> bool:
         """Whether other's rows lie in the row space of these independent
         rows: one rank of the two stacked."""
-        R = Rows.stack(self, other)
-        return len(_row_reduce(R.F, R.rows)) == len(self.rows)
+        return Rows.stack(self, other).rank() == len(self.rows)
+
+    def __matmul__(self, other: "Rows") -> "Rows":
+        """The matrix product, in the field of the generators that both
+        factors use."""
+        S = Rows.stack(self, other)
+        A, B = S.rows[:len(self.rows)], S.rows[len(self.rows):]
+        reduce = S.F.reduce if S.F is not None else (lambda a: a)
+        return Rows(S.F, [[reduce(sum((a * b for a, b in zip(row, col) if a and b),
+                                      QQ.zero)) for col in zip(*B)] for row in A],
+                    other.width)
 
     def rank_at(self, point: Mapping) -> int | None:
         """Exact rank at a rational point, decided in ``QQ``.

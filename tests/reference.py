@@ -2,14 +2,24 @@
 
 The sympy-matrix wrappers of the row kernel (``rref``, ``rank``,
 ``rank_at``, ``nullspace``), each converting once into ``symcore.Rows`` and
-once back, and the Frobenius wedge criterion that ``is_integrable`` used
-before it decided on rows (``wedge_all``, ``wedge_is_integrable``).
+once back, the Frobenius wedge criterion that ``is_integrable`` used
+before it decided on rows (``wedge_all``, ``wedge_is_integrable``), and the
+``pullback`` of sympy forms that the row pullback replaced.
 """
 
 import sympy as sp
 
 from fwdflat import symcore
-from fwdflat.extcalc import KForm, exterior_derivative, oneform_to_kform, wedge
+from fwdflat.errors import InternalInconsistency
+from fwdflat.extcalc import (
+    Codistribution,
+    KForm,
+    OneForm,
+    exterior_derivative,
+    oneform_to_kform,
+    wedge,
+)
+from fwdflat.symcore import is_zero
 
 
 def rref(M):
@@ -65,3 +75,34 @@ def wedge_is_integrable(P) -> bool:
         return True
     top = wedge_all(list(P.basis))
     return all(wedge(dw, top).is_zero_form() for dw in dws)
+
+
+def pullback(old_in_new, chart):
+    """The map that rewrites sympy 1-forms through a change of coordinates:
+    ``old_in_new`` gives the leading coordinates of the forms' chart as
+    expressions on ``chart``; each coefficient goes through the map by
+    ``xreplace`` and each differential through the map's sympy Jacobian.
+    The returned function takes forms and returns the span of their
+    pullbacks; a form with a nonzero component along a dropped coordinate
+    raises InternalInconsistency."""
+    J = symcore.jacobian(old_in_new, chart.symbols).tolist()
+
+    def apply(forms):
+        pulled = []
+        for w in forms:
+            if any(c != 0 and not is_zero(c) for c in w.coeffs[len(J):]):
+                raise InternalInconsistency(
+                    "form has components along coordinates the map drops")
+            subs = dict(zip(w.chart.symbols, old_in_new))
+            coeffs = [sp.Integer(0)] * chart.dim
+            for c_old, dF in zip(w.coeffs, J):
+                if c_old == 0:
+                    continue
+                c_new = c_old.xreplace(subs)
+                for a, d in enumerate(dF):
+                    if d != 0:
+                        coeffs[a] += c_new * d
+            pulled.append(OneForm(chart, tuple(coeffs)))
+        return Codistribution.span(chart, pulled)
+
+    return apply

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+import sympy as sp
 
 from conftest import FIXTURES
 from fwdflat import cli, dtsys, flatness
@@ -285,6 +286,32 @@ def test_multiple_angles_in_a_residual_cancel(tmp_path, capsys):
                        "Fu: 2*y1_2 - 2*sin(y1)*cos(y1)\n")
     assert cli.run(["verify-flat-output", str(sysfile)]) == cli.EXIT_OK
     assert "flat output verified: True" in capsys.readouterr().out
+
+
+def test_angle_sum_residual_that_vanishes_numerically_exits_four(tmp_path, capsys):
+    # a correct flat output whose input residual is the angle-sum identity
+    # sin(a)*cos(x1) + sin(x1)*cos(a) - sin(a + x1): the exact domain finds
+    # it nonzero, but it vanishes at every sampled point, so the run refuses
+    # a negative verdict
+    sysfile = tmp_path / "angle_sum.sys"
+    sysfile.write_text("states: x1\ninputs: u1\nparams: a\n"
+                       "f: u1 + sin(x1)*cos(a) + cos(x1)*sin(a) - sin(a)\n"
+                       "x0: 0\nu0: 0\nphi: x1 + a\nFx: y1 - a\n"
+                       "Fu: y1_1 - a - sin(y1) + sin(a)\nR: 1\n")
+    assert cli.run(["verify-flat-output", str(sysfile)]) == cli.EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("residual u[1] = sin(a)*cos(x1) + sin(x1)*cos(a) - sin(a + x1) "
+            "is not zero in the exact domain but vanishes numerically") in captured.err
+
+
+def test_backstop_tells_identities_from_nonzero_residuals():
+    x, y = sp.symbols("x y")
+    vanishes = dtsys._vanishes_numerically
+    assert vanishes(sp.sin(x + y), sp.sin(x) * sp.cos(y) + sp.cos(x) * sp.sin(y))
+    assert vanishes((x**2 - 1) / (x - 1), x + 1)
+    assert not vanishes(sp.sin(x + y), sp.sin(x) * sp.cos(y))
+    assert not vanishes(x + sp.Rational(1, 10**20), x)
 
 
 PARAM_NAMED_LIKE_ADAPTED_COORDINATE = (

@@ -3,8 +3,10 @@ import random
 import pytest
 import sympy as sp
 
+import reference
 from conftest import random_poly
 from fwdflat import extcalc, flatness, symcore
+from fwdflat.errors import InternalInconsistency
 from fwdflat.extcalc import (
     Chart,
     Codistribution,
@@ -229,8 +231,8 @@ class TestAnnihilators:
         assert type(annihilator(D)) is Codistribution
         same_rows = Codistribution.span(X3, [basis_oneform(X3, 1),
                                              basis_oneform(X3, 2)])
-        assert D.matrix() == same_rows.matrix()
-        assert not D.equals(same_rows)
+        assert [v.coeffs for v in D.basis] == [w.coeffs for w in same_rows.basis]
+        assert not D.equals(same_rows) and D != same_rows
         with pytest.raises(TypeError):
             D.contains(basis_oneform(X3, 1))
 
@@ -586,3 +588,87 @@ class TestRendering:
         u1s, x1s = sp.Symbol("u1"), sp.Symbol("x1")
         w = OneForm(ch, (u1s - x1s, x1s, 0))
         assert render_oneform(w) == "(u1 - x1)*dx1 + x1*dx2"
+
+
+Y3 = Chart(sp.symbols("y1 y2 y3"))
+
+
+class TestRowSpaceAgainstTheReferences:
+    """The row-space class on its held rows agrees with the sympy
+    references it replaced, on seeded instances."""
+
+    @staticmethod
+    def _map(rng, trig):
+        """Two expressions on X4 for y1, y2: polynomials, or with sin/cos of
+        a coordinate."""
+        syms = list(X4.symbols)
+        atoms = syms + ([rng.choice((sp.sin, sp.cos))(rng.choice(syms))]
+                        if trig else [])
+        return [random_poly(rng, atoms, 3, 3, 2) for _ in range(2)]
+
+    @staticmethod
+    def _forms(rng, trig):
+        """One or two forms on Y3 along dy1, dy2, with coefficients that
+        hold sin(y1) when trig."""
+        y1, y2, _ = Y3.symbols
+        atoms = [y1, y2] + ([sp.sin(y1)] if trig else [])
+        return [OneForm(Y3, (random_poly(rng, atoms, 2, 3, 2),
+                             random_poly(rng, atoms, 2, 3, 1)
+                             if rng.random() < 0.7 else 0, 0))
+                for _ in range(rng.randint(1, 2))]
+
+    def test_pullback_randomized(self):
+        rng = random.Random(1313)
+        dims = []
+        for i in range(40):
+            trig = i % 2 == 1
+            old_in_new = self._map(rng, trig)
+            P = Codistribution.span(Y3, self._forms(rng, trig))
+            got = extcalc.pullback(P, old_in_new, X4)
+            expected = reference.pullback(old_in_new, X4)(P.basis)
+            assert got.equals(expected) and got == expected, (old_in_new, P.basis)
+            dims.append(got.dim)
+        assert dims.count(0) < 40 and max(dims) == 2
+
+    def test_pullback_refuses_a_dropped_component(self):
+        rng = random.Random(1414)
+        for i in range(10):
+            old_in_new = self._map(rng, i % 2 == 1)
+            w = OneForm(Y3, (random_poly(rng, list(Y3.symbols)), 0,
+                             random_poly(rng, list(Y3.symbols))))
+            for pull in (lambda: extcalc.pullback(Codistribution.span(Y3, [w]),
+                                                  old_in_new, X4),
+                         lambda: reference.pullback(old_in_new, X4)([w])):
+                with pytest.raises(InternalInconsistency, match="drops"):
+                    pull()
+
+    def test_annihilator_randomized(self):
+        rng = random.Random(1515)
+        for i in range(60):
+            ch = X4 if i % 2 else X3
+            P = Codistribution.span(ch, [_sparse_oneform(rng, ch)
+                                         for _ in range(rng.randint(0, 3))])
+            got = annihilator(P)
+            M = sp.Matrix(P.dim, ch.dim, [c for w in P.basis for c in w.coeffs])
+            kernel = reference.nullspace(M) if P.dim else [
+                sp.eye(ch.dim).col(j) for j in range(ch.dim)]
+            expected = Distribution.span(ch, [VectorField(ch, tuple(v))
+                                              for v in kernel])
+            assert got.dim == ch.dim - P.dim
+            assert got.equals(expected) and got == expected
+
+    def test_spans_ignore_order_and_scale(self):
+        rng = random.Random(1616)
+        for i in range(40):
+            ch = X4
+            forms = [_sparse_oneform(rng, ch) for _ in range(rng.randint(1, 3))]
+            scales = [rng.choice((sp.Integer(-2), x1 + 1, 2 + sp.sin(x2),
+                                  sp.cos(x3), x4**2 + x1**2 + 1))
+                      for _ in forms]
+            shuffled = list(zip(forms, scales))
+            rng.shuffle(shuffled)
+            P = Codistribution.span(ch, forms)
+            Q = Codistribution.span(ch, [OneForm(ch, tuple(g * c for c in w.coeffs))
+                                         for w, g in shuffled])
+            assert P == Q and P.equals(Q) and Q.equals(P)
+            assert hash(P) == hash(Q)

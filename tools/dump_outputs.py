@@ -15,7 +15,7 @@ The outputs are:
   since no verdict may depend on the random stream;
 - the same of ``verify-decomposition``, plain and with ``--json``, on
   variants of the fixtures' decompositions (``DECOMPOSITION_VARIANTS``)
-  and on two small systems (``DECOMPOSITION_SYSTEMS``), which between them
+  and on four small systems (``DECOMPOSITION_SYSTEMS``), which between them
   give every reason that the decomposition verifier reports;
 - the same of ``analyze``, plain, with ``--json`` and with ``--trace``, on
   four linear systems (``ANALYZE_SYSTEMS``) whose charts are found, or
@@ -93,6 +93,36 @@ state_map: x1
 state_map: x2 + sin(x1)
 input_map: u1
 split: 1 2 1 0
+""",
+    # valid decompositions whose subsystem sequence disagrees with the full
+    # system's tail: the full sequence is zero from P_2 on, while the
+    # x2-subsystem's starts at span{dx2}
+    "split-too-fine": """\
+states: x1 x2
+inputs: u1 u2
+f: u1
+f: u2
+x0: 0 0
+u0: 0 0
+state_map: x1
+state_map: x2
+input_map: u1
+input_map: u2
+split: 1 1 1 1
+""",
+    # the same through a nonlinear map: the pullback's Jacobian is not constant
+    "split-too-fine-nonlinear": """\
+states: x1 x2
+inputs: u1 u2
+f: u1 + x2**2
+f: u2
+x0: 0 0
+u0: 0 0
+state_map: x1
+state_map: x2 + x1**2
+input_map: u1
+input_map: u2 + (u1 + x2**2)**2
+split: 1 1 1 1
 """,
 }
 
