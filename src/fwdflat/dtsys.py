@@ -424,41 +424,74 @@ def verify_flat_output(sys: DiscreteTimeSystem, cand: FlatOutputCandidate,
         for k in range(1, top + 1):
             val = forward_shift(val, sys, max_shift=max_shift)
             shifted[flat_output_symbol(j, k)] = val
+    res_x = [_residual("x", i, sp.sympify(Fi).xreplace(shifted), x)
+             for i, (Fi, x) in enumerate(zip(cand.F_x, sys.states), start=1)]
+    res_u = [_residual("u", i, sp.sympify(Fj).xreplace(shifted), u)
+             for i, (Fj, u) in enumerate(zip(cand.F_u, sys.inputs), start=1)]
     # delta(F_x) = f(F_x, F_u) as functions of the flat output
-    y_shift = {flat_output_symbol(j, k): flat_output_symbol(j, k + 1)
-               for j in range(sys.m) for k in range(top + 1)}
-    into_y = {**dict(zip(sys.states, cand.F_x)), **dict(zip(sys.inputs, cand.F_u))}
-    sides = {"x": [(Fi.xreplace(shifted), x) for Fi, x in zip(cand.F_x, sys.states)],
-             "u": [(Fj.xreplace(shifted), u) for Fj, u in zip(cand.F_u, sys.inputs)],
-             "consistency": [(Fi.xreplace(y_shift), fi.xreplace(into_y))
-                             for Fi, fi in zip(cand.F_x, sys.f)]}
-    residuals = [[normalize(a - b) for a, b in pairs] for pairs in sides.values()]
-    for label, pairs, rs in zip(sides, sides.values(), residuals):
-        for i, ((a, b), r) in enumerate(zip(pairs, rs), start=1):
-            if r != 0 and not r.has(*domain._UNDEFINED) and _vanishes_numerically(a, b):
-                raise InternalInconsistency(
-                    f"residual {label}[{i}] = {symcore.render(r)} is not zero in "
-                    "the exact domain but vanishes numerically")
-    return FlatOutputVerdict(all(r == 0 for rs in residuals for r in rs), *residuals)
+    y_shift = {}
+    for j in range(sys.m):
+        for k in range(top + 1):
+            y_shift[flat_output_symbol(j, k)] = flat_output_symbol(j, k + 1)
+    into_y = dict(zip(sys.states, cand.F_x))
+    into_y.update(zip(sys.inputs, cand.F_u))
+    res_c = [_residual("consistency", i, sp.sympify(Fi).xreplace(y_shift),
+                       sp.sympify(fi).xreplace(into_y))
+             for i, (Fi, fi) in enumerate(zip(cand.F_x, sys.f), start=1)]
+    ok = all(r == 0 for r in res_x + res_u + res_c)
+    return FlatOutputVerdict(ok, res_x, res_u, res_c)
+
+
+def _residual(label: str, i: int, lhs: Expr, rhs: Expr) -> Expr:
+    """lhs - rhs in canonical form.  A residual that is nonzero in the exact
+    domain but vanishes numerically (see :func:`_vanishes_numerically`)
+    raises InternalInconsistency: the domain missed an identity, and a
+    failed verification would be wrong."""
+    r = normalize(lhs - rhs)
+    if r != 0 and not r.has(*domain._UNDEFINED) and _vanishes_numerically(lhs, rhs):
+        raise InternalInconsistency(
+            f"residual {label}[{i}] = {symcore.render(r)} is not zero in "
+            "the exact domain but vanishes numerically")
+    return r
 
 
 def _vanishes_numerically(lhs: Expr, rhs: Expr) -> bool:
     """Whether lhs = rhs, to far below mpmath's 50-digit working precision,
     at each of three seeded real points that is no pole of either side (and
-    at one at least).  A backstop outside the exact domain, with a random
-    stream of its own, so that every other draw stays as it is."""
+    at one at least); the first point where they differ decides.  A backstop
+    outside the exact domain, with a random stream of its own, so that
+    every other draw stays as it is."""
     syms = sorted(lhs.free_symbols | rhs.free_symbols, key=lambda s: s.name)
-    both = sp.lambdify(syms, (lhs, rhs), "mpmath")
-    rng, values = random.Random(0), []
+    rng, evaluated = random.Random(0), 0
     with mpmath.workdps(50):
         for _ in range(3):
+            point = {s: mpmath.mpf(rng.randint(-99, 99)) / rng.randint(1, 30) for s in syms}
             try:
-                values.append(both(*[mpmath.mpf(rng.randint(-99, 99)) / rng.randint(1, 30)
-                                     for _ in syms]))
+                a, b = _value(lhs, point), _value(rhs, point)
             except ZeroDivisionError:
-                pass  # a pole
-        return bool(values) and all(abs(a - b) <= mpmath.mpf(10)**-30 * max(1, abs(a), abs(b))
-                                    for a, b in values)
+                continue  # a pole
+            if abs(a - b) > mpmath.mpf(10)**-30 * max(1, abs(a), abs(b)):
+                return False
+            evaluated += 1
+    return evaluated > 0
+
+
+def _value(e: Expr, point: Mapping):
+    """e at the point, in mpmath, for e built from symbols, rational numbers,
+    sums, products, powers and functions that mpmath has, such as sin and
+    cos.  A pole raises ZeroDivisionError."""
+    if e.is_Symbol:
+        return point[e]
+    if e.is_Rational:
+        return mpmath.mpf(e.p) / e.q
+    args = [_value(a, point) for a in e.args]
+    if e.is_Add:
+        return mpmath.fsum(args)
+    if e.is_Mul:
+        return mpmath.fprod(args)
+    if e.is_Pow:
+        return args[0] ** args[1]
+    return getattr(mpmath, e.func.__name__)(*args)
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 import sympy as sp
 from sympy.polys.domains import QQ
@@ -216,7 +216,8 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
 @dataclass(frozen=True, eq=False)
 class Codistribution:
     """Row space of 1-forms on a chart, held as its rows in reduced row
-    echelon form, which are canonical.
+    echelon form, which are canonical.  ``rows`` must be in that form, as
+    ``Rows.reduced`` returns it; :meth:`span` builds it from elements.
 
     This class holds the only implementation of the row-space methods;
     :class:`Distribution` reuses them for vector fields.  Instances are
@@ -227,11 +228,20 @@ class Codistribution:
     chart: Chart
     rows: Rows
 
+    def __post_init__(self):
+        R = self.rows
+        pivots = [next((c for c, a in enumerate(row) if a), None) for row in R.rows]
+        if (R.width != self.chart.dim or None in pivots or pivots != sorted(set(pivots))
+                or any(row[p] != (1 if r == i else 0)
+                       for i, p in enumerate(pivots) for r, row in enumerate(R.rows))):
+            raise InternalInconsistency("rows of a row space must be in reduced row echelon form")
+
     @classmethod
     def span(cls, chart: Chart, elements: Iterable) -> "Codistribution":
         elements = list(elements)
-        if any(e.chart != chart for e in elements):
-            raise ValueError(f"{cls.element.__name__} chart mismatch")
+        for e in elements:
+            if e.chart != chart:
+                raise ValueError(f"{cls.element.__name__} chart mismatch")
         M = sp.Matrix(len(elements), chart.dim, [c for e in elements for c in e.coeffs])
         return cls(chart, Rows.of(M).reduced()[0])
 
@@ -273,19 +283,32 @@ class Distribution(Codistribution):
     element = VectorField
 
 
-def pullback(P: Codistribution, old_in_new: Sequence[Expr], chart: Chart) -> Codistribution:
-    """P rewritten through a change of coordinates, where ``old_in_new``
-    gives the leading coordinates of P's chart as expressions on ``chart``:
-    the leading columns of P's rows composed with the map, times its
-    Jacobian.  P's other coordinates are dropped; a nonzero component along
-    them raises InternalInconsistency."""
-    k, R = len(old_in_new), P.rows
-    if any(c for row in R.rows for c in row[k:]):
-        raise InternalInconsistency("form has components along coordinates the map drops")
-    A = Substitution(zip(P.chart.symbols, old_in_new))(
-        Rows(R.F, [row[:k] for row in R.rows], k))
-    J = symcore.jacobian_rows(old_in_new, chart.symbols)
-    return Codistribution(chart, (A @ J).reduced()[0])
+def pullback(old_in_new: Sequence[Expr],
+             chart: Chart) -> Callable[[Codistribution], Codistribution]:
+    """The map that rewrites a codistribution P through a change of
+    coordinates, where ``old_in_new`` gives the leading coordinates of P's
+    chart as expressions on ``chart``: the leading columns of P's rows
+    composed with the map, times its Jacobian.  P's other coordinates are
+    dropped; a nonzero component along them raises InternalInconsistency.
+    The map and its Jacobian are converted once, for the first nonzero P."""
+    k = len(old_in_new)
+
+    @functools.cache
+    def converted(source: Chart) -> tuple[Substitution, Rows]:
+        return (Substitution(zip(source.symbols, old_in_new)),
+                symcore.jacobian_rows(old_in_new, chart.symbols))
+
+    def pull(P: Codistribution) -> Codistribution:
+        R = P.rows
+        if any(c for row in R.rows for c in row[k:]):
+            raise InternalInconsistency("form has components along coordinates the map drops")
+        if not R.rows:
+            return Codistribution(chart, Rows(None, [], chart.dim))
+        compose, J = converted(P.chart)
+        A = compose(Rows(R.F, [row[:k] for row in R.rows], k))
+        return Codistribution(chart, (A @ J).reduced()[0])
+
+    return pull
 
 
 def annihilator(S: Codistribution) -> Codistribution:

@@ -95,8 +95,7 @@ class SequenceReport:
         return list(final.basis) if final.dim else None
 
     def to_json_dict(self) -> dict:
-        obstruction = self.obstruction
-        return {
+        d = {
             "system": self.system_name,
             "verdict": self.verdict,
             "k_bar": self.k_bar,
@@ -112,11 +111,12 @@ class SequenceReport:
                 }
                 for s in self.steps
             ],
-            "obstruction": ([render_oneform(w) for w in obstruction]
-                            if obstruction is not None else None),
+            "obstruction": ([render_oneform(w) for w in self.obstruction]
+                            if self.obstruction is not None else None),
             "decomposition_dims": decomposability(self),
             "warnings": list(self.warnings),
         }
+        return d
 
 
 def _intersect_df(P: Rows, J: Rows, to_adapted: Callable[[Rows], Rows]) -> Rows:
@@ -288,21 +288,26 @@ def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
 
 def _report(sys: DiscreteTimeSystem, sequence: list[Rows], extensions: list,
             k_bar: int, warnings: list[str]) -> SequenceReport:
-    """The report of a sequence: each P_k's rows become a Codistribution,
-    and each P_{k+1} must be integrable, which is checked on those rows."""
-    steps = []
-    for k, P in enumerate(sequence, start=1):
-        if k > 1 and not integrable_rows(P, sys.chart.symbols):
+    """The report of a sequence: each P_{k+1} must be integrable, which is
+    checked on its canonical rows; then each P_k's rows become a
+    Codistribution."""
+    for k, P in enumerate(sequence[1:], start=2):
+        if not integrable_rows(P, sys.chart.symbols):
             raise InternalInconsistency(
                 f"P_{k} is not integrable; the backward shift is invalid")
+    steps = []
+    for k, P in enumerate(sequence, start=1):
         step = SequenceStep(k, Codistribution(sys.chart, P), len(P.rows))
         if k <= len(extensions):
             step.intersection_dim, step.lie_derivatives_added = extensions[k - 1]
             step.step2_trivial = step.lie_derivatives_added == 0
         steps.append(step)
-    verdict = (NOT_FORWARD_FLAT if steps[-1].dim
-               else FORWARD_FLAT if any(added for _, added in extensions)
-               else STATIC_FEEDBACK_LINEARIZABLE)
+    if steps[-1].dim:
+        verdict = NOT_FORWARD_FLAT
+    elif all(s.step2_trivial for s in steps if s.step2_trivial is not None):
+        verdict = STATIC_FEEDBACK_LINEARIZABLE
+    else:
+        verdict = FORWARD_FLAT
     return SequenceReport(sys.name, steps, k_bar, verdict, warnings)
 
 
@@ -361,7 +366,8 @@ def subsystem_consistency_check(sys: DiscreteTimeSystem,
 
     # the subsystem's sequence in (x, u), through x2bar = state_map[n1:](x);
     # its input components must vanish
-    sub_in_xu = [pullback(s.P, dec.state_map[n1:], sys.chart) for s in sub.steps]
+    sub_to_xu = pullback(dec.state_map[n1:], sys.chart)
+    sub_in_xu = [sub_to_xu(s.P) for s in sub.steps]
     main_tail = [s.P for s in main.steps[1:]]
     reasons: list[str] = []
 

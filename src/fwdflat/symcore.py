@@ -1,21 +1,28 @@
 """Symbolic expression kernel and exact linear algebra over the expression field.
 
 The field of computation is the rational functions in all declared symbols,
-extended by sin(a) and cos(a) subject to cos(a)**2 = 1 - sin(a)**2: the
-exact domain of :mod:`fwdflat.domain`, where an element is the zero
-function iff it is literally zero.  Every rank decision reduces to one
-elimination in the row kernel (:class:`Rows`) or to :func:`is_zero`.  Rows
-stay in the domain from one operation to the next: each elimination moves
-them into the field of the generators that they use, :class:`Substitution`
-composes them with a map and ``@`` multiplies them.  Derivatives
-(:func:`jacobian_rows`) and chart inversions (:func:`solve_by_elimination`)
-are taken in the domain too.  Only :func:`jacobian` and ``Rows.to_matrix``
-build a sympy matrix, for the form calculus of :mod:`fwdflat.extcalc`, and
-:func:`normalize` converts an expression into the domain and back, for
-rendering and substitution; no decision rests on it.
+extended by sin(a) and cos(a) subject to the side relation
+cos(a)**2 = 1 - sin(a)**2.  Parsed input keeps each a a single symbol;
+substituting maps or points into it leaves compound or numeric arguments.
+Every rank decision in the package reduces to one elimination in the row
+kernel (:class:`Rows`), or to :func:`is_zero`, and all of them decide in
+the exact domain of :mod:`fwdflat.domain`, where an element is the zero
+function iff it is literally zero.  Rows stay in the domain from one
+operation to the next: each elimination moves them into the field of the
+generators that they use, by remapping exponents, :class:`Substitution`
+composes them with a map and ``@`` multiplies them.  Every caller ranks and
+eliminates on rows; a sympy matrix is built only by :func:`jacobian` and
+``Rows.to_matrix``, for the form calculus of :mod:`fwdflat.extcalc`.
+Chart inversions solve in the same domain
+(:func:`solve_by_elimination`), and every derivative is taken there
+(:func:`jacobian_rows`: the ring's derivations, with d cos(a)/da = -sin(a)
+and d sin(a)/da = cos(a), the chain rule through a compound argument a,
+and the quotient rule).  The same domain fixes every canonical form:
+:func:`normalize` converts an expression into it and back, for rendering
+and substitution; no decision rests on it.
 
-Expressions are plain sympy expressions, and coordinates and parameters are
-plain ``sympy.Symbol`` objects.
+Expressions are plain (immutable) sympy expressions, and coordinates and
+parameters are plain ``sympy.Symbol`` objects.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import random
 
 import pytest
 import sympy as sp
+from sympy.polys.domains import QQ
 
 import reference
 from conftest import random_poly
@@ -235,6 +236,23 @@ class TestAnnihilators:
         assert not D.equals(same_rows) and D != same_rows
         with pytest.raises(TypeError):
             D.contains(basis_oneform(X3, 1))
+
+    @pytest.mark.parametrize("rows", [
+        [[2, 0, 0]],                  # pivot not 1
+        [[0, 1, 0], [1, 0, 0]],       # pivots out of order
+        [[1, 1, 0], [0, 1, 0]],       # entry above a pivot
+        [[1, 0, 0], [0, 0, 0]],       # zero row
+        [[1, 0]],                     # width is not the chart's
+    ], ids=["scaled", "unordered", "not-reduced", "zero-row", "width"])
+    def test_constructor_refuses_rows_not_in_reduced_echelon_form(self, rows):
+        R = Rows(None, [[QQ(a) for a in row] for row in rows], len(rows[0]))
+        with pytest.raises(InternalInconsistency, match="reduced row echelon"):
+            Codistribution(X3, R)
+
+    def test_constructor_refuses_an_unreduced_field_row(self):
+        with pytest.raises(InternalInconsistency, match="reduced row echelon"):
+            Distribution(X3, Rows.of([[x1, 1, 0]]))
+        assert Distribution(X3, Rows.of([[x1, 1, 0]]).reduced()[0]).dim == 1
 
     def test_duality_randomized(self):
         rng = random.Random(8)
@@ -624,7 +642,7 @@ class TestRowSpaceAgainstTheReferences:
             trig = i % 2 == 1
             old_in_new = self._map(rng, trig)
             P = Codistribution.span(Y3, self._forms(rng, trig))
-            got = extcalc.pullback(P, old_in_new, X4)
+            got = extcalc.pullback(old_in_new, X4)(P)
             expected = reference.pullback(old_in_new, X4)(P.basis)
             assert got.equals(expected) and got == expected, (old_in_new, P.basis)
             dims.append(got.dim)
@@ -636,8 +654,8 @@ class TestRowSpaceAgainstTheReferences:
             old_in_new = self._map(rng, i % 2 == 1)
             w = OneForm(Y3, (random_poly(rng, list(Y3.symbols)), 0,
                              random_poly(rng, list(Y3.symbols))))
-            for pull in (lambda: extcalc.pullback(Codistribution.span(Y3, [w]),
-                                                  old_in_new, X4),
+            for pull in (lambda: extcalc.pullback(old_in_new, X4)(
+                             Codistribution.span(Y3, [w])),
                          lambda: reference.pullback(old_in_new, X4)([w])):
                 with pytest.raises(InternalInconsistency, match="drops"):
                     pull()

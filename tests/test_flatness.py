@@ -258,7 +258,7 @@ class TestAdaptedCoordinateShortcuts:
                 for _ in range(xu.dim)))
                 for _ in range(rng.randint(m, n + m - 1))]
             P = Codistribution.span(xu, forms)
-            P_ad = pullback(P, ac.from_adapted, ch)
+            P_ad = pullback(ac.from_adapted, ch)(P)
             dtheta = Codistribution.span(
                 ch, [basis_oneform(ch, i) for i in range(n)])
             dxi = Distribution.span(
@@ -622,8 +622,8 @@ class TestRowsStayExact:
         """verify-decomposition's check, the decomposition verifier, both
         sequences and the pullback of the subsystem's included, converts no
         sympy matrix into rows or back and builds no sympy Jacobian, and
-        the Jacobian of the system's map and of the subsystem's is taken
-        once each."""
+        the Jacobian of the system's map, of the subsystem's and of the
+        map that pulls the subsystem's sequence back is taken once each."""
         sf = request.getfixturevalue(name)
         sys = dataclasses.replace(sf.system)  # without a cached Jacobian
         phase = ["check"]
@@ -644,3 +644,4 @@ class TestRowsStayExact:
         n1 = sf.decomposition.split[0]
         assert jacobians.count(sys.f) == 1
         assert jacobians.count(c.decomposition.fbar[n1:]) == 1
+        assert jacobians.count(tuple(sf.decomposition.state_map[n1:])) == 1
