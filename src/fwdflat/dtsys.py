@@ -9,6 +9,7 @@ the backward shift of 1-forms become a plain substitution theta -> x.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import re
@@ -22,6 +23,7 @@ from sympy.polys.domains import QQ
 from . import domain, symcore
 from .errors import (
     ExprSyntaxError,
+    FwdflatError,
     InternalInconsistency,
     InversionFailed,
     NotShiftable,
@@ -177,7 +179,8 @@ def check_submersivity(sys: DiscreteTimeSystem) -> SubmersivityReport:
 @dataclass(frozen=True)
 class AdaptedChart:
     """(theta, xi) = (f(x, u), h(x, u)) together with the inverse map, which
-    is solved on first access to from_adapted when it is not given."""
+    is solved on first access to from_adapted when it is not given, and its
+    maps on rows, to_adapted and to_x, each converted on first access."""
 
     system: DiscreteTimeSystem
     theta: tuple[sp.Symbol, ...]
@@ -197,13 +200,15 @@ class AdaptedChart:
                                _invert(self.system, self.theta + self.xi, self.h))
         return self._from_adapted
 
+    @functools.cached_property
+    def to_adapted(self) -> symcore.Substitution:
+        """(x, u) -> x(theta, xi): coefficients into the adapted chart."""
+        return symcore.Substitution(zip(self.system.chart.symbols, self.from_adapted))
 
-def _fragment_ok(e: sp.Expr, allowed: set[sp.Symbol]) -> bool:
-    try:
-        symcore._validate_tree(e, allowed, "")  # the text only labels errors
-    except ExprSyntaxError:
-        return False
-    return True
+    @functools.cached_property
+    def to_x(self) -> symcore.Substitution:
+        """theta -> x, the backward shift of coefficients."""
+        return symcore.Substitution(zip(self.theta, self.system.states))
 
 
 def _solve_inverse(eqs: Sequence[Expr], unknowns: Sequence[sp.Symbol],
@@ -217,8 +222,10 @@ def _solve_inverse(eqs: Sequence[Expr], unknowns: Sequence[sp.Symbol],
     exprs = symcore.solve_by_elimination(eqs, unknowns)
     allowed = set().union(*(e.free_symbols for e in eqs)) - set(unknowns)
     for e, u in zip(exprs, unknowns):
-        if not _fragment_ok(e, allowed):
-            raise InversionFailed(f"{u} = {e} leaves the expression fragment")
+        try:
+            symcore._validate_tree(e, allowed, "")  # the text only labels errors
+        except ExprSyntaxError:
+            raise InversionFailed(f"{u} = {e} leaves the expression fragment") from None
         if not is_zero(e.xreplace(back_subs) - u):
             raise InversionFailed(f"{u} = {e} does not invert the map")
     return exprs
@@ -318,11 +325,10 @@ def forward_shift(g, sys: DiscreteTimeSystem, max_shift: int = DEFAULT_MAX_SHIFT
     return normalize(g.xreplace(subs))
 
 
-def backward_shift(Q: symcore.Rows, ac: AdaptedChart,
-                   theta_to_x: symcore.Substitution) -> symcore.Rows:
+def backward_shift(Q: symcore.Rows, ac: AdaptedChart) -> symcore.Rows:
     """delta^{-1} of rows of 1-forms written in the adapted chart, as rows
-    on the system's chart: theta -> x (theta_to_x), and the input
-    components 0.
+    on the system's chart: theta -> x (ac.to_x, which rows of QQ numbers
+    do not need), and the input components QQ.zero.
 
     Requires zero d-xi components and xi-free coefficients; a violation is
     an internal sequencing bug, not a user error.
@@ -337,7 +343,9 @@ def backward_shift(Q: symcore.Rows, ac: AdaptedChart,
             if c and Q.F is not None and Q.F.symbols_of(c) & xisyms:
                 raise NotShiftable("coefficient depends on the complement: "
                                    f"{normalize(Q.to_expr(c))}")
-    shifted = theta_to_x(symcore.Rows(Q.F, [row[:n] for row in Q.rows], n))
+    shifted = symcore.Rows(Q.F, [row[:n] for row in Q.rows], n)
+    if shifted.F is not None:
+        shifted = ac.to_x(shifted)
     zeros = [QQ.zero] * ac.system.m
     return symcore.Rows(shifted.F, [row + zeros for row in shifted.rows],
                         ac.system.chart.dim)
@@ -348,9 +356,8 @@ def backward_shift_oneform(w: OneForm, ac: AdaptedChart) -> OneForm:
     :func:`backward_shift`)."""
     if w.chart != ac.chart:
         raise ValueError("form is not expressed in the adapted chart")
-    theta_to_x = symcore.Substitution(zip(ac.theta, ac.system.states))
     F, coeffs = domain._convert(w.coeffs)
-    R = backward_shift(symcore.Rows(F, [coeffs], ac.chart.dim), ac, theta_to_x)
+    R = backward_shift(symcore.Rows(F, [coeffs], ac.chart.dim), ac)
     return OneForm(ac.system.chart, tuple(R.to_expr(c) for c in R.rows[0]))
 
 
@@ -600,10 +607,14 @@ def verify_triangular_decomposition(sys: DiscreteTimeSystem,
                if n1 and m1 else 0)
         if rk0 is not None and rk0 != n1:
             reasons.append(f"rank of d f1 / d u1 at the equilibrium is {rk0}")
-    else:
-        reasons.append("transformed equilibrium is not rational; "
-                       "equilibrium rank check skipped")
+    elif reasons:
         xbar0 = ubar0 = None
+    else:
+        # neither the rank there nor the subsystem, whose equilibrium must
+        # be rational, can be checked: no verdict
+        raise FwdflatError(f"transformed equilibrium is not rational: state_map "
+                           f"gives {xbar0} and input_map {ubar0} at (x0, u0), so "
+                           "the decomposition cannot be checked there")
 
     ok = not reasons
     return DecompositionVerdict(ok, reasons, xbar=xbar, ubar=ubar, fbar=fbar,

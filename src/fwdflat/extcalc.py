@@ -220,8 +220,8 @@ class Codistribution:
     ``Rows.reduced`` returns it; :meth:`span` builds it from elements.
 
     This class holds the only implementation of the row-space methods;
-    :class:`Distribution` reuses them for vector fields.  Instances are
-    ``==`` when they have the same type, chart and canonical basis.
+    :class:`Distribution` reuses them for vector fields.  ``==`` is
+    :meth:`equals`, so neither it nor the hash builds the basis.
     """
 
     element: ClassVar[type] = OneForm
@@ -252,13 +252,6 @@ class Codistribution:
         return tuple(self.element(self.chart, tuple(R.to_expr(c) for c in row))
                      for row in R.rows)
 
-    def __eq__(self, other) -> bool:
-        return (type(other) is type(self) and self.chart == other.chart
-                and self.basis == other.basis)
-
-    def __hash__(self) -> int:
-        return hash((type(self), self.chart, self.basis))
-
     @property
     def dim(self) -> int:
         return len(self.rows.rows)
@@ -275,6 +268,11 @@ class Codistribution:
     def equals(self, other: "Codistribution") -> bool:
         return (type(other) is type(self) and self.chart == other.chart
                 and self.dim == other.dim and self.rows.spans(other.rows))
+
+    __eq__ = equals
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.chart, self.dim))
 
 
 class Distribution(Codistribution):

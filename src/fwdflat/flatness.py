@@ -13,7 +13,8 @@ differentials, performs three moves:
 
 In the adapted chart (theta, xi) df is d theta, so only the intersection's
 coefficients pass through the inverse chart, never P_k itself; the
-complement directions are the constant fields d/d xi.
+complement directions are the constant fields d/d xi.  The chart owns both
+maps on rows, to_adapted and to_x, and rows of QQ numbers bypass them.
 
 The sequence is strictly decreasing until it stabilizes; the system is
 forward flat exactly when it reaches the zero codistribution, and static
@@ -21,18 +22,19 @@ feedback linearizable when, in addition, step 2 never adds anything.
 
 The iteration, its runtime checks, the integrability of every P_{k+1} and
 the report run on exact rows (:class:`fwdflat.symcore.Rows`): the report
-holds each P_k as a Codistribution of its rows and builds no sympy form.
+holds each P_k as a Codistribution of its rows and builds no sympy form,
+and k_bar is the length of the sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import sympy as sp
 from sympy.polys.domains import QQ
 
 from .dtsys import (
+    AdaptedChart,
     DecompositionVerdict,
     DiscreteTimeSystem,
     TriangularDecomposition,
@@ -50,7 +52,7 @@ from .extcalc import (
     pullback,
     render_oneform,
 )
-from .symcore import Rows, Substitution
+from .symcore import Rows
 
 FORWARD_FLAT = "ForwardFlat"
 STATIC_FEEDBACK_LINEARIZABLE = "StaticFeedbackLinearizable"
@@ -119,14 +121,15 @@ class SequenceReport:
         return d
 
 
-def _intersect_df(P: Rows, J: Rows, to_adapted: Callable[[Rows], Rows]) -> Rows:
-    """P ∩ span{df} in the adapted chart, in reduced row echelon form, for
-    the rows P on the (x, u) chart and J = J_f.
+def _intersect_df(P: Rows, J: Rows, ac: AdaptedChart) -> Rows:
+    """P ∩ span{df} in the adapted chart ac, in reduced row echelon form,
+    for the rows P on the (x, u) chart and J = J_f.
 
     In the rref of [[P, 0], [J_f, I]] the rows with a pivot in the right block
     read [0, a] with a·df ∈ P.  As df = dθ, the intersection is spanned by
     Σ a_i(x(θ, ξ)) dθ_i: only these coefficients pass through the inverse
-    chart (to_adapted), which maps independent rows to independent rows.
+    chart (ac.to_adapted), which maps independent rows to independent rows
+    and leaves rows of QQ numbers as they are, so those never invert it.
     """
     n, N = len(J.rows), J.width
     zeros = [QQ.zero] * n
@@ -134,7 +137,9 @@ def _intersect_df(P: Rows, J: Rows, to_adapted: Callable[[Rows], Rows]) -> Rows:
     R, pivots = Rows.stack(Rows(P.F, [row + zeros for row in P.rows], N + n),
                            Rows(J.F, [row + e for row, e in zip(J.rows, unit)],
                                 N + n)).reduced()
-    A = to_adapted(Rows(R.F, [row[N:] for row, c in zip(R.rows, pivots) if c >= N], n))
+    A = Rows(R.F, [row[N:] for row, c in zip(R.rows, pivots) if c >= N], n)
+    if A.F is not None:
+        A = ac.to_adapted(A)
     zeros = [QQ.zero] * (N - n)
     Q, pivots = Rows(A.F, [row + zeros for row in A.rows], N).reduced()
     if len(pivots) != len(A.rows):
@@ -224,19 +229,6 @@ def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
     eq_xu = sys.equilibrium_subs()
     J = sys.jacobian_rows()
     J_eq, rank_J = J.cleared(), sub.rank_at_equilibrium
-    theta_to_x = Substitution(zip(ac.theta, sys.states))
-    inverse = None
-
-    def to_adapted(R: Rows) -> Rows:
-        """R with its coefficients in (θ, ξ).  Rows of constants are their
-        own image, so the inverse chart is solved and converted only for
-        the first rows that hold a non-constant entry."""
-        nonlocal inverse
-        if R.F is None:
-            return R
-        if inverse is None:
-            inverse = Substitution(zip(sys.chart.symbols, ac.from_adapted))
-        return inverse(R)
 
     n, N = sys.n, sys.n + sys.m
     P = Rows(None, [[QQ.one if i == j else QQ.zero for j in range(N)]
@@ -244,25 +236,22 @@ def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
     P_eq, rank_P = P, n
     sequence = [P]   # P_1, P_2, ..., each in reduced row echelon form
     extensions = []  # (dim of the intersection, dim added by the closure)
-    k_bar = 1
     for k in range(1, n + 2):
         P = sequence[-1]
         if not P.rows:
             break
-        Q = _intersect_df(P, J, to_adapted)
+        Q = _intersect_df(P, J, ac)
         Qhat = _close_under_dxi(Q, ac.xi)
         extensions.append((len(Q.rows), len(Qhat.rows) - len(Q.rows)))
         say(f"k = {k}: dim P = {len(P.rows)}, intersection {len(Q.rows)}, "
             f"extension added {extensions[-1][1]}")
-        P_next, _ = backward_shift(Qhat, ac, theta_to_x).reduced()
+        # the shift's input columns are QQ.zero, and reducing keeps them so
+        P_next, _ = backward_shift(Qhat, ac).reduced()
 
-        # runtime invariants of the construction; nested with the same
+        # runtime invariant of the construction; nested with the same
         # dimension is equal, so the nesting rank also decides the fixed point
         if not P.spans(P_next):
             raise InternalInconsistency(f"sequence is not nested at k = {k}")
-        if any(c for row in P_next.rows for c in row[n:]):
-            raise InternalInconsistency(
-                f"P_{k + 1} has input-differential components")
 
         _intersection_dim_at_equilibrium(
             P_eq, rank_P, J_eq, rank_J, eq_xu, sys.params, len(Q.rows),
@@ -272,25 +261,23 @@ def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
             f"k = {k}, shifted codistribution")
 
         if len(P_next.rows) == len(P.rows):
-            k_bar = k
             say(f"fixed point at k = {k}")
             break
         sequence.append(P_next)
-        k_bar = k + 1
         if not P_next.rows:
             say(f"reached the zero codistribution at k = {k + 1}")
             break
     else:
         raise InternalInconsistency(
             "the sequence did not stabilize within n + 1 iterations")
-    return _report(sys, sequence, extensions, k_bar, warnings)
+    return _report(sys, sequence, extensions, warnings)
 
 
 def _report(sys: DiscreteTimeSystem, sequence: list[Rows], extensions: list,
-            k_bar: int, warnings: list[str]) -> SequenceReport:
+            warnings: list[str]) -> SequenceReport:
     """The report of a sequence: each P_{k+1} must be integrable, which is
     checked on its canonical rows; then each P_k's rows become a
-    Codistribution."""
+    Codistribution.  k_bar is the length of the sequence."""
     for k, P in enumerate(sequence[1:], start=2):
         if not integrable_rows(P, sys.chart.symbols):
             raise InternalInconsistency(
@@ -308,7 +295,7 @@ def _report(sys: DiscreteTimeSystem, sequence: list[Rows], extensions: list,
         verdict = STATIC_FEEDBACK_LINEARIZABLE
     else:
         verdict = FORWARD_FLAT
-    return SequenceReport(sys.name, steps, k_bar, verdict, warnings)
+    return SequenceReport(sys.name, steps, len(steps), verdict, warnings)
 
 
 def decomposability(report: SequenceReport) -> tuple[int, int] | None:

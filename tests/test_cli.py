@@ -164,6 +164,36 @@ class TestVerifyDecomposition:
         assert cli.run(["verify-decomposition", str(bad)]) == cli.EXIT_NEGATIVE
         assert "decomposition verified: False" in capsys.readouterr().out
 
+    IRRATIONAL = ("states: x1 x2 x3\ninputs: u1\nf: x2\nf: x3\nf: u1\n"
+                  "x0: 1 1 1\nu0: 1\nstate_map: x3\nstate_map: x1\n"
+                  "state_map: x2 + sin(x1)\ninput_map: u1\n")
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_irrational_transformed_equilibrium_exits_two(self, tmp_path,
+                                                          capsys, mode):
+        """x2 + sin(x1) is 1 + sin(1) at the equilibrium: neither the rank
+        there nor the subsystem, whose equilibrium must be rational, can be
+        checked, so there is no verdict."""
+        sysfile = tmp_path / "irrational.sys"
+        sysfile.write_text(self.IRRATIONAL + "split: 1 2 1 0\n")
+        assert cli.run(["verify-decomposition", str(sysfile)] + mode) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: transformed equilibrium is not rational: state_map gives "
+            "(1, 1, sin(1) + 1) and input_map (1,) at (x0, u0)")
+        assert "Traceback" not in captured.err
+
+    def test_irrational_transformed_equilibrium_keeps_other_reasons(
+            self, tmp_path, capsys):
+        """Another reason keeps the negative verdict, and the skipped rank
+        check is not listed as one."""
+        sysfile = tmp_path / "irrational.sys"
+        sysfile.write_text(self.IRRATIONAL + "split: 2 1 1 0\n")
+        assert cli.run(["verify-decomposition", str(sysfile), "--json"]) == cli.EXIT_NEGATIVE
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["reasons"] == ["rank of d f1 / d u1 is 1, need dim(x1) = 2"]
+
 
 class TestErrorMapping:
     def test_inversion_failure_exit_three(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 import sympy as sp
+from sympy.polys.domains import QQ
 
 from conftest import random_affine_system, random_poly
 from fwdflat import dtsys
@@ -11,6 +12,7 @@ from fwdflat.dtsys import (
     FlatOutputCandidate,
     TriangularDecomposition,
     _solve_inverse,
+    backward_shift,
     backward_shift_oneform,
     build_adapted_chart,
     check_submersivity,
@@ -28,7 +30,7 @@ from fwdflat.extcalc import (
     basis_oneform,
     basis_vectorfield,
 )
-from fwdflat.symcore import is_zero
+from fwdflat.symcore import Rows, is_zero
 
 
 def _sys(states, inputs, f, x0, u0, **kw):
@@ -299,6 +301,22 @@ class TestBackwardShift:
         w = OneForm(ch, (ac.xi[0], 0, 0, 0, 0))
         with pytest.raises(NotShiftable):
             backward_shift_oneform(w, ac)
+
+    def test_input_columns_stay_exact_zeros(self, running):
+        """The shift's input columns are QQ.zero, and Rows.reduced, which
+        writes into no column that is zero in every row, keeps them so: the
+        sequence needs no check for input-differential components."""
+        ac = build_adapted_chart(running.system)
+        n, m = running.system.n, running.system.m
+        atoms = list(ac.theta) + [sp.sin(ac.theta[0])]
+        rng = random.Random(23)
+        for i in range(30):
+            rows = [[random_poly(rng, atoms, 2, 3, 2) if i % 3 else rng.randint(-3, 3)
+                     for _ in range(n)] + [0] * m for _ in range(rng.randint(1, 3))]
+            shifted = backward_shift(Rows.of(rows), ac)
+            for R in (shifted, shifted.reduced()[0]):
+                assert all(type(c) is type(QQ.zero) and c == QQ.zero
+                           for row in R.rows for c in row[n:])
 
     def test_round_trip_randomized(self, running):
         # sigma_i(theta) dtheta^i backward-shifts to sigma_i(x) dx^i

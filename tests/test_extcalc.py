@@ -675,6 +675,19 @@ class TestRowSpaceAgainstTheReferences:
             assert got.dim == ch.dim - P.dim
             assert got.equals(expected) and got == expected
 
+    def test_equality_is_span_equality(self, monkeypatch):
+        """== is equals, and the hash agrees, although sin(2 x1) and
+        2 sin(x1) cos(x1) print differently; neither builds a sympy form."""
+        P = Codistribution.span(X3, [OneForm(X3, (1, sp.sin(2 * x1), 0))])
+        Q = Codistribution.span(X3, [OneForm(X3, (1, 2 * sp.sin(x1) * sp.cos(x1), 0))])
+        R = Codistribution.span(X3, [OneForm(X3, (1, sp.sin(x1), 0))])
+        expressions, to_expr = [], Rows.to_expr
+        monkeypatch.setattr(Rows, "to_expr", lambda rows, x: (
+            expressions.append(x) or to_expr(rows, x)))
+        assert P.equals(Q) and P == Q and hash(P) == hash(Q)
+        assert P != R and not P.equals(R)
+        assert expressions == []
+
     def test_spans_ignore_order_and_scale(self):
         rng = random.Random(1616)
         for i in range(40):

@@ -263,8 +263,7 @@ class TestAdaptedCoordinateShortcuts:
                 ch, [basis_oneform(ch, i) for i in range(n)])
             dxi = Distribution.span(
                 ch, [basis_vectorfield(ch, n + j) for j in range(m)])
-            to_adapted = Substitution(zip(xu.symbols, ac.from_adapted))
-            Q_rows = _intersect_df(P.rows, sys.jacobian_rows(), to_adapted)
+            Q_rows = _intersect_df(P.rows, sys.jacobian_rows(), ac)
             Q = Codistribution(ch, Q_rows)
             assert Q.equals(intersect(P_ad, dtheta))
             assert Codistribution(ch, _close_under_dxi(Q_rows, ac.xi)).equals(
@@ -313,36 +312,50 @@ class TestAdaptedCoordinateShortcuts:
 
 
 class TestDeferredInverse:
-    """compute_sequence solves and converts the inverse chart only for the
-    first intersection row with a non-constant entry."""
+    """compute_sequence solves and converts the inverse chart, and converts
+    θ -> x, only for the first rows with a non-constant entry that need
+    them; the adapted chart holds both maps."""
 
     @staticmethod
     def _count(monkeypatch):
-        """Record every _solve_inverse call and the symbols replaced by every
-        Substitution that compute_sequence builds."""
+        """Record every _solve_inverse call and every Substitution built."""
         inversions, substitutions = [], []
-        solve, substitution = dtsys._solve_inverse, Substitution
+        solve, init = dtsys._solve_inverse, Substitution.__init__
 
-        def counting_substitution(mapping):
-            S = substitution(mapping)
-            substitutions.append(tuple(S.exprs))
-            return S
+        def counting_init(S, mapping):
+            init(S, mapping)
+            substitutions.append(S)
 
         monkeypatch.setattr(dtsys, "_solve_inverse",
                             lambda *a: inversions.append(a) or solve(*a))
-        monkeypatch.setattr(flatness, "Substitution", counting_substitution)
+        monkeypatch.setattr(Substitution, "__init__", counting_init)
         return inversions, substitutions
 
     def test_affine_charts_are_never_inverted(self, monkeypatch):
+        """Every row of an affine system holds QQ numbers only, so neither
+        map is built."""
         rng = random.Random(3434)
         inversions, substitutions = self._count(monkeypatch)
         for _ in range(50):
             sys = random_affine_system(rng, rng.randint(2, 6), rng.randint(1, 2))
             compute_sequence(sys)
             assert inversions == []
-            assert sys.chart.symbols not in substitutions
-            assert len(substitutions) == 1  # θ -> x
-            substitutions.clear()
+            assert substitutions == []
+
+    @pytest.mark.parametrize("name", ["running", "academic", "vtol", "nonflat"])
+    def test_each_chart_map_is_built_once(self, name, request, monkeypatch):
+        """One run builds the chart's to_adapted and to_x once each, and
+        no other Substitution."""
+        sys = request.getfixturevalue(name).system
+        charts, chart = [], flatness.build_adapted_chart
+        monkeypatch.setattr(flatness, "build_adapted_chart",
+                            lambda s: charts.append(chart(s)) or charts[-1])
+        _, substitutions = self._count(monkeypatch)
+        compute_sequence(sys)
+        built, (ac,) = list(substitutions), charts
+        assert len(built) == 2
+        assert {id(S) for S in built} == {id(ac.to_adapted), id(ac.to_x)}
+        assert substitutions == built  # read from the chart, not built again
 
     @pytest.mark.parametrize("name, h, count", [
         ("running", ("u1", "x3"), 1), ("academic", ("x1", "x3"), 1),
@@ -435,7 +448,7 @@ def test_report_refuses_a_non_integrable_row_set(running, monkeypatch):
     monkeypatch.setattr(Rows, "to_expr", lambda R, x: (
         expressions.append(x) or to_expr(R, x)))
     with pytest.raises(InternalInconsistency, match="P_2 is not integrable"):
-        flatness._report(sys, [P1, contact], [(1, 0)], 2, [])
+        flatness._report(sys, [P1, contact], [(1, 0)], [])
     assert expressions == []
 
 
@@ -524,8 +537,8 @@ class TestRowsStayExact:
         compute_sequence converts only the inverse chart and θ -> x, plus
         two conversions (its normal form, then cos and sin) per trig angle
         of f that passes through them; and it turns no row entry back into
-        an expression.  On a linear system every row is constant, so the
-        inverse chart is neither solved nor converted: θ -> x alone is."""
+        an expression.  On a linear system every row is constant, so
+        neither map is solved or converted."""
         sys = _linear_six() if name == "linear6" else request.getfixturevalue(name).system
         inverse = dtsys.build_adapted_chart(sys).from_adapted
         phase, conversions, expressions = ["setup"], [], []
@@ -559,7 +572,7 @@ class TestRowsStayExact:
         angles = {t.args[0] for e in sys.f for t in e.atoms(sp.sin, sp.cos)}
         assert r.k_bar >= 3
         if name == "linear6":
-            assert conversions.count("loop") == 1
+            assert conversions.count("loop") == 0
             assert "inverse chart" not in conversions
         else:
             assert conversions.count("loop") == 2 + 2 * len(angles)

@@ -669,8 +669,7 @@ class TestWrappersMatchTheRowKernel:
         to_x = dict(zip(ac.theta, running.system.states))
         coeffs = (sp.sin(2 * th1) / (th2 + 1), sp.cos(th1) * th3, 1 + sp.sin(th1), 0, 0)
         back = backward_shift_oneform(OneForm(ac.chart, coeffs), ac)
-        rows = backward_shift(symcore.Rows.of([coeffs]), ac,
-                              symcore.Substitution(to_x))
+        rows = backward_shift(symcore.Rows.of([coeffs]), ac)
         for b, r, c in zip(back.coeffs, rows.to_matrix(), coeffs):
             assert b == r
             assert is_zero(b - sp.sympify(c).xreplace(to_x))
