@@ -26,11 +26,9 @@ from .errors import (
     NotShiftable,
     SystemFileError,
 )
-from .extcalc import render_oneform
 from .flatness import (
     NOT_FORWARD_FLAT,
     compute_sequence,
-    decomposability,
     subsystem_consistency_check,
 )
 from .symcore import render
@@ -51,14 +49,21 @@ def _build_parser() -> argparse.ArgumentParser:
                     "codistributions.")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    def positive_int(text):
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        return value
+
     def common(p):
         p.add_argument("file", help="system definition file")
         p.add_argument("--json", action="store_true", dest="as_json",
                        help="emit a machine-readable JSON report")
         p.add_argument("--seed", type=int, default=0,
                        help="seed of the randomized zero-test (default 0)")
-        p.add_argument("--numeric-samples", type=int, default=8,
-                       help="sample count of the zero-test cross-check")
+        p.add_argument("--numeric-samples", type=positive_int, default=8,
+                       help="sample count of the zero-test cross-check, "
+                            "at least 1 (default 8)")
         p.add_argument("--max-shift", type=int, default=25,
                        help="cap on forward shifts during verification")
         p.add_argument("--trace", action="store_true",
@@ -83,54 +88,50 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
 
 def _cmd_analyze(sf, args) -> int:
     trace = print if args.trace else None
-    report = compute_sequence(sf.system, trace=trace)
-    lines = [f"system: {report.system_name}",
-             f"verdict: {report.verdict}",
-             f"k_bar: {report.k_bar}",
-             f"dims: {report.dims}"]
-    for s in report.steps:
-        lines.append(f"  P_{s.k} (dim {s.dim}):")
-        for b in s.basis_strings():
-            lines.append(f"    {b}")
-        if s.step2_trivial is not None:
-            lines.append(f"    intersection dim {s.intersection_dim}, "
-                         f"Lie derivatives added {s.lie_derivatives_added}")
-    dd = decomposability(report)
-    if dd is not None:
-        lines.append(f"decomposable into blocks of dimensions {dd}")
-    if report.obstruction is not None:
+    d = compute_sequence(sf.system, trace=trace).to_json_dict()
+    lines = [f"system: {d['system']}",
+             f"verdict: {d['verdict']}",
+             f"k_bar: {d['k_bar']}",
+             f"dims: {d['dims']}"]
+    for s in d["steps"]:
+        lines.append(f"  P_{s['k']} (dim {s['dim']}):")
+        lines += [f"    {b}" for b in s["basis"]]
+        if s["step2_trivial"] is not None:
+            lines.append(f"    intersection dim {s['intersection_dim']}, "
+                         f"Lie derivatives added {s['lie_derivatives_added']}")
+    if d["decomposition_dims"] is not None:
+        lines.append("decomposable into blocks of dimensions "
+                     f"{d['decomposition_dims']}")
+    if d["obstruction"] is not None:
         lines.append("obstruction (final nonzero codistribution):")
-        for w in report.obstruction:
-            lines.append(f"  {render_oneform(w)}")
-    for w in report.warnings:
-        lines.append(f"warning: {w}")
-    _emit(report.to_json_dict(), args.as_json, lines)
-    return EXIT_NEGATIVE if report.verdict == NOT_FORWARD_FLAT else EXIT_OK
+        lines += [f"  {w}" for w in d["obstruction"]]
+    lines += [f"warning: {w}" for w in d["warnings"]]
+    _emit(d, args.as_json, lines)
+    return EXIT_NEGATIVE if d["verdict"] == NOT_FORWARD_FLAT else EXIT_OK
 
 
 def _cmd_verify_flat_output(sf, args) -> int:
     if sf.flat_output is None:
         raise SystemFileError("the file declares no flat output (phi/Fx/Fu)")
     v = verify_flat_output(sf.system, sf.flat_output, max_shift=args.max_shift)
+    residuals = {"x": v.residuals_x, "u": v.residuals_u,
+                 "consistency": v.residuals_consistency}
+    rendered = {label: [render(r) for r in rs] for label, rs in residuals.items()}
+    failing = v.failing_components()
     payload = {
         "system": sf.system.name,
         "verified": v.ok,
-        "residuals": {
-            "x": [render(r) for r in v.residuals_x],
-            "u": [render(r) for r in v.residuals_u],
-            "consistency": [render(r) for r in v.residuals_consistency],
-        },
-        "failing_components": v.failing_components(),
+        "residuals": rendered,
+        "failing_components": failing,
     }
     lines = [f"system: {sf.system.name}",
              f"flat output verified: {v.ok}"]
     if not v.ok:
-        lines.append("failing components: " + ", ".join(v.failing_components()))
-        for label, rs in (("x", v.residuals_x), ("u", v.residuals_u),
-                          ("consistency", v.residuals_consistency)):
-            for i, r in enumerate(rs):
-                if r != 0:
-                    lines.append(f"  residual {label}[{i + 1}] = {render(r)}")
+        lines.append("failing components: " + ", ".join(failing))
+        for label, rs in residuals.items():
+            lines += [f"  residual {label}[{i + 1}] = {text}"
+                      for i, (r, text) in enumerate(zip(rs, rendered[label]))
+                      if r != 0]
     _emit(payload, args.as_json, lines)
     return EXIT_OK if v.ok else EXIT_NEGATIVE
 

@@ -20,15 +20,16 @@ The sequence is strictly decreasing until it stabilizes; the system is
 forward flat exactly when it reaches the zero codistribution, and static
 feedback linearizable when, in addition, step 2 never adds anything.
 
-The iteration, its runtime checks, the integrability of every P_{k+1} and
-the report run on exact rows (:class:`fwdflat.symcore.Rows`): the report
-holds each P_k as a Codistribution of its rows and builds no sympy form,
-and k_bar is the length of the sequence.
+The iteration, its runtime checks and the integrability of each P_{k+1},
+checked when it is accepted, run on exact rows (:class:`fwdflat.symcore.Rows`).
+Each step is recorded once, holding P_k as a Codistribution of its rows,
+and no sympy form is built; k_bar, the dims and the verdict are read off
+the steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import sympy as sp
 from sympy.polys.domains import QQ
@@ -69,10 +70,19 @@ class SequenceStep:
 
     k: int
     P: Codistribution
-    dim: int
     intersection_dim: int | None = None
     lie_derivatives_added: int | None = None
-    step2_trivial: bool | None = None
+
+    @property
+    def dim(self) -> int:
+        return self.P.dim
+
+    @property
+    def step2_trivial(self) -> bool | None:
+        """Whether step 2 added nothing; None when it did not run."""
+        if self.lie_derivatives_added is None:
+            return None
+        return self.lie_derivatives_added == 0
 
     def basis_strings(self) -> list[str]:
         return [render_oneform(w) for w in self.P.basis]
@@ -80,15 +90,28 @@ class SequenceStep:
 
 @dataclass
 class SequenceReport:
+    """The steps P_1, ..., P_{k_bar} of a sequence and its warnings; the
+    verdict and every other figure are read off the steps."""
+
     system_name: str
     steps: list[SequenceStep]
-    k_bar: int
-    verdict: str
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str]
+
+    @property
+    def k_bar(self) -> int:
+        return len(self.steps)
 
     @property
     def dims(self) -> list[int]:
         return [s.dim for s in self.steps]
+
+    @property
+    def verdict(self) -> str:
+        if self.steps[-1].dim:
+            return NOT_FORWARD_FLAT
+        if all(s.step2_trivial is not False for s in self.steps):
+            return STATIC_FEEDBACK_LINEARIZABLE
+        return FORWARD_FLAT
 
     @property
     def obstruction(self) -> list[OneForm] | None:
@@ -126,10 +149,12 @@ def _intersect_df(P: Rows, J: Rows, ac: AdaptedChart) -> Rows:
     for the rows P on the (x, u) chart and J = J_f.
 
     In the rref of [[P, 0], [J_f, I]] the rows with a pivot in the right block
-    read [0, a] with a·df ∈ P.  As df = dθ, the intersection is spanned by
+    read [0, a] with a·df ∈ P, and their right blocks a are in reduced row
+    echelon form.  As df = dθ, the intersection is spanned by
     Σ a_i(x(θ, ξ)) dθ_i: only these coefficients pass through the inverse
-    chart (ac.to_adapted), which maps independent rows to independent rows
-    and leaves rows of QQ numbers as they are, so those never invert it.
+    chart (ac.to_adapted).  The substitution leaves every QQ number as it
+    is, so the unit pivots and the zeros beside them stay and the rows stay
+    reduced; rows of QQ numbers never invert the chart.
     """
     n, N = len(J.rows), J.width
     zeros = [QQ.zero] * n
@@ -141,11 +166,7 @@ def _intersect_df(P: Rows, J: Rows, ac: AdaptedChart) -> Rows:
     if A.F is not None:
         A = ac.to_adapted(A)
     zeros = [QQ.zero] * (N - n)
-    Q, pivots = Rows(A.F, [row + zeros for row in A.rows], N).reduced()
-    if len(pivots) != len(A.rows):
-        raise InternalInconsistency(
-            "the inverse chart made independent forms dependent")
-    return Q
+    return Rows(A.F, [row + zeros for row in A.rows], N)
 
 
 def _close_under_dxi(Q: Rows, xi) -> Rows:
@@ -160,52 +181,18 @@ def _close_under_dxi(Q: Rows, xi) -> Rows:
         Q = extended
 
 
-def _dim_at_equilibrium(M: Rows, eq_subs, params, generic_dim: int,
-                        warnings: list[str], label: str) -> tuple[Rows, int | None]:
-    """M with its row denominators cleared (see Rows.cleared: polynomial
-    rows, so no pole at the point) and its rank at the equilibrium, warning
-    when that rank is not generic_dim."""
-    if not M.rows:
-        return M, 0
-    M = M.cleared()
-    rk = _rank_at_point(M, eq_subs, params)
-    if rk is None:
-        warnings.append(f"{label}: rank at the equilibrium could not be "
-                        "evaluated exactly")
-    elif rk != generic_dim:
-        warnings.append(f"{label}: generic dimension {generic_dim} drops to "
-                        f"{rk} at the equilibrium")
-    return M, rk
-
-
-def _intersection_dim_at_equilibrium(A: Rows, ra: int | None, B: Rows,
-                                     rb: int | None, eq_subs, params,
-                                     generic_dim: int, warnings: list[str],
-                                     label: str) -> None:
-    """Pointwise dim(rowspace(A) ∩ rowspace(B)) = rk A + rk B − rk [A; B],
-    for A and B with cleared row denominators and their ranks ra and rb at
-    the equilibrium (None where not exact).
-
-    Evaluating a canonical basis of the intersection at the point is not
-    reliable (pivot normalization can degenerate there), so the dimension is
-    reconstructed from the evaluated generating matrices instead.
-    """
-    rab = _rank_at_point(Rows.stack(A, B), eq_subs, params)
-    if None in (ra, rb, rab):
-        warnings.append(f"{label}: rank at the equilibrium could not be "
-                        "evaluated exactly")
-        return
-    d = ra + rb - rab
-    if d != generic_dim:
-        warnings.append(f"{label}: generic dimension {generic_dim} becomes "
-                        f"{d} at the equilibrium")
+def _dim_at_equilibrium(M: Rows, eq_subs, params) -> int | None:
+    """The rank of M at the equilibrium, None where it is not exact, taken
+    with its row denominators cleared (see Rows.cleared: polynomial rows, so
+    no pole at the point); 0 for no rows."""
+    return _rank_at_point(M.cleared(), eq_subs, params) if M.rows else 0
 
 
 def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
     """Run the decreasing sequence of codistributions to its fixed point.
 
-    The sequence runs on rows of exact elements (symcore.Rows), and the
-    report holds them; it builds no sympy form.  ``trace``, if given, is
+    The sequence runs on rows of exact elements (symcore.Rows), and each
+    step holds its own; no sympy form is built.  ``trace``, if given, is
     called with one human-readable line per event.
     """
     def say(msg):
@@ -221,30 +208,29 @@ def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
     say(f"adapted chart complement: {tuple(str(h) for h in ac.h)}")
 
     # per run: J_f in the exact domain, and P_1 = span{dx_i} of rank n;
-    # P_k's cleared rows and rank at the equilibrium come from the previous
-    # iteration.  Clearing scales each row of J_f by a polynomial that is
-    # nonzero where J_f has no pole, so its rank there is the submersivity
-    # check's.
+    # P_k's rank at the equilibrium comes from the previous iteration.
+    # Clearing scales each row of J_f by a polynomial that is nonzero where
+    # J_f has no pole, so its rank there is the submersivity check's.
     warnings: list[str] = []
     eq_xu = sys.equilibrium_subs()
-    J = sys.jacobian_rows()
-    J_eq, rank_J = J.cleared(), sub.rank_at_equilibrium
+    J, rank_J = sys.jacobian_rows(), sub.rank_at_equilibrium
 
     n, N = sys.n, sys.n + sys.m
     P = Rows(None, [[QQ.one if i == j else QQ.zero for j in range(N)]
                     for i in range(n)], N)
-    P_eq, rank_P = P, n
-    sequence = [P]   # P_1, P_2, ..., each in reduced row echelon form
-    extensions = []  # (dim of the intersection, dim added by the closure)
+    rank_P = n
+    steps = [SequenceStep(1, Codistribution(sys.chart, P))]
     for k in range(1, n + 2):
-        P = sequence[-1]
+        step = steps[-1]
+        P = step.P.rows
         if not P.rows:
             break
         Q = _intersect_df(P, J, ac)
         Qhat = _close_under_dxi(Q, ac.xi)
-        extensions.append((len(Q.rows), len(Qhat.rows) - len(Q.rows)))
+        step.intersection_dim = len(Q.rows)
+        step.lie_derivatives_added = len(Qhat.rows) - len(Q.rows)
         say(f"k = {k}: dim P = {len(P.rows)}, intersection {len(Q.rows)}, "
-            f"extension added {extensions[-1][1]}")
+            f"extension added {step.lie_derivatives_added}")
         # the shift's input columns are QQ.zero, and reducing keeps them so
         P_next, _ = backward_shift(Qhat, ac).reduced()
 
@@ -253,49 +239,39 @@ def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
         if not P.spans(P_next):
             raise InternalInconsistency(f"sequence is not nested at k = {k}")
 
-        _intersection_dim_at_equilibrium(
-            P_eq, rank_P, J_eq, rank_J, eq_xu, sys.params, len(Q.rows),
-            warnings, f"k = {k}, intersection")
-        P_eq, rank_P = _dim_at_equilibrium(
-            P_next, eq_xu, sys.params, len(P_next.rows), warnings,
-            f"k = {k}, shifted codistribution")
+        # the intersection's dimension at the equilibrium is
+        # rk P_k + rk J_f - rk [P_k; J_f]: evaluating its canonical basis
+        # there is not reliable, as pivot normalization can degenerate
+        rank_PJ = _dim_at_equilibrium(Rows.stack(P, J), eq_xu, sys.params)
+        if None in (rank_P, rank_J, rank_PJ):
+            warnings.append(f"k = {k}, intersection: rank at the equilibrium "
+                            "could not be evaluated exactly")
+        elif rank_P + rank_J - rank_PJ != len(Q.rows):
+            warnings.append(f"k = {k}, intersection: generic dimension "
+                            f"{len(Q.rows)} becomes {rank_P + rank_J - rank_PJ} "
+                            "at the equilibrium")
+        rank_P = _dim_at_equilibrium(P_next, eq_xu, sys.params)
+        if rank_P is None:
+            warnings.append(f"k = {k}, shifted codistribution: rank at the "
+                            "equilibrium could not be evaluated exactly")
+        elif rank_P != len(P_next.rows):
+            warnings.append(f"k = {k}, shifted codistribution: generic dimension "
+                            f"{len(P_next.rows)} drops to {rank_P} at the equilibrium")
 
         if len(P_next.rows) == len(P.rows):
             say(f"fixed point at k = {k}")
             break
-        sequence.append(P_next)
+        if not integrable_rows(P_next, sys.chart.symbols):
+            raise InternalInconsistency(
+                f"P_{k + 1} is not integrable; the backward shift is invalid")
+        steps.append(SequenceStep(k + 1, Codistribution(sys.chart, P_next)))
         if not P_next.rows:
             say(f"reached the zero codistribution at k = {k + 1}")
             break
     else:
         raise InternalInconsistency(
             "the sequence did not stabilize within n + 1 iterations")
-    return _report(sys, sequence, extensions, warnings)
-
-
-def _report(sys: DiscreteTimeSystem, sequence: list[Rows], extensions: list,
-            warnings: list[str]) -> SequenceReport:
-    """The report of a sequence: each P_{k+1} must be integrable, which is
-    checked on its canonical rows; then each P_k's rows become a
-    Codistribution.  k_bar is the length of the sequence."""
-    for k, P in enumerate(sequence[1:], start=2):
-        if not integrable_rows(P, sys.chart.symbols):
-            raise InternalInconsistency(
-                f"P_{k} is not integrable; the backward shift is invalid")
-    steps = []
-    for k, P in enumerate(sequence, start=1):
-        step = SequenceStep(k, Codistribution(sys.chart, P), len(P.rows))
-        if k <= len(extensions):
-            step.intersection_dim, step.lie_derivatives_added = extensions[k - 1]
-            step.step2_trivial = step.lie_derivatives_added == 0
-        steps.append(step)
-    if steps[-1].dim:
-        verdict = NOT_FORWARD_FLAT
-    elif all(s.step2_trivial for s in steps if s.step2_trivial is not None):
-        verdict = STATIC_FEEDBACK_LINEARIZABLE
-    else:
-        verdict = FORWARD_FLAT
-    return SequenceReport(sys.name, steps, len(steps), verdict, warnings)
+    return SequenceReport(sys.name, steps, warnings)
 
 
 def decomposability(report: SequenceReport) -> tuple[int, int] | None:

@@ -63,6 +63,20 @@ class TestAnalyze:
     def test_bad_usage_exit_two(self, capsys):
         assert cli.run(["analyze"]) == cli.EXIT_INPUT
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_numeric_samples_below_one_exit_two(self, samples, capsys):
+        # with no sample drawn, the cross-check of every nonzero pivot
+        # would fail and report an internal inconsistency
+        assert cli.run(["analyze", RUNNING, "--numeric-samples",
+                        samples]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--numeric-samples: must be at least 1" in captured.err
+
+    def test_one_numeric_sample_still_analyses(self, capsys):
+        assert cli.run(["analyze", RUNNING, "--numeric-samples", "1"]) == cli.EXIT_OK
+        assert "dims: [3, 2, 0]" in capsys.readouterr().out
+
     def test_json_schema(self, capsys):
         assert cli.run(["analyze", RUNNING, "--json"]) == cli.EXIT_OK
         payload = json.loads(capsys.readouterr().out)

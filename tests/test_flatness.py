@@ -3,6 +3,7 @@ import random
 
 import pytest
 import sympy as sp
+from sympy.polys.domains import QQ
 
 from conftest import random_affine_system, random_poly
 from fwdflat import domain, dtsys, extcalc, flatness, symcore
@@ -278,6 +279,42 @@ class TestAdaptedCoordinateShortcuts:
             nontrivial += Q.dim > 0
         assert nontrivial >= 10
 
+    def test_composed_reduced_rows_stay_reduced(self):
+        """Rows in reduced row echelon form, composed through either map of
+        an adapted chart (a symcore.Substitution), stay in that form with
+        the same pivots: every QQ entry is returned as it is, so the unit
+        pivots and the zeros beside and before them stay, and _intersect_df
+        reduces the intersection only once.  Seeded rows with polynomial
+        and trig entries, on random adapted charts."""
+        rng = random.Random(6161)
+        composed = 0
+        for _ in range(30):
+            n, m = rng.choice(((2, 1), (2, 2), (3, 1)))
+            sys, ac = _random_adapted_chart(rng, n, m)
+            xu = sys.chart.symbols
+
+            def entry():
+                c = random_poly(rng, xu, 2, 2, 1) if rng.random() < 0.6 else 0
+                if rng.random() < 0.4:
+                    c += rng.choice((sp.sin, sp.cos))(rng.choice(xu)) * random_poly(
+                        rng, xu, 1, 2, 1)
+                return c
+
+            R, pivots = Rows.of(sp.Matrix(rng.randint(1, n), n + m,
+                                          lambda i, j: entry())).reduced()
+            for S in (ac.to_adapted, ac.to_x):
+                C = S(R)
+                assert C.width == R.width and len(C.rows) == len(R.rows)
+                assert C.reduced()[1] == pivots
+                for i, (row, p) in enumerate(zip(C.rows, pivots)):
+                    assert all(type(a) is type(QQ.zero) and not a for a in row[:p])
+                    for r, other in enumerate(C.rows):
+                        assert other[p] is R.rows[r][p]
+                        assert other[p] == (1 if r == i else 0)
+                R = C
+            composed += R.F is not None
+        assert composed >= 10
+
     @pytest.mark.parametrize("name", ["running", "vtol"])
     def test_no_codistribution_passes_through_the_inverse_chart(
             self, name, request, monkeypatch):
@@ -436,19 +473,20 @@ def test_nonlinear_chain_of_ten_states():
 
 
 def test_report_refuses_a_non_integrable_row_set(running, monkeypatch):
-    """_report checks every P_{k+1} on its rows, and turns no row entry into
-    an expression before that check: the contact form dx2 + x1 dx3 raises
-    InternalInconsistency."""
+    """compute_sequence checks each accepted P_{k+1} on its rows, and turns
+    no row entry into an expression before that check: a backward shift
+    that gives the contact form dx2 + x1 dx3 raises InternalInconsistency."""
     sys = running.system
-    x1 = sys.states[0]
-    P1 = Rows.of(sp.eye(3).row_join(sp.zeros(3, 2)))
-    contact = Rows.of([[0, 1, x1, 0, 0]])
-    expressions = []
+    contact = Rows.of([[0, 1, sys.states[0], 0, 0]])
+    shifts, expressions = [], []
     to_expr = Rows.to_expr
+    monkeypatch.setattr(flatness, "backward_shift",
+                        lambda Q, ac: shifts.append(Q) or contact)
     monkeypatch.setattr(Rows, "to_expr", lambda R, x: (
         expressions.append(x) or to_expr(R, x)))
     with pytest.raises(InternalInconsistency, match="P_2 is not integrable"):
-        flatness._report(sys, [P1, contact], [(1, 0)], [])
+        compute_sequence(sys)
+    assert len(shifts) == 1
     assert expressions == []
 
 
@@ -542,7 +580,8 @@ class TestRowsStayExact:
         sys = _linear_six() if name == "linear6" else request.getfixturevalue(name).system
         inverse = dtsys.build_adapted_chart(sys).from_adapted
         phase, conversions, expressions = ["setup"], [], []
-        convert, chart, report = domain._convert, flatness.build_adapted_chart, flatness._report
+        convert, chart, report = (domain._convert, flatness.build_adapted_chart,
+                                  flatness.SequenceReport)
 
         def counting_convert(exprs):
             exprs = list(exprs)
@@ -563,7 +602,7 @@ class TestRowsStayExact:
         for module in (domain, symcore):
             monkeypatch.setattr(module, "_convert", counting_convert)
         monkeypatch.setattr(flatness, "build_adapted_chart", chart_then_loop)
-        monkeypatch.setattr(flatness, "_report", report_phase)
+        monkeypatch.setattr(flatness, "SequenceReport", report_phase)
         for label in ("to_expr", "to_matrix"):
             method = getattr(Rows, label)
             monkeypatch.setattr(Rows, label, lambda R, *a, method=method: (
