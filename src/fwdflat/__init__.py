@@ -6,11 +6,12 @@ The top-level names re-export the working vocabulary.  Coordinates and
 parameters are plain ``sympy.Symbol`` objects and expressions are sympy
 expressions.  The implementation lives in :mod:`fwdflat.domain` (the
 exact fields and the zero test), :mod:`fwdflat.symcore` (expression
-kernel and the row kernel ``Rows``, under every rank, elimination and
-integrability decision), :mod:`fwdflat.extcalc` (exterior calculus; one
-row-space class serves codistributions and distributions),
-:mod:`fwdflat.dtsys` (system model, adapted charts,
-shifts, verifiers), :mod:`fwdflat.flatness` (the sequence and the
+kernel and the row kernel ``Rows``, under every rank, elimination,
+derivative and integrability decision), :mod:`fwdflat.extcalc`
+(exterior calculus on the same rows; one row-space class serves
+codistributions and distributions, and one closure every invariant
+extension), :mod:`fwdflat.dtsys` (system model, adapted charts, shifts,
+verifiers), :mod:`fwdflat.flatness` (the sequence and the
 classification) and :mod:`fwdflat.cli` (command line front end).
 """
 
@@ -43,7 +44,6 @@ from .extcalc import (
     lie_derivative_form,
     parse_oneform,
     render_oneform,
-    wedge,
 )
 from .dtsys import (
     AdaptedChart,

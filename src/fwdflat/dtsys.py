@@ -75,6 +75,9 @@ class DiscreteTimeSystem:
             raise ValueError("inverse chart must have n+m components")
         for i, fi in enumerate(self.f):
             res = fi.xreplace(self.equilibrium_subs()) - self.x0[i]
+            # is_zero converts f, and refuses one that is nowhere defined
+            if res.has(sp.nan, sp.zoo, sp.oo, -sp.oo) and not is_zero(fi):
+                raise ValueError(f"f has a pole at (x0, u0), component {i}")
             if not is_zero(res):
                 raise ValueError(
                     f"(x0, u0) is not an equilibrium: component {i} residual {normalize(res)}")

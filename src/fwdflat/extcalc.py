@@ -10,7 +10,11 @@ vector fields) share one class, which holds the exact rows of the span
 sympy forms only when its basis is read.  Spans, membership and equality
 (one rank each), annihilators, pullbacks and the integrability test (the
 Frobenius condition on the annihilator of the rows, :func:`integrable_rows`)
-all run on those rows; forms, fields and their calculus stay sympy.
+all run on those rows.  So does the calculus: every derivative is taken by
+``symcore.jacobian_rows`` or ``Rows.derivative``, the Lie derivative of
+1-forms by :func:`lie_derivative_rows`, and every invariant extension,
+the sequence's included, by one :func:`closure`.  Forms and fields are
+sympy coefficients, converted to rows and back once per operation.
 Coordinates are plain ``sympy.Symbol`` objects.
 """
 
@@ -99,10 +103,6 @@ class KForm:
         return all(is_zero(c) for c in self.terms.values())
 
 
-def oneform_to_kform(w: OneForm) -> KForm:
-    return KForm(w.chart, 1, {(i,): c for i, c in enumerate(w.coeffs)})
-
-
 def basis_oneform(chart: Chart, i: int) -> OneForm:
     coeffs = [sp.Integer(0)] * chart.dim
     coeffs[i] = sp.Integer(1)
@@ -122,41 +122,14 @@ def exterior_derivative(obj, chart: Chart | None = None):
     """d of a scalar (-> OneForm) or of a OneForm (-> 2-form)."""
     if isinstance(obj, OneForm):
         ch = obj.chart
-        J = symcore.jacobian(obj.coeffs, ch.symbols)
-        return KForm(ch, 2, {(i, j): J[j, i] - J[i, j]
+        J = symcore.jacobian_rows(obj.coeffs, ch.symbols)
+        d = J.to_expr
+        return KForm(ch, 2, {(i, j): d(J.rows[j][i]) - d(J.rows[i][j])
                              for i, j in itertools.combinations(range(ch.dim), 2)})
     if chart is None:
         raise ValueError("a chart is required to differentiate a scalar")
-    return OneForm(chart, tuple(normalize(d) for d in symcore.jacobian([obj], chart.symbols)))
-
-
-def wedge(a, b) -> KForm:
-    """Antisymmetric product; the result is the zero form above top degree."""
-    if isinstance(a, OneForm):
-        a = oneform_to_kform(a)
-    if isinstance(b, OneForm):
-        b = oneform_to_kform(b)
-    _check_same_chart(a, b)
-    deg = a.degree + b.degree
-    terms: dict = {}
-    if deg > a.chart.dim:
-        return KForm(a.chart, deg, {})
-    for ia, ca in a.terms.items():
-        for ib, cb in b.terms.items():
-            if set(ia) & set(ib):
-                continue
-            merged = ia + ib
-            order = sorted(range(len(merged)), key=lambda k: merged[k])
-            # parity of the permutation sorting the concatenated indices
-            sign, seen = 1, list(order)
-            for start in range(len(seen)):
-                while seen[start] != start:
-                    tgt = seen[start]
-                    seen[start], seen[tgt] = seen[tgt], seen[start]
-                    sign = -sign
-            key = tuple(sorted(merged))
-            terms[key] = terms.get(key, 0) + sign * ca * cb
-    return KForm(a.chart, deg, terms)
+    J = symcore.jacobian_rows([obj], chart.symbols)
+    return OneForm(chart, tuple(normalize(J.to_expr(d)) for d in J.rows[0]))
 
 
 def contract(v: VectorField, alpha):
@@ -179,15 +152,28 @@ def contract(v: VectorField, alpha):
     return out
 
 
+def lie_derivative_rows(v: Rows, W: Rows, symbols: Sequence[sp.Symbol]) -> Rows:
+    """L_v ω = Σ_k v_k ∂_k ω + ω·J_v for the one field row v and each 1-form
+    row ω of W, with columns along ``symbols``, in the field of both."""
+    S = Rows.stack(v, W)
+    field, forms = S.rows[0], S.rows[1:]
+    D = [S.derivative(x).rows for x in symbols]  # D[k][r]: row r by x_k
+    reduce = S.F.reduce if S.F is not None else (lambda a: a)
+
+    def entry(r, i):
+        terms = itertools.chain(zip(field, (Dk[r + 1][i] for Dk in D)),
+                                zip(forms[r], D[i][0]))
+        return reduce(sum((a * b for a, b in terms if a and b), QQ.zero))
+
+    return Rows(S.F, [[entry(r, i) for i in range(S.width)] for r in range(len(forms))],
+                S.width)
+
+
 def lie_derivative_form(v: VectorField, w: OneForm) -> OneForm:
-    """L_v w by the coefficient formula (v^k d_k w_i) dx^i + w_i dv^i."""
+    """L_v w (see :func:`lie_derivative_rows`)."""
     _check_same_chart(v, w)
-    ch = v.chart
-    n = ch.dim
-    J = symcore.jacobian(v.coeffs + w.coeffs, ch.symbols)  # rows of v, then of w
-    return OneForm(ch, tuple(
-        normalize(sum(v.coeffs[k] * J[n + i, k] + w.coeffs[k] * J[k, i] for k in range(n)))
-        for i in range(n)))
+    R = lie_derivative_rows(Rows.of([v.coeffs]), Rows.of([w.coeffs]), v.chart.symbols)
+    return OneForm(v.chart, tuple(R.to_expr(c) for c in R.rows[0]))
 
 
 def add_oneforms(a: OneForm, b: OneForm) -> OneForm:
@@ -204,9 +190,11 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     _check_same_chart(v, w)
     ch = v.chart
     n = ch.dim
-    J = symcore.jacobian(v.coeffs + w.coeffs, ch.symbols)  # rows of v, then of w
+    J = symcore.jacobian_rows(v.coeffs + w.coeffs, ch.symbols)  # rows of v, then of w
+    d = J.to_expr
     return VectorField(ch, tuple(
-        normalize(sum(v.coeffs[k] * J[n + i, k] - w.coeffs[k] * J[i, k] for k in range(n)))
+        normalize(sum(v.coeffs[k] * d(J.rows[n + i][k]) - w.coeffs[k] * d(J.rows[i][k])
+                      for k in range(n)))
         for i in range(n)))
 
 
@@ -363,22 +351,26 @@ def is_integrable(P: Codistribution) -> bool:
     return integrable_rows(P.rows, P.chart.symbols)
 
 
-def invariant_extension(P: Codistribution, D: Distribution) -> Codistribution:
-    """Smallest codistribution containing P that is invariant w.r.t. D.
+def closure(Q: Rows, maps: Sequence[Callable[[Rows], Rows]]) -> Rows:
+    """Smallest extension of the rows Q, in reduced row echelon form, whose
+    span holds the images of its rows under each map: Q stacked with its
+    images and reduced, until the rank stops growing.  It grows every round,
+    so at most Q.width rounds run."""
+    while True:
+        extended, pivots = Rows.stack(Q, *(image(Q) for image in maps)).reduced()
+        if len(pivots) == len(Q.rows):
+            return Q
+        Q = extended
 
-    Breadth-first: each round adjoins all first-order Lie derivatives of the
-    current canonical basis; a fixed point is reached in at most
-    chart.dim - dim(P) rounds.
-    """
+
+def invariant_extension(P: Codistribution, D: Distribution) -> Codistribution:
+    """Smallest codistribution containing P that is invariant w.r.t. D: the
+    closure of P's rows under the Lie derivatives along D's rows."""
     _check_same_chart(P, D)
-    current = P
-    for _ in range(P.chart.dim - P.dim + 1):
-        derived = [lie_derivative_form(v, w) for v in D.basis for w in current.basis]
-        extended = Codistribution.span(P.chart, list(current.basis) + derived)
-        if extended.dim == current.dim:
-            return current
-        current = extended
-    raise AssertionError("invariant extension did not reach a fixed point")
+    fields = [Rows(D.rows.F, [row], D.rows.width) for row in D.rows.rows]
+    return Codistribution(P.chart, closure(P.rows, [
+        functools.partial(lie_derivative_rows, v, symbols=P.chart.symbols)
+        for v in fields]))
 
 
 def is_cauchy_characteristic(v: VectorField, P: Codistribution) -> bool:
@@ -425,7 +417,7 @@ def parse_oneform(text: str, chart: Chart) -> OneForm:
     coeffs = []
     for s in chart.symbols:
         d = dsyms[f"d{s.name}"]
-        coeffs.append(normalize(sp.diff(e, d)))
+        coeffs.append(normalize(e.coeff(d)))
     rebuilt = sum(c * dsyms[f"d{s.name}"] for s, c in zip(chart.symbols, coeffs))
     if not is_zero(sp.together(e - rebuilt)):
         raise ExprSyntaxError(f"not linear in the differentials: {text!r}")

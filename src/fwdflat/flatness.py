@@ -13,8 +13,10 @@ differentials, performs three moves:
 
 In the adapted chart (theta, xi) df is d theta, so only the intersection's
 coefficients pass through the inverse chart, never P_k itself; the
-complement directions are the constant fields d/d xi.  The chart owns both
-maps on rows, to_adapted and to_x, and rows of QQ numbers bypass them.
+complement directions are the constant fields d/d xi, along which the
+Lie derivative of a 1-form is its coefficients' d/d xi, and step 2 is
+extcalc's one closure under those derivatives.  The chart owns both maps
+on rows, to_adapted and to_x, and rows of QQ numbers bypass them.
 
 The sequence is strictly decreasing until it stabilizes; the system is
 forward flat exactly when it reaches the zero codistribution, and static
@@ -30,6 +32,7 @@ the steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import methodcaller
 
 import sympy as sp
 from sympy.polys.domains import QQ
@@ -49,6 +52,7 @@ from .errors import FwdflatError, InternalInconsistency
 from .extcalc import (
     Codistribution,
     OneForm,
+    closure,
     integrable_rows,
     pullback,
     render_oneform,
@@ -169,18 +173,6 @@ def _intersect_df(P: Rows, J: Rows, ac: AdaptedChart) -> Rows:
     return Rows(A.F, [row + zeros for row in A.rows], N)
 
 
-def _close_under_dxi(Q: Rows, xi) -> Rows:
-    """Smallest extension of the rows Q, in reduced row echelon form,
-    invariant under ∂ξ for the coordinates xi: ∂ξ is constant, so L_∂ξ ω is
-    ∂ω/∂ξ coefficientwise.  The dimension grows every round until it stops,
-    so at most chart.dim rounds run."""
-    while True:
-        extended, pivots = Rows.stack(Q, *(Q.derivative(v) for v in xi)).reduced()
-        if len(pivots) == len(Q.rows):
-            return Q
-        Q = extended
-
-
 def _dim_at_equilibrium(M: Rows, eq_subs, params) -> int | None:
     """The rank of M at the equilibrium, None where it is not exact, taken
     with its row denominators cleared (see Rows.cleared: polynomial rows, so
@@ -207,13 +199,16 @@ def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
     ac = build_adapted_chart(sys)
     say(f"adapted chart complement: {tuple(str(h) for h in ac.h)}")
 
-    # per run: J_f in the exact domain, and P_1 = span{dx_i} of rank n;
-    # P_k's rank at the equilibrium comes from the previous iteration.
-    # Clearing scales each row of J_f by a polynomial that is nonzero where
-    # J_f has no pole, so its rank there is the submersivity check's.
+    # per run: J_f in the exact domain, its rows cleared for the equilibrium
+    # ranks, and P_1 = span{dx_i} of rank n; P_k's rank at the equilibrium
+    # comes from the previous iteration.  Clearing scales each row of J_f by
+    # a polynomial that is nonzero where J_f has no pole, so its rank there
+    # is the submersivity check's.
     warnings: list[str] = []
     eq_xu = sys.equilibrium_subs()
     J, rank_J = sys.jacobian_rows(), sub.rank_at_equilibrium
+    J_cleared = J.cleared()
+    d_xi = [methodcaller("derivative", v) for v in ac.xi]
 
     n, N = sys.n, sys.n + sys.m
     P = Rows(None, [[QQ.one if i == j else QQ.zero for j in range(N)]
@@ -226,7 +221,7 @@ def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
         if not P.rows:
             break
         Q = _intersect_df(P, J, ac)
-        Qhat = _close_under_dxi(Q, ac.xi)
+        Qhat = closure(Q, d_xi)
         step.intersection_dim = len(Q.rows)
         step.lie_derivatives_added = len(Qhat.rows) - len(Q.rows)
         say(f"k = {k}: dim P = {len(P.rows)}, intersection {len(Q.rows)}, "
@@ -242,7 +237,7 @@ def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
         # the intersection's dimension at the equilibrium is
         # rk P_k + rk J_f - rk [P_k; J_f]: evaluating its canonical basis
         # there is not reliable, as pivot normalization can degenerate
-        rank_PJ = _dim_at_equilibrium(Rows.stack(P, J), eq_xu, sys.params)
+        rank_PJ = _dim_at_equilibrium(Rows.stack(P, J_cleared), eq_xu, sys.params)
         if None in (rank_P, rank_J, rank_PJ):
             warnings.append(f"k = {k}, intersection: rank at the equilibrium "
                             "could not be evaluated exactly")

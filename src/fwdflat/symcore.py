@@ -11,11 +11,10 @@ function iff it is literally zero.  Rows stay in the domain from one
 operation to the next: each elimination moves them into the field of the
 generators that they use, by remapping exponents, :class:`Substitution`
 composes them with a map and ``@`` multiplies them.  Every caller ranks and
-eliminates on rows; a sympy matrix is built only by :func:`jacobian` and
-``Rows.to_matrix``, for the form calculus of :mod:`fwdflat.extcalc`.
+eliminates on rows, and a sympy matrix is built only by ``Rows.to_matrix``.
 Chart inversions solve in the same domain
 (:func:`solve_by_elimination`), and every derivative is taken there
-(:func:`jacobian_rows`: the ring's derivations, with d cos(a)/da = -sin(a)
+(:func:`jacobian_rows` and ``Rows.derivative``: the ring's derivations, with d cos(a)/da = -sin(a)
 and d sin(a)/da = cos(a), the chain rule through a compound argument a,
 and the quotient rule).  The same domain fixes every canonical form:
 :func:`normalize` converts an expression into it and back, for rendering
@@ -282,12 +281,6 @@ def jacobian_rows(exprs: Sequence, symbols: Sequence[sp.Symbol]) -> Rows:
     ds = [F.derivation(v) if F is not None else None for v in symbols]
     return Rows(F, [[QQ.zero if d is None or type(x) is _MPQ else _demote(d(x))
                      for d in ds] for x in elements], len(symbols))
-
-
-def jacobian(exprs: Sequence, symbols: Sequence[sp.Symbol]) -> sp.Matrix:
-    """The matrix of :func:`jacobian_rows`, for the form calculus of
-    :mod:`fwdflat.extcalc`."""
-    return jacobian_rows(exprs, symbols).to_matrix()
 
 
 # --------------------------------------------------------------------------

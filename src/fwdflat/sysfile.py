@@ -106,7 +106,7 @@ def _rationals(line: str, count: int, what: str):
         raise SystemFileError(f"{what}: expected {count} values, got {len(parts)}")
     try:
         return tuple(sp.Rational(p) for p in parts)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SystemFileError(f"{what}: not a rational: {exc}") from exc
 
 
@@ -208,7 +208,7 @@ def parse_system_text(text: str, name: str = "system") -> SystemFile:
 def parse_system_file(path) -> SystemFile:
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise SystemFileError(f"cannot read {p}: {exc}") from exc
     return parse_system_text(text, name=p.stem)

@@ -3,9 +3,16 @@
 The sympy-matrix wrappers of the row kernel (``rref``, ``rank``,
 ``rank_at``, ``nullspace``), each converting once into ``symcore.Rows`` and
 once back, the Frobenius wedge criterion that ``is_integrable`` used
-before it decided on rows (``wedge_all``, ``wedge_is_integrable``), and the
-``pullback`` of sympy forms that the row pullback replaced.
+before it decided on rows (``wedge``, ``oneform_to_kform``, ``wedge_all``,
+``wedge_is_integrable``), the ``pullback`` of sympy forms that the row
+pullback replaced, and the sympy form calculus that the row calculus
+replaced (``exterior_derivative``, ``lie_derivative_form``,
+``lie_bracket``, ``invariant_extension``).  Every derivative here is taken
+by ``sp.diff``, never by the row kernel, so a comparison with the package
+is not circular.
 """
+
+import itertools
 
 import sympy as sp
 
@@ -15,11 +22,9 @@ from fwdflat.extcalc import (
     Codistribution,
     KForm,
     OneForm,
-    exterior_derivative,
-    oneform_to_kform,
-    wedge,
+    VectorField,
 )
-from fwdflat.symcore import is_zero
+from fwdflat.symcore import is_zero, normalize
 
 
 def rref(M):
@@ -56,6 +61,87 @@ def nullspace(M):
     return basis
 
 
+def jacobian(exprs, symbols) -> sp.Matrix:
+    """The sympy matrix of the partial derivatives, each by ``sp.diff``."""
+    return sp.Matrix(len(exprs), len(symbols),
+                     [sp.diff(e, s) for e in exprs for s in symbols])
+
+
+def exterior_derivative(obj, chart=None):
+    """d of a scalar on the chart (-> OneForm) or of a OneForm (-> 2-form)."""
+    if isinstance(obj, OneForm):
+        ch = obj.chart
+        J = jacobian(obj.coeffs, ch.symbols)
+        return KForm(ch, 2, {(i, j): J[j, i] - J[i, j]
+                             for i, j in itertools.combinations(range(ch.dim), 2)})
+    return OneForm(chart, tuple(normalize(d) for d in jacobian([obj], chart.symbols)))
+
+
+def lie_derivative_form(v, w) -> OneForm:
+    """L_v w by the coefficient formula (v^k d_k w_i) dx^i + w_i dv^i."""
+    n = v.chart.dim
+    J = jacobian(v.coeffs + w.coeffs, v.chart.symbols)  # rows of v, then of w
+    return OneForm(v.chart, tuple(
+        normalize(sum(v.coeffs[k] * J[n + i, k] + w.coeffs[k] * J[k, i] for k in range(n)))
+        for i in range(n)))
+
+
+def lie_bracket(v, w) -> VectorField:
+    """[v, w]^i = v^k d_k w^i - w^k d_k v^i."""
+    n = v.chart.dim
+    J = jacobian(v.coeffs + w.coeffs, v.chart.symbols)  # rows of v, then of w
+    return VectorField(v.chart, tuple(
+        normalize(sum(v.coeffs[k] * J[n + i, k] - w.coeffs[k] * J[i, k] for k in range(n)))
+        for i in range(n)))
+
+
+def invariant_extension(P, D) -> Codistribution:
+    """Smallest codistribution containing P that is invariant w.r.t. D, on
+    sympy forms: each round adjoins the Lie derivatives of the current
+    canonical basis along D's, until the dimension stops growing."""
+    current = P
+    while True:
+        derived = [lie_derivative_form(v, w) for v in D.basis for w in current.basis]
+        extended = Codistribution.span(P.chart, list(current.basis) + derived)
+        if extended.dim == current.dim:
+            return current
+        current = extended
+
+
+def oneform_to_kform(w: OneForm) -> KForm:
+    return KForm(w.chart, 1, {(i,): c for i, c in enumerate(w.coeffs)})
+
+
+def wedge(a, b) -> KForm:
+    """Antisymmetric product; the result is the zero form above top degree."""
+    if isinstance(a, OneForm):
+        a = oneform_to_kform(a)
+    if isinstance(b, OneForm):
+        b = oneform_to_kform(b)
+    if a.chart != b.chart:
+        raise ValueError("objects live on different charts")
+    deg = a.degree + b.degree
+    terms: dict = {}
+    if deg > a.chart.dim:
+        return KForm(a.chart, deg, {})
+    for ia, ca in a.terms.items():
+        for ib, cb in b.terms.items():
+            if set(ia) & set(ib):
+                continue
+            merged = ia + ib
+            order = sorted(range(len(merged)), key=lambda k: merged[k])
+            # parity of the permutation sorting the concatenated indices
+            sign, seen = 1, list(order)
+            for start in range(len(seen)):
+                while seen[start] != start:
+                    tgt = seen[start]
+                    seen[start], seen[tgt] = seen[tgt], seen[start]
+                    sign = -sign
+            key = tuple(sorted(merged))
+            terms[key] = terms.get(key, 0) + sign * ca * cb
+    return KForm(a.chart, deg, terms)
+
+
 def wedge_all(forms) -> KForm:
     """Fold the wedge product over a nonempty sequence of forms."""
     forms = list(forms)
@@ -85,7 +171,7 @@ def pullback(old_in_new, chart):
     The returned function takes forms and returns the span of their
     pullbacks; a form with a nonzero component along a dropped coordinate
     raises InternalInconsistency."""
-    J = symcore.jacobian(old_in_new, chart.symbols).tolist()
+    J = jacobian(old_in_new, chart.symbols).tolist()
 
     def apply(forms):
         pulled = []

@@ -239,8 +239,14 @@ RUNNING_TEXT = (FIXTURES / "running.sys").read_text()
     "states: x1\ninputs: u1\nf: x1 + u1\nx0: 0\nu0: 1\n",
     # the residual sin(1) is a number, not a rational
     "states: x1 x2\ninputs: u1\nf: sin(x2)\nf: x2 + u1\nx0: 0 1\nu0: 0\n",
+    "states: x1\ninputs: u1\nf: u1\nx0: 1/0\nu0: 0\n",
+    "states: x1\ninputs: u1\nf: u1\nx0: 0\nu0: 0/0\n",
+    "states: x1\ninputs: u1\nf: u1/x1\nx0: 0\nu0: 0\n",
+    "states: x1\ninputs: u1\nf: x1 + 1/u1\nx0: 1\nu0: 0\n",
 ], ids=["split-not-integers", "state-named-like-input", "not-an-equilibrium",
-        "trig-residual-not-an-equilibrium"])
+        "trig-residual-not-an-equilibrium", "x0-divides-by-zero",
+        "u0-zero-over-zero", "f-zero-over-zero-at-the-equilibrium",
+        "f-pole-at-the-equilibrium"])
 def test_input_errors_exit_two_without_traceback(tmp_path, capsys, text):
     bad = tmp_path / "bad.sys"
     bad.write_text(text)
@@ -248,6 +254,17 @@ def test_input_errors_exit_two_without_traceback(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    bad = tmp_path / "latin1.sys"
+    bad.write_bytes("# \xe9tat\nstates: x1\ninputs: u1\nf: u1\nx0: 0\nu0: 0\n"
+                    .encode("latin-1"))
+    for command in ("analyze", "verify-flat-output", "verify-decomposition"):
+        assert cli.run([command, str(bad)]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {bad}: ")
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("text,code", [

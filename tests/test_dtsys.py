@@ -46,6 +46,13 @@ class TestSystemBasics:
         with pytest.raises(ValueError):
             _sys(["x1"], ["u1"], [x1 + u1 + 1], [0], [0])
 
+    @pytest.mark.parametrize("f,x0", [("u1/x1", 0), ("x1 + 1/u1", 1),
+                                      ("x1 + u1/(x1 - 1)**2", 1)])
+    def test_pole_at_the_equilibrium_is_an_input_error(self, f, x0):
+        x1, u1 = sp.symbols("x1 u1")
+        with pytest.raises(ValueError, match=r"f has a pole at \(x0, u0\), component 0"):
+            _sys(["x1"], ["u1"], [sp.sympify(f, locals={"x1": x1, "u1": u1})], [x0], [0])
+
     def test_dimensions(self, running):
         s = running.system
         assert (s.n, s.m) == (3, 2)

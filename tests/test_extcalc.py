@@ -29,10 +29,9 @@ from fwdflat.extcalc import (
     parse_oneform,
     render_oneform,
     sub_oneforms,
-    wedge,
 )
 from fwdflat.symcore import Rows, is_zero, normalize
-from reference import rank, wedge_all, wedge_is_integrable
+from reference import rank, wedge, wedge_all, wedge_is_integrable
 
 X4 = Chart(tuple(sp.Symbol(f"x{i}") for i in range(1, 5)))
 X3 = Chart(tuple(sp.Symbol(f"x{i}") for i in range(1, 4)))
@@ -418,11 +417,12 @@ class TestIntegrability:
 
     def test_builds_no_wedge(self, monkeypatch):
         """The criterion runs on the reduced rows: neither a basis of closed
-        forms nor one with a nonzero dw builds a wedge or a k-form."""
+        forms nor one with a nonzero dw takes d or builds a k-form (the
+        wedge itself is only a test reference)."""
         def refuse(*args):
             raise AssertionError("wedge calculus used")
 
-        for name in ("wedge", "exterior_derivative", "KForm"):
+        for name in ("exterior_derivative", "KForm"):
             monkeypatch.setattr(extcalc, name, refuse)
         closed = Codistribution.span(X3, [OneForm(X3, (1, 0, 1)),
                                           OneForm(X3, (0, 1, 0))])
@@ -703,3 +703,63 @@ class TestRowSpaceAgainstTheReferences:
                                          for w, g in shuffled])
             assert P == Q and P.equals(Q) and Q.equals(P)
             assert hash(P) == hash(Q)
+
+
+class TestCalculusAgainstTheReferences:
+    """The row calculus agrees with the sympy references of
+    tests/reference.py, which differentiate by sp.diff, on seeded fields
+    and forms that are not constant and hold sin/cos of a state."""
+
+    @staticmethod
+    def _coeff(rng, ch, density=1.0):
+        atoms = list(ch.symbols) + [sp.sin(ch.symbols[0]), sp.cos(ch.symbols[1])]
+        return random_poly(rng, atoms, 2, 3, 2) if rng.random() < density else 0
+
+    def _field(self, rng, ch, density=1.0):
+        return VectorField(ch, tuple(self._coeff(rng, ch, density) for _ in range(ch.dim)))
+
+    def _form(self, rng, ch, density=1.0):
+        return OneForm(ch, tuple(self._coeff(rng, ch, density) for _ in range(ch.dim)))
+
+    @staticmethod
+    def _same(a, b):
+        return all(is_zero(x - y) for x, y in zip(a, b))
+
+    def test_lie_derivative_bracket_and_d_randomized(self):
+        rng = random.Random(7171)
+        for _ in range(30):
+            v, w = self._field(rng, X4), self._field(rng, X4)
+            omega = self._form(rng, X4)
+            f = self._coeff(rng, X4)
+            assert self._same(lie_derivative_form(v, omega).coeffs,
+                              reference.lie_derivative_form(v, omega).coeffs)
+            assert self._same(lie_bracket(v, w).coeffs,
+                              reference.lie_bracket(v, w).coeffs)
+            got, expected = exterior_derivative(omega), reference.exterior_derivative(omega)
+            assert self._same([got.terms.get(k, 0) for k in expected.terms],
+                              expected.terms.values())
+            assert got.terms.keys() == expected.terms.keys()
+            assert self._same(exterior_derivative(f, X4).coeffs,
+                              reference.exterior_derivative(f, X4).coeffs)
+
+    def test_invariant_extension_randomized(self):
+        """Fields with a unit pivot and forms with a unit last coefficient,
+        of degree 1 in the states, sin(x1) and cos(x2), so that the
+        coefficients of the closure stay small."""
+        rng = random.Random(2)
+        atoms = [x1, x2, x3, sp.sin(x1), sp.cos(x2)]
+
+        def poly(density):
+            return random_poly(rng, atoms, 2, 3, 1) if rng.random() < density else 0
+
+        grew = []
+        for _ in range(16):
+            p = rng.randint(1, 2)
+            D = Distribution.span(X3, [VectorField(X3, tuple(
+                1 if j == i else poly(0.7) if j >= p else 0 for j in range(3)))
+                for i in range(p)])
+            P = Codistribution.span(X3, [OneForm(X3, (poly(0.7), poly(0.5), 1))])
+            got = invariant_extension(P, D)
+            assert got == reference.invariant_extension(P, D), (P.basis, D.basis)
+            grew.append(got.dim - P.dim)
+        assert grew.count(0) >= 2 and grew.count(1) >= 4 and grew.count(2) >= 2
