@@ -101,10 +101,11 @@ class DiscreteTimeSystem:
 
     def jacobian_rows(self) -> symcore.Rows:
         """d f / d (x, u), n rows of n+m exact elements, computed on first
-        use."""
+        use, in the field of the generators that they use (None when every
+        entry is a QQ number)."""
         J = self.__dict__.get("_jacobian_rows")
         if J is None:
-            J = symcore.jacobian_rows(self.f, self.chart.symbols)
+            J = symcore.Rows.stack(symcore.jacobian_rows(self.f, self.chart.symbols))
             object.__setattr__(self, "_jacobian_rows", J)
         return J
 
@@ -155,10 +156,12 @@ def _rank_at_point(M: symcore.Rows, subs: Mapping,
 
 
 def check_submersivity(sys: DiscreteTimeSystem) -> SubmersivityReport:
-    """rank of d f / d (x, u), generically and at the equilibrium."""
+    """rank of d f / d (x, u), generically and at the equilibrium, where
+    rows of QQ numbers have their generic rank."""
     J = sys.jacobian_rows()
     generic = J.rank()
-    at_eq = _rank_at_point(J, sys.equilibrium_subs(), sys.params)
+    at_eq = (generic if J.F is None
+             else _rank_at_point(J, sys.equilibrium_subs(), sys.params))
     notes = []
     if generic < sys.n:
         _, pivots = symcore.Rows(J.F, [list(c) for c in zip(*J.rows)], sys.n).reduced()

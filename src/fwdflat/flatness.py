@@ -5,7 +5,8 @@ between a triangular decomposition and the sequence of its subsystem.
 Each iteration, starting from a codistribution P_k spanned by exact state
 differentials, performs three moves:
 
-1. intersect P_k with the span of the df-differentials, in (x, u);
+1. intersect P_k with the span of the df-differentials, in (x, u),
+   through P_k's kernel, which its reduced rows give without elimination;
 2. close the intersection under Lie derivatives along the complement
    directions (the smallest invariant extension);
 3. shift the result backward, which in adapted coordinates is the
@@ -26,7 +27,9 @@ The iteration, its runtime checks and the integrability of each P_{k+1},
 checked when it is accepted, run on exact rows (:class:`fwdflat.symcore.Rows`).
 Each step is recorded once, holding P_k as a Codistribution of its rows,
 and no sympy form is built; k_bar, the dims and the verdict are read off
-the steps.
+the steps.  The equilibrium rank checks evaluate only rows with an entry
+that is not a QQ number: rows of QQ numbers have their generic rank at
+every point.
 """
 
 from __future__ import annotations
@@ -150,33 +153,60 @@ class SequenceReport:
 
 def _intersect_df(P: Rows, J: Rows, ac: AdaptedChart) -> Rows:
     """P ∩ span{df} in the adapted chart ac, in reduced row echelon form,
-    for the rows P on the (x, u) chart and J = J_f.
+    for the reduced rows P on the (x, u) chart and J = J_f.
 
-    In the rref of [[P, 0], [J_f, I]] the rows with a pivot in the right block
-    read [0, a] with a·df ∈ P, and their right blocks a are in reduced row
-    echelon form.  As df = dθ, the intersection is spanned by
-    Σ a_i(x(θ, ξ)) dθ_i: only these coefficients pass through the inverse
-    chart (ac.to_adapted).  The substitution leaves every QQ number as it
-    is, so the unit pivots and the zeros beside them stay and the rows stay
-    reduced; rows of QQ numbers never invert the chart.
+    P's kernel is read off its rows, with no elimination: for each column j
+    that is no pivot p_i of P, K_j = e_j - Σ_i P_ij e_{p_i}.  So a·df ∈ P
+    iff (a·J_f)·K = 0: the coefficients a are the left kernel of M = J_f K,
+    whose columns at P's input columns, which are zero, are those of f_u.
+    The reduced rows R of Mᵀ (one row per free column of P, n columns) give
+    one kernel row e_j - Σ_i R_ij e_{c_i} per non-pivot column j, and one
+    more elimination of these few rows brings them to the unique reduced
+    form.  (Mᵀ reduced with its columns in reverse order would give that
+    form at once, but it pivots first on the derivatives of the last
+    component of f, and on systems written in triangular coordinates, whose
+    last components are the largest, that one elimination ran for minutes.)
+
+    As df = dθ, the intersection is spanned by Σ a_i(x(θ, ξ)) dθ_i: only
+    these coefficients pass through the inverse chart (ac.to_adapted).  The
+    substitution leaves every QQ number as it is, so the unit pivots and the
+    zeros beside them stay and the rows stay reduced; rows of QQ numbers
+    never invert the chart.
     """
     n, N = len(J.rows), J.width
-    zeros = [QQ.zero] * n
-    unit = [[QQ.one if i == j else QQ.zero for j in range(n)] for i in range(n)]
-    R, pivots = Rows.stack(Rows(P.F, [row + zeros for row in P.rows], N + n),
-                           Rows(J.F, [row + e for row, e in zip(J.rows, unit)],
-                                N + n)).reduced()
-    A = Rows(R.F, [row[N:] for row, c in zip(R.rows, pivots) if c >= N], n)
+    S = Rows.stack(P, J)
+    reduce = S.F.reduce if S.F is not None else (lambda a: a)
+    P_rows, J_rows = S.rows[:len(P.rows)], S.rows[len(P.rows):]
+    lead = [next(j for j, a in enumerate(row) if a) for row in P_rows]
+    Mt = []  # (J_f K)ᵀ, by rows
+    for j in range(N):
+        if j not in lead:
+            K = [(row[j], p) for row, p in zip(P_rows, lead) if row[j]]
+            Mt.append([reduce(row[j] - sum((c * row[p] for c, p in K if row[p]),
+                                           QQ.zero)) if K else row[j]
+                       for row in J_rows])
+    R, pivots = Rows(S.F, Mt, n).reduced()
+    A = []
+    for j in range(n):
+        if j not in pivots:
+            row = [QQ.one if i == j else QQ.zero for i in range(n)]
+            for r, c in zip(R.rows, pivots):
+                row[c] = -r[j]
+            A.append(row)
+    A, _ = Rows(R.F, A, n).reduced()
     if A.F is not None:
         A = ac.to_adapted(A)
     zeros = [QQ.zero] * (N - n)
     return Rows(A.F, [row + zeros for row in A.rows], N)
 
 
-def _dim_at_equilibrium(M: Rows, eq_subs, params) -> int | None:
-    """The rank of M at the equilibrium, None where it is not exact, taken
-    with its row denominators cleared (see Rows.cleared: polynomial rows, so
-    no pole at the point); 0 for no rows."""
+def _dim_at_equilibrium(M: Rows, generic: int, eq_subs, params) -> int | None:
+    """The rank of M at the equilibrium, None where it is not exact: the
+    generic rank for rows of QQ numbers, which have it at every point, and
+    otherwise taken with the row denominators cleared (see Rows.cleared:
+    polynomial rows, so no pole at the point); 0 for no rows."""
+    if M.F is None:
+        return generic
     return _rank_at_point(M.cleared(), eq_subs, params) if M.rows else 0
 
 
@@ -237,7 +267,8 @@ def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
         # the intersection's dimension at the equilibrium is
         # rk P_k + rk J_f - rk [P_k; J_f]: evaluating its canonical basis
         # there is not reliable, as pivot normalization can degenerate
-        rank_PJ = _dim_at_equilibrium(Rows.stack(P, J_cleared), eq_xu, sys.params)
+        rank_PJ = _dim_at_equilibrium(Rows.stack(P, J_cleared),
+                                      len(P.rows) + n - len(Q.rows), eq_xu, sys.params)
         if None in (rank_P, rank_J, rank_PJ):
             warnings.append(f"k = {k}, intersection: rank at the equilibrium "
                             "could not be evaluated exactly")
@@ -245,7 +276,7 @@ def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
             warnings.append(f"k = {k}, intersection: generic dimension "
                             f"{len(Q.rows)} becomes {rank_P + rank_J - rank_PJ} "
                             "at the equilibrium")
-        rank_P = _dim_at_equilibrium(P_next, eq_xu, sys.params)
+        rank_P = _dim_at_equilibrium(P_next, len(P_next.rows), eq_xu, sys.params)
         if rank_P is None:
             warnings.append(f"k = {k}, shifted codistribution: rank at the "
                             "equilibrium could not be evaluated exactly")

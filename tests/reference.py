@@ -7,7 +7,10 @@ before it decided on rows (``wedge``, ``oneform_to_kform``, ``wedge_all``,
 ``wedge_is_integrable``), the ``pullback`` of sympy forms that the row
 pullback replaced, and the sympy form calculus that the row calculus
 replaced (``exterior_derivative``, ``lie_derivative_form``,
-``lie_bracket``, ``invariant_extension``).  Every derivative here is taken
+``lie_bracket``, ``invariant_extension``), and the intersection with
+span{df} by one elimination of ``[[P, 0], [J_f, I_n]]``
+(``intersect_df``), which the kernel route of ``flatness._intersect_df``
+replaced.  Every derivative here is taken
 by ``sp.diff``, never by the row kernel, so a comparison with the package
 is not circular.
 """
@@ -15,6 +18,7 @@ is not circular.
 import itertools
 
 import sympy as sp
+from sympy.polys.domains import QQ
 
 from fwdflat import symcore
 from fwdflat.errors import InternalInconsistency
@@ -192,3 +196,23 @@ def pullback(old_in_new, chart):
         return Codistribution.span(chart, pulled)
 
     return apply
+
+
+def intersect_df(P, J, ac):
+    """P ∩ span{df} in the adapted chart ac, for the reduced rows P on the
+    (x, u) chart and J = J_f, by one elimination: in the reduced
+    ``[[P, 0], [J_f, I_n]]`` the rows with a pivot in the right block read
+    ``[0, a]`` with a·df ∈ P, and their right blocks are in reduced row
+    echelon form.  Their coefficients pass through ``ac.to_adapted``
+    unless the elimination's rows are all QQ numbers."""
+    n, N = len(J.rows), J.width
+    zeros = [QQ.zero] * n
+    unit = [[QQ.one if i == j else QQ.zero for j in range(n)] for i in range(n)]
+    R, pivots = symcore.Rows.stack(
+        symcore.Rows(P.F, [row + zeros for row in P.rows], N + n),
+        symcore.Rows(J.F, [row + e for row, e in zip(J.rows, unit)], N + n)).reduced()
+    A = symcore.Rows(R.F, [row[N:] for row, c in zip(R.rows, pivots) if c >= N], n)
+    if A.F is not None:
+        A = ac.to_adapted(A)
+    zeros = [QQ.zero] * (N - n)
+    return symcore.Rows(A.F, [row + zeros for row in A.rows], N)

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from operator import methodcaller
+from types import SimpleNamespace
 
 import pytest
 import sympy as sp
@@ -327,7 +328,8 @@ class TestAdaptedCoordinateShortcuts:
         """compute_sequence composes only the intersection's coefficients
         with the inverse chart: it pulls no form back, never
         differentiates the inverse chart, and passes only rows of n
-        coefficients through it."""
+        coefficients through it, at most once per iteration and never rows
+        of QQ numbers."""
         sys = request.getfixturevalue(name).system
         from_adapted = dtsys.build_adapted_chart(sys).from_adapted
         pullbacks, inverse_jacobians, composed_widths = [], [], []
@@ -341,6 +343,7 @@ class TestAdaptedCoordinateShortcuts:
         def counting_substitution(subs, R):
             if tuple(subs.exprs.values()) == from_adapted:
                 composed_widths.append(R.width)
+                assert any(type(a) is not type(QQ.zero) for row in R.rows for a in row)
             return substitute(subs, R)
 
         monkeypatch.setattr(symcore, "jacobian_rows", counting_jacobian)
@@ -351,7 +354,8 @@ class TestAdaptedCoordinateShortcuts:
         report = compute_sequence(sys)
         assert pullbacks == []
         assert inverse_jacobians == []
-        assert composed_widths == [sys.n] * (report.k_bar - 1)
+        assert composed_widths == [sys.n] * len(composed_widths)
+        assert 0 < len(composed_widths) <= report.k_bar - 1
 
 
 class TestDeferredInverse:
@@ -466,16 +470,19 @@ def test_transformed_linear_systems_match_the_kalman_oracle():
                                   else NOT_FORWARD_FLAT)
 
 
-def test_nonlinear_chain_of_ten_states():
-    """x_i+ = x_{i+1} + x_i x_{i+1}, x_n+ = u1: the nonlinear chain whose
-    pullback through the inverse chart once took 18 s at n = 10."""
-    n = 10
+def _chain(n):
+    """x_i+ = x_{i+1} + x_i x_{i+1}, x_n+ = u1."""
     x = sp.symbols(f"x1:{n + 1}")
-    u1 = sp.Symbol("u1")
-    f = [x[i + 1] + x[i] * x[i + 1] for i in range(n - 1)] + [u1]
-    r = compute_sequence(_sys([s.name for s in x], ["u1"], f, [0] * n, [0]))
+    f = [x[i + 1] + x[i] * x[i + 1] for i in range(n - 1)] + [sp.Symbol("u1")]
+    return _sys([s.name for s in x], ["u1"], f, [0] * n, [0])
+
+
+def test_nonlinear_chain_of_ten_states():
+    """The nonlinear chain whose pullback through the inverse chart once
+    took 18 s at n = 10."""
+    r = compute_sequence(_chain(10))
     assert r.verdict == STATIC_FEEDBACK_LINEARIZABLE
-    assert r.dims == list(range(n, -1, -1))
+    assert r.dims == list(range(10, -1, -1))
 
 
 def test_report_refuses_a_non_integrable_row_set(running, monkeypatch):
@@ -703,3 +710,101 @@ class TestRowsStayExact:
         assert jacobians.count(sys.f) == 1
         assert jacobians.count(c.decomposition.fbar[n1:]) == 1
         assert jacobians.count(tuple(sf.decomposition.state_map[n1:])) == 1
+
+
+def _same_rows(A: Rows, B: Rows) -> bool:
+    """Whether A and B hold the same elements, entry by entry, once both are
+    moved into one field."""
+    S = Rows.stack(A, B)
+    return (A.width == B.width and len(A.rows) == len(B.rows)
+            and S.rows[:len(A.rows)] == S.rows[len(A.rows):])
+
+
+class TestIntersectionThroughTheKernel:
+    """_intersect_df reads P's kernel off its reduced rows and eliminates
+    only (J_f K)ᵀ; it must return, element by element, the rows of the one
+    elimination of [[P, 0], [J_f, I_n]] (reference.intersect_df), and those
+    rows must be reduced."""
+
+    @staticmethod
+    def _check(P, J, ac):
+        Q = _intersect_df(P, J, ac)
+        assert _same_rows(Q, reference.intersect_df(P, J, ac))
+        assert _same_rows(Q, Q.reduced()[0])
+        return Q
+
+    @pytest.mark.parametrize("name", ["running", "academic", "vtol", "nonflat",
+                                      "chain3", "chain4", "chain5", "chain6",
+                                      "linear6"])
+    def test_every_step_matches_the_reference(self, name, request):
+        if name == "linear6":
+            sys = _linear_six()
+        elif name.startswith("chain"):
+            sys = _chain(int(name[5:]))
+        else:
+            sys = request.getfixturevalue(name).system
+        report = compute_sequence(sys)
+        ac, J = dtsys.build_adapted_chart(sys), sys.jacobian_rows()
+        steps = [s for s in report.steps if s.intersection_dim is not None]
+        assert steps
+        for step in steps:
+            assert len(self._check(step.P.rows, J, ac).rows) == step.intersection_dim
+
+    def test_random_reduced_rows_of_every_rank(self):
+        """Seeded P in reduced row echelon form with zero input columns and
+        each rank 0..n, against J with polynomial, sin/cos and parameter
+        entries; the chart's map is the identity here, so the rows are
+        compared as the eliminations return them."""
+        rng = random.Random(1717)
+        identity = SimpleNamespace(to_adapted=lambda A: A)
+        nonzero = 0
+        for _ in range(12):
+            n, m = rng.choice(((2, 1), (3, 1), (3, 2)))
+            syms = sp.symbols(f"x1:{n + 1}") + sp.symbols(f"u1:{m + 1}")
+            a = sp.Symbol("a")
+
+            def entry():
+                if rng.random() < 0.3:
+                    return sp.Integer(rng.randint(-2, 2))
+                e = random_poly(rng, syms + (a,), 2, 2, 1)
+                if rng.random() < 0.3:
+                    e += rng.choice((sp.sin, sp.cos))(rng.choice(syms + (a,)))
+                return e
+
+            J = Rows.of(sp.Matrix(n, n + m, lambda i, j: entry()))
+            for r in range(n + 1):
+                pivots = sorted(rng.sample(range(n), r))
+                P = sp.zeros(r, n + m)
+                for i, p in enumerate(pivots):
+                    P[i, p] = 1
+                    for j in range(p + 1, n):
+                        if j not in pivots and rng.random() < 0.7:
+                            P[i, j] = entry()
+                P_rows, found = Rows.of(P).reduced()
+                assert found == pivots
+                nonzero += len(self._check(P_rows, J, identity).rows) > 0
+        assert nonzero >= 12
+
+
+class TestConstantRowsTakeTheirGenericRank:
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_no_rank_at_a_point(self, seeded, monkeypatch):
+        """On rows of QQ numbers, J_f's, each P_k's and each [P_k; J_f]'s
+        rank at the equilibrium is their generic rank: compute_sequence
+        evaluates no rank at a point and draws no parameter value, also on
+        a seeded linear system that declares a parameter."""
+        if seeded:
+            sys = random_affine_system(random.Random(30), 5, 2)
+            assert sys.params
+        else:
+            sys = _linear_six()
+        ranks = []
+        for module in (dtsys, flatness):
+            monkeypatch.setattr(module, "_rank_at_point",
+                                lambda *args: ranks.append(args))
+        state = domain._session.param_rng.getstate()
+        report = compute_sequence(sys)
+        assert ranks == []
+        assert domain._session.param_rng.getstate() == state
+        assert report.warnings == []
+        assert report.k_bar >= 3
