@@ -18,7 +18,7 @@ import json
 import sys as _sys
 
 from . import symcore
-from .dtsys import verify_flat_output
+from .dtsys import DEFAULT_MAX_SHIFT, verify_flat_output
 from .errors import (
     FwdflatError,
     InternalInconsistency,
@@ -49,11 +49,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     "codistributions.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def positive_int(text):
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-        return value
+    def at_least(minimum):
+        """The argparse type of an integer that is at least minimum."""
+        def integer(text):
+            value = int(text)
+            if value < minimum:
+                raise argparse.ArgumentTypeError(
+                    f"must be at least {minimum}, got {value}")
+            return value
+        return integer
 
     def common(p):
         p.add_argument("file", help="system definition file")
@@ -61,11 +65,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="emit a machine-readable JSON report")
         p.add_argument("--seed", type=int, default=0,
                        help="seed of the randomized zero-test (default 0)")
-        p.add_argument("--numeric-samples", type=positive_int, default=8,
+        p.add_argument("--numeric-samples", type=at_least(1), default=8,
                        help="sample count of the zero-test cross-check, "
                             "at least 1 (default 8)")
-        p.add_argument("--max-shift", type=int, default=25,
-                       help="cap on forward shifts during verification")
+        p.add_argument("--max-shift", type=at_least(0), default=DEFAULT_MAX_SHIFT,
+                       help="cap on forward shifts during verification, "
+                            f"at least 0 (default {DEFAULT_MAX_SHIFT})")
         p.add_argument("--trace", action="store_true",
                        help="print per-iteration progress")
 

@@ -8,12 +8,14 @@ Codistributions (row spaces of 1-forms) and distributions (row spaces of
 vector fields) share one class, which holds the exact rows of the span
 (:class:`fwdflat.symcore.Rows`) in reduced row echelon form and builds
 sympy forms only when its basis is read.  Spans, membership and equality
-(one rank each), annihilators, pullbacks and the integrability test (the
-Frobenius condition on the annihilator of the rows, :func:`integrable_rows`)
-all run on those rows.  So does the calculus: every derivative is taken by
-``symcore.jacobian_rows`` or ``Rows.derivative``, the Lie derivative of
-1-forms by :func:`lie_derivative_rows`, and every invariant extension,
-the sequence's included, by one :func:`closure`.  Forms and fields are
+(one rank each), pullbacks, annihilators (``Rows.kernel``), intersections
+(``Rows.preimage``, the one intersection algorithm) and the integrability
+test (the Frobenius condition on the fields of that kernel,
+:func:`integrable_rows`) all run on those rows.  So does the calculus:
+every derivative is taken by ``symcore.jacobian_rows`` or
+``Rows.derivative``, the Lie derivative of 1-forms by
+:func:`lie_derivative_rows`, and every invariant extension, the
+sequence's included, by one :func:`closure`.  Forms and fields are
 sympy coefficients, converted to rows and back once per operation.
 Coordinates are plain ``sympy.Symbol`` objects.
 """
@@ -230,6 +232,8 @@ class Codistribution:
         for e in elements:
             if e.chart != chart:
                 raise ValueError(f"{cls.element.__name__} chart mismatch")
+            if not isinstance(e, cls.element):
+                raise TypeError(f"expected a {cls.element.__name__}, got {e!r}")
         M = sp.Matrix(len(elements), chart.dim, [c for e in elements for c in e.coeffs])
         return cls(chart, Rows.of(M).reduced()[0])
 
@@ -299,51 +303,45 @@ def pullback(old_in_new: Sequence[Expr],
 
 def annihilator(S: Codistribution) -> Codistribution:
     """The annihilator of a codistribution (a distribution) or of a
-    distribution (a codistribution): the right kernel of its rows, read off
-    their reduced row echelon form."""
+    distribution (a codistribution): the kernel of its rows, reduced."""
     dual = Codistribution if isinstance(S, Distribution) else Distribution
-    R = S.rows
-    at = {next(c for c, a in enumerate(row) if a): row for row in R.rows}  # pivot: row
-    kernel = [[QQ.one if j == c else -at[j][c] if j in at else QQ.zero
-               for j in range(R.width)] for c in range(R.width) if c not in at]
-    return dual(S.chart, Rows(R.F, kernel, R.width).reduced()[0])
+    return dual(S.chart, S.rows.kernel().reduced()[0])
 
 
 def intersect(P: Codistribution, Q: Codistribution) -> Codistribution:
-    """P and Q as row spaces, via annihilator(P_perp + Q_perp)."""
+    """P and Q as row spaces: the combinations a·Q that lie in P (see
+    ``Rows.preimage``), reduced; both must be of one type, which is the
+    result's."""
     _check_same_chart(P, Q)
-    perp = Rows.stack(annihilator(P).rows, annihilator(Q).rows)
-    return annihilator(Distribution(P.chart, perp.reduced()[0]))
+    if type(P) is not type(Q):
+        raise TypeError(f"cannot intersect a {type(P).__name__} with a {type(Q).__name__}")
+    return type(P)(P.chart, (Q.rows.preimage(P.rows) @ Q.rows).reduced()[0])
 
 
 def integrable_rows(R: Rows, symbols: Sequence[sp.Symbol]) -> bool:
     """Whether the span of rows in reduced row echelon form, with columns
-    along ``symbols``, is integrable: row i is ω_i = dx_{p_i} + Σ_j a_ij dx_j
-    over the free columns j.
+    along ``symbols``, is integrable.
 
-    The annihilator is spanned by v_j = ∂_j − Σ_r a_rj ∂_{p_r}, whose
-    brackets have only pivot components, so they lie in it only if they
-    vanish: by Frobenius, the span is integrable iff v_j(a_il) = v_l(a_ij)
-    for every row i and free columns j < l.  Each value is decided exactly.
+    Its annihilator is spanned by the fields v_j of the rows' kernel (see
+    ``Rows.kernel``), each ∂_j plus pivot components, whose brackets have
+    only pivot components, so they lie in it only if they vanish: by
+    Frobenius, the span is integrable iff v_j(v_l) = v_l(v_j) for every
+    pair j < l, component by component, each decided exactly.
     """
-    pivots = [next(c for c, a in enumerate(row) if a) for row in R.rows]
-    free = [c for c in range(R.width) if c not in pivots]
-    if not free or R.F is None:
+    if R.F is None:
         return True
-    reduce = R.F.reduce
-    D = {c: R.derivative(symbols[c]).rows for c in range(R.width)}
+    K = R.kernel()
+    reduce = K.F.reduce
+    D = [K.derivative(x).rows for x in symbols]  # D[k][j]: v_j by x_k
 
-    def along(j, i, l):
-        """v_j(a_il)."""
-        out = D[j][i][l]
-        for r, p in enumerate(pivots):
-            if R.rows[r][j] and D[p][i][l]:
-                out = reduce(out - R.rows[r][j] * D[p][i][l])
-        return out
+    def along(j, l, c):
+        """v_j of the c-th component of v_l."""
+        return sum((a * D[k][l][c] for k, a in enumerate(K.rows[j]) if a and D[k][l][c]),
+                   QQ.zero)
 
-    return not any(reduce(along(j, i, l) - along(l, i, j))
-                   for i in range(len(R.rows))
-                   for j, l in itertools.combinations(free, 2))
+    return not any(reduce(along(j, l, c) - along(l, j, c))
+                   for j, l in itertools.combinations(range(len(K.rows)), 2)
+                   for c in range(K.width))
 
 
 def is_integrable(P: Codistribution) -> bool:
@@ -367,6 +365,8 @@ def invariant_extension(P: Codistribution, D: Distribution) -> Codistribution:
     """Smallest codistribution containing P that is invariant w.r.t. D: the
     closure of P's rows under the Lie derivatives along D's rows."""
     _check_same_chart(P, D)
+    if isinstance(P, Distribution) or not isinstance(D, Distribution):
+        raise TypeError("invariant_extension takes a Codistribution and a Distribution")
     fields = [Rows(D.rows.F, [row], D.rows.width) for row in D.rows.rows]
     return Codistribution(P.chart, closure(P.rows, [
         functools.partial(lie_derivative_rows, v, symbols=P.chart.symbols)

@@ -6,7 +6,9 @@ Each iteration, starting from a codistribution P_k spanned by exact state
 differentials, performs three moves:
 
 1. intersect P_k with the span of the df-differentials, in (x, u),
-   through P_k's kernel, which its reduced rows give without elimination;
+   through P_k's kernel, which its reduced rows give without elimination:
+   the coefficients are J_f's preimage of P_k (``Rows.preimage``, the
+   routine that ``extcalc.intersect`` runs too);
 2. close the intersection under Lie derivatives along the complement
    directions (the smallest invariant extension);
 3. shift the result backward, which in adapted coordinates is the
@@ -127,45 +129,42 @@ class SequenceReport:
         return list(final.basis) if final.dim else None
 
     def to_json_dict(self) -> dict:
-        d = {
+        """The report as JSON values; the obstruction is the last step's
+        rendered basis, when that step is not zero."""
+        steps = [
+            {
+                "k": s.k,
+                "dim": s.dim,
+                "basis": s.basis_strings(),
+                "intersection_dim": s.intersection_dim,
+                "lie_derivatives_added": s.lie_derivatives_added,
+                "step2_trivial": s.step2_trivial,
+            }
+            for s in self.steps
+        ]
+        return {
             "system": self.system_name,
             "verdict": self.verdict,
             "k_bar": self.k_bar,
             "dims": self.dims,
-            "steps": [
-                {
-                    "k": s.k,
-                    "dim": s.dim,
-                    "basis": s.basis_strings(),
-                    "intersection_dim": s.intersection_dim,
-                    "lie_derivatives_added": s.lie_derivatives_added,
-                    "step2_trivial": s.step2_trivial,
-                }
-                for s in self.steps
-            ],
-            "obstruction": ([render_oneform(w) for w in self.obstruction]
-                            if self.obstruction is not None else None),
+            "steps": steps,
+            "obstruction": list(steps[-1]["basis"]) if steps[-1]["dim"] else None,
             "decomposition_dims": decomposability(self),
             "warnings": list(self.warnings),
         }
-        return d
 
 
 def _intersect_df(P: Rows, J: Rows, ac: AdaptedChart) -> Rows:
     """P ∩ span{df} in the adapted chart ac, in reduced row echelon form,
     for the reduced rows P on the (x, u) chart and J = J_f.
 
-    P's kernel is read off its rows, with no elimination: for each column j
-    that is no pivot p_i of P, K_j = e_j - Σ_i P_ij e_{p_i}.  So a·df ∈ P
-    iff (a·J_f)·K = 0: the coefficients a are the left kernel of M = J_f K,
-    whose columns at P's input columns, which are zero, are those of f_u.
-    The reduced rows R of Mᵀ (one row per free column of P, n columns) give
-    one kernel row e_j - Σ_i R_ij e_{c_i} per non-pivot column j, and one
-    more elimination of these few rows brings them to the unique reduced
-    form.  (Mᵀ reduced with its columns in reverse order would give that
-    form at once, but it pivots first on the derivatives of the last
-    component of f, and on systems written in triangular coordinates, whose
-    last components are the largest, that one elimination ran for minutes.)
+    The coefficients a with a·df ∈ P are J's preimage of P (see
+    ``Rows.preimage``); the columns of J_f K at P's input columns, which
+    are zero, are those of f_u.  (Mᵀ reduced with its columns in reverse
+    order would give the reduced a at once, but it pivots first on the
+    derivatives of the last component of f, and on systems written in
+    triangular coordinates, whose last components are the largest, that
+    one elimination ran for minutes.)
 
     As df = dθ, the intersection is spanned by Σ a_i(x(θ, ξ)) dθ_i: only
     these coefficients pass through the inverse chart (ac.to_adapted).  The
@@ -173,31 +172,11 @@ def _intersect_df(P: Rows, J: Rows, ac: AdaptedChart) -> Rows:
     zeros beside them stay and the rows stay reduced; rows of QQ numbers
     never invert the chart.
     """
-    n, N = len(J.rows), J.width
-    S = Rows.stack(P, J)
-    reduce = S.F.reduce if S.F is not None else (lambda a: a)
-    P_rows, J_rows = S.rows[:len(P.rows)], S.rows[len(P.rows):]
-    lead = [next(j for j, a in enumerate(row) if a) for row in P_rows]
-    Mt = []  # (J_f K)ᵀ, by rows
-    for j in range(N):
-        if j not in lead:
-            K = [(row[j], p) for row, p in zip(P_rows, lead) if row[j]]
-            Mt.append([reduce(row[j] - sum((c * row[p] for c, p in K if row[p]),
-                                           QQ.zero)) if K else row[j]
-                       for row in J_rows])
-    R, pivots = Rows(S.F, Mt, n).reduced()
-    A = []
-    for j in range(n):
-        if j not in pivots:
-            row = [QQ.one if i == j else QQ.zero for i in range(n)]
-            for r, c in zip(R.rows, pivots):
-                row[c] = -r[j]
-            A.append(row)
-    A, _ = Rows(R.F, A, n).reduced()
+    A = J.preimage(P)
     if A.F is not None:
         A = ac.to_adapted(A)
-    zeros = [QQ.zero] * (N - n)
-    return Rows(A.F, [row + zeros for row in A.rows], N)
+    zeros = [QQ.zero] * (J.width - len(J.rows))
+    return Rows(A.F, [row + zeros for row in A.rows], J.width)
 
 
 def _dim_at_equilibrium(M: Rows, generic: int, eq_subs, params) -> int | None:

@@ -12,6 +12,10 @@ operation to the next: each elimination moves them into the field of the
 generators that they use, by remapping exponents, :class:`Substitution`
 composes them with a map and ``@`` multiplies them.  Every caller ranks and
 eliminates on rows, and a sympy matrix is built only by ``Rows.to_matrix``.
+The kernel of reduced rows is read off them by one routine,
+``Rows.kernel``, and one more, ``Rows.preimage``, gives the combinations
+of rows that lie in a row space: every annihilator, intersection and
+integrability test of the package runs on these two.
 Chart inversions solve in the same domain
 (:func:`solve_by_elimination`), and every derivative is taken there
 (:func:`jacobian_rows` and ``Rows.derivative``: the ring's derivations, with d cos(a)/da = -sin(a)
@@ -151,6 +155,33 @@ class Rows:
     def rank(self) -> int:
         R = Rows.stack(self)
         return len(_row_reduce(R.F, R.rows))
+
+    def kernel(self) -> "Rows":
+        """A basis of the right kernel of these rows, which must be in
+        reduced row echelon form, read off them with no elimination: for
+        each column j that is no pivot p_i, e_j - Σ_i R_ij e_{p_i}."""
+        at = {next(c for c, a in enumerate(row) if a): row for row in self.rows}
+        return Rows(self.F, [[QQ.one if j == c else -at[j][c] if j in at else QQ.zero
+                              for j in range(self.width)]
+                             for c in range(self.width) if c not in at], self.width)
+
+    def preimage(self, P: "Rows") -> "Rows":
+        """The reduced coefficients a with a·Q in the row space of the
+        reduced rows P, for these rows Q: with P's kernel K (see
+        :meth:`kernel`), the kernel of the reduced rows of Mᵀ, M = Q K,
+        reduced once more.  M is built from P's pivots, not as a product."""
+        S = Rows.stack(P, self)
+        reduce = S.F.reduce if S.F is not None else (lambda a: a)
+        P_rows, Q_rows = S.rows[:len(P.rows)], S.rows[len(P.rows):]
+        lead = [next(j for j, a in enumerate(row) if a) for row in P_rows]
+        Mt = []  # (Q K)ᵀ, by rows
+        for j in range(self.width):
+            if j not in lead:
+                K = [(row[j], p) for row, p in zip(P_rows, lead) if row[j]]
+                Mt.append([reduce(row[j] - sum((c * row[p] for c, p in K if row[p]),
+                                               QQ.zero)) if K else row[j]
+                           for row in Q_rows])
+        return Rows(S.F, Mt, len(self.rows)).reduced()[0].kernel().reduced()[0]
 
     def spans(self, other: "Rows") -> bool:
         """Whether other's rows lie in the row space of these independent

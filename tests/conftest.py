@@ -59,6 +59,40 @@ def random_poly(rng: random.Random, syms, max_terms=3, max_coeff=4, max_deg=2):
     return e if e != 0 else sp.Integer(1)
 
 
+ENTRY_KINDS = ("QQ", "field", "trig")
+
+
+def random_entry(rng: random.Random, kind: str, syms):
+    """A random matrix entry of one kind: a rational number ("QQ"), a
+    rational function in syms ("field"), or one that also holds sin and cos
+    of a symbol, so a generator pair c_a, s_a ("trig")."""
+    if kind == "QQ" or rng.random() < 0.2:
+        return sp.Rational(rng.randint(-4, 4), rng.randint(1, 3))
+    e = random_poly(rng, syms, 2, 3, 1)
+    if rng.random() < 0.3:
+        e /= random_poly(rng, syms, 2, 2, 1) + 5
+    if kind == "trig":
+        e += rng.choice((sp.sin, sp.cos))(rng.choice(syms)) * random_poly(rng, syms, 1, 2, 1)
+    return e
+
+
+def random_reduced_rows(rng: random.Random, kind: str, width: int, rank: int, syms):
+    """Seeded rows in reduced row echelon form, as symcore.Rows, of the
+    given width and rank: unit pivots at random columns, zeros above and
+    below them, and random entries of the kind (see random_entry) in the
+    free columns after each pivot."""
+    pivots = sorted(rng.sample(range(width), rank))
+    M = sp.zeros(rank, width)
+    for i, p in enumerate(pivots):
+        M[i, p] = 1
+        for j in range(p + 1, width):
+            if j not in pivots and rng.random() < 0.7:
+                M[i, j] = random_entry(rng, kind, syms)
+    R, found = symcore.Rows.of(M).reduced()
+    assert found == pivots
+    return R
+
+
 def random_affine_system(rng: random.Random, n: int, m: int):
     """A submersive x+ = Ax + Bu + c with the entries of A and B in -2..2,
     an equilibrium with entries in -1..1, and c the offset that it fixes.

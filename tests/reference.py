@@ -10,8 +10,11 @@ replaced (``exterior_derivative``, ``lie_derivative_form``,
 ``lie_bracket``, ``invariant_extension``), and the intersection with
 span{df} by one elimination of ``[[P, 0], [J_f, I_n]]``
 (``intersect_df``), which the kernel route of ``flatness._intersect_df``
-replaced.  Every derivative here is taken
-by ``sp.diff``, never by the row kernel, so a comparison with the package
+replaced, and the intersection of two row spaces by the annihilator of the
+sum of their annihilators (``intersect``, with ``annihilator``), which
+``Rows.preimage`` replaced in ``extcalc.intersect``.  Every derivative
+here is taken by ``sp.diff``, never by the row kernel, and every kernel by
+``nullspace``, never by ``Rows.kernel``, so a comparison with the package
 is not circular.
 """
 
@@ -24,6 +27,7 @@ from fwdflat import symcore
 from fwdflat.errors import InternalInconsistency
 from fwdflat.extcalc import (
     Codistribution,
+    Distribution,
     KForm,
     OneForm,
     VectorField,
@@ -63,6 +67,21 @@ def nullspace(M):
             v[pc, 0] = -R[r, fc]
         basis.append(v)
     return basis
+
+
+def annihilator(S):
+    """The annihilator of a codistribution (a distribution) or of a
+    distribution (a codistribution), spanned by ``nullspace`` of its rows."""
+    dual = Codistribution if isinstance(S, Distribution) else Distribution
+    return dual.span(S.chart, [dual.element(S.chart, tuple(v))
+                               for v in nullspace(S.rows.to_matrix())])
+
+
+def intersect(P, Q):
+    """P and Q as row spaces, by the annihilator of the sum of their
+    annihilators: three kernels, each by ``nullspace``."""
+    dp, dq = annihilator(P), annihilator(Q)
+    return annihilator(type(dp).span(P.chart, dp.basis + dq.basis))
 
 
 def jacobian(exprs, symbols) -> sp.Matrix:

@@ -73,6 +73,32 @@ class TestAnalyze:
         assert captured.out == ""
         assert "--numeric-samples: must be at least 1" in captured.err
 
+    @pytest.mark.parametrize("command", ["analyze", "verify-flat-output",
+                                         "verify-decomposition"])
+    def test_negative_max_shift_exit_two(self, command, capsys):
+        assert cli.run([command, RUNNING, "--max-shift", "-1"]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-shift: must be at least 0" in captured.err
+
+    def test_zero_max_shift_keeps_its_behaviour(self, capsys):
+        # the cap bounds only the flat-output verifier, whose first shift
+        # of the running example already needs order 1
+        assert cli.run(["analyze", RUNNING, "--max-shift", "0"]) == cli.EXIT_OK
+        assert cli.run(["verify-decomposition", RUNNING,
+                        "--max-shift", "0"]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert cli.run(["verify-flat-output", RUNNING,
+                        "--max-shift", "0"]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: forward shift needs input shift "
+                                "order 1 > cap 0\n")
+
+    def test_max_shift_defaults_to_the_library_cap(self):
+        args = cli._build_parser().parse_args(["verify-flat-output", RUNNING])
+        assert args.max_shift == dtsys.DEFAULT_MAX_SHIFT
+
     def test_one_numeric_sample_still_analyses(self, capsys):
         assert cli.run(["analyze", RUNNING, "--numeric-samples", "1"]) == cli.EXIT_OK
         assert "dims: [3, 2, 0]" in capsys.readouterr().out

@@ -236,6 +236,12 @@ class TestAnnihilators:
         with pytest.raises(TypeError):
             D.contains(basis_oneform(X3, 1))
 
+    def test_span_refuses_the_other_element_type(self):
+        with pytest.raises(TypeError, match="expected a VectorField"):
+            Distribution.span(X3, [basis_oneform(X3, 0)])
+        with pytest.raises(TypeError, match="expected a OneForm"):
+            Codistribution.span(X3, [basis_vectorfield(X3, 0)])
+
     @pytest.mark.parametrize("rows", [
         [[2, 0, 0]],                  # pivot not 1
         [[0, 1, 0], [1, 0, 0]],       # pivots out of order
@@ -381,6 +387,21 @@ class TestIntersect:
                                      basis_oneform(X4, 2)])
         assert intersect(P, P).equals(P)
 
+    def test_distributions_intersect_to_a_distribution(self):
+        D = intersect(Distribution.span(X3, [basis_vectorfield(X3, 0),
+                                             basis_vectorfield(X3, 1)]),
+                      Distribution.span(X3, [basis_vectorfield(X3, 1),
+                                             basis_vectorfield(X3, 2)]))
+        assert type(D) is Distribution
+        assert D.equals(Distribution.span(X3, [basis_vectorfield(X3, 1)]))
+
+    def test_mixed_types_refused(self):
+        P = Codistribution.span(X3, [basis_oneform(X3, 0)])
+        D = Distribution.span(X3, [basis_vectorfield(X3, 0)])
+        for a, b in ((P, D), (D, P)):
+            with pytest.raises(TypeError, match="cannot intersect"):
+                intersect(a, b)
+
     def test_duality_randomized(self):
         rng = random.Random(10)
         for _ in range(100):
@@ -389,7 +410,9 @@ class TestIntersect:
                 ch, [_sparse_oneform(rng, ch) for _ in range(p)])
             P, Q = mk(rng.randint(1, 2)), mk(rng.randint(1, 2))
             # (P cap Q)_perp = P_perp + Q_perp as row spaces
-            lhs = annihilator(intersect(P, Q))
+            got = intersect(P, Q)
+            assert got == reference.intersect(P, Q)
+            lhs = annihilator(got)
             dp = annihilator(P)
             dq = annihilator(Q)
             rhs = Distribution.span(ch, dp.basis + dq.basis)
@@ -533,6 +556,13 @@ class TestInvariantExtension:
         P = Codistribution.span(X4, [basis_oneform(X4, 0)])
         D = Distribution.span(X4, [basis_vectorfield(X4, 1)])
         assert invariant_extension(P, D).equals(P)
+
+    def test_refuses_rows_of_the_wrong_type(self):
+        P = Codistribution.span(X4, [basis_oneform(X4, 0)])
+        D = Distribution.span(X4, [basis_vectorfield(X4, 1)])
+        for args in ((P, P), (D, D), (D, P)):
+            with pytest.raises(TypeError, match="a Codistribution and a Distribution"):
+                invariant_extension(*args)
 
     def test_running_example_extension(self, running):
         ch, s = running_chart(running)

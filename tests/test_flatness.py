@@ -9,7 +9,13 @@ from sympy.matrices.matrixbase import MatrixBase
 from sympy.polys.domains import QQ
 
 import reference
-from conftest import random_affine_system, random_poly
+from conftest import (
+    ENTRY_KINDS,
+    random_affine_system,
+    random_entry,
+    random_poly,
+    random_reduced_rows,
+)
 from fwdflat import domain, dtsys, extcalc, flatness, symcore
 from fwdflat.dtsys import DiscreteTimeSystem, TriangularDecomposition
 from fwdflat.errors import FwdflatError, InternalInconsistency
@@ -273,6 +279,7 @@ class TestAdaptedCoordinateShortcuts:
             Q_rows = _intersect_df(P.rows, sys.jacobian_rows(), ac)
             Q = Codistribution(ch, Q_rows)
             assert Q.equals(intersect(P_ad, dtheta))
+            assert Q.equals(reference.intersect(P_ad, dtheta))
             closed = Codistribution(ch, closure(Q_rows, d_xi))
             assert closed.equals(reference.invariant_extension(Q, dxi))
             assert closed == invariant_extension(Q, dxi)
@@ -784,6 +791,28 @@ class TestIntersectionThroughTheKernel:
                 assert found == pivots
                 nonzero += len(self._check(P_rows, J, identity).rows) > 0
         assert nonzero >= 12
+
+    def test_preimage_of_seeded_rows_of_every_kind(self):
+        """J.preimage(P), the routine that _intersect_df runs, on P of each
+        rank 0..N and J of n rows, both of QQ numbers, of field elements or
+        of elements with sin/cos (conftest.random_reduced_rows, the rows that
+        Rows.kernel is tested on), against the reference's coefficients."""
+        rng = random.Random(1919)
+        syms = sp.symbols("x1 x2 u1 a")
+        identity = SimpleNamespace(to_adapted=lambda A: A)
+        nonzero = 0
+        for kind in ENTRY_KINDS:
+            for n, m in ((2, 1), (3, 1), (2, 2)):
+                N = n + m
+                J = Rows.of(sp.Matrix(n, N, lambda i, j: random_entry(rng, kind, syms)))
+                for r in range(N + 1):
+                    P = random_reduced_rows(rng, kind, N, r, syms)
+                    A = J.preimage(P)
+                    ref = reference.intersect_df(P, J, identity)
+                    assert _same_rows(A, Rows(ref.F, [row[:n] for row in ref.rows], n))
+                    assert _same_rows(A, A.reduced()[0])
+                    nonzero += len(A.rows) > 0
+        assert nonzero >= 20
 
 
 class TestConstantRowsTakeTheirGenericRank:

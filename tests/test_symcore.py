@@ -440,6 +440,25 @@ class TestLinearAlgebra:
                 prod = M * v
                 assert all(is_zero(c) for c in prod)
 
+    def test_kernel_of_seeded_reduced_rows(self):
+        """Rows.kernel of reduced rows of QQ numbers, of field elements and
+        of elements with sin/cos, of every rank from 0 to the width: the
+        rows times the kernel's transpose are zero, and the two ranks add up
+        to the width."""
+        from conftest import ENTRY_KINDS, random_reduced_rows
+        rng = random.Random(1818)
+        syms = [x1, x2, sp.Symbol("a")]
+        for kind in ENTRY_KINDS:
+            for width in range(1, 6):
+                for rank_R in range(width + 1):
+                    R = random_reduced_rows(rng, kind, width, rank_R, syms)
+                    K = R.kernel()
+                    assert K.width == width and len(K.rows) == width - rank_R
+                    Kt = symcore.Rows(K.F, [[k[j] for k in K.rows] for j in range(width)],
+                                      len(K.rows))
+                    assert not any(c for row in (R @ Kt).rows for c in row)
+                    assert R.rank() + K.rank() == width
+
     def test_rank_at(self):
         M = sp.Matrix([[x1, x2], [x1 * x2, x2 ** 2]])
         assert rank_at(M, {x1: 1, x2: 2}) == 1

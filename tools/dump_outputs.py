@@ -21,6 +21,12 @@ The outputs are:
   four linear systems (``ANALYZE_SYSTEMS``) whose charts are found, or
   supplied, in the ways that decide whether a chart is inverted while the
   complements are tried or on first use;
+- the exit code, stdout and stderr of ``verify-flat-output --max-shift -1``
+  on ``fixtures/*.sys``;
+- for every step ``P_k`` of the sequence of ``fixtures/*.sys`` and of
+  chain(3) to chain(6): ``annihilator(P_k)``, ``intersect(P_k, span{df})``
+  and ``is_integrable(P_k)``, with ``span{df}`` the span of the reduced
+  rows of ``J_f`` (``ROW_SPACE_CHAINS``);
 - ``compute_sequence(...).to_json_dict()`` on chain(3) to chain(8);
 - the same on the 70 ``linear`` systems of each of the benchmark seeds
   1 to 3, generated by ``bench/workloads.py``.
@@ -42,13 +48,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from fwdflat import cli, flatness, symcore, sysfile  # noqa: E402
+from fwdflat import cli, extcalc, flatness, symcore, sysfile  # noqa: E402
 
 COMMANDS = ("analyze", "verify-flat-output", "verify-decomposition")
 MODES = {"plain": [], "json": ["--json"], "trace": ["--trace"]}
 SEEDS = (1, 2)
 SYSTEM_DIRS = (ROOT / "fixtures", ROOT / "tests" / "golden" / "systems")
 CHAIN_SIZES = range(3, 9)
+ROW_SPACE_CHAINS = range(3, 7)
 LINEAR_SEEDS = (1, 2, 3)
 
 # name -> (fixture, the lines that replace each listed key's lines)
@@ -187,6 +194,28 @@ def _report(text: str) -> str:
     return json.dumps(report.to_json_dict(), indent=2) + "\n"
 
 
+def _row_space(S) -> str:
+    """The type, dimension and basis coefficients of a row space."""
+    return f"{type(S).__name__}, dim {S.dim}\n" + "".join(
+        "  [" + ", ".join(symcore.render(c) for c in e.coeffs) + "]\n" for e in S.basis)
+
+
+def _row_spaces(text: str) -> str:
+    """annihilator(P_k), intersect(P_k, span{df}) and is_integrable(P_k)
+    for every step P_k of the system's sequence."""
+    symcore.configure()
+    system = sysfile.parse_system_text(text).system
+    df = extcalc.Codistribution(system.chart, system.jacobian_rows().reduced()[0])
+    out = []
+    for step in flatness.compute_sequence(system).steps:
+        P = step.P
+        out += [f"P_{step.k}: {_row_space(P)}",
+                f"annihilator: {_row_space(extcalc.annihilator(P))}",
+                f"intersect with span{{df}}: {_row_space(extcalc.intersect(P, df))}",
+                f"integrable: {extcalc.is_integrable(P)}\n"]
+    return "".join(out)
+
+
 def _variant(text: str, replace: dict) -> str:
     """text with the lines of each key in replace swapped for new ones."""
     lines = [line for line in text.splitlines()
@@ -228,8 +257,14 @@ def outputs():
                 yield (f"{directory.name}-{path.stem}.analyze.json-seed{seed}.txt",
                        _cli_output(["analyze", str(path), "--json",
                                     "--seed", str(seed)]))
+    for path in sorted((ROOT / "fixtures").glob("*.sys")):
+        yield (f"fixtures-{path.stem}.verify-flat-output.max-shift-negative.txt",
+               _cli_output(["verify-flat-output", str(path), "--max-shift", "-1"]))
+        yield f"fixtures-{path.stem}.row-spaces.txt", _row_spaces(path.read_text())
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
+    for n in ROW_SPACE_CHAINS:
+        yield f"chain{n}.row-spaces.txt", _row_spaces(workloads.chain_text(n))
     for n in CHAIN_SIZES:
         yield f"chain{n}.json", _report(workloads.chain_text(n))
     for seed in LINEAR_SEEDS:
