@@ -69,8 +69,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="sample count of the zero-test cross-check, "
                             "at least 1 (default 8)")
         p.add_argument("--max-shift", type=at_least(0), default=DEFAULT_MAX_SHIFT,
-                       help="cap on forward shifts during verification, "
-                            f"at least 0 (default {DEFAULT_MAX_SHIFT})")
+                       help="cap on the forward shifts of verify-flat-output, "
+                            f"at least 0 (default {DEFAULT_MAX_SHIFT}); analyze "
+                            "and verify-decomposition shift nothing forward, "
+                            "so they accept it and ignore it")
         p.add_argument("--trace", action="store_true",
                        help="print per-iteration progress")
 

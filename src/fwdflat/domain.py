@@ -143,6 +143,31 @@ def _demote(x):
     return x.numer.LC / x.denom.LC if x.numer else QQ.zero
 
 
+def _cancel_term(num, den):
+    """num/den cancelled as ``PolyElement.cancel`` cancels it over ``QQ``,
+    for a num or a den that is a single term, on Python ints: each side's
+    coefficients cleared of their denominators, the gcd of every monomial
+    and of every cleared coefficient divided out, each side multiplied by
+    the other's denominator over their gcd, and the sign put on the
+    denominator's leading coefficient."""
+    sides = []
+    for p in (num, den):
+        lcm = math.lcm(*(c.denominator for c in p.values()))
+        sides.append((lcm, {m: c.numerator * (lcm // c.denominator)
+                            for m, c in p.items()}))
+    (ln, n), (ld, d) = sides
+    g = math.gcd(*n.values(), *d.values())
+    low = tuple(map(min, *n, *d))
+    h = math.gcd(ln, ld)
+    sign = -1 if d[max(d)] < 0 else 1
+
+    def side(p, scale):
+        return num.ring.dtype({tuple(e - k for e, k in zip(m, low)):
+                               _MPQ._new(c // g * scale, 1) for m, c in p.items()})
+
+    return side(n, sign * ld // h), side(d, sign * ln // h)
+
+
 def _evaluate(p, values):
     """The polynomial p at generator values (None for an unbound one): a QQ
     number, or None when it still depends on an unbound generator."""
@@ -266,7 +291,10 @@ class _Field:
 
     def _new(self, num, den):
         """The element num/den, both reduced modulo the relations and their
-        gcd cancelled."""
+        gcd cancelled as ``field.new`` cancels it.  The gcd is taken only
+        where a common factor can exist: not for a zero numerator, nor over
+        the denominator 1 with integer coefficients, and over a single term
+        by ``_cancel_term``."""
         if self.relations:
             if self._reducible(num):
                 num = num.rem(self.relations)
@@ -276,6 +304,12 @@ class _Field:
             raise InternalInconsistency(
                 "division by an expression that is zero modulo "
                 "cos**2 + sin**2 = 1")
+        if not num:
+            return self.field.dtype(num, self.ring.one)
+        if den == 1 and all(c.denominator == 1 for c in num.values()):
+            return self.field.dtype(num, den)
+        if len(num) == 1 or len(den) == 1:
+            return self.field.dtype(*_cancel_term(num, den))
         return self.field.new(num, den)
 
     def reduce(self, x):

@@ -30,10 +30,12 @@ parameters are plain ``sympy.Symbol`` objects.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, Sequence
 
 import sympy as sp
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.matrices.dense import ddm_irref_den
 from sympy.parsing.sympy_parser import (
     convert_xor,
     parse_expr as _sympy_parse,
@@ -71,9 +73,20 @@ def _row_reduce(F: _Field | None, A: list) -> list[int]:
     """Bring the rows A of elements of F (or of numbers, with F None) to
     reduced row echelon form in place and return the pivot columns:
     leftmost column first, then the lowest row index whose entry is not the
-    zero function."""
+    zero function.  Rows of numbers are cleared of their denominators and
+    eliminated fraction-free on Python ints (sympy's ``ddm_irref_den``,
+    which pivots by the same rule), with one division per entry at the
+    end."""
+    if F is None:
+        M = []
+        for row in A:
+            lcm = math.lcm(*(a.denominator for a in row))
+            M.append([a.numerator * (lcm // a.denominator) for a in row])
+        den, pivots = ddm_irref_den(M, ZZ)
+        A[:] = [[_MPQ(a, den) if a else QQ.zero for a in row] for row in M]
+        return pivots
     rows = len(A)
-    reduce = F.reduce if F is not None else (lambda a: a)
+    reduce = F.reduce
     pivots: list[int] = []
     r = 0
     for c in range(len(A[0]) if A else 0):
@@ -84,8 +97,7 @@ def _row_reduce(F: _Field | None, A: list) -> list[int]:
             continue
         A[r], A[pr] = A[pr], A[r]
         piv = A[r][c]
-        if F is not None:
-            F.check_nonzero(piv)
+        F.check_nonzero(piv)
         A[r] = [reduce(a / piv) if a else a for a in A[r]]
         for i in range(rows):
             factor = A[i][c]

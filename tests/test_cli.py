@@ -99,6 +99,13 @@ class TestAnalyze:
         args = cli._build_parser().parse_args(["verify-flat-output", RUNNING])
         assert args.max_shift == dtsys.DEFAULT_MAX_SHIFT
 
+    @pytest.mark.parametrize("command", ["analyze", "verify-decomposition"])
+    def test_help_says_max_shift_is_ignored(self, command, capsys):
+        assert cli.run([command, "--help"]) == cli.EXIT_OK
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert ("analyze and verify-decomposition shift nothing forward, "
+                "so they accept it and ignore it") in help_text
+
     def test_one_numeric_sample_still_analyses(self, capsys):
         assert cli.run(["analyze", RUNNING, "--numeric-samples", "1"]) == cli.EXIT_OK
         assert "dims: [3, 2, 0]" in capsys.readouterr().out

@@ -574,6 +574,134 @@ class TestRrefAgainstOracle:
             rref(sp.Matrix([[undefined, 1]]))
 
 
+class TestCanonicalElements:
+    """``_Field._new`` skips sympy's gcd where no common factor can exist,
+    and must still build exactly the element that ``field.new`` builds."""
+
+    a = sp.Symbol("a")
+
+    @staticmethod
+    def _poly(rng, R, terms, integer, cos_degree=1):
+        """A random polynomial of R with up to `terms` terms, integer or
+        fractional coefficients, and cos-degree up to cos_degree in the
+        first generator."""
+        p = R.zero
+        for _ in range(terms):
+            monom = (rng.randint(0, cos_degree),) + tuple(
+                rng.randint(0, 2) for _ in range(R.ngens - 1))
+            c = symcore.QQ(rng.choice([-1, 1]) * rng.randint(1, 12),
+                           1 if integer else rng.randint(1, 9))
+            p += R({monom: c})
+        return p
+
+    def _pairs(self, rng, F):
+        """Seeded (num, den) pairs of every shape that ``_new`` tells apart,
+        with the leading coefficient of den negative half of the time."""
+        R = F.ring
+        cos_degree = 3 if F.relations else 2  # the relations reduce degree 3
+        poly = lambda terms, integer: self._poly(rng, R, terms, integer, cos_degree)
+        for _ in range(40):
+            sign = rng.choice([-1, 1])
+            yield R.zero, poly(3, False)
+            yield poly(3, True), R.one
+            yield poly(3, False), R.one
+            yield poly(1, rng.random() < 0.5), sign * poly(3, rng.random() < 0.5)
+            yield poly(3, rng.random() < 0.5), sign * poly(1, rng.random() < 0.5)
+            yield poly(1, False), sign * poly(1, False)
+            yield poly(3, True), R(sign * symcore.QQ(rng.randint(1, 9), rng.randint(1, 5)))
+            # a common factor, monomial or not, for the general case
+            g = poly(2, rng.random() < 0.5)
+            yield g * poly(2, True), sign * g * poly(2, False)
+            yield g * poly(1, True), sign * g * poly(2, True)
+
+    def test_new_matches_field_new_on_every_shape(self):
+        from fwdflat.domain import _Field
+        a = self.a
+        rng = random.Random(1901)
+        for F in (_Field.of([x1, x2, a]), _Field.of([("c", x1), ("s", x1), x1, a])):
+            for num, den in self._pairs(rng, F):
+                if F.relations and not den.rem(F.relations) or not den:
+                    continue
+                got = F._new(num, den)
+                if F.relations:
+                    num, den = num.rem(F.relations), den.rem(F.relations)
+                want = F.field.new(num, den)
+                assert got.numer == want.numer and got.denom == want.denom, (num, den)
+
+    def test_jacobian_of_integer_polynomials_takes_no_gcd(self, monkeypatch):
+        from sympy.polys.rings import PolyElement
+        cancel, calls = PolyElement.cancel, []
+
+        def counted(f, g):
+            calls.append((f, g))
+            return cancel(f, g)
+
+        monkeypatch.setattr(PolyElement, "cancel", counted)
+        a = self.a
+        exprs = [x1**2 * x2 - 3 * x2 + 5, x1 * x2**3 + 2 * a * x1 - 7, u1 * x2 - a**2]
+        wrt = [x1, x2, u1, a]
+        J = symcore.jacobian_rows(exprs, wrt)
+        assert calls == []
+        monkeypatch.undo()
+        assert sp.expand(J.to_matrix() - sp.Matrix(exprs).jacobian(wrt)) == sp.zeros(3, 4)
+
+
+def _rational_of_rank(rng, rows, cols, r, big):
+    """A seeded rows x cols matrix of rank r over QQ: a product of random
+    rational factors, with denominators up to 10**30 when big, and a zero
+    row and a zero column spliced in at random, half of the time each."""
+    def q():
+        return sp.Rational(rng.randint(-9, 9), rng.randint(1, 10**30 if big else 7))
+
+    while True:
+        M = (sp.Matrix(rows, r, lambda i, j: q()) * sp.Matrix(r, cols, lambda i, j: q())
+             if r else sp.zeros(rows, cols))
+        if M.rank() == r:
+            break
+    if rng.random() < 0.5:
+        M = M.row_insert(rng.randint(0, rows), sp.zeros(1, cols))
+    if rng.random() < 0.5:
+        M = M.col_insert(rng.randint(0, cols), sp.zeros(M.rows, 1))
+    return M
+
+
+class TestRowsOfNumbers:
+    """Rows of ``QQ`` numbers are eliminated fraction-free on integers;
+    sympy's own rref over ``QQ`` is the reference."""
+
+    def _check(self, M):
+        R, pivots = symcore.Rows.of(M).reduced()
+        want, want_pivots = M.rref()
+        assert R.F is None and tuple(pivots) == want_pivots, M
+        assert all(type(x) is type(symcore.QQ.zero) for row in R.rows for x in row)
+        assert R.to_matrix() == want[:len(pivots), :]
+        assert rref(M) == (want, want_pivots)
+        assert rank(M) == symcore.Rows.of(M).rank() == rank_at(M, {}) == len(want_pivots)
+
+    def test_seeded_matrices_of_every_rank(self):
+        rng = random.Random(1902)
+        for rows, cols in [(1, 1), (1, 4), (3, 3), (4, 2), (2, 5), (5, 5)]:
+            for r in range(min(rows, cols) + 1):
+                for big in (False, True):
+                    self._check(_rational_of_rank(rng, rows, cols, r, big))
+
+    def test_no_rows_and_no_columns(self):
+        for M in (sp.zeros(0, 3), sp.zeros(3, 0), sp.zeros(0, 0), sp.zeros(2, 3)):
+            R, pivots = symcore.Rows.of(M).reduced()
+            assert pivots == [] and R.rows == []
+            assert symcore.Rows.of(M).rank() == 0
+
+    def test_rank_at_a_point_matches_sympy(self):
+        from conftest import random_poly
+        rng = random.Random(1903)
+        for _ in range(30):
+            M = _random_matrix(rng, lambda: random_poly(rng, [x1, x2], 2, 3, 2),
+                               rng.randint(1, 4), rng.randint(1, 4))
+            point = {x1: sp.Rational(rng.randint(-5, 5), rng.randint(1, 4)),
+                     x2: sp.Rational(rng.randint(-5, 5), rng.randint(1, 4))}
+            assert rank_at(M, point) == M.xreplace(point).rank()
+
+
 class TestParse:
     SYMS = [sp.Symbol("x1"), sp.Symbol("x2"), sp.Symbol("u1"),
             sp.Symbol("x5")]
