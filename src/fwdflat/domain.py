@@ -32,7 +32,8 @@ Expr = sp.Expr
 
 
 # --------------------------------------------------------------------------
-# session: seeded RNGs for the numeric cross-check and for parameter values
+# session: seeded RNGs for the numeric cross-check, for parameter values and
+# for the points of the full-rank certificate
 
 @dataclass
 class _Session:
@@ -42,6 +43,9 @@ class _Session:
     # parameter values of the equilibrium rank checks: a stream of their
     # own, so that the cross-check's draws do not move them
     param_rng: random.Random = field(default_factory=lambda: random.Random(0))
+    # points of the full-rank certificate (``Rows.rank``, ``Rows.reduced``),
+    # likewise a stream of their own
+    point_rng: random.Random = field(default_factory=lambda: random.Random(0))
 
 
 _session = _Session()
@@ -50,7 +54,8 @@ _session = _Session()
 def configure(seed: int = 0, samples: int = 8) -> None:
     """Reset the RNGs and the sample count for a new analysis session."""
     global _session
-    _session = _Session(seed, samples, random.Random(seed), random.Random(seed))
+    _session = _Session(seed, samples, random.Random(seed), random.Random(seed),
+                        random.Random(seed))
 
 
 # --------------------------------------------------------------------------
@@ -122,18 +127,24 @@ def _rational(e):
             f"{e} is not a rational function of symbols, sin and cos") from None
 
 
-def _rational_sample(p, k: int, rng: random.Random):
-    """Value of the polynomial p at a random rational point: its first k
+def _rational_point(n: int, k: int, rng: random.Random) -> list:
+    """A random rational point of the variety of n generators: the first k
     generators c_a paired with the next k generators s_a on the unit circle,
     through half-angle rationals, and the other generators nonzero."""
-    point = [QQ.zero] * p.ring.ngens
+    point = [QQ.zero] * n
     for i in range(k):
         t = QQ(rng.randint(-99, 99), rng.randint(1, 30))
         point[i] = (1 - t**2) / (1 + t**2)
         point[k + i] = 2 * t / (1 + t**2)
-    for i in range(2 * k, len(point)):
+    for i in range(2 * k, n):
         point[i] = QQ(rng.randint(1, 99) * rng.choice((-1, 1)), rng.randint(1, 30))
-    return _evaluate(p, point)
+    return point
+
+
+def _rational_sample(p, k: int, rng: random.Random):
+    """Value of the polynomial p at a random rational point (see
+    ``_rational_point``)."""
+    return _evaluate(p, _rational_point(p.ring.ngens, k, rng))
 
 
 def _demote(x):
@@ -429,6 +440,12 @@ class _Field:
                 v = point.get(key)
                 values.append(None if v is None else QQ.from_sympy(sp.sympify(v)))
         return values
+
+    def random_point(self) -> list:
+        """Each generator's value at a random rational point of the field's
+        variety (see ``_rational_point``), drawn from the stream of the
+        full-rank certificate, ``_session.point_rng``."""
+        return _rational_point(len(self.keys), self.k, _session.point_rng)
 
     def to_expr(self, x) -> Expr:
         if type(x) is _MPQ:

@@ -4,11 +4,12 @@ The field of computation is the rational functions in all declared symbols,
 extended by sin(a) and cos(a) subject to the side relation
 cos(a)**2 = 1 - sin(a)**2.  Parsed input keeps each a a single symbol;
 substituting maps or points into it leaves compound or numeric arguments.
-Every rank decision in the package reduces to one elimination in the row
-kernel (:class:`Rows`), or to :func:`is_zero`, and all of them decide in
-the exact domain of :mod:`fwdflat.domain`, where an element is the zero
-function iff it is literally zero.  Rows stay in the domain from one
-operation to the next: each elimination moves them into the field of the
+Every rank decision in the package is made by the row kernel
+(:class:`Rows`), or by :func:`is_zero`, and all of them decide in the exact
+domain of :mod:`fwdflat.domain`, where an element is the zero function iff
+it is literally zero: a full rank is certified at one random point of the
+domain (``Rows._certified``), and any other rank takes one elimination.
+Rows stay in the domain from one operation to the next: each elimination moves them into the field of the
 generators that they use, by remapping exponents, :class:`Substitution`
 composes them with a map and ``@`` multiplies them.  Every caller ranks and
 eliminates on rows, and a sympy matrix is built only by ``Rows.to_matrix``.
@@ -158,15 +159,54 @@ class Rows:
 
     def reduced(self) -> tuple["Rows", list[int]]:
         """The nonzero rows of the reduced row echelon form, and the pivot
-        columns (see :func:`_row_reduce`)."""
+        columns (see :func:`_row_reduce`).  Rows that :meth:`_certified`
+        proves of full column rank in their nonzero columns reduce, with no
+        elimination, to the unit rows of those columns."""
         R = Rows.stack(self)
+        if R.F is not None:
+            cols = [j for j, col in enumerate(zip(*R.rows)) if any(col)]
+            if len(cols) <= len(R.rows) and R._certified(len(cols)):
+                return Rows(R.F, [[QQ.one if j == c else QQ.zero for j in range(R.width)]
+                                  for c in cols], R.width), cols
         pivots = _row_reduce(R.F, R.rows)
         del R.rows[len(pivots):]
         return R, pivots
 
     def rank(self) -> int:
+        """The rank over the field: the largest rank that the rows can
+        have where :meth:`_certified` proves it, else the pivot count of
+        the elimination."""
         R = Rows.stack(self)
+        if R.F is not None:
+            full = min(len(R.rows), sum(1 for col in zip(*R.rows) if any(col)))
+            if R._certified(full):
+                return full
         return len(_row_reduce(R.F, R.rows))
+
+    def _certified(self, rank: int) -> bool:
+        """Whether these rows of field elements have the given rank at a
+        random rational point of the field's variety: the certificate of
+        full rank.
+
+        There each (c_a, s_a) lies on the unit circle and every other
+        generator takes a nonzero rational (``_Field.random_point``).  At
+        such a point, where no denominator vanishes, evaluation is a ring
+        homomorphism, so a nonzero minor at the point is the image of a
+        nonzero minor of the rows: the rank at the point is a lower bound
+        on their rank, and where it reaches the largest rank that they can
+        have, it is their rank.  A lower rank at the point proves nothing,
+        and the caller eliminates exactly.  A certified call trusts no
+        exact pivot, so ``_Field.check_nonzero`` has nothing to cross-check.
+        At a pole a new point is drawn, at most three times.  The points
+        come from ``_session.point_rng``, so that the cross-check's and the
+        parameter values' streams draw nothing for them."""
+        for _ in range(4):
+            try:
+                rows = self._at(self.F.random_point())
+            except PoleAtPoint:
+                continue
+            return len(_row_reduce(None, rows)) == rank
+        return False
 
     def kernel(self) -> "Rows":
         """A basis of the right kernel of these rows, which must be in
@@ -210,14 +250,10 @@ class Rows:
                                       QQ.zero)) for col in zip(*B)] for row in A],
                     other.width)
 
-    def rank_at(self, point: Mapping) -> int | None:
-        """Exact rank at a rational point, decided in ``QQ``.
-
-        None if an entry keeps a symbol that the point does not bind, or
-        sin/cos of a nonzero number.  Raises PoleAtPoint if an entry has a
-        pole there.
-        """
-        values = self.F.point_values(point) if self.F is not None else None
+    def _at(self, values: list) -> list | None:
+        """The rows with generator i at values[i], as rows of ``QQ``
+        numbers; None if an entry keeps a generator whose value is None.
+        Raises PoleAtPoint if an entry has a pole there."""
         rows, exact = [], True
         for row in self.rows:
             out = []
@@ -225,7 +261,7 @@ class Rows:
                 if type(x) is not _MPQ:
                     num, den = _evaluate(x.numer, values), _evaluate(x.denom, values)
                     if den is not None and not den:
-                        raise PoleAtPoint(f"pole at {dict(point)}")
+                        raise PoleAtPoint("an entry has a pole at the point")
                     if num is not None and not num:
                         x = QQ.zero
                     elif num is None or den is None:
@@ -234,7 +270,17 @@ class Rows:
                         x = num / den
                 out.append(x)
             rows.append(out)
-        return len(_row_reduce(None, rows)) if exact else None
+        return rows if exact else None
+
+    def rank_at(self, point: Mapping) -> int | None:
+        """Exact rank at a rational point, decided in ``QQ``.
+
+        None if an entry keeps a symbol that the point does not bind, or
+        sin/cos of a nonzero number.  Raises PoleAtPoint if an entry has a
+        pole there.
+        """
+        rows = self._at(self.F.point_values(point) if self.F is not None else None)
+        return None if rows is None else len(_row_reduce(None, rows))
 
     def cleared(self) -> "Rows":
         """Each row multiplied by the lcm of its entries' denominators, so

@@ -15,7 +15,10 @@ sum of their annihilators (``intersect``, with ``annihilator``), which
 ``Rows.preimage`` replaced in ``extcalc.intersect``.  Every derivative
 here is taken by ``sp.diff``, never by the row kernel, and every kernel by
 ``nullspace``, never by ``Rows.kernel``, so a comparison with the package
-is not circular.
+is not circular.  The wrappers themselves run on ``Rows``: the elimination
+that is independent of it is ``oracle_rref``, over sympy expressions
+normalized by ``reference_normalize``, the canonical form of the package
+before its exact domain.
 """
 
 import itertools
@@ -33,6 +36,72 @@ from fwdflat.extcalc import (
     VectorField,
 )
 from fwdflat.symcore import is_zero, normalize
+
+
+def reference_reduce_cos_powers(poly):
+    """Reduce every cos(a)-degree below 2 via cos(a)**2 -> 1 - sin(a)**2."""
+    args = sorted({t.args[0] for t in poly.atoms(sp.cos)}, key=sp.default_sort_key)
+    for a in args:
+        c, s = sp.cos(a), sp.sin(a)
+        p = sp.Poly(poly, c)
+        poly = sp.expand(
+            sp.Add(*(coeff * (1 - s**2) ** (k // 2) * c ** (k % 2)
+                     for (k,), coeff in p.terms()))
+        )
+    return poly
+
+
+def reference_normalize(e):
+    """The Expr-level canonical form that symcore.normalize computed before
+    it converted through the exact domain: a ratio of expanded polynomials
+    in the symbols and in sin(a), cos(a), with cos-degrees reduced below 2
+    and the gcd cancelled."""
+    e = sp.cancel(sp.together(sp.sympify(e)))
+    num, den = e.as_numer_denom()
+    num = reference_reduce_cos_powers(sp.expand(num))
+    den = reference_reduce_cos_powers(sp.expand(den))
+    return sp.cancel(num / den)
+
+
+def reference_is_zero(e) -> bool:
+    """Whether e is the zero function, by ``reference_normalize`` after
+    ``sp.expand_trig``."""
+    return reference_normalize(sp.expand_trig(e)) == 0
+
+
+def oracle_rref(M):
+    """Elimination over sympy expressions that normalizes every entry at
+    every pivot by reference_normalize, as the row kernel eliminated before
+    it moved into one exact domain: the reduced rows, padded with zero rows
+    to M's shape, and the pivot columns.  Multiple angles are first
+    expanded by ``sp.expand_trig``, so that with every entry normalized, an
+    entry is the zero function iff it is literally 0.  It never reaches
+    ``symcore.Rows``, so it is the truth for the kernel's ranks and reduced
+    rows, where ``rref``, ``rank`` and ``rank_at`` are not (compare entries
+    with ``reference_is_zero``)."""
+    M = sp.Matrix(M).applyfunc(lambda e: reference_normalize(sp.expand_trig(e)))
+    rows, cols = M.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if M[i, c] != 0), None)
+        if pr is None:
+            continue
+        M.row_swap(pr, r)
+        piv = M[r, c]
+        for j in range(cols):
+            M[r, j] = reference_normalize(M[r, j] / piv)
+        for i in range(rows):
+            factor = M[i, c]
+            if i == r or factor == 0:
+                continue
+            for j in range(cols):
+                M[i, j] = reference_normalize(M[i, j] - factor * M[r, j])
+        pivots.append(c)
+        r += 1
+    return M, tuple(pivots)
 
 
 def rref(M):

@@ -31,7 +31,7 @@ from fwdflat.extcalc import (
     sub_oneforms,
 )
 from fwdflat.symcore import Rows, is_zero, normalize
-from reference import rank, wedge, wedge_all, wedge_is_integrable
+from reference import oracle_rref, wedge, wedge_all, wedge_is_integrable
 
 X4 = Chart(tuple(sp.Symbol(f"x{i}") for i in range(1, 5)))
 X3 = Chart(tuple(sp.Symbol(f"x{i}") for i in range(1, 4)))
@@ -130,7 +130,7 @@ class TestWedge:
                      for _ in range(rng.randint(2, 3))]
             M = sp.Matrix([list(f.coeffs) for f in forms])
             top = wedge_all(forms)
-            assert (not top.is_zero_form()) == (rank(M) == len(forms))
+            assert (not top.is_zero_form()) == (len(oracle_rref(M)[1]) == len(forms))
 
 
 class TestContract:

@@ -2,11 +2,20 @@ import random
 
 import pytest
 import sympy as sp
+from sympy.polys.domains import QQ
 
 from fwdflat import symcore
 from fwdflat.errors import ExprSyntaxError, InternalInconsistency, PoleAtPoint
 from fwdflat.symcore import is_zero, normalize, parse_expr, render
-from reference import nullspace, rank, rank_at, rref
+from reference import (
+    nullspace,
+    oracle_rref,
+    rank,
+    rank_at,
+    reference_is_zero,
+    reference_normalize,
+    rref,
+)
 
 x1, x2, x3 = sp.symbols("x1 x2 x3")
 u1, u2 = sp.symbols("u1 u2")
@@ -14,31 +23,6 @@ u1, u2 = sp.symbols("u1 u2")
 
 # --------------------------------------------------------------------------
 # references
-
-def reference_reduce_cos_powers(poly):
-    """Reduce every cos(a)-degree below 2 via cos(a)**2 -> 1 - sin(a)**2."""
-    args = sorted({t.args[0] for t in poly.atoms(sp.cos)}, key=sp.default_sort_key)
-    for a in args:
-        c, s = sp.cos(a), sp.sin(a)
-        p = sp.Poly(poly, c)
-        poly = sp.expand(
-            sp.Add(*(coeff * (1 - s**2) ** (k // 2) * c ** (k % 2)
-                     for (k,), coeff in p.terms()))
-        )
-    return poly
-
-
-def reference_normalize(e):
-    """The Expr-level canonical form that symcore.normalize computed before
-    it converted through the exact domain: a ratio of expanded polynomials
-    in the symbols and in sin(a), cos(a), with cos-degrees reduced below 2
-    and the gcd cancelled."""
-    e = sp.cancel(sp.together(sp.sympify(e)))
-    num, den = e.as_numer_denom()
-    num = reference_reduce_cos_powers(sp.expand(num))
-    den = reference_reduce_cos_powers(sp.expand(den))
-    return sp.cancel(num / den)
-
 
 def evaluate(e, point):
     """Exact rational value of e at a rational point: the oracle of
@@ -474,36 +458,6 @@ class TestLinearAlgebra:
             rank_at(sp.Matrix([[1 / (x1 - 1), x2]]), {x1: 1, x2: 0})
 
 
-def oracle_rref(M):
-    """Elimination over sympy expressions that normalizes every entry at
-    every pivot by reference_normalize; symcore.rref computed this way
-    before it moved into one exact domain.  With every entry normalized, an
-    entry is the zero function iff it is literally 0."""
-    M = sp.Matrix(M).applyfunc(reference_normalize)
-    rows, cols = M.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pr = next((i for i in range(r, rows) if M[i, c] != 0), None)
-        if pr is None:
-            continue
-        M.row_swap(pr, r)
-        piv = M[r, c]
-        for j in range(cols):
-            M[r, j] = reference_normalize(M[r, j] / piv)
-        for i in range(rows):
-            factor = M[i, c]
-            if i == r or factor == 0:
-                continue
-            for j in range(cols):
-                M[i, j] = reference_normalize(M[i, j] - factor * M[r, j])
-        pivots.append(c)
-        r += 1
-    return M, tuple(pivots)
-
-
 def _random_matrix(rng, entry, rows, cols):
     """A random matrix whose last row is, half of the time, a combination
     of the others, so that rank-deficient cases occur."""
@@ -665,6 +619,105 @@ def _rational_of_rank(rng, rows, cols, r, big):
     return M
 
 
+class TestFullRankCertificate:
+    """``Rows.rank`` and ``Rows.reduced`` on rows of field elements, with a
+    trig pair, a multiple angle and a parameter: full ranks certified at a
+    random point, every other rank eliminated, all against ``oracle_rref``."""
+
+    a = sp.Symbol("a")
+
+    def _matrix(self, rng, rows, cols, zero_cols=(), deficient=False):
+        from conftest import random_poly
+        atoms = [x1, x2, self.a, sp.sin(x1), sp.cos(x1), sp.sin(2 * x1)]
+
+        def entry():
+            return random_poly(rng, atoms, 2, 3, 1) / rng.choice((1, x2**2 + 1, self.a + 2))
+        M = sp.Matrix(rows, cols, lambda i, j: 0 if j in zero_cols else entry())
+        if deficient:
+            M[rows - 1, :] = entry() * M.row(0) + entry() * M.row(rows - 2)
+        return M
+
+    def _cases(self):
+        """(name, matrix, largest rank it can have): full column rank, full
+        row rank, zero columns, deficient ranks and no rows."""
+        rng = random.Random(2020)
+        for _ in range(2):
+            yield "full column rank", self._matrix(rng, 4, 3), 3
+            yield "full row rank", self._matrix(rng, 2, 4), 2
+            yield "zero column, square", self._matrix(rng, 3, 4, zero_cols=(2,)), 3
+            yield "zero column, tall", self._matrix(rng, 4, 3, zero_cols=(0,)), 2
+            yield "deficient, square", self._matrix(rng, 3, 3, deficient=True), 3
+            yield "deficient, wide", self._matrix(rng, 3, 4, deficient=True), 3
+        yield "no rows", sp.zeros(0, 3), 0
+
+    @staticmethod
+    def _count_field_eliminations(monkeypatch) -> list:
+        calls = []
+        row_reduce = symcore._row_reduce
+
+        def counted(F, A):
+            if F is not None:
+                calls.append(len(A))
+            return row_reduce(F, A)
+        monkeypatch.setattr(symcore, "_row_reduce", counted)
+        return calls
+
+    def _check(self, M, calls):
+        """Rows.reduced and Rows.rank of M against the oracle; the rank, and
+        whether each of the two eliminated field rows."""
+        O, pivots = oracle_rref(M)
+        calls.clear()
+        R, rpivots = symcore.Rows.of(M).reduced()
+        reduced_eliminated = bool(calls)
+        assert tuple(rpivots) == pivots, M
+        assert all(reference_is_zero(o - r) for o, r in zip(O, R.to_matrix())), M
+        calls.clear()
+        assert symcore.Rows.of(M).rank() == len(pivots), M
+        return len(pivots), reduced_eliminated, bool(calls)
+
+    def test_against_the_oracle(self, monkeypatch):
+        calls = self._count_field_eliminations(monkeypatch)
+        for name, M, bound in self._cases():
+            rank, reduced_eliminated, rank_eliminated = self._check(M, calls)
+            assert (rank == bound) == (not name.startswith("deficient")), name
+            # a full rank is certified, with no elimination on field rows;
+            # reduced rows only where the rank is that of the nonzero columns
+            nonzero = sum(1 for j in range(M.cols) if any(M.col(j)))
+            assert rank_eliminated == (rank < bound), name
+            assert reduced_eliminated == (rank < nonzero), name
+
+    def test_a_pole_draws_again_three_times_then_eliminates(self, monkeypatch):
+        from fwdflat import domain
+        draws = []
+
+        def at_the_pole(F):
+            draws.append(F)
+            return [QQ.one if key == x1 else QQ.zero for key in F.keys]
+        monkeypatch.setattr(domain._Field, "random_point", at_the_pole)
+        calls = self._count_field_eliminations(monkeypatch)
+        M = sp.Matrix([[1 / (x1 - 1), x2], [x1, sp.sin(x2)]])
+        assert self._check(M, calls) == (2, True, True)
+        assert len(draws) == 2 * 4  # reduced and rank: 4 points each
+
+    def test_certified_calls_leave_the_other_streams(self, monkeypatch):
+        from fwdflat import domain
+        calls = self._count_field_eliminations(monkeypatch)
+
+        def next_draws():
+            s = domain._session
+            return [s.rng.random() for _ in range(3)], [s.param_rng.random() for _ in range(3)]
+        M = self._matrix(random.Random(7), 3, 3)
+        symcore.configure(seed=5)
+        point = domain._session.point_rng.getstate()
+        assert symcore.Rows.of(M).rank() == 3
+        R, pivots = symcore.Rows.of(M).reduced()
+        assert pivots == [0, 1, 2] and not calls
+        assert domain._session.point_rng.getstate() != point
+        after = next_draws()
+        symcore.configure(seed=5)
+        assert after == next_draws()
+
+
 class TestRowsOfNumbers:
     """Rows of ``QQ`` numbers are eliminated fraction-free on integers;
     sympy's own rref over ``QQ`` is the reference."""
@@ -765,10 +818,13 @@ class TestWrappersMatchTheRowKernel:
             bottom = _random_matrix(rng, entry, 1, 3)
             M = top.col_join(bottom)
             stacked = symcore.Rows.stack(symcore.Rows.of(top), symcore.Rows.of(bottom))
-            R, pivots = rref(M)
+            O, pivots = oracle_rref(M)
+            R, rpivots = rref(M)
             S, spivots = stacked.reduced()
-            assert pivots == tuple(spivots)
-            assert all(is_zero(r - s) for r, s in zip(R, S.to_matrix()))
+            assert pivots == rpivots == tuple(spivots)
+            # the oracle's own canonical zero test, independent of the domain
+            assert all(reference_is_zero(o - r) for o, r in zip(O, R))
+            assert all(reference_is_zero(o - s) for o, s in zip(O, S.to_matrix()))
             assert rank(M) == stacked.rank() == len(pivots)
             point = {x1: 0, x2: sp.Rational(rng.randint(-3, 3), 2),
                      self.a: sp.Rational(rng.randint(1, 5))}

@@ -27,7 +27,7 @@ The outputs are:
   chain(3) to chain(6): ``annihilator(P_k)``, ``intersect(P_k, span{df})``
   and ``is_integrable(P_k)``, with ``span{df}`` the span of the reduced
   rows of ``J_f`` (``ROW_SPACE_CHAINS``);
-- ``compute_sequence(...).to_json_dict()`` on chain(3) to chain(8);
+- ``compute_sequence(...).to_json_dict()`` on chain(3) to chain(12);
 - the same on the 70 ``linear`` systems of each of the benchmark seeds
   1 to 3, generated by ``bench/workloads.py``.
 
@@ -54,7 +54,7 @@ COMMANDS = ("analyze", "verify-flat-output", "verify-decomposition")
 MODES = {"plain": [], "json": ["--json"], "trace": ["--trace"]}
 SEEDS = (1, 2)
 SYSTEM_DIRS = (ROOT / "fixtures", ROOT / "tests" / "golden" / "systems")
-CHAIN_SIZES = range(3, 9)
+CHAIN_SIZES = range(3, 13)
 ROW_SPACE_CHAINS = range(3, 7)
 LINEAR_SEEDS = (1, 2, 3)
 
