@@ -9,9 +9,10 @@ Every rank decision in the package is made by the row kernel
 domain of :mod:`fwdflat.domain`, where an element is the zero function iff
 it is literally zero: a full rank is certified at one random point of the
 domain (``Rows._certified``), and any other rank takes one elimination.
-Rows stay in the domain from one operation to the next: each elimination moves them into the field of the
-generators that they use, by remapping exponents, :class:`Substitution`
-composes them with a map and ``@`` multiplies them.  Every caller ranks and
+Rows stay in the domain from one operation to the next: each elimination
+moves them into the field of the generators that they use, by remapping
+exponents, :class:`Substitution` composes them with a map and ``@``
+multiplies them.  Every caller ranks and
 eliminates on rows, and a sympy matrix is built only by ``Rows.to_matrix``.
 The kernel of reduced rows is read off them by one routine,
 ``Rows.kernel``, and one more, ``Rows.preimage``, gives the combinations

@@ -36,7 +36,7 @@ def commit(checkout: Path) -> dict:
         out = subprocess.run(["git", "-C", str(checkout), *args],
                              capture_output=True, text=True)
         return out.stdout.strip() if out.returncode == 0 else None
-    return {"path": str(checkout), "commit": git("rev-parse", "HEAD"),
+    return {"commit": git("rev-parse", "HEAD"),
             "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
 
 
