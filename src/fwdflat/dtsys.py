@@ -528,6 +528,8 @@ class TriangularDecomposition:
                            tuple(sp.sympify(e) for e in self.state_map))
         object.__setattr__(self, "input_map",
                            tuple(sp.sympify(e) for e in self.input_map))
+        if any(k < 0 for k in self.split):
+            raise ValueError(f"split {self.split} has a negative block size")
 
 
 @dataclass

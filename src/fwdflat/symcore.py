@@ -32,17 +32,15 @@ parameters are plain ``sympy.Symbol`` objects.
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
+import unicodedata
 from typing import Iterable, Mapping, Sequence
 
 import sympy as sp
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.matrices.dense import ddm_irref_den
-from sympy.parsing.sympy_parser import (
-    convert_xor,
-    parse_expr as _sympy_parse,
-    standard_transformations,
-)
 
 # configure, is_zero, normalize and _rational_sample are imported for the
 # package's callers, which reach the kernel through this module
@@ -490,8 +488,11 @@ def solve_by_elimination(eqs: Iterable, unknowns: Sequence[sp.Symbol]
 # --------------------------------------------------------------------------
 # parsing
 
-_TRANSFORMS = standard_transformations + (convert_xor,)
-RESERVED_NAMES = {"sin", "cos"}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv,
+           ast.Pow: operator.pow}
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_FUNCTIONS = {"sin": sp.sin, "cos": sp.cos}
 
 
 def _validate_tree(e: sp.Expr, allowed: set[sp.Symbol], text: str) -> None:
@@ -521,26 +522,59 @@ def _validate_tree(e: sp.Expr, allowed: set[sp.Symbol], text: str) -> None:
     raise ExprSyntaxError(f"unsupported construct {e} in {text!r}")
 
 
+def _build(node: ast.AST, syms: Mapping[str, sp.Symbol], text: str) -> Expr:
+    """The sympy expression of one node of the fragment's syntax tree, built
+    by the operators that evaluating the text would apply, in that order.
+    An undeclared name becomes a symbol for :func:`_validate_tree` to
+    refuse; ``sin`` and ``cos`` are functions even where a symbol has their
+    name, and are refused where they are not called."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        # a long sum or product nests to the left: fold it without recursion
+        spine = []
+        while isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            spine.append(node)
+            node = node.left
+        e = _build(node, syms, text)
+        for b in reversed(spine):
+            e = _BINARY[type(b.op)](e, _build(b.right, syms, text))
+        return e
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        return _UNARY[type(node.op)](_build(node.operand, syms, text))
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return sp.Integer(node.value)
+    if isinstance(node, ast.Constant) and type(node.value) is float:
+        raise ExprSyntaxError(f"floating point literals are not supported in {text!r}")
+    if isinstance(node, ast.Name) and node.id not in _FUNCTIONS:
+        return syms[node.id] if node.id in syms else sp.Symbol(node.id)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCTIONS and len(node.args) == 1
+            and not node.keywords and not isinstance(node.args[0], ast.Starred)):
+        return _FUNCTIONS[node.func.id](_build(node.args[0], syms, text))
+    raise ExprSyntaxError(f"unsupported construct {ast.unparse(node)} in {text!r}")
+
+
 def parse_expr(text: str, symbols: Iterable) -> Expr:
     """Parse an expression string over the declared symbols.
 
-    Grammar: identifiers, integer and p/q literals, + - * / ^ with
-    conventional precedence, parentheses, sin(.)/cos(.) of a single symbol.
+    Grammar: identifiers, integer and p/q literals, + - * / with
+    conventional precedence, ^ or ** for powers, unary + and -,
+    parentheses, sin(.)/cos(.) of a single symbol.  The text is read as a
+    Python expression and built node by node; nothing in it is evaluated.
+    ``^`` becomes ``**`` before Python reads it, where it would be XOR and
+    bind more loosely than ``+``.  Identifiers must be in NFKC form, since
+    Python would read ``x１`` as ``x1``.
     """
     syms = {s.name: s for s in symbols}
-    local = dict(syms)
-    local["sin"] = sp.sin
-    local["cos"] = sp.cos
+    if not unicodedata.is_normalized("NFKC", text):
+        raise ExprSyntaxError(f"cannot parse {text!r}: not in NFKC normal form")
+    # Python's parser raises MemoryError where its stack overflows, and
+    # printing an int of over 4300 digits raises ValueError
     try:
-        e = _sympy_parse(text, local_dict=local, transformations=_TRANSFORMS,
-                         evaluate=True)
-    except ExprSyntaxError:
-        raise
-    except Exception as exc:
+        tree = ast.parse(text.strip().replace("^", "**"), "<string>", "eval")
+        e = _build(tree.body, syms, text)
+    except (MemoryError, RecursionError, SyntaxError, ValueError) as exc:
         raise ExprSyntaxError(f"cannot parse {text!r}: {exc}") from exc
-    if not isinstance(e, sp.Expr):
-        raise ExprSyntaxError(f"not an expression: {text!r}")
-    _validate_tree(sp.sympify(e), set(syms.values()), text)
+    _validate_tree(e, set(syms.values()), text)
     return e
 
 

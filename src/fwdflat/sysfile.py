@@ -199,8 +199,11 @@ def parse_system_text(text: str, name: str = "system") -> SystemFile:
         state_map = tuple(parse_expr(t, states + params)
                           for t in fields["state_map"])
         input_map = tuple(parse_expr(t, base_syms) for t in fields["input_map"])
-        dec = TriangularDecomposition(state_map=state_map, input_map=input_map,
-                                      split=split)
+        try:
+            dec = TriangularDecomposition(state_map=state_map,
+                                          input_map=input_map, split=split)
+        except ValueError as exc:
+            raise SystemFileError(str(exc)) from exc
 
     return SystemFile(system=system, flat_output=flat, decomposition=dec)
 

@@ -18,16 +18,23 @@ here is taken by ``sp.diff``, never by the row kernel, and every kernel by
 is not circular.  The wrappers themselves run on ``Rows``: the elimination
 that is independent of it is ``oracle_rref``, over sympy expressions
 normalized by ``reference_normalize``, the canonical form of the package
-before its exact domain.
+before its exact domain.  ``reference_parse_expr`` is the expression parser
+of the package before it built the tree from Python's ``ast``: sympy's
+parser, which evaluates the text.
 """
 
 import itertools
 
 import sympy as sp
+from sympy.parsing.sympy_parser import (
+    convert_xor,
+    parse_expr,
+    standard_transformations,
+)
 from sympy.polys.domains import QQ
 
 from fwdflat import symcore
-from fwdflat.errors import InternalInconsistency
+from fwdflat.errors import ExprSyntaxError, InternalInconsistency
 from fwdflat.extcalc import (
     Codistribution,
     Distribution,
@@ -49,6 +56,23 @@ def reference_reduce_cos_powers(poly):
                      for (k,), coeff in p.terms()))
         )
     return poly
+
+
+def reference_parse_expr(text, symbols):
+    """``symcore.parse_expr`` as sympy's parser did it: the text is turned
+    into Python code and evaluated, so call this only on generated, trusted
+    text.  The result is checked by ``symcore._validate_tree``."""
+    syms = {s.name: s for s in symbols}
+    local = dict(syms, sin=sp.sin, cos=sp.cos)
+    try:
+        e = parse_expr(text, local_dict=local, evaluate=True,
+                       transformations=standard_transformations + (convert_xor,))
+    except Exception as exc:
+        raise ExprSyntaxError(f"cannot parse {text!r}: {exc}") from exc
+    if not isinstance(e, sp.Expr):
+        raise ExprSyntaxError(f"not an expression: {text!r}")
+    symcore._validate_tree(e, set(syms.values()), text)
+    return e
 
 
 def reference_normalize(e):

@@ -211,6 +211,18 @@ class TestVerifyDecomposition:
         assert cli.run(["verify-decomposition", str(bad)]) == cli.EXIT_NEGATIVE
         assert "decomposition verified: False" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("split", ["1 2 -1 3", "-1 4 1 1"])
+    def test_negative_block_size_exits_two(self, tmp_path, capsys, split):
+        # the first sums to (n, m) and would slice ubar[:-1]
+        text = (FIXTURES / "running.sys").read_text()
+        bad = tmp_path / "bad.sys"
+        bad.write_text(text.replace("split: 1 2 1 1", f"split: {split}"))
+        assert cli.run(["verify-decomposition", str(bad)]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "negative block size" in captured.err
+
     IRRATIONAL = ("states: x1 x2 x3\ninputs: u1\nf: x2\nf: x3\nf: u1\n"
                   "x0: 1 1 1\nu0: 1\nstate_map: x3\nstate_map: x1\n"
                   "state_map: x2 + sin(x1)\ninput_map: u1\n")
@@ -287,6 +299,44 @@ def test_input_errors_exit_two_without_traceback(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def _one_state(expr):
+    return f"states: x1\ninputs: u1\nf: {expr}\nx0: 0\nu0: 0\n"
+
+
+@pytest.mark.parametrize("expr,message", [
+    ("+".join(["x1"] * 20000), "cannot parse"),
+    ("-" * 3000 + "u1", "cannot parse"),
+    ("(" * 300 + "u1" + ")" * 300, "cannot parse"),
+    ("u1\0", "cannot parse"),
+    ("0x" + "f" * 5000 + " % 2 + u1", "cannot parse"),
+    ("1e400*x1", "floating point literals are not supported"),
+    ("u1 if 1 else u1", "unsupported construct"),
+    ("[u1][0]", "unsupported construct"),
+    ("S(1)/2*u1", "unsupported construct"),
+    ("Integer(2)*u1", "unsupported construct"),
+], ids=["sum-of-20000-terms", "3000-unary-minuses", "300-nested-parentheses",
+        "nul-byte", "literal-too-long-to-print", "float-overflow",
+        "conditional", "subscript", "sympy-S", "sympy-Integer"])
+def test_expressions_outside_the_fragment_exit_two(tmp_path, capsys, expr,
+                                                    message):
+    bad = tmp_path / "bad.sys"
+    bad.write_text(_one_state(expr))
+    assert cli.run(["analyze", str(bad)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_no_code_in_an_input_file_runs(tmp_path, capsys):
+    ran = tmp_path / "ran"
+    bad = tmp_path / "bad.sys"
+    bad.write_text(_one_state(
+        f"__import__('pathlib').Path({str(ran)!r}).touch() or u1"))
+    assert cli.run(["analyze", str(bad)]) == cli.EXIT_INPUT
+    assert "unsupported construct" in capsys.readouterr().err
+    assert not ran.exists()
 
 
 def test_file_that_is_not_utf8_exits_two(tmp_path, capsys):

@@ -1,12 +1,17 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings, strategies as st
 from sympy.polys.domains import QQ
 
+from conftest import FIXTURES
 from fwdflat import symcore
 from fwdflat.errors import ExprSyntaxError, InternalInconsistency, PoleAtPoint
 from fwdflat.symcore import is_zero, normalize, parse_expr, render
+from fwdflat.sysfile import _collect
 from reference import (
     nullspace,
     oracle_rref,
@@ -14,6 +19,7 @@ from reference import (
     rank_at,
     reference_is_zero,
     reference_normalize,
+    reference_parse_expr,
     rref,
 )
 
@@ -786,6 +792,87 @@ class TestParse:
     def test_render_deterministic(self):
         e = parse_expr("x2 + x1*u1", self.SYMS)
         assert render(e) == render(u1 * x1 + x2)
+
+    def test_sin_and_cos_stay_functions_where_a_symbol_has_their_name(self):
+        sin = sp.Symbol("sin")
+        assert parse_expr("sin(x1)", [sin, x1]) == sp.sin(x1)
+        for text in ("sin", "sin + x1", "cos*x1"):
+            with pytest.raises(ExprSyntaxError):
+                parse_expr(text, [sin, sp.Symbol("cos"), x1])
+
+
+def _same_as_reference(text, symbols):
+    """parse_expr and the reference parser give srepr-identical trees, or
+    both raise ExprSyntaxError."""
+    try:
+        want = sp.srepr(reference_parse_expr(text, symbols))
+    except ExprSyntaxError:
+        with pytest.raises(ExprSyntaxError):
+            parse_expr(text, symbols)
+        return
+    assert sp.srepr(parse_expr(text, symbols)) == want, text
+
+
+_EXPRESSION_KEYS = ("f", "h", "inverse", "phi", "Fx", "Fu", "state_map",
+                    "input_map")
+_SYSTEM_FILES = sorted(FIXTURES.glob("*.sys")) + sorted(
+    (Path(__file__).resolve().parent / "golden" / "systems").glob("*.sys"))
+
+
+@pytest.mark.parametrize("path", _SYSTEM_FILES, ids=lambda p: p.stem)
+def test_every_file_expression_parses_as_the_reference_does(path):
+    """Each expression line of the fixtures and golden systems, over the
+    names that it uses."""
+    fields = _collect(path.read_text())
+    lines = [t for key in _EXPRESSION_KEYS for t in fields.get(key, ())]
+    assert lines
+    for text in lines:
+        names = set(re.findall(r"[A-Za-z_]\w*", text)) - {"sin", "cos"}
+        _same_as_reference(text, [sp.Symbol(nm) for nm in sorted(names)])
+
+
+_DECLARED = [x1, x2, u1]
+# zz is not declared; exponents stay small so that no power grows large
+_LEAVES = st.one_of(
+    st.sampled_from(["x1", "x2", "u1", "zz"]),
+    st.integers(0, 12).map(str),
+    st.builds("{}/{}".format, st.integers(0, 12), st.integers(0, 4)),
+    st.builds("{}({})".format, st.sampled_from(["sin", "cos"]),
+              st.sampled_from(["x1", "x2", "zz"])))
+
+
+@st.composite
+def fragments(draw, depth=4):
+    """Text in the documented expression grammar, and a little outside it
+    (undeclared names, zero denominators, non-integer powers)."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return draw(_LEAVES)
+    kind = draw(st.sampled_from(["binary", "power", "unary", "parens"]))
+    a = draw(fragments(depth - 1))
+    if kind == "binary":
+        op = draw(st.sampled_from(["+", "-", "*", "/"]))
+        return f"{a} {op} {draw(fragments(depth - 1))}"
+    if kind == "power":
+        op = draw(st.sampled_from(["^", "**"]))
+        exponent = draw(st.sampled_from(["0", "1", "2", "3", "-1", "-2", "x1",
+                                         "(1/2)"]))
+        return f"({a}){op}{exponent}"
+    if kind == "unary":
+        return draw(st.sampled_from(["-", "+"])) + a
+    return f"({a})"
+
+
+# In Python ^ is XOR and binds more loosely than +, so these two parse
+# differently unless ^ becomes ** first; x\uff11 is x1 once NFKC-normalized.
+@example(text="x1 + 1^2")
+@example(text="-x1^2")
+@example(text="2^3^2")
+@example(text="-2**-1")
+@example(text="x\uff11")
+@settings(max_examples=200)
+@given(text=fragments())
+def test_generated_fragments_parse_as_the_reference_does(text):
+    _same_as_reference(text, _DECLARED)
 
 
 class TestWrappersMatchTheRowKernel:
