@@ -180,24 +180,14 @@ def _cancel_term(num, den):
 
 
 def _evaluate(p, values):
-    """The polynomial p at generator values (None for an unbound one): a QQ
-    number, or None when it still depends on an unbound generator."""
-    const, rest = QQ.zero, {}
+    """The polynomial p, a QQ number, with generator i at values[i]."""
+    total = QQ.zero
     for monom, c in p.iterterms():
-        unbound = []
         for i, e in enumerate(monom):
             if e:
-                v = values[i]
-                if v is None:
-                    unbound.append((i, e))
-                else:
-                    c *= v**e
-        if c:
-            if unbound:
-                rest[tuple(unbound)] = rest.get(tuple(unbound), QQ.zero) + c
-            else:
-                const += c
-    return None if any(rest.values()) else const
+                c *= values[i]**e
+        total += c
+    return total
 
 
 class _Field:
@@ -428,19 +418,6 @@ class _Field:
             f"exactly nonzero expression {self.to_expr(x)} vanished at "
             f"{_session.samples} random points")
 
-    def point_values(self, point: Mapping) -> list:
-        """Each generator's value at a rational point: None where the point
-        binds no symbol, or the angle is a nonzero number."""
-        values = []
-        for key in self.keys:
-            if isinstance(key, tuple):
-                zero = key[1].xreplace(point) == 0
-                values.append((QQ.one if key[0] == "c" else QQ.zero) if zero else None)
-            else:
-                v = point.get(key)
-                values.append(None if v is None else QQ.from_sympy(sp.sympify(v)))
-        return values
-
     def random_point(self) -> list:
         """Each generator's value at a random rational point of the field's
         variety (see ``_rational_point``), drawn from the stream of the
@@ -510,7 +487,8 @@ class _Plan:
             t = ring.dtype({tuple(e): coeff})
             for i, d in deg.items():
                 vn, vd = values[i]
-                t *= vn ** monom[i] * vd ** (d - monom[i])
+                # a value of 0 has no 0th power in the ring
+                t *= (vn ** monom[i] if monom[i] else 1) * vd ** (d - monom[i])
             num += t
         return num, den
 

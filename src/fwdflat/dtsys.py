@@ -138,30 +138,50 @@ class SubmersivityReport:
     notes: list[str] = field(default_factory=list)
 
 
-def _rank_at_point(M: symcore.Rows, subs: Mapping,
-                   params: Sequence[sp.Symbol]) -> int | None:
-    """Exact rank of M at a rational point, params sampled nonzero and drawn
-    again at a pole; None if the matrix does not become rational there."""
-    rng = domain._session.param_rng
-    for _ in range(20):
-        psubs = dict(subs)
+def _point(values: Mapping, params: Sequence[sp.Symbol]):
+    """The Substitution of a rational point, built on first call: the
+    symbols' values, and each parameter's nonzero value drawn then from
+    ``_session.param_rng``."""
+    @functools.cache
+    def at() -> symcore.Substitution:
+        rng = domain._session.param_rng
+        subs = dict(values)
         for p in params:
-            psubs[p] = sp.Rational(rng.randint(1, 97) * rng.choice((-1, 1)),
-                                   rng.randint(1, 13))
-        try:
-            return M.rank_at(psubs)
-        except PoleAtPoint:
-            continue
-    return None
+            subs[p] = sp.Rational(rng.randint(1, 97) * rng.choice((-1, 1)),
+                                  rng.randint(1, 13))
+        return symcore.Substitution(subs)
+    return at
 
 
-def check_submersivity(sys: DiscreteTimeSystem) -> SubmersivityReport:
-    """rank of d f / d (x, u), generically and at the equilibrium, where
-    rows of QQ numbers have their generic rank."""
+def _rank_at_point(M: symcore.Rows, generic: int, at) -> int | None:
+    """Exact rank of the rows M at the point of ``at`` (see :func:`_point`):
+    0 for no rows, the generic rank for rows of QQ numbers, which have it
+    at every point, else ``Rows.rank`` of M's rows cleared of their
+    denominators (so that no entry has a pole there) with the point
+    substituted; None where an angle has a pole at the point.
+
+    There every angle is rational, and cos and sin of all of them become
+    polynomials in one pair (c_b, s_b), or numbers where b = 0.  For b != 0,
+    e^{ib} is transcendental (Lindemann-Weierstrass), so a polynomial p with
+    p(cos b, sin b) = 0, a Laurent polynomial in e^{ib} over Q(i), vanishes
+    on the unit circle and lies in the ideal of c_b**2 + s_b**2 - 1: the
+    field reduces by the pair's only relation, and a rank over it is the
+    rank at the point."""
+    if all(type(x) is domain._MPQ for row in M.rows for x in row):
+        return generic if M.rows else 0
+    try:
+        return at()(M.cleared()).rank()
+    except PoleAtPoint:
+        return None
+
+
+def check_submersivity(sys: DiscreteTimeSystem, at=None) -> SubmersivityReport:
+    """rank of d f / d (x, u), generically and at the equilibrium (see
+    _rank_at_point), whose point ``at`` is built here when not given."""
     J = sys.jacobian_rows()
     generic = J.rank()
-    at_eq = (generic if J.F is None
-             else _rank_at_point(J, sys.equilibrium_subs(), sys.params))
+    at_eq = _rank_at_point(J, generic,
+                           at or _point(sys.equilibrium_subs(), sys.params))
     notes = []
     if generic < sys.n:
         _, pivots = symcore.Rows(J.F, [list(c) for c in zip(*J.rows)], sys.n).reduced()
@@ -609,10 +629,11 @@ def verify_triangular_decomposition(sys: DiscreteTimeSystem,
     xbar0 = tuple(sp.cancel(sp.sympify(e).xreplace(eq)) for e in dec.state_map)
     ubar0 = tuple(sp.cancel(sp.sympify(e).xreplace(eq)) for e in dec.input_map)
     if all(v.is_Rational for v in xbar0 + ubar0):
-        eq_bar = dict(zip(xbar, xbar0))
-        eq_bar.update(zip(ubar, ubar0))
-        rk0 = (_rank_at_point(B1, eq_bar, sys.params)
-               if n1 and m1 else 0)
+        rk0 = _rank_at_point(B1, rk, _point(dict(zip(xbar + ubar, xbar0 + ubar0)),
+                                            sys.params))
+        if rk0 is None and not reasons:
+            raise FwdflatError(f"an angle of d f1 / d u1 has a pole where state_map gives "
+                               f"{xbar0} and input_map {ubar0}: no rank there")
         if rk0 is not None and rk0 != n1:
             reasons.append(f"rank of d f1 / d u1 at the equilibrium is {rk0}")
     elif reasons:

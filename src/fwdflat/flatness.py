@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import methodcaller
 
-import sympy as sp
 from sympy.polys.domains import QQ
 
 from .dtsys import (
@@ -47,6 +46,7 @@ from .dtsys import (
     DecompositionVerdict,
     DiscreteTimeSystem,
     TriangularDecomposition,
+    _point,
     _rank_at_point,
     backward_shift,
     build_adapted_chart,
@@ -179,16 +179,6 @@ def _intersect_df(P: Rows, J: Rows, ac: AdaptedChart) -> Rows:
     return Rows(A.F, [row + zeros for row in A.rows], J.width)
 
 
-def _dim_at_equilibrium(M: Rows, generic: int, eq_subs, params) -> int | None:
-    """The rank of M at the equilibrium, None where it is not exact: the
-    generic rank for rows of QQ numbers, which have it at every point, and
-    otherwise taken with the row denominators cleared (see Rows.cleared:
-    polynomial rows, so no pole at the point); 0 for no rows."""
-    if M.F is None:
-        return generic
-    return _rank_at_point(M.cleared(), eq_subs, params) if M.rows else 0
-
-
 def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
     """Run the decreasing sequence of codistributions to its fixed point.
 
@@ -200,7 +190,8 @@ def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
         if trace is not None:
             trace(msg)
 
-    sub = check_submersivity(sys)
+    at = _point(sys.equilibrium_subs(), sys.params)
+    sub = check_submersivity(sys, at)
     if not sub.ok:
         raise FwdflatError(
             "the system map is not a submersion (precondition of the test): "
@@ -208,13 +199,12 @@ def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
     ac = build_adapted_chart(sys)
     say(f"adapted chart complement: {tuple(str(h) for h in ac.h)}")
 
-    # per run: J_f in the exact domain, its rows cleared for the equilibrium
-    # ranks, and P_1 = span{dx_i} of rank n; P_k's rank at the equilibrium
-    # comes from the previous iteration.  Clearing scales each row of J_f by
-    # a polynomial that is nonzero where J_f has no pole, so its rank there
-    # is the submersivity check's.
+    # per run: the equilibrium's point, J_f in the exact domain, its rows
+    # cleared for the ranks there, and P_1 = span{dx_i} of rank n; P_k's rank
+    # at the equilibrium comes from the previous iteration.  Clearing scales
+    # each row of J_f by a polynomial that is nonzero where J_f has no pole,
+    # so its rank there is the submersivity check's.
     warnings: list[str] = []
-    eq_xu = sys.equilibrium_subs()
     J, rank_J = sys.jacobian_rows(), sub.rank_at_equilibrium
     J_cleared = J.cleared()
     d_xi = [methodcaller("derivative", v) for v in ac.xi]
@@ -246,8 +236,8 @@ def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
         # the intersection's dimension at the equilibrium is
         # rk P_k + rk J_f - rk [P_k; J_f]: evaluating its canonical basis
         # there is not reliable, as pivot normalization can degenerate
-        rank_PJ = _dim_at_equilibrium(Rows.stack(P, J_cleared),
-                                      len(P.rows) + n - len(Q.rows), eq_xu, sys.params)
+        rank_PJ = _rank_at_point(Rows.stack(P, J_cleared),
+                                 len(P.rows) + n - len(Q.rows), at)
         if None in (rank_P, rank_J, rank_PJ):
             warnings.append(f"k = {k}, intersection: rank at the equilibrium "
                             "could not be evaluated exactly")
@@ -255,7 +245,7 @@ def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
             warnings.append(f"k = {k}, intersection: generic dimension "
                             f"{len(Q.rows)} becomes {rank_P + rank_J - rank_PJ} "
                             "at the equilibrium")
-        rank_P = _dim_at_equilibrium(P_next, len(P_next.rows), eq_xu, sys.params)
+        rank_P = _rank_at_point(P_next, len(P_next.rows), at)
         if rank_P is None:
             warnings.append(f"k = {k}, shifted codistribution: rank at the "
                             "equilibrium could not be evaluated exactly")
@@ -314,12 +304,6 @@ def subsystem_consistency_check(sys: DiscreteTimeSystem,
     x2_syms = v.xbar[n1:]
     in_syms = v.xbar[:n1] + v.ubar[m1:]
     f2 = v.fbar[n1:]
-    forbidden = set(v.ubar[:m1])
-    for e in f2:
-        if sp.sympify(e).free_symbols & forbidden:
-            return ConsistencyVerdict(
-                False, ["x2-rows still contain u1-block symbols"],
-                decomposition=v)
     sub_sys = DiscreteTimeSystem(
         states=x2_syms,
         inputs=in_syms,

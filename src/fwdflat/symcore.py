@@ -47,6 +47,7 @@ from sympy.polys.matrices.dense import ddm_irref_den
 from .domain import (
     _MPQ,
     _Field,
+    _UNDEFINED,
     _Plan,
     _convert,
     _demote,
@@ -249,37 +250,17 @@ class Rows:
                                       QQ.zero)) for col in zip(*B)] for row in A],
                     other.width)
 
-    def _at(self, values: list) -> list | None:
-        """The rows with generator i at values[i], as rows of ``QQ``
-        numbers; None if an entry keeps a generator whose value is None.
-        Raises PoleAtPoint if an entry has a pole there."""
-        rows, exact = [], True
-        for row in self.rows:
-            out = []
-            for x in row:
-                if type(x) is not _MPQ:
-                    num, den = _evaluate(x.numer, values), _evaluate(x.denom, values)
-                    if den is not None and not den:
-                        raise PoleAtPoint("an entry has a pole at the point")
-                    if num is not None and not num:
-                        x = QQ.zero
-                    elif num is None or den is None:
-                        exact = False
-                    else:
-                        x = num / den
-                out.append(x)
-            rows.append(out)
-        return rows if exact else None
-
-    def rank_at(self, point: Mapping) -> int | None:
-        """Exact rank at a rational point, decided in ``QQ``.
-
-        None if an entry keeps a symbol that the point does not bind, or
-        sin/cos of a nonzero number.  Raises PoleAtPoint if an entry has a
-        pole there.
-        """
-        rows = self._at(self.F.point_values(point) if self.F is not None else None)
-        return None if rows is None else len(_row_reduce(None, rows))
+    def _at(self, values: list) -> list:
+        """The rows with generator i at the number values[i], as rows of
+        ``QQ`` numbers.  Raises PoleAtPoint if an entry has a pole there."""
+        def value(x):
+            if type(x) is _MPQ:
+                return x
+            den = _evaluate(x.denom, values)
+            if not den:
+                raise PoleAtPoint("an entry has a pole at the point")
+            return _evaluate(x.numer, values) / den
+        return [[value(x) for x in row] for row in self.rows]
 
     def cleared(self) -> "Rows":
         """Each row multiplied by the lcm of its entries' denominators, so
@@ -293,7 +274,7 @@ class Rows:
             lcm = F.ring.one
             for x in row:
                 if type(x) is not _MPQ and x.denom != lcm:
-                    lcm = lcm.lcm(x.denom)
+                    lcm = x.denom if lcm == 1 else lcm.lcm(x.denom)
             rows.append(row if lcm == 1 else [
                 F.field.dtype(lcm * x if type(x) is _MPQ
                               else x.numer * lcm.exquo(x.denom), F.ring.one)
@@ -311,7 +292,8 @@ class Substitution:
     """Symbols replaced by expressions, applied to rows.  The expressions
     are converted once, and so are cos and sin of each angle that holds a
     replaced symbol, on first use; each composed element is cancelled
-    once (see ``_Plan.compose``)."""
+    once (see ``_Plan.compose``).  Rows whose every generator becomes a
+    number are evaluated (``Rows._at``)."""
 
     def __init__(self, mapping: Mapping):
         self.exprs = dict(mapping)
@@ -322,14 +304,18 @@ class Substitution:
 
     def _angle(self, a):
         """The field of cos and sin of a with the symbols replaced, and the
-        two elements."""
+        two elements.  Raises PoleAtPoint where the replaced angle has a
+        pole."""
         if a not in self._angles:
             b = normalize(a.xreplace(self.exprs))
+            if b.has(*_UNDEFINED):
+                raise PoleAtPoint(f"the angle {a} has a pole at the point")
             F, (c, s) = _convert([sp.cos(b), sp.sin(b)])
             self._angles[a] = (F, {"c": c, "s": s})
         return self._angles[a]
 
-    def _plan(self, F: _Field) -> _Plan:
+    def _plan(self, F: _Field) -> _Plan | list:
+        """A plan into the image field, or each generator's number."""
         plan = self._plans.get(F)
         if plan is None:
             kept, images = [], []  # images: (index, field, element)
@@ -343,6 +329,9 @@ class Substitution:
                     kept.append(key)
             K = _Field.of(kept)
             G = _Field.union([K] + [H for _, H, _ in images])
+            if G is None:  # every generator becomes a number
+                self._plans[F] = [x for _, _, x in images]
+                return self._plans[F]
             targets = [None] * len(F.keys)
             if K is not None:
                 keep = G.plan_from(K)
@@ -357,6 +346,8 @@ class Substitution:
         if R.F is None:
             return R
         move = self._plan(R.F)
+        if type(move) is list:
+            return Rows(None, R._at(move), R.width)
         return Rows(move.G, [[move(x) for x in row] for row in R.rows], R.width)
 
 
@@ -488,9 +479,18 @@ def solve_by_elimination(eqs: Iterable, unknowns: Sequence[sp.Symbol]
 # --------------------------------------------------------------------------
 # parsing
 
+def _power(base: Expr, exp: Expr) -> Expr:
+    """base**exp; ValueError, before it is computed, for a power of numbers
+    that would print in more than 4300 digits, Python's limit."""
+    if (base.is_Rational and exp.is_Rational and abs(base) not in (0, 1)
+            and abs(exp) * math.log10(max(abs(base.p), base.q)) >= 4300):
+        shown = base if base.is_Integer and base > 0 else f"({base})"
+        raise ValueError(f"{shown}^{exp} has more than 4300 digits")
+    return base**exp
+
+
 _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
-           ast.Mult: operator.mul, ast.Div: operator.truediv,
-           ast.Pow: operator.pow}
+           ast.Mult: operator.mul, ast.Div: operator.truediv, ast.Pow: _power}
 _UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 _FUNCTIONS = {"sin": sp.sin, "cos": sp.cos}
 
@@ -562,13 +562,14 @@ def parse_expr(text: str, symbols: Iterable) -> Expr:
     Python expression and built node by node; nothing in it is evaluated.
     ``^`` becomes ``**`` before Python reads it, where it would be XOR and
     bind more loosely than ``+``.  Identifiers must be in NFKC form, since
-    Python would read ``x１`` as ``x1``.
+    Python would read ``x１`` as ``x1``.  A power of numbers that would have
+    more than 4300 digits is refused before it is computed.
     """
     syms = {s.name: s for s in symbols}
     if not unicodedata.is_normalized("NFKC", text):
         raise ExprSyntaxError(f"cannot parse {text!r}: not in NFKC normal form")
-    # Python's parser raises MemoryError where its stack overflows, and
-    # printing an int of over 4300 digits raises ValueError
+    # Python's parser raises MemoryError where its stack overflows, and an
+    # int of over 4300 digits raises ValueError, in the text or in a power
     try:
         tree = ast.parse(text.strip().replace("^", "**"), "<string>", "eval")
         e = _build(tree.body, syms, text)

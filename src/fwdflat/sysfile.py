@@ -10,8 +10,8 @@ Keys::
     states:     space-separated state names (one line)
     inputs:     space-separated input names (one line)
     params:     space-separated parameter names, assumed nonzero (optional);
-                not th<i>/xi<j> with 'inverse:', nor y<j>/y<j>_<k> with
-                a flat output, as those names are taken there
+                not th<i>/xi<j> with 'inverse:', as those names are taken
+                there
     f:          one line per state, the map component in (x, u)
     x0:         state equilibrium, space-separated rationals (one line)
     u0:         input equilibrium, space-separated rationals (one line)
@@ -20,7 +20,9 @@ Keys::
                 states, then the inputs, in terms of th1..thn and xi1..xim
                 (these names always mean the adapted coordinates)
     phi:        optional flat-output component, one line per input, in the
-                states, inputs, and shifted inputs u<j>_<k>
+                states, inputs, and shifted inputs u<j>_<k>; with a flat
+                output no state, input or parameter may be named y1..ym,
+                y<j>_<k> or <input>_<k>, as those names are taken there
     Fx:         one line per state, in y<j> and shifts y<j>_<k>
     Fu:         one line per input, same alphabet
     R:          shift orders of the flat output, space-separated (optional)
@@ -32,6 +34,7 @@ Keys::
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,11 +96,10 @@ def _names(line: str) -> tuple[sp.Symbol, ...]:
     return tuple(sp.Symbol(nm) for nm in line.split())
 
 
-def _reject_params_named_like(params, reserved, what: str) -> None:
-    clash = sorted(p.name for p in params if p in set(reserved))
+def _reject_named_like(symbols, pattern: str, what: str) -> None:
+    clash = sorted(s.name for s in symbols if re.fullmatch(pattern, s.name))
     if clash:
-        raise SystemFileError(
-            f"parameters named like {what}: {clash}; rename them")
+        raise SystemFileError(f"{what}: {clash}; rename them")
 
 
 def _rationals(line: str, count: int, what: str):
@@ -143,8 +145,8 @@ def parse_system_text(text: str, name: str = "system") -> SystemFile:
         if len(fields["inverse"]) != n + m:
             raise SystemFileError(f"expected {n + m} 'inverse:' lines")
         adapted = inverse_chart_symbols(n, m)
-        _reject_params_named_like(params, adapted,
-                                  "adapted coordinates in 'inverse:'")
+        _reject_named_like(params, "|".join(s.name for s in adapted),
+                           "parameters named like adapted coordinates in 'inverse:'")
         inverse = tuple(parse_expr(t, adapted + params)
                         for t in fields["inverse"])
 
@@ -167,7 +169,13 @@ def parse_system_text(text: str, name: str = "system") -> SystemFile:
                            for u in inputs for k in range(1, _MAX_SHIFT_ALPHABET))
         y_syms = tuple(flat_output_symbol(j, k)
                        for j in range(m) for k in range(_MAX_SHIFT_ALPHABET))
-        _reject_params_named_like(params, y_syms, "flat-output symbols")
+        # the flat output's names, and those that the verifier reads as
+        # shifts (dtsys._y_shift_orders and _shift_order_of)
+        shifts = ([r"y\d+_\d+"] + [flat_output_symbol(j, 0).name for j in range(m)]
+                  + [re.escape(u.name) + r"_\d+" for u in inputs])
+        _reject_named_like(base_syms, "|".join(shifts),
+                           "states, inputs or parameters named like flat-output "
+                           "symbols or shifted inputs")
         phi = tuple(parse_expr(t, base_syms + shift_syms) for t in fields["phi"])
         Fx = tuple(parse_expr(t, y_syms + params) for t in fields["Fx"])
         Fu = tuple(parse_expr(t, y_syms + params) for t in fields["Fu"])

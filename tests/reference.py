@@ -2,7 +2,7 @@
 
 The sympy-matrix wrappers of the row kernel (``rref``, ``rank``,
 ``rank_at``, ``nullspace``), each converting once into ``symcore.Rows`` and
-once back, the Frobenius wedge criterion that ``is_integrable`` used
+once back, with ``numeric_rank``, the truth for ``rank_at``, the Frobenius wedge criterion that ``is_integrable`` used
 before it decided on rows (``wedge``, ``oneform_to_kform``, ``wedge_all``,
 ``wedge_is_integrable``), the ``pullback`` of sympy forms that the row
 pullback replaced, and the sympy form calculus that the row calculus
@@ -33,7 +33,7 @@ from sympy.parsing.sympy_parser import (
 )
 from sympy.polys.domains import QQ
 
-from fwdflat import symcore
+from fwdflat import dtsys, symcore
 from fwdflat.errors import ExprSyntaxError, InternalInconsistency
 from fwdflat.extcalc import (
     Codistribution,
@@ -144,8 +144,22 @@ def rank(M) -> int:
 
 
 def rank_at(M, point):
-    """Exact rank of M at a rational point (see ``Rows.rank_at``)."""
-    return symcore.Rows.of(M).rank_at(point)
+    """Exact rank of M at a rational point that binds each of its symbols,
+    by the route of the package's equilibrium checks
+    (``dtsys._rank_at_point``: rows cleared, the point substituted,
+    ``Rows.rank``), with M's rank for rows of numbers; None where an angle
+    of M has a pole there."""
+    R = symcore.Rows.of(M)
+    return dtsys._rank_at_point(R, R.rank(), lambda: symcore.Substitution(point))
+
+
+def numeric_rank(M, point) -> int:
+    """Sympy's rank of M with the point substituted, on its entries
+    evaluated to 50 digits, where an entry below 1e-30 is zero: the truth
+    for ``rank_at`` at a point where M has no pole, sin and cos at nonzero
+    angles included, and independent of the exact domain."""
+    N = sp.Matrix(M).xreplace(point).evalf(50)
+    return N.rank(iszerofunc=lambda e: abs(e) < 1e-30)
 
 
 def nullspace(M):

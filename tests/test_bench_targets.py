@@ -21,6 +21,7 @@ STALE = {
     "extcalc.contains (extcalc.Distribution.contains)",
     "flatness.pullback (flatness._pullback_to_adapted)",
     "flatness.equilibrium_checks (flatness._intersection_dim_at_equilibrium)",
+    "flatness.equilibrium_checks (flatness._dim_at_equilibrium)",
 }
 
 

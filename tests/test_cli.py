@@ -211,6 +211,59 @@ class TestVerifyDecomposition:
         assert cli.run(["verify-decomposition", str(bad)]) == cli.EXIT_NEGATIVE
         assert "decomposition verified: False" in capsys.readouterr().out
 
+    SIN_DROP = ("states: x1 x2\ninputs: u1\n"
+                "f: x1 + 2*x2 - 2 + (sin(x1) - sin(x2))*u1\nf: x1\n"
+                "x0: 1 1\nu0: 0\nstate_map: x1\nstate_map: x2\n"
+                "input_map: u1\nsplit: 1 1 1 0\n")
+
+    def test_rank_drop_at_a_nonzero_angle_exits_one(self, tmp_path, capsys):
+        """d f1 / d u1 = sin(x1) - sin(x2) vanishes at (1, 1): the rank
+        there is exact, so the check fails instead of being skipped, as it
+        fails with x1 - x2 in place of the sines."""
+        for f1 in ("(sin(x1) - sin(x2))", "(x1 - x2)"):
+            sysfile = tmp_path / "drop.sys"
+            sysfile.write_text(self.SIN_DROP.replace("(sin(x1) - sin(x2))", f1))
+            assert cli.run(["verify-decomposition", str(sysfile)]) == cli.EXIT_NEGATIVE
+            out = capsys.readouterr().out
+            assert "decomposition verified: False" in out
+            assert "rank of d f1 / d u1 at the equilibrium is 0" in out
+
+    def test_rank_drop_at_a_nonzero_angle_warns_as_sympy_ranks(self, tmp_path,
+                                                               capsys):
+        """analyze's warnings give the intersections' dimensions at the
+        equilibrium, rk P_k + rk J_f - rk [P_k; J_f], as sympy's ranks of
+        the matrices at the point give them."""
+        from reference import numeric_rank
+        sysfile = tmp_path / "drop.sys"
+        sysfile.write_text(self.SIN_DROP)
+        assert cli.run(["analyze", str(sysfile), "--json"]) == cli.EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        x1, x2, u1 = sp.symbols("x1 x2 u1")
+        f = sp.Matrix([x1 + 2 * x2 - 2 + (sp.sin(x1) - sp.sin(x2)) * u1, x1])
+        J = f.jacobian([x1, x2, u1])
+        point = {x1: 1, x2: 1, u1: 0}
+        dims = []
+        for P in (sp.Matrix([[1, 0, 0], [0, 1, 0]]), sp.Matrix([[0, 1, 0]])):
+            dims.append(numeric_rank(P, point) + numeric_rank(J, point)
+                        - numeric_rank(P.col_join(J), point))
+        assert dims == [2, 1]
+        assert payload["warnings"] == [
+            f"k = 1, intersection: generic dimension 1 becomes {dims[0]} at the equilibrium",
+            f"k = 2, intersection: generic dimension 0 becomes {dims[1]} at the equilibrium"]
+
+    def test_angle_with_a_pole_at_the_equilibrium_exits_two(self, tmp_path, capsys):
+        """With u1 = ub1/xb1, d f1 / d u1 holds cos(ub1/xb1), whose angle
+        has a pole at the transformed equilibrium (0, 0): the one rank at a
+        point that is not decided, so there is no verdict."""
+        sysfile = tmp_path / "pole.sys"
+        sysfile.write_text("states: x1\ninputs: u1\nf: sin(u1)\nx0: 0\nu0: 0\n"
+                           "state_map: x1\ninput_map: x1*u1\nsplit: 1 0 1 0\n")
+        assert cli.run(["verify-decomposition", str(sysfile)]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: an angle of d f1 / d u1 has a pole where "
+                                "state_map gives (0,) and input_map (0,): no rank there\n")
+
     @pytest.mark.parametrize("split", ["1 2 -1 3", "-1 4 1 1"])
     def test_negative_block_size_exits_two(self, tmp_path, capsys, split):
         # the first sums to (n, m) and would slice ubar[:-1]
@@ -485,6 +538,56 @@ def test_parameter_named_like_a_reserved_symbol_exit_two(
     renamed.write_text(text.replace(f"params: {name}", "params: p")
                        .replace(f"{name}*", "p*").replace(f"/{name}\n", "/p\n"))
     assert cli.run([command, str(renamed)]) == cli.EXIT_OK
+
+
+SHIFT_NAMED = ("states: x1\ninputs: u1 u1_1\nf: u1\nx0: 0\nu0: 0 0\n"
+               "phi: x1\nphi: u1\nFx: y1\nFu: y1_1\nFu: y1_2\n")
+
+
+def test_input_named_like_a_shifted_input_exits_two(tmp_path, capsys):
+    """With a flat output the verifier reads the input u1_1 as the shift of
+    u1: this file once verified with exit 0, where naming the input v1
+    gives exit 1."""
+    bad = tmp_path / "bad.sys"
+    bad.write_text(SHIFT_NAMED)
+    assert cli.run(["verify-flat-output", str(bad)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: states, inputs or parameters named like flat-output symbols or "
+        "shifted inputs: ['u1_1']; rename them\n")
+    renamed = tmp_path / "renamed.sys"
+    renamed.write_text(SHIFT_NAMED.replace("u1_1\n", "v1\n"))
+    assert cli.run(["verify-flat-output", str(renamed)]) == cli.EXIT_NEGATIVE
+    assert "residual u[2] = u1_1 - v1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("old,new,clash", [
+    ("states: x1", "states: y1", "y1"),
+    ("states: x1", "states: x1\nparams: y3_2", "y3_2"),
+    ("inputs: u1 u1_1", "inputs: u1 u1_12", "u1_12"),
+    ("inputs: u1 u1_1", "inputs: u1_1 u1", "u1_1"),
+], ids=["state-named-like-the-flat-output", "param-named-like-a-shifted-flat-output",
+        "input-named-like-a-shift-of-order-12", "shifted-input-declared-first"])
+def test_names_read_as_shifts_exit_two(tmp_path, capsys, old, new, clash):
+    bad = tmp_path / "bad.sys"
+    bad.write_text(SHIFT_NAMED.replace(old, new))
+    assert cli.run(["verify-flat-output", str(bad)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: states, inputs or parameters named like")
+    assert f"'{clash}'" in err
+
+
+@pytest.mark.parametrize("power", ["2^20000", "2^999999999", "(-1/3)^-20000",
+                                   "2^2^2^2^2^2"])
+def test_power_of_numbers_beyond_4300_digits_exits_two(tmp_path, capsys, power):
+    """A power of numbers whose result would print in more than 4300
+    digits is refused by the parser, which names the text, before it is
+    computed."""
+    bad = tmp_path / "big.sys"
+    bad.write_text(f"states: x1\ninputs: u1\nf: u1 + {power}\nx0: 0\nu0: 0\n")
+    assert cli.run(["analyze", str(bad)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot parse 'u1 + {power}': ")
+    assert err.endswith(" has more than 4300 digits\n")
 
 
 def test_python_m_fwdflat_help():

@@ -6,7 +6,7 @@ import sympy as sp
 from sympy.polys.domains import QQ
 
 from conftest import random_affine_system, random_poly
-from fwdflat import dtsys
+from fwdflat import dtsys, symcore
 from fwdflat.dtsys import (
     DiscreteTimeSystem,
     FlatOutputCandidate,
@@ -88,6 +88,28 @@ class TestSubmersivity:
         s = _sys(["x1", "x2"], ["u1"], [x1 + u1, x1 + u1], [0, 0], [0])
         r = check_submersivity(s)
         assert not r.ok and r.generic_rank == 1
+
+
+class TestRankAtPoint:
+    def test_the_point_is_built_once_and_only_for_field_rows(self, monkeypatch):
+        """No rows rank 0 and rows of numbers take the generic rank, with no
+        point built; the first rows with a field entry build it, drawing
+        each parameter once, and every later rank reuses it."""
+        x1, a = sp.symbols("x1 a")
+        built, init = [], symcore.Substitution.__init__
+        monkeypatch.setattr(symcore.Substitution, "__init__", lambda S, mapping: (
+            built.append(dict(mapping)) or init(S, mapping)))
+        at = dtsys._point({x1: 1}, (a,))
+        assert dtsys._rank_at_point(Rows(None, [], 2), 5, at) == 0
+        assert dtsys._rank_at_point(Rows.of([[1, 2], [2, 4]]), 1, at) == 1
+        assert built == []
+        # at x1 = 1 the first row vanishes; the second has a pole, and
+        # clearing it leaves [x1 - 1, a], which is [0, a] there
+        M = Rows.of([[x1 - 1, x1**2 - 1], [1, a / (x1 - 1)]])
+        assert dtsys._rank_at_point(M, 2, at) == 1
+        assert dtsys._rank_at_point(Rows.of([[x1, a]]), 1, at) == 1
+        (point,) = built
+        assert point[x1] == 1 and point[a].is_Rational and point[a] != 0
 
 
 def _assert_inverts(ac):

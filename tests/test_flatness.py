@@ -216,6 +216,19 @@ class TestSubsystemConsistency:
         assert not c.ok
         assert any("invalid" in r for r in c.reasons)
 
+    def test_x2_row_on_the_u1_block_is_the_verifiers_reason(self, running):
+        """An x2-row of fbar that holds a u1-block symbol has a nonzero
+        derivative by it, so the verifier refuses the decomposition, and
+        the check reports the verifier's reason and runs no sequence."""
+        x1, x2, x3 = running.system.states
+        u1, u2 = running.system.inputs
+        dec = TriangularDecomposition((x1, x3, x2), (u1 - u2, u2), (1, 2, 1, 1))
+        c = subsystem_consistency_check(running.system, dec)
+        assert sp.Symbol("ub1") in c.decomposition.fbar[2].free_symbols
+        assert c.decomposition.reasons == ["x2-row 2 depends on the u1-block"]
+        assert c.reasons == ["decomposition invalid: x2-row 2 depends on the u1-block"]
+        assert c.main_dims is None and c.subsystem_dims is None
+
 
 class TestTrace:
     def test_trace_lines_emitted(self, running):
@@ -398,8 +411,9 @@ class TestDeferredInverse:
 
     @pytest.mark.parametrize("name", ["running", "academic", "vtol", "nonflat"])
     def test_each_chart_map_is_built_once(self, name, request, monkeypatch):
-        """One run builds the chart's to_adapted and to_x once each, and
-        no other Substitution."""
+        """One run builds the chart's to_adapted and to_x once each, the
+        equilibrium's point once, for the ranks there, and no other
+        Substitution."""
         sys = request.getfixturevalue(name).system
         charts, chart = [], flatness.build_adapted_chart
         monkeypatch.setattr(flatness, "build_adapted_chart",
@@ -407,8 +421,11 @@ class TestDeferredInverse:
         _, substitutions = self._count(monkeypatch)
         compute_sequence(sys)
         built, (ac,) = list(substitutions), charts
-        assert len(built) == 2
-        assert {id(S) for S in built} == {id(ac.to_adapted), id(ac.to_x)}
+        point, *maps = built
+        assert point.exprs == {**sys.equilibrium_subs(),
+                               **{p: point.exprs[p] for p in sys.params}}
+        assert all(point.exprs[p].is_Rational and point.exprs[p] for p in sys.params)
+        assert {id(S) for S in maps} == {id(ac.to_adapted), id(ac.to_x)}
         assert substitutions == built  # read from the chart, not built again
 
     @pytest.mark.parametrize("name, h, count", [
@@ -820,20 +837,19 @@ class TestConstantRowsTakeTheirGenericRank:
     def test_no_rank_at_a_point(self, seeded, monkeypatch):
         """On rows of QQ numbers, J_f's, each P_k's and each [P_k; J_f]'s
         rank at the equilibrium is their generic rank: compute_sequence
-        evaluates no rank at a point and draws no parameter value, also on
-        a seeded linear system that declares a parameter."""
+        builds no Substitution of the point and draws no parameter value,
+        also on a seeded linear system that declares a parameter."""
         if seeded:
             sys = random_affine_system(random.Random(30), 5, 2)
             assert sys.params
         else:
             sys = _linear_six()
-        ranks = []
-        for module in (dtsys, flatness):
-            monkeypatch.setattr(module, "_rank_at_point",
-                                lambda *args: ranks.append(args))
+        substitutions, init = [], Substitution.__init__
+        monkeypatch.setattr(Substitution, "__init__", lambda S, mapping: (
+            substitutions.append(mapping) or init(S, mapping)))
         state = domain._session.param_rng.getstate()
         report = compute_sequence(sys)
-        assert ranks == []
+        assert substitutions == []  # not the point's, nor the chart's
         assert domain._session.param_rng.getstate() == state
         assert report.warnings == []
         assert report.k_bar >= 3

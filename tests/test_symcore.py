@@ -14,6 +14,7 @@ from fwdflat.symcore import is_zero, normalize, parse_expr, render
 from fwdflat.sysfile import _collect
 from reference import (
     nullspace,
+    numeric_rank,
     oracle_rref,
     rank,
     rank_at,
@@ -454,14 +455,24 @@ class TestLinearAlgebra:
         assert rank_at(M, {x1: 1, x2: 2}) == 1
         assert rank_at(M, {x1: 0, x2: 0}) == 0
         assert rank_at(sp.Matrix([[1, 0], [0, 1 + x1]]), {x1: -1}) == 1
-        # sin/cos evaluate exactly only at 0
         T = sp.Matrix([[sp.cos(x1), sp.sin(x1)]])
-        assert rank_at(T, {x1: 0}) == 1
-        assert rank_at(T, {x1: 1}) is None
-        # a symbol the point does not bind
-        assert rank_at(M, {x1: 1}) is None
-        with pytest.raises(PoleAtPoint):
-            rank_at(sp.Matrix([[1 / (x1 - 1), x2]]), {x1: 1, x2: 0})
+        assert rank_at(T, {x1: 0}) == rank_at(T, {x1: 1}) == 1
+        # at nonzero rational angles the ranks are exact: the drops at
+        # x1 = x2 = 1 need 1 - cos(1)**2 = sin(1)**2 and
+        # sin(2) = 2*sin(1)*cos(1), and angles 1/2 and 1/3 share the pair
+        # of 1/6
+        for D in (sp.Matrix([[sp.sin(x1), 1 - sp.cos(x2)**2], [1, sp.sin(x1)]]),
+                  sp.Matrix([[sp.sin(2 * x1), sp.sin(x1)], [2 * sp.cos(x2), 1]])):
+            for point, want in (({x1: 1, x2: 1}, 1), ({x1: 1, x2: 2}, 2),
+                                ({x1: sp.Rational(1, 2), x2: sp.Rational(1, 3)}, 2)):
+                assert rank_at(D, point) == numeric_rank(D, point) == want
+        # cleared rows have no pole: the row [1/(x1 - 1), x2] spans the
+        # row [1, x2*(x1 - 1)]
+        assert rank_at(sp.Matrix([[1 / (x1 - 1), x2]]), {x1: 1, x2: 0}) == 1
+        # an angle with a pole at the point is the one case left undecided
+        S = sp.Matrix([[sp.sin(x2 / x1), x1]])
+        assert rank_at(S, {x1: 0, x2: 1}) is None
+        assert rank_at(S, {x1: 1, x2: 0}) == 1
 
 
 def _random_matrix(rng, entry, rows, cols):
@@ -753,12 +764,17 @@ class TestRowsOfNumbers:
     def test_rank_at_a_point_matches_sympy(self):
         from conftest import random_poly
         rng = random.Random(1903)
-        for _ in range(30):
-            M = _random_matrix(rng, lambda: random_poly(rng, [x1, x2], 2, 3, 2),
+        atoms = [x1, x2, sp.sin(x1), sp.cos(x2), sp.sin(2 * x2)]
+        for i in range(60):
+            M = _random_matrix(rng, lambda: random_poly(rng, atoms[:2 if i < 30 else 5],
+                                                        2, 3, 2),
                                rng.randint(1, 4), rng.randint(1, 4))
             point = {x1: sp.Rational(rng.randint(-5, 5), rng.randint(1, 4)),
                      x2: sp.Rational(rng.randint(-5, 5), rng.randint(1, 4))}
-            assert rank_at(M, point) == M.xreplace(point).rank()
+            at = rank_at(M, point)
+            assert at == numeric_rank(M, point)
+            if i < 30:
+                assert at == M.xreplace(point).rank()
 
 
 class TestParse:
@@ -899,6 +915,7 @@ class TestWrappersMatchTheRowKernel:
 
     def test_rref_rank_and_rank_at(self):
         rng = random.Random(51)
+        from fwdflat.dtsys import _rank_at_point
         for _ in range(12):
             entry = self._entries(rng)
             top = _random_matrix(rng, entry, 2, 3)
@@ -913,17 +930,16 @@ class TestWrappersMatchTheRowKernel:
             assert all(reference_is_zero(o - r) for o, r in zip(O, R))
             assert all(reference_is_zero(o - s) for o, s in zip(O, S.to_matrix()))
             assert rank(M) == stacked.rank() == len(pivots)
-            point = {x1: 0, x2: sp.Rational(rng.randint(-3, 3), 2),
+            point = {x1: sp.Rational(rng.randint(-3, 3), 2),
+                     x2: sp.Rational(rng.randint(-3, 3), 2),
                      self.a: sp.Rational(rng.randint(1, 5))}
-            try:
-                at = rank_at(M, point)
-            except PoleAtPoint:
-                with pytest.raises(PoleAtPoint):
-                    stacked.rank_at(point)
-                continue
-            assert at == stacked.rank_at(point)
-            if at is not None:
-                assert at == M.xreplace(point).rank()
+            at = rank_at(M, point)
+            assert at == _rank_at_point(stacked, len(pivots),
+                                        lambda: symcore.Substitution(point))
+            # where no entry has a pole, clearing scales rows by nonzero
+            # numbers, and the rank is that of the values
+            if not M.xreplace(point).has(sp.zoo, sp.nan):
+                assert at == numeric_rank(M, point)
 
     def test_jacobian(self):
         rng = random.Random(52)
@@ -955,6 +971,26 @@ class TestWrappersMatchTheRowKernel:
             assert all(type(c) is type(symcore.QQ.zero) or c.denom == 1
                        for row in cleared.rows for c in row)
             assert symcore.Rows.stack(R, cleared).rank() == R.rank() == cleared.rank()
+
+    def test_substitution_of_numbers(self):
+        """A value of 0 composes without a 0th power of it, and where every
+        generator becomes a number the rows are evaluated, sin and cos at 0
+        included."""
+        R = symcore.Rows.of([[x1 * x2 + x2, x1 / (1 + x2)]])
+        at_zero = symcore.Substitution({x1: 0})(R)
+        assert at_zero.to_matrix() == sp.Matrix([[x2, 0]])
+        S = symcore.Substitution({x1: 1, x2: 2})
+        for M, want in ((R, [[4, sp.Rational(1, 3)]]),
+                        (symcore.Rows.of([[x1 * sp.cos(x2 - 2), sp.sin(x2 - 2) + x1]]),
+                         [[1, 1]])):
+            evaluated = S(M)
+            assert evaluated.F is None
+            assert evaluated.to_matrix() == sp.Matrix(want)
+        # a nonzero angle keeps its own pair: cos(1) and sin(1)
+        assert S(symcore.Rows.of([[sp.sin(x1) * x2]])).to_matrix() == \
+            sp.Matrix([[2 * sp.sin(1)]])
+        with pytest.raises(PoleAtPoint):
+            S(symcore.Rows.of([[x1 / (x2 - 2)]]))
 
     def test_backward_shift(self, running):
         from fwdflat.dtsys import backward_shift, backward_shift_oneform, build_adapted_chart

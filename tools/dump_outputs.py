@@ -15,8 +15,10 @@ The outputs are:
   since no verdict may depend on the random stream;
 - the same of ``verify-decomposition``, plain and with ``--json``, on
   variants of the fixtures' decompositions (``DECOMPOSITION_VARIANTS``)
-  and on four small systems (``DECOMPOSITION_SYSTEMS``), which between them
+  and on six small systems (``DECOMPOSITION_SYSTEMS``), which between them
   give every reason that the decomposition verifier reports;
+- the same of ``verify-flat-output``, plain and with ``--json``, on a
+  system whose names clash with the verifier's (``FLAT_OUTPUT_SYSTEMS``);
 - the same of ``analyze``, plain, with ``--json`` and with ``--trace``, on
   four linear systems (``ANALYZE_SYSTEMS``) whose charts are found, or
   supplied, in the ways that decide whether a chart is inverted while the
@@ -117,6 +119,31 @@ input_map: u1
 input_map: u2
 split: 1 1 1 1
 """,
+    # d f1 / d u1 = sin(x1) - sin(x2) vanishes at the equilibrium (1, 1)
+    "rank-drop-at-a-nonzero-angle": """\
+states: x1 x2
+inputs: u1
+f: x1 + 2*x2 - 2 + (sin(x1) - sin(x2))*u1
+f: x1
+x0: 1 1
+u0: 0
+state_map: x1
+state_map: x2
+input_map: u1
+split: 1 1 1 0
+""",
+    # u1 = ub1/xb1 puts cos(ub1/xb1), whose angle has a pole at the
+    # transformed equilibrium, into d f1 / d u1
+    "angle-pole-at-the-equilibrium": """\
+states: x1
+inputs: u1
+f: sin(u1)
+x0: 0
+u0: 0
+state_map: x1
+input_map: x1*u1
+split: 1 0 1 0
+""",
     # the same through a nonlinear map: the pullback's Jacobian is not constant
     "split-too-fine-nonlinear": """\
 states: x1 x2
@@ -130,6 +157,23 @@ state_map: x2 + x1**2
 input_map: u1
 input_map: u2 + (u1 + x2**2)**2
 split: 1 1 1 1
+""",
+}
+
+# name -> system text, for verify-flat-output
+FLAT_OUTPUT_SYSTEMS = {
+    # the input u1_1 reads as the shift of u1
+    "input-named-like-a-shifted-input": """\
+states: x1
+inputs: u1 u1_1
+f: u1
+x0: 0
+u0: 0 0
+phi: x1
+phi: u1
+Fx: y1
+Fu: y1_1
+Fu: y1_2
 """,
 }
 
@@ -242,6 +286,12 @@ def outputs():
             for mode in ("plain", "json"):
                 yield (f"variant-{name}.verify-decomposition.{mode}.txt",
                        _cli_output(["verify-decomposition", str(path), *MODES[mode]]))
+        for name, text in FLAT_OUTPUT_SYSTEMS.items():
+            path = Path(tmp) / f"{name}.sys"
+            path.write_text(text)
+            for mode in ("plain", "json"):
+                yield (f"{name}.verify-flat-output.{mode}.txt",
+                       _cli_output(["verify-flat-output", str(path), *MODES[mode]]))
         for name, text in ANALYZE_SYSTEMS.items():
             path = Path(tmp) / f"{name}.sys"
             path.write_text(text)
