@@ -179,6 +179,18 @@ def _cancel_term(num, den):
     return side(n, sign * ld // h), side(d, sign * ln // h)
 
 
+def _remap(p, ring, targets):
+    """The polynomial p in ring, its generator i moved to targets[i]."""
+    n, out = ring.ngens, {}
+    for monom, c in p.iterterms():
+        e = [0] * n
+        for i, k in enumerate(monom):
+            if k:
+                e[targets[i]] = k
+        out[tuple(e)] = c
+    return ring.dtype(out)
+
+
 def _evaluate(p, values):
     """The polynomial p, a QQ number, with generator i at values[i]."""
     total = QQ.zero
@@ -295,7 +307,12 @@ class _Field:
         gcd cancelled as ``field.new`` cancels it.  The gcd is taken only
         where a common factor can exist: not for a zero numerator, nor over
         the denominator 1 with integer coefficients, and over a single term
-        by ``_cancel_term``."""
+        by ``_cancel_term``.  Otherwise it is taken in the ring of the
+        generators that num or den uses, which gives the same element: the
+        gcd over ZZ of polynomials in some of the generators is their gcd in
+        the bigger ring, and dropping generators that occur in no monomial
+        keeps the lex order, so the leading coefficient of the denominator,
+        whose sign ``cancel`` fixes, is the same."""
         if self.relations:
             if self._reducible(num):
                 num = num.rem(self.relations)
@@ -311,7 +328,14 @@ class _Field:
             return self.field.dtype(num, den)
         if len(num) == 1 or len(den) == 1:
             return self.field.dtype(*_cancel_term(num, den))
-        return self.field.new(num, den)
+        used = sorted({i for p in (num, den) for m in p.itermonoms()
+                       for i, e in enumerate(m) if e})
+        if len(used) == self.ring.ngens:
+            return self.field.new(num, den)
+        sub = self.ring.clone(symbols=[self.ring.symbols[i] for i in used])
+        into = {i: j for j, i in enumerate(used)}
+        num, den = _remap(num, sub, into).cancel(_remap(den, sub, into))
+        return self.field.dtype(_remap(num, self.ring, used), _remap(den, self.ring, used))
 
     def reduce(self, x):
         """The result x of a field operation, reduced modulo the relations."""
@@ -454,17 +478,6 @@ class _Plan:
         ints = [t for t in targets if isinstance(t, int)]
         self.monotone = ints == sorted(ints)
 
-    def _remap(self, p):
-        n, targets = self.G.ring.ngens, self.targets
-        out = {}
-        for monom, c in p.iterterms():
-            e = [0] * n
-            for i, k in enumerate(monom):
-                if k:
-                    e[targets[i]] = k
-            out[tuple(e)] = c
-        return self.G.ring.dtype(out)
-
     def _compose(self, p):
         """p with the values composed in, as a numerator and a denominator:
         the values' denominators are raised to p's degree in their
@@ -500,7 +513,7 @@ class _Plan:
             n1, d1 = self._compose(x.numer)
             n2, d2 = self._compose(x.denom)
             return self.G._new(n1 * d2, d1 * n2)
-        num, den = self._remap(x.numer), self._remap(x.denom)
+        num, den = (_remap(p, self.G.ring, self.targets) for p in (x.numer, x.denom))
         if not self.monotone and den.LC < 0:
             num, den = -num, -den
         return self.G.field.dtype(num, den)
@@ -552,15 +565,22 @@ def is_zero(e) -> bool:
     return False
 
 
-def normalize(e) -> Expr:
-    """Canonical form of e: converted into its field (see :func:`_convert`)
-    and back, so numerator and denominator are reduced modulo the side
-    relations and their gcd is cancelled; ``sp.cancel`` then fixes the sign
-    and the content.  An expression holding nan, zoo or oo is returned
-    unchanged; one outside the domain, such as exp(x1), raises
-    ExprSyntaxError."""
+def domain_form(e) -> Expr:
+    """e converted into its field (see :func:`_convert`) and back, so
+    numerator and denominator are reduced modulo the side relations and
+    their gcd is cancelled: the form to compute on.  An expression holding
+    nan, zoo or oo is returned unchanged; one outside the domain, such as
+    exp(x1), raises ExprSyntaxError."""
     e = sp.sympify(e)
     if e.has(*_UNDEFINED):
         return e
     F, (x,) = _convert([e])
-    return sp.cancel(QQ.to_sympy(x) if F is None else F.to_expr(x))
+    return QQ.to_sympy(x) if F is None else F.to_expr(x)
+
+
+def normalize(e) -> Expr:
+    """Canonical printed form of e: its :func:`domain_form`, whose sign and
+    content ``sp.cancel`` then fixes, or e unchanged where it holds nan,
+    zoo or oo."""
+    x = domain_form(e)
+    return x if x.has(*_UNDEFINED) else sp.cancel(x)

@@ -31,7 +31,7 @@ from .errors import (
     ShiftBudgetExceeded,
 )
 from .extcalc import Chart, OneForm
-from .symcore import Expr, is_zero, normalize
+from .symcore import Expr, domain_form, is_zero, normalize
 
 DEFAULT_MAX_SHIFT = 25
 
@@ -109,6 +109,13 @@ class DiscreteTimeSystem:
             object.__setattr__(self, "_jacobian_rows", J)
         return J
 
+    @functools.cached_property
+    def jacobian_cleared(self) -> symcore.Rows:
+        """jacobian_rows() with each row cleared of its denominators (see
+        ``Rows.cleared``), once per system: the submersivity check and the
+        sequence's ranks at the equilibrium both take it."""
+        return self.jacobian_rows().cleared()
+
     def input_shift_symbol(self, j: int, order: int) -> sp.Symbol:
         """The order-th forward shift of input j (order 0 is the input itself)."""
         base = self.inputs[j]
@@ -180,7 +187,7 @@ def check_submersivity(sys: DiscreteTimeSystem, at=None) -> SubmersivityReport:
     _rank_at_point), whose point ``at`` is built here when not given."""
     J = sys.jacobian_rows()
     generic = J.rank()
-    at_eq = _rank_at_point(J, generic,
+    at_eq = _rank_at_point(sys.jacobian_cleared, generic,
                            at or _point(sys.equilibrium_subs(), sys.params))
     notes = []
     if generic < sys.n:
@@ -338,7 +345,8 @@ def _max_input_shift(sys: DiscreteTimeSystem, e: sp.Expr) -> int:
 
 
 def forward_shift(g, sys: DiscreteTimeSystem, max_shift: int = DEFAULT_MAX_SHIFT) -> Expr:
-    """delta(g): substitute x -> f(x, u) and u_[a] -> u_[a+1]."""
+    """delta(g): substitute x -> f(x, u) and u_[a] -> u_[a+1], in the
+    domain's form (see :func:`symcore.domain_form`)."""
     g = sp.sympify(g)
     top = _max_input_shift(sys, g)
     if top + 1 > max_shift:
@@ -348,7 +356,7 @@ def forward_shift(g, sys: DiscreteTimeSystem, max_shift: int = DEFAULT_MAX_SHIFT
     for j in range(sys.m):
         for a in range(top + 1):
             subs[sys.input_shift_symbol(j, a)] = sys.input_shift_symbol(j, a + 1)
-    return normalize(g.xreplace(subs))
+    return domain_form(g.xreplace(subs))
 
 
 def backward_shift(Q: symcore.Rows, ac: AdaptedChart) -> symcore.Rows:
@@ -610,7 +618,7 @@ def verify_triangular_decomposition(sys: DiscreteTimeSystem,
     inv_subs.update(zip(sys.inputs, input_inv))
 
     f_subbed = [sp.sympify(fi).xreplace(inv_subs) for fi in sys.f]
-    fbar = tuple(normalize(sp.sympify(e).xreplace(dict(zip(sys.states, f_subbed))))
+    fbar = tuple(domain_form(sp.sympify(e).xreplace(dict(zip(sys.states, f_subbed))))
                  for e in dec.state_map)
 
     B = symcore.jacobian_rows(fbar, ubar[:m1])

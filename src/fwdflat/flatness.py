@@ -200,13 +200,13 @@ def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
     say(f"adapted chart complement: {tuple(str(h) for h in ac.h)}")
 
     # per run: the equilibrium's point, J_f in the exact domain, its rows
-    # cleared for the ranks there, and P_1 = span{dx_i} of rank n; P_k's rank
+    # cleared for the ranks there (once per system, as the submersivity
+    # check took them), and P_1 = span{dx_i} of rank n; P_k's rank
     # at the equilibrium comes from the previous iteration.  Clearing scales
     # each row of J_f by a polynomial that is nonzero where J_f has no pole,
     # so its rank there is the submersivity check's.
     warnings: list[str] = []
     J, rank_J = sys.jacobian_rows(), sub.rank_at_equilibrium
-    J_cleared = J.cleared()
     d_xi = [methodcaller("derivative", v) for v in ac.xi]
 
     n, N = sys.n, sys.n + sys.m
@@ -236,7 +236,7 @@ def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
         # the intersection's dimension at the equilibrium is
         # rk P_k + rk J_f - rk [P_k; J_f]: evaluating its canonical basis
         # there is not reliable, as pivot normalization can degenerate
-        rank_PJ = _rank_at_point(Rows.stack(P, J_cleared),
+        rank_PJ = _rank_at_point(Rows.stack(P, sys.jacobian_cleared),
                                  len(P.rows) + n - len(Q.rows), at)
         if None in (rank_P, rank_J, rank_PJ):
             warnings.append(f"k = {k}, intersection: rank at the equilibrium "

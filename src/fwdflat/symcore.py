@@ -23,8 +23,9 @@ Chart inversions solve in the same domain
 (:func:`jacobian_rows` and ``Rows.derivative``: the ring's derivations, with d cos(a)/da = -sin(a)
 and d sin(a)/da = cos(a), the chain rule through a compound argument a,
 and the quotient rule).  The same domain fixes every canonical form:
-:func:`normalize` converts an expression into it and back, for rendering
-and substitution; no decision rests on it.
+:func:`domain_form` converts an expression into it and back, to compute
+on, and :func:`normalize` also cancels that with ``sp.cancel``, to print;
+no decision rests on either.
 
 Expressions are plain (immutable) sympy expressions, and coordinates and
 parameters are plain ``sympy.Symbol`` objects.
@@ -42,8 +43,8 @@ import sympy as sp
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.matrices.dense import ddm_irref_den
 
-# configure, is_zero, normalize and _rational_sample are imported for the
-# package's callers, which reach the kernel through this module
+# the package's callers reach configure, domain_form, is_zero, normalize
+# and _rational_sample, in the kernel, through this module
 from .domain import (
     _MPQ,
     _Field,
@@ -54,6 +55,7 @@ from .domain import (
     _evaluate,
     _rational_sample,
     configure,
+    domain_form,
     is_zero,
     normalize,
 )
@@ -489,6 +491,9 @@ def _power(base: Expr, exp: Expr) -> Expr:
     return base**exp
 
 
+# the least integer that prints in more than 4300 digits, Python's limit:
+# no number that the walk builds may reach it
+_DIGITS_LIMIT = 10**4300
 _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
            ast.Mult: operator.mul, ast.Div: operator.truediv, ast.Pow: _power}
 _UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
@@ -537,6 +542,9 @@ def _build(node: ast.AST, syms: Mapping[str, sp.Symbol], text: str) -> Expr:
         e = _build(node, syms, text)
         for b in reversed(spine):
             e = _BINARY[type(b.op)](e, _build(b.right, syms, text))
+            if e.is_Rational and max(abs(e.p), e.q) >= _DIGITS_LIMIT:
+                shown = ast.unparse(b).replace(" ", "").replace("**", "^")
+                raise ValueError(f"{shown} has more than 4300 digits")
         return e
     if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
         return _UNARY[type(node.op)](_build(node.operand, syms, text))
@@ -563,7 +571,8 @@ def parse_expr(text: str, symbols: Iterable) -> Expr:
     ``^`` becomes ``**`` before Python reads it, where it would be XOR and
     bind more loosely than ``+``.  Identifiers must be in NFKC form, since
     Python would read ``x１`` as ``x1``.  A power of numbers that would have
-    more than 4300 digits is refused before it is computed.
+    more than 4300 digits is refused before it is computed, and any other
+    number of more than 4300 digits as soon as it is built.
     """
     syms = {s.name: s for s in symbols}
     if not unicodedata.is_normalized("NFKC", text):

@@ -590,6 +590,22 @@ def test_power_of_numbers_beyond_4300_digits_exits_two(tmp_path, capsys, power):
     assert err.endswith(" has more than 4300 digits\n")
 
 
+@pytest.mark.parametrize("f,shown", [
+    ("u1 + 10^2200*10^2200", "10^2200*10^2200"),
+    ("u1 + 10^2200*10^2200 - 10^2200*10^2200", "10^2200*10^2200"),
+    ("u1 + 1/10^2200/(1/10^2200)^-1", "1/10^2200/(1/10^2200)^(-1)"),
+], ids=["product", "small-sum-of-large-products", "quotient"])
+def test_number_built_beyond_4300_digits_exits_two(tmp_path, capsys, f, shown):
+    """A number that the parser builds from literals, not only by a power,
+    is refused with the parser's message once it has more than 4300 digits,
+    also where the whole sum would be small."""
+    bad = tmp_path / "big.sys"
+    bad.write_text(f"states: x1\ninputs: u1\nf: {f}\nx0: 0\nu0: 0\n")
+    assert cli.run(["analyze", str(bad)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: cannot parse '{f}': {shown} has more than 4300 digits\n")
+
+
 def test_python_m_fwdflat_help():
     r = _python_m_fwdflat("--help")
     assert r.returncode == 0, r.stderr

@@ -296,6 +296,24 @@ class TestForwardShift:
         x3 = sp.Symbol("x3")
         assert forward_shift(forward_shift(x3, s), s) == sp.Symbol("u2_1")
 
+    def test_matches_normalize(self, running, monkeypatch):
+        """delta(phi) and delta^2(phi), left in the domain's form, are the
+        functions that normalize's printed form gives."""
+        s = running.system
+        for phi in running.flat_output.phi:
+            shifts = [forward_shift(phi, s)]
+            shifts.append(forward_shift(shifts[0], s))
+            with monkeypatch.context() as m:
+                m.setattr(dtsys, "domain_form", symcore.normalize)
+                printed = [forward_shift(phi, s)]
+                printed.append(forward_shift(printed[0], s))
+            assert all(is_zero(a - b) for a, b in zip(shifts, printed))
+
+    def test_pole_is_returned_unchanged(self):
+        """A shift with a pole holds zoo and passes through unchanged."""
+        s = _sys(["x1"], ["u1"], [sp.Integer(0)], [0], [0])
+        assert forward_shift(1 / sp.Symbol("x1"), s) is sp.zoo
+
     def test_budget(self, running):
         s = running.system
         g = s.input_shift_symbol(0, 24)
@@ -412,6 +430,17 @@ class TestTriangularDecomposition:
     def test_academic_positive(self, academic):
         v = verify_triangular_decomposition(academic.system, academic.decomposition)
         assert v.ok, v.reasons
+
+    @pytest.mark.parametrize("name", ["running", "academic"])
+    def test_fbar_matches_normalize(self, name, request, monkeypatch):
+        """fbar, left in the domain's form, is the function that
+        normalize's printed form gives, with the same verdict."""
+        fx = request.getfixturevalue(name)
+        v = verify_triangular_decomposition(fx.system, fx.decomposition)
+        monkeypatch.setattr(dtsys, "domain_form", symcore.normalize)
+        w = verify_triangular_decomposition(fx.system, fx.decomposition)
+        assert v.ok and w.ok and len(v.fbar) == len(w.fbar) == fx.system.n
+        assert all(is_zero(a - b) for a, b in zip(v.fbar, w.fbar))
 
     def test_degenerate_split_rejected(self, running):
         dec = running.decomposition

@@ -555,6 +555,21 @@ class TestEquilibriumChecksPerRun:
         assert len(ranks) <= 3 + 2 * report.k_bar
         assert [len(M.rows) for M, *_ in ranks].count(sys.n) == 1
 
+    @pytest.mark.parametrize("name", ["running", "academic"])
+    def test_jacobian_cleared_once(self, name, request, monkeypatch):
+        """J_f's rows are cleared of their denominators once per run, for
+        the submersivity check and the intersections' ranks alike."""
+        sys = dataclasses.replace(request.getfixturevalue(name).system)
+        J, cleared, calls = sys.jacobian_rows(), Rows.cleared, []
+
+        def counting(self):
+            calls.append(self is J)
+            return cleared(self)
+
+        monkeypatch.setattr(Rows, "cleared", counting)
+        report = compute_sequence(sys)
+        assert calls.count(True) == 1 and report.k_bar >= 2
+
 
 class TestNestingChecksPerRun:
     @pytest.mark.parametrize("name", ["running", "vtol"])

@@ -141,12 +141,14 @@ class TestNormalizeAgainstReference:
 
     def test_undefined_values_pass_through(self):
         e = x1 + sp.zoo
-        assert normalize(e) is e
-        assert normalize(sp.nan) is sp.nan
+        assert normalize(e) is e and symcore.domain_form(e) is e
+        assert normalize(sp.nan) is sp.nan and symcore.domain_form(sp.nan) is sp.nan
 
     def test_function_outside_the_domain_is_refused(self):
         with pytest.raises(ExprSyntaxError, match="exp"):
             normalize(sp.exp(x1))
+        with pytest.raises(ExprSyntaxError, match="exp"):
+            symcore.domain_form(sp.exp(x1))
 
 
 class TestIsZero:
@@ -552,26 +554,30 @@ class TestCanonicalElements:
     a = sp.Symbol("a")
 
     @staticmethod
-    def _poly(rng, R, terms, integer, cos_degree=1):
+    def _poly(rng, R, terms, integer, cos_degree=1, used=None):
         """A random polynomial of R with up to `terms` terms, integer or
         fractional coefficients, and cos-degree up to cos_degree in the
-        first generator."""
+        first generator, in the generators of `used` (all by default)."""
+        used = range(R.ngens) if used is None else used
         p = R.zero
         for _ in range(terms):
-            monom = (rng.randint(0, cos_degree),) + tuple(
-                rng.randint(0, 2) for _ in range(R.ngens - 1))
+            monom = [0] * R.ngens
+            for i in used:
+                monom[i] = rng.randint(0, cos_degree if i == 0 else 2)
             c = symcore.QQ(rng.choice([-1, 1]) * rng.randint(1, 12),
                            1 if integer else rng.randint(1, 9))
-            p += R({monom: c})
+            p += R({tuple(monom): c})
         return p
 
-    def _pairs(self, rng, F):
+    def _pairs(self, rng, F, narrow=False):
         """Seeded (num, den) pairs of every shape that ``_new`` tells apart,
-        with the leading coefficient of den negative half of the time."""
+        with the leading coefficient of den negative half of the time; with
+        `narrow`, each in 1 to 4 of the field's generators."""
         R = F.ring
         cos_degree = 3 if F.relations else 2  # the relations reduce degree 3
-        poly = lambda terms, integer: self._poly(rng, R, terms, integer, cos_degree)
         for _ in range(40):
+            used = sorted(rng.sample(range(R.ngens), rng.randint(1, 4))) if narrow else None
+            poly = lambda terms, integer: self._poly(rng, R, terms, integer, cos_degree, used)
             sign = rng.choice([-1, 1])
             yield R.zero, poly(3, False)
             yield poly(3, True), R.one
@@ -585,12 +591,20 @@ class TestCanonicalElements:
             yield g * poly(2, True), sign * g * poly(2, False)
             yield g * poly(1, True), sign * g * poly(2, True)
 
-    def test_new_matches_field_new_on_every_shape(self):
+    def _fields(self):
+        """(field, narrow): two small fields, and two of 11 and 13
+        generators, one with a trig pair, whose pairs use few of them."""
         from fwdflat.domain import _Field
-        a = self.a
+        a, w = self.a, [sp.Symbol(f"w{i}") for i in range(1, 11)]
+        return [(_Field.of([x1, x2, a]), False),
+                (_Field.of([("c", x1), ("s", x1), x1, a]), False),
+                (_Field.of([*w, a]), True),
+                (_Field.of([("c", x1), ("s", x1), x1, *w]), True)]
+
+    def test_new_matches_field_new_on_every_shape(self):
         rng = random.Random(1901)
-        for F in (_Field.of([x1, x2, a]), _Field.of([("c", x1), ("s", x1), x1, a])):
-            for num, den in self._pairs(rng, F):
+        for F, narrow in self._fields():
+            for num, den in self._pairs(rng, F, narrow):
                 if F.relations and not den.rem(F.relations) or not den:
                     continue
                 got = F._new(num, den)
@@ -598,6 +612,28 @@ class TestCanonicalElements:
                     num, den = num.rem(F.relations), den.rem(F.relations)
                 want = F.field.new(num, den)
                 assert got.numer == want.numer and got.denom == want.denom, (num, den)
+
+    def test_gcd_is_taken_in_the_generators_used(self, monkeypatch):
+        """Every cancel that ``_new`` makes runs in a ring of exactly the
+        generators that its numerator or denominator uses."""
+        from sympy.polys.rings import PolyElement
+        cancel, rings = PolyElement.cancel, []
+
+        def counted(f, g):
+            used = {i for p in (f, g) for m in p.itermonoms() for i, e in enumerate(m) if e}
+            rings.append((F.ring.ngens, f.ring.ngens, len(used)))
+            return cancel(f, g)
+
+        rng = random.Random(1902)
+        for F, narrow in self._fields():
+            pairs = [(n, d) for n, d in self._pairs(rng, F, narrow)
+                     if d and not (F.relations and not d.rem(F.relations))]
+            monkeypatch.setattr(PolyElement, "cancel", counted)
+            for num, den in pairs:
+                F._new(num, den)
+            monkeypatch.undo()
+        assert all(ngens == used for _, ngens, used in rings)
+        assert sum(ngens < full for full, ngens, _ in rings) >= 40, rings
 
     def test_jacobian_of_integer_polynomials_takes_no_gcd(self, monkeypatch):
         from sympy.polys.rings import PolyElement

@@ -10,11 +10,14 @@ Usage, from anywhere:
 ``--workload NAME:PAIRS`` runs PAIRS pairs of that workload.  Pair i runs
 the base first when i is even and the head first when i is odd, so that a
 drift of the machine's speed weighs on both sides alike.  Each run's final
-JSON line is stored unchanged.  The summary gives, per workload and metric,
-each side's median and quartiles, the median's relative change, the pairs
-that the head won, and whether the medians are apart by more than the
-base's interquartile range.  A metric's direction ("lower" or "higher" is
-better) is read from the head's ``BENCHMARK.json``.  Standard library only.
+JSON line is stored unchanged, with each operation's fast mean, read from
+the block of ``bench/run.py``'s output that gives the seconds of each
+operation.  The summary gives, per workload and metric, each side's median
+and quartiles, the median's relative change, the pairs that the head won,
+and whether the medians are apart by more than the base's interquartile
+range; and, per operation, each side's median of the fast means.  A
+metric's direction ("lower" or "higher" is better) is read from the head's
+``BENCHMARK.json``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -40,8 +44,32 @@ def commit(checkout: Path) -> dict:
             "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One run of bench/run.py in the checkout: its final JSON line."""
+def per_operation(stdout: str) -> dict:
+    """Each operation's fast mean, as bench/run.py takes it (the mean of
+    the fastest three quarters), of its seconds at the reference speed:
+    the second of each ``measured/reference`` pair that run.py prints
+    after "seconds of each operation"."""
+    out, inside = {}, False
+    for line in stdout.splitlines():
+        if line.startswith("seconds of each operation"):
+            inside = True
+        elif not line.startswith("  "):
+            inside = False
+        elif inside and not line.lstrip().startswith("FAILED"):
+            tokens = line.split()
+            k = len(tokens)
+            while k and re.fullmatch(r"[0-9.]+/[0-9.]+|-", tokens[k - 1]):
+                k -= 1
+            times = sorted(float(t.split("/")[1]) for t in tokens[k:] if t != "-")
+            if times:
+                out[" ".join(tokens[:k])] = statistics.fmean(
+                    times[:(3 * len(times) + 3) // 4])
+    return out
+
+
+def run(checkout: Path, workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
+    """One run of bench/run.py in the checkout: its final JSON line, and
+    its operations' fast means (see ``per_operation``)."""
     out = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                           "--seed", str(seed), "--seconds", str(seconds)],
                          cwd=checkout, capture_output=True, text=True)
@@ -49,7 +77,7 @@ def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     if out.returncode != 0 or not lines:
         raise SystemExit(f"bench/run.py failed in {checkout} (exit {out.returncode}):\n"
                          f"{out.stderr}")
-    return json.loads(lines[-1])
+    return json.loads(lines[-1]), per_operation(out.stdout)
 
 
 def spread(values: list[float]) -> dict:
@@ -88,6 +116,13 @@ def summary(runs: list[dict], better: dict) -> dict:
     out["failed_ratio"] = {
         s: sum(p[s]["failed"] for p in pairs) / max(1, sum(p[s]["attempted"] for p in pairs))
         for s in SIDES}
+    ops = {s: [r["per_operation_s"] for r in runs if r["side"] == s] for s in SIDES}
+    out["per_operation_s"] = {}
+    for label in ops["base"][0] if ops["base"] else ():
+        medians = {s: statistics.median(r[label] for r in ops[s] if label in r)
+                   for s in SIDES}
+        out["per_operation_s"][label] = {
+            **medians, "median_change": medians["head"] / medians["base"] - 1}
     return out
 
 
@@ -116,18 +151,22 @@ def main(argv=None) -> int:
         runs = []
         for i in range(int(pairs)):
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                r = run(checkouts[side], workload, args.seed, args.seconds)
-                runs.append({"pair": i, "side": side, "result": r})
+                r, per_op = run(checkouts[side], workload, args.seed, args.seconds)
+                runs.append({"pair": i, "side": side, "result": r,
+                             "per_operation_s": per_op})
                 geomean = r["metrics"].get("op_geomean_s", {}).get("value")
                 print(f"{workload} pair {i} {side}: op_geomean_s {geomean}", flush=True)
         result["workloads"][workload] = {"runs": runs, "summary": summary(runs, better)}
         args.out.write_text(json.dumps(result, indent=1) + "\n")
     for workload, w in result["workloads"].items():
         for name, s in w["summary"].items():
-            if name != "failed_ratio":
+            if name not in ("failed_ratio", "per_operation_s"):
                 print(f"{workload:8s} {name:14s} base {s['base']['median']:.5g} "
                       f"head {s['head']['median']:.5g} "
                       f"({s['median_change']:+.1%}) won {s['pairs_won']}/{s['pairs']}")
+        for label, s in w["summary"]["per_operation_s"].items():
+            print(f"{workload:8s} {label:30s} base {s['base']:.5g} head {s['head']:.5g} "
+                  f"({s['median_change']:+.1%})")
     return 0
 
 
