@@ -127,18 +127,25 @@ def _rational(e):
             f"{e} is not a rational function of symbols, sin and cos") from None
 
 
-def _rational_point(n: int, k: int, rng: random.Random) -> list:
+def _rational_point(n: int, k: int, rng: random.Random, height: int = 99) -> list:
     """A random rational point of the variety of n generators: the first k
     generators c_a paired with the next k generators s_a on the unit circle,
-    through half-angle rationals, and the other generators nonzero."""
+    through half-angle rationals, and the other generators nonzero, with
+    numerators up to height and denominators up to 30."""
     point = [QQ.zero] * n
     for i in range(k):
-        t = QQ(rng.randint(-99, 99), rng.randint(1, 30))
+        t = QQ(rng.randint(-height, height), rng.randint(1, 30))
         point[i] = (1 - t**2) / (1 + t**2)
         point[k + i] = 2 * t / (1 + t**2)
     for i in range(2 * k, n):
-        point[i] = QQ(rng.randint(1, 99) * rng.choice((-1, 1)), rng.randint(1, 30))
+        point[i] = QQ(rng.randint(1, height) * rng.choice((-1, 1)), rng.randint(1, 30))
     return point
+
+
+def _fixed_point(n: int) -> list:
+    """The point of n generators where generator i is 2*i + 101: a point
+    that draws nothing from ``_session``."""
+    return [_MPQ._new(2 * i + 101, 1) for i in range(n)]
 
 
 def _rational_sample(p, k: int, rng: random.Random):
@@ -154,29 +161,67 @@ def _demote(x):
     return x.numer.LC / x.denom.LC if x.numer else QQ.zero
 
 
-def _cancel_term(num, den):
-    """num/den cancelled as ``PolyElement.cancel`` cancels it over ``QQ``,
-    for a num or a den that is a single term, on Python ints: each side's
-    coefficients cleared of their denominators, the gcd of every monomial
-    and of every cleared coefficient divided out, each side multiplied by
-    the other's denominator over their gcd, and the sign put on the
-    denominator's leading coefficient."""
-    sides = []
-    for p in (num, den):
-        lcm = math.lcm(*(c.denominator for c in p.values()))
-        sides.append((lcm, {m: c.numerator * (lcm // c.denominator)
-                            for m, c in p.items()}))
-    (ln, n), (ld, d) = sides
-    g = math.gcd(*n.values(), *d.values())
-    low = tuple(map(min, *n, *d))
-    h = math.gcd(ln, ld)
-    sign = -1 if d[max(d)] < 0 else 1
+def _canonical(ring, num, den):
+    """num/den, for coprime polynomials num and den (dicts of monomials and
+    ``QQ`` coefficients), as ``PolyElement.cancel`` gives it: both
+    multiplied by the one rational that makes their coefficients integers
+    with gcd 1 and the leading coefficient of den positive.  cancel's
+    result has these three properties and is coprime, and the rationals are
+    the only units of the ring, so it is this pair."""
+    lcm = math.lcm(*(c.denominator for p in (num, den) for c in p.values()))
+    num, den = ({m: c.numerator * (lcm // c.denominator) for m, c in p.items()}
+                for p in (num, den))
+    g = math.gcd(*num.values(), *den.values())
+    if den[max(den)] < 0:
+        g = -g
+    return tuple(ring.dtype({m: _MPQ._new(c // g, 1) for m, c in p.items()})
+                 for p in (num, den))
 
-    def side(p, scale):
-        return num.ring.dtype({tuple(e - k for e, k in zip(m, low)):
-                               _MPQ._new(c // g * scale, 1) for m, c in p.items()})
 
-    return side(n, sign * ld // h), side(d, sign * ln // h)
+def _cancel_term(ring, num, den):
+    """num/den cancelled, for a num or a den that is a single term: their
+    gcd is then the monomial of the least exponents, which is divided out
+    before ``_canonical``."""
+    low = tuple(map(min, *num, *den))
+    if any(low):
+        num, den = ({tuple(e - k for e, k in zip(m, low)): c for m, c in p.items()}
+                    for p in (num, den))
+    return _canonical(ring, num, den)
+
+
+def _linear_generator(p):
+    """A generator j with p = a*g_j + b, where neither a nor b holds g_j and
+    one of them is a nonzero rational; None if p has none.  Such a p of two
+    or more terms is irreducible over QQ: it has degree 1 in g_j, and a
+    factor free of g_j divides both a and b, so it is a rational."""
+    monoms = list(p.itermonoms())
+    for m in monoms:  # a rational: a term that is g_j alone, and no other g_j
+        if sum(m) == 1:
+            j = m.index(1)
+            if all(not n[j] for n in monoms if n is not m):
+                return j
+    rest = [m for m in monoms if any(m)]
+    if len(rest) < len(monoms):  # b rational: g_j once in every other term
+        for j, e in enumerate(rest[0]):
+            if e == 1 and all(m[j] == 1 for m in rest):
+                return j
+    return None
+
+
+def _vanishes_with(q, p, j):
+    """Whether the polynomial q vanishes at the point where p = a*g_j + b
+    does and the other generators take their ``_fixed_point`` values; True
+    also where a vanishes there, so that no such point exists.  p divides q
+    only where this holds."""
+    values = _fixed_point(p.ring.ngens)
+    values[j] = QQ.zero
+    b = _evaluate(p, values)
+    values[j] = QQ.one
+    a = _evaluate(p, values) - b
+    if not a:
+        return True
+    values[j] = -b / a
+    return not _evaluate(q, values)
 
 
 def _remap(p, ring, targets):
@@ -303,16 +348,8 @@ class _Field:
         return any(m[i] >= 2 for m in p.itermonoms() for i in range(self.k))
 
     def _new(self, num, den):
-        """The element num/den, both reduced modulo the relations and their
-        gcd cancelled as ``field.new`` cancels it.  The gcd is taken only
-        where a common factor can exist: not for a zero numerator, nor over
-        the denominator 1 with integer coefficients, and over a single term
-        by ``_cancel_term``.  Otherwise it is taken in the ring of the
-        generators that num or den uses, which gives the same element: the
-        gcd over ZZ of polynomials in some of the generators is their gcd in
-        the bigger ring, and dropping generators that occur in no monomial
-        keeps the lex order, so the leading coefficient of the denominator,
-        whose sign ``cancel`` fixes, is the same."""
+        """The element num/den: both reduced modulo the relations, then
+        cancelled by ``_cancel``."""
         if self.relations:
             if self._reducible(num):
                 num = num.rem(self.relations)
@@ -322,20 +359,92 @@ class _Field:
             raise InternalInconsistency(
                 "division by an expression that is zero modulo "
                 "cos**2 + sin**2 = 1")
+        return self._cancel(num, den)
+
+    def _cancel(self, num, den):
+        """The element num/den, for a nonzero den, with their gcd cancelled
+        as ``PolyElement.cancel`` cancels it: the one gcd routine of the
+        field.  The gcd is taken only where a common factor can exist: not
+        for a zero numerator, nor over the denominator 1 with integer
+        coefficients, and over a single term by ``_cancel_term``.  Where
+        a side p of two or more terms is irreducible by
+        ``_linear_generator``, the gcd is p or a rational, so one exact
+        division of the other side q by p decides it, and none is made
+        where q is nonzero at a fixed point where p vanishes (see
+        :func:`_vanishes_with`).  Otherwise the gcd is taken in the ring of the
+        generators that num or den uses, which gives the same element: the
+        gcd over ZZ of polynomials in some of the generators is their gcd
+        in the bigger ring, and dropping generators that occur in no
+        monomial keeps the lex order, so the leading coefficient of the
+        denominator, whose sign ``cancel`` fixes, is the same."""
+        ring = self.ring
         if not num:
-            return self.field.dtype(num, self.ring.one)
+            return self.field.dtype(num, ring.one)
         if den == 1 and all(c.denominator == 1 for c in num.values()):
             return self.field.dtype(num, den)
         if len(num) == 1 or len(den) == 1:
-            return self.field.dtype(*_cancel_term(num, den))
+            return self.field.dtype(*_cancel_term(ring, num, den))
+        for p, q in ((den, num), (num, den)):
+            j = _linear_generator(p)
+            if j is not None:
+                if _vanishes_with(q, p, j):
+                    quotient, remainder = q.div(p)
+                    if not remainder:
+                        num, den = ((quotient, ring.one) if p is den
+                                    else (ring.one, quotient))
+                return self.field.dtype(*_canonical(ring, num, den))
         used = sorted({i for p in (num, den) for m in p.itermonoms()
                        for i, e in enumerate(m) if e})
-        if len(used) == self.ring.ngens:
+        if len(used) == ring.ngens:
             return self.field.new(num, den)
-        sub = self.ring.clone(symbols=[self.ring.symbols[i] for i in used])
+        sub = ring.clone(symbols=[ring.symbols[i] for i in used])
         into = {i: j for j, i in enumerate(used)}
         num, den = _remap(num, sub, into).cancel(_remap(den, sub, into))
-        return self.field.dtype(_remap(num, self.ring, used), _remap(den, self.ring, used))
+        return self.field.dtype(_remap(num, ring, used), _remap(den, ring, used))
+
+    def mul(self, x, y):
+        """x*y, cancelled by ``_cancel`` but not reduced modulo the
+        relations.  A rational c times an element n/d, whose n and d are
+        coprime, gives the coprime pair c*n, d, which needs no gcd."""
+        if type(x) is _MPQ:
+            x, y = y, x
+        if type(x) is _MPQ:
+            return x * y
+        if type(y) is _MPQ:
+            if y == 1:
+                return x
+            if not y:
+                return y
+            return self.field.dtype(*_canonical(self.ring, x.numer.mul_ground(y), x.denom))
+        return self._cancel(x.numer * y.numer, x.denom * y.denom)
+
+    def add(self, x, y):
+        """x + y, cancelled by ``_cancel`` but not reduced modulo the
+        relations.  An element n/d plus a rational c gives the pair
+        n + c*d, d, which is coprime as n and d are."""
+        if type(x) is _MPQ:
+            x, y = y, x
+        if type(x) is _MPQ:
+            return x + y
+        if type(y) is _MPQ:
+            if not y:
+                return x
+            num = x.numer + x.denom.mul_ground(y)
+            return self.field.dtype(*_canonical(self.ring, num, x.denom)) if num else QQ.zero
+        if x.denom == y.denom:
+            return self._cancel(x.numer + y.numer, x.denom)
+        return self._cancel(x.numer * y.denom + y.numer * x.denom, x.denom * y.denom)
+
+    def quo(self, x, y):
+        """x/y for a nonzero y, cancelled by ``_cancel`` but not reduced
+        modulo the relations; with a rational on either side the pair is
+        coprime, as in ``mul``."""
+        if type(y) is _MPQ:
+            return x / y if type(x) is _MPQ else self.mul(x, 1 / y)
+        if type(x) is _MPQ:
+            return self.field.dtype(*_canonical(self.ring, y.denom.mul_ground(x), y.numer)) \
+                if x else x
+        return self._cancel(x.numer * y.denom, x.denom * y.numer)
 
     def reduce(self, x):
         """The result x of a field operation, reduced modulo the relations."""
@@ -402,8 +511,12 @@ class _Field:
         g = self.ring.gens
 
         def quotient_rule(D):
-            return lambda x: self._new(D(x.numer) * x.denom - x.numer * D(x.denom),
-                                       x.denom**2)
+            def apply(x):
+                dn, dd = D(x.numer), D(x.denom)
+                if not dd:
+                    return self._new(dn, x.denom)
+                return self._new(dn * x.denom - x.numer * dd, x.denom**2)
+            return apply
 
         def along(j):
             c, s = g[j], g[self.k + j]
@@ -424,7 +537,7 @@ class _Field:
                 if dx:
                     if j not in da:  # an argument holds only smaller ones
                         da[j] = d(self._new(*self.fraction(self.args[j], self.gen_of)))
-                    y = self.reduce(y + dx * da[j])
+                    y = self.reduce(self.add(y, self.mul(dx, da[j])))
             return y
 
         return d
@@ -445,8 +558,12 @@ class _Field:
     def random_point(self) -> list:
         """Each generator's value at a random rational point of the field's
         variety (see ``_rational_point``), drawn from the stream of the
-        full-rank certificate, ``_session.point_rng``."""
-        return _rational_point(len(self.keys), self.k, _session.point_rng)
+        full-rank certificate, ``_session.point_rng``.  Numerators go up to
+        10**6, so that a coordinate takes any fixed value, such as the -1
+        where 1 + x vanishes, with probability below 10**-6; up to 99, as
+        the cross-check draws them, chain(16)'s determinant prod(1 + x_i)
+        vanished at 31 of 400 points."""
+        return _rational_point(len(self.keys), self.k, _session.point_rng, 10**6)
 
     def to_expr(self, x) -> Expr:
         if type(x) is _MPQ:
@@ -520,6 +637,22 @@ class _Plan:
 
     def __call__(self, x):
         return x if type(x) is _MPQ else _demote(self.compose(x))
+
+
+def dot(F: _Field | None, pairs) -> object:
+    """The sum of a*b over the pairs of elements of F, or of ``QQ`` numbers
+    where F is None: each product and each partial sum cancelled by
+    ``_Field._cancel``, and only the total reduced modulo the relations.
+    Reducing a product before it is summed changes which representative of
+    the total is kept, and made one seeded elimination with trig entries
+    280 times slower (ROADMAP, exact-kernel constraints)."""
+    if F is None:
+        return sum((a * b for a, b in pairs if a and b), QQ.zero)
+    total = QQ.zero
+    for a, b in pairs:
+        if a and b:
+            total = F.add(total, F.mul(a, b))
+    return F.reduce(total)
 
 
 def _convert(exprs: Iterable) -> tuple[_Field | None, list]:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable, Sequence
 
 import sympy as sp
-from sympy.polys.domains import QQ
 
 from . import symcore
 from .errors import ExprSyntaxError, InternalInconsistency
@@ -160,12 +159,10 @@ def lie_derivative_rows(v: Rows, W: Rows, symbols: Sequence[sp.Symbol]) -> Rows:
     S = Rows.stack(v, W)
     field, forms = S.rows[0], S.rows[1:]
     D = [S.derivative(x).rows for x in symbols]  # D[k][r]: row r by x_k
-    reduce = S.F.reduce if S.F is not None else (lambda a: a)
 
     def entry(r, i):
-        terms = itertools.chain(zip(field, (Dk[r + 1][i] for Dk in D)),
-                                zip(forms[r], D[i][0]))
-        return reduce(sum((a * b for a, b in terms if a and b), QQ.zero))
+        return symcore.dot(S.F, itertools.chain(zip(field, (Dk[r + 1][i] for Dk in D)),
+                                                zip(forms[r], D[i][0])))
 
     return Rows(S.F, [[entry(r, i) for i in range(S.width)] for r in range(len(forms))],
                 S.width)
@@ -331,16 +328,14 @@ def integrable_rows(R: Rows, symbols: Sequence[sp.Symbol]) -> bool:
     if R.F is None:
         return True
     K = R.kernel()
-    reduce = K.F.reduce
     D = [K.derivative(x).rows for x in symbols]  # D[k][j]: v_j by x_k
 
-    def along(j, l, c):
-        """v_j of the c-th component of v_l."""
-        return sum((a * D[k][l][c] for k, a in enumerate(K.rows[j]) if a and D[k][l][c]),
-                   QQ.zero)
+    def bracket(j, l, c):
+        """v_j of the c-th component of v_l, minus v_l of that of v_j."""
+        return symcore.dot(K.F, [(a, D[k][l][c]) for k, a in enumerate(K.rows[j])]
+                           + [(-a, D[k][j][c]) for k, a in enumerate(K.rows[l])])
 
-    return not any(reduce(along(j, l, c) - along(l, j, c))
-                   for j, l in itertools.combinations(range(len(K.rows)), 2)
+    return not any(bracket(j, l, c) for j, l in itertools.combinations(range(len(K.rows)), 2)
                    for c in range(K.width))
 
 

@@ -43,8 +43,8 @@ import sympy as sp
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.matrices.dense import ddm_irref_den
 
-# the package's callers reach configure, domain_form, is_zero, normalize
-# and _rational_sample, in the kernel, through this module
+# the package's callers reach configure, domain_form, dot, is_zero,
+# normalize and _rational_sample, in the kernel, through this module
 from .domain import (
     _MPQ,
     _Field,
@@ -56,6 +56,7 @@ from .domain import (
     _rational_sample,
     configure,
     domain_form,
+    dot,
     is_zero,
     normalize,
 )
@@ -79,7 +80,9 @@ def _row_reduce(F: _Field | None, A: list) -> list[int]:
     zero function.  Rows of numbers are cleared of their denominators and
     eliminated fraction-free on Python ints (sympy's ``ddm_irref_den``,
     which pivots by the same rule), with one division per entry at the
-    end."""
+    end.  Field entries are combined by ``_Field.quo`` and :func:`dot`:
+    each quotient and each difference is reduced modulo the relations, and
+    each product ``factor*b`` is cancelled but not reduced."""
     if F is None:
         M = []
         for row in A:
@@ -89,7 +92,7 @@ def _row_reduce(F: _Field | None, A: list) -> list[int]:
         A[:] = [[_MPQ(a, den) if a else QQ.zero for a in row] for row in M]
         return pivots
     rows = len(A)
-    reduce = F.reduce
+    reduce, quo = F.reduce, F.quo
     pivots: list[int] = []
     r = 0
     for c in range(len(A[0]) if A else 0):
@@ -101,12 +104,12 @@ def _row_reduce(F: _Field | None, A: list) -> list[int]:
         A[r], A[pr] = A[pr], A[r]
         piv = A[r][c]
         F.check_nonzero(piv)
-        A[r] = [reduce(a / piv) if a else a for a in A[r]]
+        A[r] = [reduce(quo(a, piv)) if a else a for a in A[r]]
         for i in range(rows):
-            factor = A[i][c]
-            if i == r or not factor:
+            if i == r or not A[i][c]:
                 continue
-            A[i] = [reduce(a - factor * b) if b else a
+            factor = -A[i][c]
+            A[i] = [dot(F, ((QQ.one, a), (factor, b))) if b else a
                     for a, b in zip(A[i], A[r])]
         pivots.append(c)
         r += 1
@@ -225,16 +228,14 @@ class Rows:
         :meth:`kernel`), the kernel of the reduced rows of Mᵀ, M = Q K,
         reduced once more.  M is built from P's pivots, not as a product."""
         S = Rows.stack(P, self)
-        reduce = S.F.reduce if S.F is not None else (lambda a: a)
         P_rows, Q_rows = S.rows[:len(P.rows)], S.rows[len(P.rows):]
         lead = [next(j for j, a in enumerate(row) if a) for row in P_rows]
         Mt = []  # (Q K)ᵀ, by rows
         for j in range(self.width):
             if j not in lead:
-                K = [(row[j], p) for row, p in zip(P_rows, lead) if row[j]]
-                Mt.append([reduce(row[j] - sum((c * row[p] for c, p in K if row[p]),
-                                               QQ.zero)) if K else row[j]
-                           for row in Q_rows])
+                K = [(-row[j], p) for row, p in zip(P_rows, lead) if row[j]]
+                Mt.append([dot(S.F, [(QQ.one, row[j])] + [(c, row[p]) for c, p in K])
+                           if K else row[j] for row in Q_rows])
         return Rows(S.F, Mt, len(self.rows)).reduced()[0].kernel().reduced()[0]
 
     def spans(self, other: "Rows") -> bool:
@@ -247,9 +248,7 @@ class Rows:
         factors use."""
         S = Rows.stack(self, other)
         A, B = S.rows[:len(self.rows)], S.rows[len(self.rows):]
-        reduce = S.F.reduce if S.F is not None else (lambda a: a)
-        return Rows(S.F, [[reduce(sum((a * b for a, b in zip(row, col) if a and b),
-                                      QQ.zero)) for col in zip(*B)] for row in A],
+        return Rows(S.F, [[dot(S.F, zip(row, col)) for col in zip(*B)] for row in A],
                     other.width)
 
     def _at(self, values: list) -> list:

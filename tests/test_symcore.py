@@ -635,6 +635,83 @@ class TestCanonicalElements:
         assert all(ngens == used for _, ngens, used in rings)
         assert sum(ngens < full for full, ngens, _ in rings) >= 40, rings
 
+    def _irreducible_shapes(self, rng, F, narrow):
+        """Seeded (kind, num, den) where one side is p = a*g_j + b, with a
+        or b a nonzero rational (``_linear_generator``), rational contents
+        and a negative leading coefficient of den half of the time: p
+        divides the other side ("divides"), or not ("coprime"), or not
+        although the other side vanishes at the fixed point where p does
+        ("vanishes"), so that the division decides.  No side has a
+        cos-degree of 2, so ``_new`` reduces nothing."""
+        from fwdflat.domain import _fixed_point
+        R = F.ring
+        point = _fixed_point(R.ngens)
+        for _ in range(30):
+            used = (sorted(rng.sample(range(R.ngens), rng.randint(2, 4))) if narrow
+                    else list(range(R.ngens)))
+            j = rng.choice(used)
+            others = [i for i in used if i != j]
+            # cofactors stay free of the cos generator, which p may hold
+            free = [i for i in used if not (F.relations and i == 0)]
+
+            def poly(gens, terms=3):
+                return self._poly(rng, R, rng.randint(1, terms), rng.random() < 0.5,
+                                  1, gens)
+
+            def rational():
+                return symcore.QQ(rng.choice([-1, 1]) * rng.randint(1, 12),
+                                  rng.choice([1, rng.randint(2, 9)]))
+
+            g = R.gens[j]
+            p = (rational() * g + poly(others) if rng.random() < 0.5
+                 else poly(others) * g + rational())
+            sign = rng.choice([-1, 1])
+            k = rng.choice([i for i in free if i != j] or others)
+            vanishing = (R.gens[k] - point[k]) * poly(free, 2)
+            for kind, num, den in (
+                    ("divides", p * poly(free), sign * rational() * p),
+                    ("divides", rational() * p, sign * p * poly(free)),
+                    ("coprime", poly(used), sign * p),
+                    ("coprime", p, sign * poly(used)),
+                    ("vanishes", vanishing, sign * p)):
+                if len(p) >= 2 and num and den:
+                    yield kind, num, den
+
+    def test_irreducible_side_cancels_by_one_division(self, monkeypatch):
+        """On shapes with a side p irreducible by ``_linear_generator``,
+        ``_new`` builds what ``field.new`` builds, takes no gcd
+        (``PolyElement.cancel``), and decides by the fixed point or by one
+        division whether p divides the other side."""
+        from sympy.polys.rings import PolyElement
+        from fwdflat import domain
+        cancel, calls = PolyElement.cancel, []
+        vanishes, checks = domain._vanishes_with, []
+        rng = random.Random(2424)
+        shapes = [(F, *shape) for F, narrow in self._fields()
+                  for shape in self._irreducible_shapes(rng, F, narrow)]
+        monkeypatch.setattr(PolyElement, "cancel",
+                            lambda f, g: calls.append((f, g)) or cancel(f, g))
+        monkeypatch.setattr(domain, "_vanishes_with",
+                            lambda q, p, j: checks.append(vanishes(q, p, j)) or checks[-1])
+        results = []
+        for F, kind, num, den in shapes:
+            checks.clear()
+            results.append((F._new(num, den), tuple(checks)))
+        monkeypatch.undo()
+        assert calls == []
+        outcomes = []
+        for (F, kind, num, den), (got, checked) in zip(shapes, results):
+            want = F.field.new(num, den)
+            assert got.numer == want.numer and got.denom == want.denom, (kind, num, den)
+            cancelled = (want.numer.degrees(), want.denom.degrees()) != \
+                (num.degrees(), den.degrees())
+            outcomes.append((kind, checked, cancelled))
+        count = lambda *o: sum(1 for x in outcomes if x == o)
+        assert all(k != "divides" or (c == (True,) and cut) for k, c, cut in outcomes)
+        assert count("coprime", (False,), False) >= 40, outcomes
+        assert count("vanishes", (True,), False) >= 20, outcomes
+        assert count("divides", (True,), True) >= 40, outcomes
+
     def test_jacobian_of_integer_polynomials_takes_no_gcd(self, monkeypatch):
         from sympy.polys.rings import PolyElement
         cancel, calls = PolyElement.cancel, []
@@ -769,6 +846,115 @@ class TestFullRankCertificate:
         after = next_draws()
         symcore.configure(seed=5)
         assert after == next_draws()
+
+
+    def test_chain_candidate_is_missed_at_no_point(self, monkeypatch):
+        """chain(16)'s accepted chart candidate [J_f; e_x1] has full rank,
+        with determinant prod(1 + x_i): the certificate's points miss it at
+        none of 400 draws, where points drawn as the cross-check draws them
+        miss it at 35."""
+        from fwdflat import domain
+        xs = sp.symbols("x1:17")
+        f = [xs[i + 1] + xs[i] * xs[i + 1] for i in range(15)] + [u1]
+        R = symcore.Rows.stack(symcore.jacobian_rows(f, [*xs, u1]),
+                               symcore.Rows.of([[1] + [0] * 16]))
+
+        def misses():
+            symcore.configure(seed=3)
+            return sum(not R._certified(17) for _ in range(400))
+        assert misses() == 0
+        monkeypatch.setattr(domain._Field, "random_point", lambda F: domain._rational_point(
+            len(F.keys), F.k, domain._session.point_rng))
+        assert misses() == 35
+
+
+class TestKernelArithmetic:
+    """The row kernel combines field elements by ``_Field.quo``, ``mul``,
+    ``add`` and ``domain.dot``, which cancel by ``_Field._cancel``: none of
+    its operations runs sympy's ``FracElement`` arithmetic."""
+
+    a = sp.Symbol("a")
+
+    def _matrix(self, rng, trig, rows, cols):
+        """A seeded rows x cols matrix of rational functions of x1, x2, a,
+        and of sin(x1), cos(x1) with trig, whose last row is a combination
+        of two others, so that its rank is deficient."""
+        from conftest import random_poly
+        atoms = [x1, x2, self.a] + ([sp.sin(x1), sp.cos(x1)] if trig else [])
+
+        def entry():
+            return random_poly(rng, atoms, 2, 3, 1) / rng.choice((1, x2 + 1, self.a + 2))
+        M = sp.Matrix(rows, cols, lambda i, j: entry())
+        M[rows - 1, :] = entry() * M.row(0) + entry() * M.row(rows - 2)
+        return M
+
+    def test_no_frac_element_arithmetic(self, monkeypatch):
+        from sympy.polys.fields import FracElement
+        from fwdflat import extcalc
+        rng = random.Random(2425)
+        cases = []
+        for trig in (False, True):
+            M = self._matrix(rng, trig, 3, 3)
+            cases.append((M, *(symcore.Rows.of(self._matrix(rng, trig, 3, 3))
+                               for _ in range(2))))
+        assert [symcore.Rows.of(M).F.k for M, _, _ in cases] == [0, 1]
+
+        def refuse(*args):
+            raise AssertionError("FracElement arithmetic in the row kernel")
+        monkeypatch.setattr(FracElement, "new", refuse)
+        results = []
+        for M, S, T in cases:
+            R = symcore.Rows.of(M)
+            results.append((R.reduced(), R.rank()))
+            R.preimage(S.reduced()[0])
+            R @ T
+            R.derivative(x1)
+            v = symcore.Rows(R.F, [R.rows[0]], R.width)
+            extcalc.lie_derivative_rows(v, R, [x1, x2, self.a])
+        monkeypatch.undo()
+        for (M, _, _), ((reduced, pivots), rank) in zip(cases, results):
+            O, want = oracle_rref(M)
+            assert tuple(pivots) == want and rank == len(want) == 2
+            assert all(reference_is_zero(o - r) for o, r in zip(O, reduced.to_matrix()))
+
+    def test_operations_match_frac_element_arithmetic(self):
+        """``_Field.mul``, ``add`` and ``quo`` build what sympy's operators
+        build, on seeded elements and rationals of either sign, also where
+        a rational operand takes the route with no gcd."""
+        F = symcore.Rows.of([[x1 + sp.sin(x1) + self.a]]).F
+        R = F.ring
+        rng = random.Random(2427)
+        poly = lambda: TestCanonicalElements._poly(rng, R, 3, rng.random() < 0.5)
+
+        def element():
+            if rng.random() < 0.3:
+                return symcore.QQ(rng.randint(-5, 5), rng.randint(1, 4))
+            num, den = poly(), poly()
+            return F._cancel(num, den) if num and den else element()
+
+        def frac(x):
+            return F.field(x) if type(x) is symcore._MPQ else x
+
+        for _ in range(200):
+            x, y = element(), element()
+            for got, want in ((F.mul(x, y), frac(x) * frac(y)),
+                              (F.add(x, y), frac(x) + frac(y)),
+                              (F.quo(x, y) if y else None, frac(x) / frac(y) if y else None)):
+                if want is not None:
+                    got = frac(got)
+                    assert (got.numer, got.denom) == (want.numer, want.denom), (x, y)
+
+    def test_products_are_reduced_only_in_their_sum(self, monkeypatch):
+        """Counted on one seeded elimination with a trig pair: the relations
+        reduce the quotients and the differences of ``_row_reduce`` that
+        need it (4 ``PolyElement.rem`` calls), never a product
+        ``factor*b`` before its difference is taken (13 calls)."""
+        from sympy.polys.rings import PolyElement
+        R = symcore.Rows.of(self._matrix(random.Random(2430), True, 4, 4))
+        rem, calls = PolyElement.rem, []
+        monkeypatch.setattr(PolyElement, "rem", lambda f, G: calls.append(f) or rem(f, G))
+        assert symcore._row_reduce(R.F, R.rows) == [0, 1, 2]
+        assert len(calls) == 4
 
 
 class TestRowsOfNumbers:

@@ -15,9 +15,11 @@ the block of ``bench/run.py``'s output that gives the seconds of each
 operation.  The summary gives, per workload and metric, each side's median
 and quartiles, the median's relative change, the pairs that the head won,
 and whether the medians are apart by more than the base's interquartile
-range; and, per operation, each side's median of the fast means.  A
-metric's direction ("lower" or "higher" is better) is read from the head's
-``BENCHMARK.json``.  Standard library only.
+range; and, per operation, each side's median of the fast means.  The
+file is written after every run, so an A/B that fails or is interrupted
+keeps the runs already made; a change that has no base to divide by is
+null, and prints as n/a.  A metric's direction ("lower" or "higher" is
+better) is read from the head's ``BENCHMARK.json``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -118,12 +120,18 @@ def summary(runs: list[dict], better: dict) -> dict:
         for s in SIDES}
     ops = {s: [r["per_operation_s"] for r in runs if r["side"] == s] for s in SIDES}
     out["per_operation_s"] = {}
-    for label in ops["base"][0] if ops["base"] else ():
+    for label in ops["base"][0] if ops["base"] and ops["head"] else ():
         medians = {s: statistics.median(r[label] for r in ops[s] if label in r)
                    for s in SIDES}
         out["per_operation_s"][label] = {
-            **medians, "median_change": medians["head"] / medians["base"] - 1}
+            **medians, "median_change": (medians["head"] / medians["base"] - 1
+                                         if medians["base"] else None)}
     return out
+
+
+def change(value) -> str:
+    """A median_change as printed: a signed percentage, or n/a for None."""
+    return "n/a" if value is None else f"{value:+.1%}"
 
 
 def main(argv=None) -> int:
@@ -156,17 +164,20 @@ def main(argv=None) -> int:
                              "per_operation_s": per_op})
                 geomean = r["metrics"].get("op_geomean_s", {}).get("value")
                 print(f"{workload} pair {i} {side}: op_geomean_s {geomean}", flush=True)
-        result["workloads"][workload] = {"runs": runs, "summary": summary(runs, better)}
-        args.out.write_text(json.dumps(result, indent=1) + "\n")
+                # written after every run, so that a run that fails or is
+                # interrupted keeps the pairs already measured
+                result["workloads"][workload] = {"runs": runs,
+                                                 "summary": summary(runs, better)}
+                args.out.write_text(json.dumps(result, indent=1) + "\n")
     for workload, w in result["workloads"].items():
         for name, s in w["summary"].items():
             if name not in ("failed_ratio", "per_operation_s"):
                 print(f"{workload:8s} {name:14s} base {s['base']['median']:.5g} "
                       f"head {s['head']['median']:.5g} "
-                      f"({s['median_change']:+.1%}) won {s['pairs_won']}/{s['pairs']}")
+                      f"({change(s['median_change'])}) won {s['pairs_won']}/{s['pairs']}")
         for label, s in w["summary"]["per_operation_s"].items():
             print(f"{workload:8s} {label:30s} base {s['base']:.5g} head {s['head']:.5g} "
-                  f"({s['median_change']:+.1%})")
+                  f"({change(s['median_change'])})")
     return 0
 
 
