@@ -366,17 +366,17 @@ class _Field:
         as ``PolyElement.cancel`` cancels it: the one gcd routine of the
         field.  The gcd is taken only where a common factor can exist: not
         for a zero numerator, nor over the denominator 1 with integer
-        coefficients, and over a single term by ``_cancel_term``.  Where
-        a side p of two or more terms is irreducible by
-        ``_linear_generator``, the gcd is p or a rational, so one exact
-        division of the other side q by p decides it, and none is made
-        where q is nonzero at a fixed point where p vanishes (see
-        :func:`_vanishes_with`).  Otherwise the gcd is taken in the ring of the
-        generators that num or den uses, which gives the same element: the
-        gcd over ZZ of polynomials in some of the generators is their gcd
-        in the bigger ring, and dropping generators that occur in no
-        monomial keeps the lex order, so the leading coefficient of the
-        denominator, whose sign ``cancel`` fixes, is the same."""
+        coefficients, and over a single term by ``_cancel_term``.  Where a
+        side p of two or more terms is irreducible by ``_linear_generator``,
+        the gcd is p or a rational, so one exact division of the other side
+        q by p decides it, and none is made where q is nonzero at a fixed
+        point where p vanishes (see ``_vanishes_with``).  Otherwise the gcd
+        is taken in the ring of the generators that num or den uses, which
+        gives the same element: the gcd over ZZ of polynomials in some of
+        the generators is their gcd in the bigger ring, and dropping
+        generators that occur in no monomial keeps the lex order, so the
+        leading coefficient of the denominator, whose sign ``cancel``
+        fixes, is the same."""
         ring = self.ring
         if not num:
             return self.field.dtype(num, ring.one)
@@ -442,8 +442,9 @@ class _Field:
         if type(y) is _MPQ:
             return x / y if type(x) is _MPQ else self.mul(x, 1 / y)
         if type(x) is _MPQ:
-            return self.field.dtype(*_canonical(self.ring, y.denom.mul_ground(x), y.numer)) \
-                if x else x
+            if not x:
+                return x
+            return self.field.dtype(*_canonical(self.ring, y.denom.mul_ground(x), y.numer))
         return self._cancel(x.numer * y.denom, x.denom * y.numer)
 
     def reduce(self, x):
@@ -537,7 +538,7 @@ class _Field:
                 if dx:
                     if j not in da:  # an argument holds only smaller ones
                         da[j] = d(self._new(*self.fraction(self.args[j], self.gen_of)))
-                    y = self.reduce(self.add(y, self.mul(dx, da[j])))
+                    y = dot(self, ((dx, da[j]),), y)
             return y
 
         return d
@@ -639,16 +640,17 @@ class _Plan:
         return x if type(x) is _MPQ else _demote(self.compose(x))
 
 
-def dot(F: _Field | None, pairs) -> object:
-    """The sum of a*b over the pairs of elements of F, or of ``QQ`` numbers
-    where F is None: each product and each partial sum cancelled by
-    ``_Field._cancel``, and only the total reduced modulo the relations.
-    Reducing a product before it is summed changes which representative of
-    the total is kept, and made one seeded elimination with trig entries
-    280 times slower (ROADMAP, exact-kernel constraints)."""
+def dot(F: _Field | None, pairs, start=QQ.zero) -> object:
+    """start plus the sum of a*b over the pairs, of elements of F or of
+    ``QQ`` numbers where F is None: each product and each partial sum
+    cancelled by ``_Field._cancel``, and only the total reduced modulo the
+    relations.  Reducing a product before it is summed changes which
+    representative of the total is kept, and made one seeded elimination
+    with trig entries 280 times slower (ROADMAP, exact-kernel
+    constraints)."""
     if F is None:
-        return sum((a * b for a, b in pairs if a and b), QQ.zero)
-    total = QQ.zero
+        return sum((a * b for a, b in pairs if a and b), start)
+    total = start
     for a, b in pairs:
         if a and b:
             total = F.add(total, F.mul(a, b))

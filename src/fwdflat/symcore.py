@@ -109,7 +109,7 @@ def _row_reduce(F: _Field | None, A: list) -> list[int]:
             if i == r or not A[i][c]:
                 continue
             factor = -A[i][c]
-            A[i] = [dot(F, ((QQ.one, a), (factor, b))) if b else a
+            A[i] = [dot(F, ((factor, b),), a) if b else a
                     for a, b in zip(A[i], A[r])]
         pivots.append(c)
         r += 1
@@ -234,7 +234,7 @@ class Rows:
         for j in range(self.width):
             if j not in lead:
                 K = [(-row[j], p) for row, p in zip(P_rows, lead) if row[j]]
-                Mt.append([dot(S.F, [(QQ.one, row[j])] + [(c, row[p]) for c, p in K])
+                Mt.append([dot(S.F, [(c, row[p]) for c, p in K], row[j])
                            if K else row[j] for row in Q_rows])
         return Rows(S.F, Mt, len(self.rows)).reduced()[0].kernel().reduced()[0]
 
