@@ -9,7 +9,9 @@ an element is the zero function iff it is literally zero (:func:`is_zero`),
 and its conversion back is the canonical form (:func:`normalize`).  An
 element moves from one field into another by remapping its exponents, or
 by composing generators with elements of the other field (:class:`_Plan`).
-The row kernel of :mod:`fwdflat.symcore` computes on these elements.
+The row kernel of :mod:`fwdflat.symcore` computes on these elements by
+``_Field.quo`` and :func:`dot`, which, like every constructor, cancel
+through the one gcd routine ``_Field._cancel``.
 """
 
 from __future__ import annotations
