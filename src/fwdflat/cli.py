@@ -14,6 +14,7 @@ failed, 4 internal inconsistency detected.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys as _sys
 
@@ -41,7 +42,11 @@ EXIT_INVERSION = 3
 EXIT_INTERNAL = 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every ``run``, built on the first call: parsing
+    leaves it unchanged, and argparse looks up sys.stdout and sys.stderr
+    when it prints, so each call writes to the streams current then."""
     ap = argparse.ArgumentParser(
         prog="fwdflat",
         description="Forward-flatness test for discrete-time systems "

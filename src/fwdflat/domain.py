@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -180,34 +181,102 @@ def _canonical(ring, num, den):
                  for p in (num, den))
 
 
-def _cancel_term(ring, num, den):
-    """num/den cancelled, for a num or a den that is a single term: their
-    gcd is then the monomial of the least exponents, which is divided out
-    before ``_canonical``."""
-    low = tuple(map(min, *num, *den))
-    if any(low):
-        num, den = ({tuple(e - k for e, k in zip(m, low)): c for m, c in p.items()}
-                    for p in (num, den))
-    return _canonical(ring, num, den)
+def _shift(p, e):
+    """The polynomial p times the monomial of exponents e, which may be
+    negative where p's monomials allow."""
+    if not any(e):
+        return p
+    return p.ring.dtype({tuple(map(operator.add, m, e)): c for m, c in p.items()})
 
 
-def _linear_generator(p):
-    """A generator j with p = a*g_j + b, where neither a nor b holds g_j and
-    one of them is a nonzero rational; None if p has none.  Such a p of two
-    or more terms is irreducible over QQ: it has degree 1 in g_j, and a
-    factor free of g_j divides both a and b, so it is a rational."""
-    monoms = list(p.itermonoms())
-    for m in monoms:  # a rational: a term that is g_j alone, and no other g_j
-        if sum(m) == 1:
-            j = m.index(1)
-            if all(not n[j] for n in monoms if n is not m):
-                return j
-    rest = [m for m in monoms if any(m)]
-    if len(rest) < len(monoms):  # b rational: g_j once in every other term
-        for j, e in enumerate(rest[0]):
-            if e == 1 and all(m[j] == 1 for m in rest):
-                return j
+def _linear_power(p):
+    """(j, l, powers, c) with p = c*l**k and powers = [1, l, ..., l**k],
+    where l = a*g_j + b of two or more terms, a and b free of g_j and one of
+    them a nonzero rational; None if p, a polynomial of two or more terms
+    with no monomial factor, has no such form.  Such an l is irreducible
+    over QQ: it has degree 1 in g_j, and a factor free of g_j divides both a
+    and b, so it is a rational.  With k the degree of p in g_j, l is read
+    off p's coefficients of g_j**k and g_j**(k-1) where the first is a
+    rational (a rational, l = g_j + b/a), or off those of g_j**0 and
+    g_j**1 where the first is a rational (b rational, l = 1 + a*g_j/b).
+    p's degrees in each generator, k times those of l, refute most wrong
+    readings before l is built; c*l**k = p is then checked by multiplying
+    out the powers."""
+    ring = p.ring
+    zero = ring.zero_monom
+    exponents = list(zip(*p))  # of each generator, over p's terms
+    degrees = list(map(max, exponents))
+    for j, k in enumerate(degrees):
+        # each degree of c*l**k is k times that of l
+        if not k or any(d % k for d in degrees):
+            continue
+        top = zero[:j] + (k,) + zero[j + 1:]
+        # (c, the exponent of g_j in p's terms that give l's other terms,
+        # its exponent in those terms of l, the first term of l)
+        readings = []
+        if top in p and exponents[j].count(k) == 1:
+            readings.append((p[top], k - 1, 0, ring.gens[j]))
+        if zero in p and exponents[j].count(0) == 1:
+            readings.append((p[zero], 1, 1, ring.one))
+        for c, at, e, l in readings:
+            rest = [m for m in p if m[j] == at]
+            if not rest:
+                continue
+            bound = list(map(max, zip(*rest)))  # l's degrees
+            bound[j] = 1
+            if [k * d for d in bound] != degrees:
+                continue
+            l += ring.dtype({m[:j] + (e,) + m[j + 1:]: p[m] / (k * c) for m in rest})
+            powers = [ring.one]
+            for _ in range(k):
+                powers.append(powers[-1] * l)
+            if powers[-1].mul_ground(c) == p:
+                return j, l, powers, c
     return None
+
+
+def _coprime_parts(num, den):
+    """num/G and den/G for G = gcd(num, den), up to one rational factor on
+    both, for polynomials num and den with no monomial factor; None where
+    neither side is c*l**k (see ``_linear_power``) and the two are not
+    proportional.  A side c*l**k, with k = 0 for a single term, has the gcd
+    l**i with the other side q, for the largest i <= k with l**i dividing
+    q: each power is tried by one exact division, and none is made where q
+    is nonzero at a fixed point where l vanishes (see ``_vanishes_with``)."""
+    if len(num) == 1 or len(den) == 1:
+        return num, den
+    for p, q in ((den, num), (num, den)):
+        found = _linear_power(p)
+        if found is not None:
+            j, l, powers, c = found
+            i = 0
+            while i < len(powers) - 1 and _vanishes_with(q, l, j):
+                quotient, remainder = q.div(l)
+                if remainder:
+                    break
+                q, i = quotient, i + 1
+            rest = powers[-1 - i].mul_ground(c)
+            return (q, rest) if p is den else (rest, q)
+    if num.keys() == den.keys():
+        m = next(iter(num))
+        r = num[m] / den[m]
+        if num == den.mul_ground(r):
+            return num.ring.ground_new(r), num.ring.one
+    return None
+
+
+def _narrowed_cancel(num, den):
+    """num.cancel(den), taken in the ring of the generators that num or den
+    uses; see ``_Field._cancel``."""
+    ring = num.ring
+    used = sorted({i for p in (num, den) for m in p.itermonoms()
+                   for i, e in enumerate(m) if e})
+    if len(used) == ring.ngens:
+        return num.cancel(den)
+    sub = ring.clone(symbols=[ring.symbols[i] for i in used])
+    into = {i: j for j, i in enumerate(used)}
+    num, den = _remap(num, sub, into).cancel(_remap(den, sub, into))
+    return _remap(num, ring, used), _remap(den, ring, used)
 
 
 def _vanishes_with(q, p, j):
@@ -366,43 +435,29 @@ class _Field:
     def _cancel(self, num, den):
         """The element num/den, for a nonzero den, with their gcd cancelled
         as ``PolyElement.cancel`` cancels it: the one gcd routine of the
-        field.  The gcd is taken only where a common factor can exist: not
-        for a zero numerator, nor over the denominator 1 with integer
-        coefficients, and over a single term by ``_cancel_term``.  Where a
-        side p of two or more terms is irreducible by ``_linear_generator``,
-        the gcd is p or a rational, so one exact division of the other side
-        q by p decides it, and none is made where q is nonzero at a fixed
-        point where p vanishes (see ``_vanishes_with``).  Otherwise the gcd
-        is taken in the ring of the generators that num or den uses, which
-        gives the same element: the gcd over ZZ of polynomials in some of
-        the generators is their gcd in the bigger ring, and dropping
-        generators that occur in no monomial keeps the lex order, so the
-        leading coefficient of the denominator, whose sign ``cancel``
-        fixes, is the same."""
+        field.  No gcd is taken for a zero numerator, nor over the
+        denominator 1 with integer coefficients.  Otherwise each side's
+        monomial content is divided out, and the gcd of the two contents is
+        the monomial of the least exponents.  The gcd of what is left, which
+        has no monomial factor, comes from ``_coprime_parts`` where one side
+        is c*l**k for a linear irreducible l, a single term included, or the
+        two are proportional; only other pairs reach sympy's gcd, taken in
+        the ring of the generators that they use (``_narrowed_cancel``).
+        That gives the same element: the gcd over ZZ of polynomials in some
+        of the generators is their gcd in the bigger ring.  Every route ends
+        in ``_canonical``, whose coprime pair is unique."""
         ring = self.ring
         if not num:
             return self.field.dtype(num, ring.one)
         if den == 1 and all(c.denominator == 1 for c in num.values()):
             return self.field.dtype(num, den)
-        if len(num) == 1 or len(den) == 1:
-            return self.field.dtype(*_cancel_term(ring, num, den))
-        for p, q in ((den, num), (num, den)):
-            j = _linear_generator(p)
-            if j is not None:
-                if _vanishes_with(q, p, j):
-                    quotient, remainder = q.div(p)
-                    if not remainder:
-                        num, den = ((quotient, ring.one) if p is den
-                                    else (ring.one, quotient))
-                return self.field.dtype(*_canonical(ring, num, den))
-        used = sorted({i for p in (num, den) for m in p.itermonoms()
-                       for i, e in enumerate(m) if e})
-        if len(used) == ring.ngens:
-            return self.field.new(num, den)
-        sub = ring.clone(symbols=[ring.symbols[i] for i in used])
-        into = {i: j for j, i in enumerate(used)}
-        num, den = _remap(num, sub, into).cancel(_remap(den, sub, into))
-        return self.field.dtype(_remap(num, ring, used), _remap(den, ring, used))
+        content = [tuple(map(min, zip(*p))) for p in (num, den)]
+        low = tuple(map(min, *content))
+        num, den = (_shift(p, [-e for e in c]) for p, c in zip((num, den), content))
+        parts = _coprime_parts(num, den) or _narrowed_cancel(num, den)
+        num, den = (_shift(p, list(map(operator.sub, c, low)))
+                    for p, c in zip(parts, content))
+        return self.field.dtype(*_canonical(ring, num, den))
 
     def mul(self, x, y):
         """x*y, cancelled by ``_cancel`` but not reduced modulo the

@@ -384,12 +384,14 @@ def _linear_split(p, j: int):
 
 def _linear_candidates(F: _Field, pending: dict, remaining, own: dict, bare: dict,
                        solutions):
-    """(equation index, unknown, coefficient, substitution, free) for each
-    pending numerator of degree 1 in a remaining unknown, in equation order
-    and then in unknown order.  The substitution maps the unknown's
-    generator to its solution, and its sin/cos generators to those of a bare
-    symbol; free tells whether the coefficient is free of the other
-    remaining unknowns."""
+    """(equation index, unknown, coefficient, rest, substitution, free) for
+    each pending numerator a*u + rest of degree 1 in a remaining unknown u,
+    in equation order and then in unknown order.  Where u's sin/cos
+    generators occur elsewhere, the substitution maps u's generator to its
+    solution -rest/a and the sin/cos generators to those of a bare symbol;
+    otherwise it is empty, and the solution is left to the caller to build
+    for the step that it takes.  free tells whether the coefficient is free
+    of the other remaining unknowns."""
     ring = F.ring
     for i, p in pending.items():
         used = _gens_of(p)
@@ -402,19 +404,20 @@ def _linear_candidates(F: _Field, pending: dict, remaining, own: dict, bare: dic
             trig = own[u] - {j}
             if trig & (_gens_of(a) | _gens_of(b)):
                 continue  # u is also inside sin/cos of this equation
-            sol = F._new(-b, a)
-            values = {j: sol}
+            values = {}
             elsewhere = [q for k, q in pending.items() if k != i]
             elsewhere += [x for s in solutions for x in (s.numer, s.denom)]
             if trig and any(trig & _gens_of(q) for q in elsewhere):
+                sol = F._new(-b, a)
                 v = bare.get(sol.numer) if sol.denom == 1 else None
                 if v is None:
                     continue  # sin/cos would take an argument that is no symbol
+                values[j] = sol
                 for t in "cs":
                     values[F.index[(t, u)]] = F._new(ring.gens[F.index[(t, v)]],
                                                      ring.one)
             others = set().union(*(own[w] for w in remaining if w != u))
-            yield i, u, a, values, not _gens_of(a) & others
+            yield i, u, a, b, values, not _gens_of(a) & others
 
 
 def solve_by_elimination(eqs: Iterable, unknowns: Sequence[sp.Symbol]
@@ -458,7 +461,8 @@ def solve_by_elimination(eqs: Iterable, unknowns: Sequence[sp.Symbol]
             raise InversionFailed(
                 f"no equation is linear in {', '.join(map(str, remaining))}; "
                 f"unsolved: {', '.join(f'{eqs[i]} = 0' for i in pending)}")
-        i, u, a, values = step
+        i, u, a, b, values = step
+        values = values or {F.index[u]: F._new(-b, a)}
         F.check_nonzero(F._new(a, ring.one))  # as for an rref pivot
         del pending[i]
         remaining.remove(u)

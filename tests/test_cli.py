@@ -95,6 +95,30 @@ class TestAnalyze:
         assert captured.err == ("error: forward shift needs input shift "
                                 "order 1 > cap 0\n")
 
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        """Two runs build one top-level parser, and a usage error after a
+        good run still exits 2 on the stderr that is current then."""
+        import argparse
+        import functools
+        init, built = argparse.ArgumentParser.__init__, []
+
+        def counted(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        monkeypatch.setattr(cli, "_build_parser",
+                            functools.cache(cli._build_parser.__wrapped__))
+        assert cli.run(["analyze", RUNNING]) == cli.EXIT_OK
+        assert cli.run(["analyze", NONFLAT]) == cli.EXIT_NEGATIVE
+        assert built.count("fwdflat") == 1, built
+        capsys.readouterr()
+        assert cli.run(["analyze", RUNNING, "--numeric-samples", "0"]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--numeric-samples: must be at least 1" in captured.err
+        assert built.count("fwdflat") == 1, built
+
     def test_max_shift_defaults_to_the_library_cap(self):
         args = cli._build_parser().parse_args(["verify-flat-output", RUNNING])
         assert args.max_shift == dtsys.DEFAULT_MAX_SHIFT

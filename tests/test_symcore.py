@@ -712,6 +712,102 @@ class TestCanonicalElements:
         assert count("vanishes", (True,), False) >= 20, outcomes
         assert count("divides", (True,), True) >= 40, outcomes
 
+    def _structured_shapes(self, rng, F, narrow):
+        """Seeded (kind, num, den, gcd) in which the gcd needs no sympy gcd:
+        monomial contents on both sides around a linear side ("content"),
+        sides proportional to a product of two linear factors, so that
+        neither is a power of one ("proportional"), and a side c*l**k with
+        k = 1..4 against a side divisible by l**0 to l**(k + 1) ("power"),
+        where gcd is the power of l that cancels (None for the others).
+        Each l = a*g_j + b is irreducible, with a or b a nonzero rational.
+        The sides are free of the cos generator, so ``_new`` reduces
+        nothing."""
+        R = F.ring
+        for _ in range(12):
+            used = (sorted(rng.sample(range(R.ngens), rng.randint(2, 4))) if narrow
+                    else list(range(R.ngens)))
+            free = [i for i in used if not (F.relations and i == 0)]
+            if len(free) < 2:
+                continue
+
+            def poly(gens, terms=3):
+                return self._poly(rng, R, rng.randint(1, terms), rng.random() < 0.5, 1, gens)
+
+            def rational():
+                return symcore.QQ(rng.choice([-1, 1]) * rng.randint(1, 12),
+                                  rng.choice([1, rng.randint(2, 9)]))
+
+            def monomial():
+                return R({tuple(rng.randint(0, 2) if i in free else 0
+                                for i in range(R.ngens)): 1})
+
+            def linear():
+                j = rng.choice(free)
+                g, others = R.gens[j], [i for i in free if i != j]
+                while True:
+                    l = (rational() * g + poly(others, 2) if rng.random() < 0.5
+                         else poly(others, 2) * g + rational())
+                    if len(l) >= 2:
+                        return l
+
+            l, sign = linear(), rng.choice([-1, 1])
+            yield "content", monomial() * l * poly(free), sign * monomial() * rational() * l, None
+            p = l * linear()
+            yield "proportional", rational() * monomial() * p, sign * monomial() * p, None
+            k = rng.randint(1, 4)
+            for i in range(k + 2):
+                power, other = rational() * l**k, l**i * poly(free, 2) * monomial()
+                num, den = (power, sign * other) if rng.random() < 0.5 else (other, sign * power)
+                yield "power", num * monomial(), den, min(i, k)
+
+    def test_structured_pairs_take_no_gcd(self, monkeypatch):
+        """Where the sides' monomial contents are divided out, and what is
+        left is proportional or has a side c*l**k for a linear irreducible
+        l, ``_new`` builds what ``field.new`` builds and takes no gcd
+        (``PolyElement.cancel``)."""
+        from sympy.polys.rings import PolyElement
+        cancel, calls = PolyElement.cancel, []
+        rng = random.Random(2525)
+        shapes = [(F, *shape) for F, narrow in self._fields()
+                  for shape in self._structured_shapes(rng, F, narrow)]
+        monkeypatch.setattr(PolyElement, "cancel",
+                            lambda f, g: calls.append((f, g)) or cancel(f, g))
+        results = [F._new(num, den) for F, _, num, den, _ in shapes]
+        monkeypatch.undo()
+        assert calls == []
+        for (F, kind, num, den, _), got in zip(shapes, results):
+            want = F.field.new(num, den)
+            assert got.numer == want.numer and got.denom == want.denom, (kind, num, den)
+        kinds = [kind for _, kind, *_ in shapes]
+        assert kinds.count("content") >= 40 and kinds.count("proportional") >= 40, kinds
+        cut = [gcd for _, kind, *_, gcd in shapes if kind == "power"]
+        assert all(cut.count(i) >= 10 for i in range(5)), cut
+
+    def test_academic_operations_take_no_gcd(self, monkeypatch):
+        """The two operations on the paper's second example, run cold as the
+        CLI runs them, send no pair of ``_Field._cancel`` to sympy's gcd."""
+        from sympy.core.cache import clear_cache
+        from sympy.polys.rings import PolyElement
+        from fwdflat import cli
+        from fwdflat.domain import _Field
+        cancel, inner, calls = PolyElement.cancel, _Field._cancel, []
+        depth = [0]
+
+        def field_cancel(F, num, den):
+            depth[0] += 1
+            try:
+                return inner(F, num, den)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(_Field, "_cancel", field_cancel)
+        monkeypatch.setattr(PolyElement, "cancel",
+                            lambda f, g: calls.append(depth[0]) or cancel(f, g))
+        for command in ("analyze", "verify-decomposition"):
+            clear_cache()
+            assert cli.run([command, str(FIXTURES / "academic.sys"), "--json"]) == 0
+        assert not any(calls), calls
+
     def test_jacobian_of_integer_polynomials_takes_no_gcd(self, monkeypatch):
         from sympy.polys.rings import PolyElement
         cancel, calls = PolyElement.cancel, []
