@@ -190,48 +190,48 @@ def _shift(p, e):
 
 
 def _linear_power(p):
-    """(j, l, powers, c) with p = c*l**k and powers = [1, l, ..., l**k],
-    where l = a*g_j + b of two or more terms, a and b free of g_j and one of
-    them a nonzero rational; None if p, a polynomial of two or more terms
-    with no monomial factor, has no such form.  Such an l is irreducible
-    over QQ: it has degree 1 in g_j, and a factor free of g_j divides both a
-    and b, so it is a rational.  With k the degree of p in g_j, l is read
-    off p's coefficients of g_j**k and g_j**(k-1) where the first is a
-    rational (a rational, l = g_j + b/a), or off those of g_j**0 and
-    g_j**1 where the first is a rational (b rational, l = 1 + a*g_j/b).
-    p's degrees in each generator, k times those of l, refute most wrong
-    readings before l is built; c*l**k = p is then checked by multiplying
-    out the powers."""
+    """(j, l, k, c) with p = c*l**k, where l = a*g_j + b of two or more
+    terms, a and b free of g_j and one of them 1; None if p, a polynomial of
+    two or more terms with no monomial factor, has no such form.  Such an l
+    is irreducible over QQ: it has degree 1 in g_j, and a factor free of
+    g_j divides both a and b, so it is a rational.  With k the degree of p
+    in g_j, p's coefficient of g_j**i is c*binomial(k, i)*a**i*b**(k-i).
+    Where a is 1, c is the coefficient of g_j**k and b is read off that of
+    g_j**(k-1); where b is 1, c is the coefficient of g_j**0 and a is read
+    off that of g_j**1.  Each further coefficient is checked against the
+    next power of b or a, made by one multiplication once the power before
+    it has matched, so no product has more than len(p)*len(l) terms.  p's
+    degrees, k times those of l, refute most wrong readings before any
+    product is made."""
     ring = p.ring
     zero = ring.zero_monom
-    exponents = list(zip(*p))  # of each generator, over p's terms
-    degrees = list(map(max, exponents))
+    degrees = list(map(max, zip(*p)))
     for j, k in enumerate(degrees):
         # each degree of c*l**k is k times that of l
         if not k or any(d % k for d in degrees):
             continue
-        top = zero[:j] + (k,) + zero[j + 1:]
-        # (c, the exponent of g_j in p's terms that give l's other terms,
-        # its exponent in those terms of l, the first term of l)
-        readings = []
-        if top in p and exponents[j].count(k) == 1:
-            readings.append((p[top], k - 1, 0, ring.gens[j]))
-        if zero in p and exponents[j].count(0) == 1:
-            readings.append((p[zero], 1, 1, ring.one))
-        for c, at, e, l in readings:
-            rest = [m for m in p if m[j] == at]
-            if not rest:
+        parts = [{} for _ in range(k + 1)]  # p's coefficient of g_j**i, at i
+        for m, e in p.items():
+            parts[m[j]][m[:j] + (0,) + m[j + 1:]] = e
+        g = ring.gens[j]
+        # l = g + r, where coefficients[i], that of g**(k-i), is
+        # c*binomial(k, i)*r**i, or l = 1 + r*g, where it is that of g**i
+        for coefficients, lead, step in ((parts[::-1], g, ring.one), (parts, ring.one, g)):
+            if list(coefficients[0]) != [zero] or not coefficients[1]:
                 continue
-            bound = list(map(max, zip(*rest)))  # l's degrees
+            c = coefficients[0][zero]
+            bound = list(map(max, zip(*coefficients[1])))  # l's degrees
             bound[j] = 1
             if [k * d for d in bound] != degrees:
                 continue
-            l += ring.dtype({m[:j] + (e,) + m[j + 1:]: p[m] / (k * c) for m in rest})
-            powers = [ring.one]
-            for _ in range(k):
-                powers.append(powers[-1] * l)
-            if powers[-1].mul_ground(c) == p:
-                return j, l, powers, c
+            r = ring.dtype({m: e / (k * c) for m, e in coefficients[1].items()})
+            power = r
+            for i in range(2, k + 1):
+                power *= r
+                if power.mul_ground(c * math.comb(k, i)) != ring.dtype(coefficients[i]):
+                    break
+            else:
+                return j, lead + r * step, k, c
     return None
 
 
@@ -242,20 +242,21 @@ def _coprime_parts(num, den):
     proportional.  A side c*l**k, with k = 0 for a single term, has the gcd
     l**i with the other side q, for the largest i <= k with l**i dividing
     q: each power is tried by one exact division, and none is made where q
-    is nonzero at a fixed point where l vanishes (see ``_vanishes_with``)."""
+    is nonzero at a fixed point where l vanishes (see ``_vanishes_with``).
+    The side's own part c*l**(k-i) has no more terms than c*l**k."""
     if len(num) == 1 or len(den) == 1:
         return num, den
     for p, q in ((den, num), (num, den)):
         found = _linear_power(p)
         if found is not None:
-            j, l, powers, c = found
+            j, l, k, c = found
             i = 0
-            while i < len(powers) - 1 and _vanishes_with(q, l, j):
+            while i < k and _vanishes_with(q, l, j):
                 quotient, remainder = q.div(l)
                 if remainder:
                     break
                 q, i = quotient, i + 1
-            rest = powers[-1 - i].mul_ground(c)
+            rest = (l**(k - i)).mul_ground(c)
             return (q, rest) if p is den else (rest, q)
     if num.keys() == den.keys():
         m = next(iter(num))

@@ -783,6 +783,52 @@ class TestCanonicalElements:
         cut = [gcd for _, kind, *_, gcd in shapes if kind == "power"]
         assert all(cut.count(i) >= 10 for i in range(5)), cut
 
+    def test_wrong_power_reading_builds_no_power(self, monkeypatch):
+        """p = x**k + k*x**(k-1)*(y1 + ... + yt) + y1**k + ... + yt**k has
+        the degrees of (x + y1 + ... + yt)**k, whose C(k + t, t) terms are
+        2.7 million for k = t = 12.  Over p and p**2 as denominators,
+        ``_linear_power`` refutes the reading with no product of more than
+        len(den)*len(l) terms.  The numerator x + u is then cancelled as a
+        linear side, and x**2 + u**2 by sympy's gcd."""
+        import time
+        from sympy.polys.rings import PolyElement
+        from fwdflat import domain
+        k = t = 12
+        x, u, *ys = sp.symbols(f"x u y1:{t + 1}")
+        F = domain._Field.of([x, u, *ys])
+        X, U, *Y = (F.ring.gens[F.index[s]] for s in (x, u, *ys))
+        p = X**k + k * X**(k - 1) * sum(Y) + sum(y**k for y in Y)
+        mul, linear_power, cancel = PolyElement.__mul__, domain._linear_power, PolyElement.cancel
+        bound, calls = [None], []
+
+        def sized(f, g):
+            h = mul(f, g)
+            assert bound[0] is None or len(h) <= bound[0], (len(h), bound[0])
+            return h
+
+        def guarded(q):
+            bound[0] = len(q) * (t + 1)
+            try:
+                return linear_power(q)
+            finally:
+                bound[0] = None
+
+        monkeypatch.setattr(PolyElement, "__mul__", sized)
+        monkeypatch.setattr(domain, "_linear_power", guarded)
+        monkeypatch.setattr(PolyElement, "cancel",
+                            lambda f, g: calls.append((f, g)) or cancel(f, g))
+        pairs = [(num, den) for num in (X + U, X**2 + U**2) for den in (p, p**2)]
+        results = []
+        for num, den in pairs:
+            t0 = time.perf_counter()
+            results.append(F._new(num, den))
+            assert time.perf_counter() - t0 < 5
+        monkeypatch.undo()
+        assert [f for f, _ in calls] == [X**2 + U**2] * 2
+        for (num, den), got in zip(pairs, results):
+            want = F.field.new(num, den)
+            assert got.numer == want.numer and got.denom == want.denom
+
     def test_academic_operations_take_no_gcd(self, monkeypatch):
         """The two operations on the paper's second example, run cold as the
         CLI runs them, send no pair of ``_Field._cancel`` to sympy's gcd."""
