@@ -189,6 +189,15 @@ def _shift(p, e):
     return p.ring.dtype({tuple(map(operator.add, m, e)): c for m, c in p.items()})
 
 
+def _coefficients(p, j):
+    """p's coefficients of g_j**0, g_j**1, ... up to p's degree in g_j, as
+    dicts of monomials with no g_j."""
+    parts = [{} for _ in range(max(m[j] for m in p) + 1)]
+    for m, e in p.items():
+        parts[m[j]][m[:j] + (0,) + m[j + 1:]] = e
+    return parts
+
+
 def _linear_power(p):
     """(j, l, k, c) with p = c*l**k, where l = a*g_j + b of two or more
     terms, a and b free of g_j and one of them 1; None if p, a polynomial of
@@ -210,9 +219,7 @@ def _linear_power(p):
         # each degree of c*l**k is k times that of l
         if not k or any(d % k for d in degrees):
             continue
-        parts = [{} for _ in range(k + 1)]  # p's coefficient of g_j**i, at i
-        for m, e in p.items():
-            parts[m[j]][m[:j] + (0,) + m[j + 1:]] = e
+        parts = _coefficients(p, j)
         g = ring.gens[j]
         # l = g + r, where coefficients[i], that of g**(k-i), is
         # c*binomial(k, i)*r**i, or l = 1 + r*g, where it is that of g**i
@@ -241,9 +248,11 @@ def _coprime_parts(num, den):
     neither side is c*l**k (see ``_linear_power``) and the two are not
     proportional.  A side c*l**k, with k = 0 for a single term, has the gcd
     l**i with the other side q, for the largest i <= k with l**i dividing
-    q: each power is tried by one exact division, and none is made where q
-    is nonzero at a fixed point where l vanishes (see ``_vanishes_with``).
-    The side's own part c*l**(k-i) has no more terms than c*l**k."""
+    q: each power is tried by one exact division (``_quotient``), and none
+    is made where q is nonzero at a fixed point where l vanishes (see
+    ``_vanishes_with``).  A division that ``_quotient`` leaves undecided
+    leaves the pair to sympy's gcd (None).  The side's own part
+    c*l**(k-i) has no more terms than c*l**k."""
     if len(num) == 1 or len(den) == 1:
         return num, den
     for p, q in ((den, num), (num, den)):
@@ -252,8 +261,10 @@ def _coprime_parts(num, den):
             j, l, k, c = found
             i = 0
             while i < k and _vanishes_with(q, l, j):
-                quotient, remainder = q.div(l)
-                if remainder:
+                quotient = _quotient(q, l, j)
+                if quotient is False:
+                    return None
+                if quotient is None:
                     break
                 q, i = quotient, i + 1
             rest = (l**(k - i)).mul_ground(c)
@@ -264,6 +275,36 @@ def _coprime_parts(num, den):
         if num == den.mul_ground(r):
             return num.ring.ground_new(r), num.ring.one
     return None
+
+
+def _quotient(q, l, j):
+    """q/l for l = g_j + r or l = 1 + r*g_j, r free of g_j; None where l
+    does not divide q, and False where a coefficient of the quotient in g_j
+    would have more than len(q)*len(l) terms, which leaves it undecided.
+    Listed from g_j's top degree n down where l = g_j + r, and from g_j**0
+    up otherwise, q's coefficients c_0, ..., c_n and the quotient's
+    s_0, ..., s_(n-1) satisfy s_i = c_i - r*s_(i-1) and c_n = r*s_(n-1).
+    The bound stops a q that vanishes where l does without l dividing it:
+    sympy's ``div`` by l = x + y1 + ... + y8 made a remainder of 6,445
+    terms from one such q of 4 terms."""
+    ring = l.ring
+    b, a = _coefficients(l, j)
+    upward = a != {ring.zero_monom: 1}
+    r = ring.dtype(a if upward else b)
+    parts = _coefficients(q, j)
+    if not upward:
+        parts.reverse()
+    n, bound = len(parts) - 1, len(q) * len(l)
+    s, quotient = ring.zero, {}
+    for i, c in enumerate(parts[:-1]):
+        s = ring.dtype(c) - r * s
+        if len(s) > bound:
+            return False
+        e = i if upward else n - 1 - i
+        quotient.update((m[:j] + (e,) + m[j + 1:], v) for m, v in s.items())
+    if r * s != ring.dtype(parts[-1]):
+        return None
+    return ring.dtype(quotient)
 
 
 def _narrowed_cancel(num, den):

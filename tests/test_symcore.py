@@ -829,6 +829,52 @@ class TestCanonicalElements:
             want = F.field.new(num, den)
             assert got.numer == want.numer and got.denom == want.denom
 
+    def test_undecided_division_is_left_to_sympy(self, monkeypatch):
+        """q = x**8 - x0**8 + (x - x0)*y1 vanishes where l = x + y1 + ...
+        + y8 does at the fixed point, x0 = -(y1 + ... + y8) there, but l
+        does not divide it; dividing q by l makes a remainder of 6,445
+        terms.  The pair's division stops at a quotient coefficient of more
+        than len(q)*len(l) terms, no product of ``_coprime_parts`` exceeds
+        len(q)*len(l)**2 terms, and the pair goes to sympy's gcd."""
+        from sympy.polys.rings import PolyElement
+        from fwdflat import domain
+        t = 8
+        x, *ys = sp.symbols(f"x y1:{t + 1}")
+        F = domain._Field.of([x, *ys])
+        X, *Y = (F.ring.gens[F.index[s]] for s in (x, *ys))
+        point = domain._fixed_point(F.ring.ngens)
+        x0 = -sum(point[F.index[y]] for y in ys)
+        l, q = X + sum(Y), X**t - x0**t + (X - x0) * Y[0]
+        bound = len(q) * len(l)**2
+        mul, div, cancel = PolyElement.__mul__, PolyElement.div, PolyElement.cancel
+        coprime_parts, inside, calls = domain._coprime_parts, [False], []
+
+        def sized(op):
+            def run(f, g):
+                out = op(f, g)
+                for h in out if isinstance(out, tuple) else (out,):
+                    assert not inside[0] or len(h) <= bound, (len(h), bound)
+                return out
+            return run
+
+        def guarded(num, den):
+            inside[0] = True
+            try:
+                return coprime_parts(num, den)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(PolyElement, "__mul__", sized(mul))
+        monkeypatch.setattr(PolyElement, "div", sized(div))
+        monkeypatch.setattr(domain, "_coprime_parts", guarded)
+        monkeypatch.setattr(PolyElement, "cancel",
+                            lambda f, g: calls.append((f, g)) or cancel(f, g))
+        got = F._new(q, l)
+        monkeypatch.undo()
+        assert calls == [(q, l)]
+        want = F.field.new(q, l)
+        assert got.numer == want.numer and got.denom == want.denom
+
     def test_academic_operations_take_no_gcd(self, monkeypatch):
         """The two operations on the paper's second example, run cold as the
         CLI runs them, send no pair of ``_Field._cancel`` to sympy's gcd."""
