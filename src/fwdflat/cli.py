@@ -7,8 +7,10 @@ Subcommands::
     fwdflat verify-decomposition FILE  check the triangular decomposition
 
 Exit codes: 0 success (flat / verified), 1 negative result (not flat /
-verification failed), 2 input or usage error, 3 adapted-chart inversion
-failed, 4 internal inconsistency detected.
+verification failed), 2 input or usage error, 3 the sequence needed the
+inverse of the adapted chart and no complement of full rank inverted (or
+a supplied complement or inverse chart gives no chart), 4 internal
+inconsistency detected.
 """
 
 from __future__ import annotations

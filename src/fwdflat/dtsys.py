@@ -14,7 +14,7 @@ import itertools
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import mpmath
 import sympy as sp
@@ -213,13 +213,17 @@ def check_submersivity(sys: DiscreteTimeSystem, at=None) -> SubmersivityReport:
 class AdaptedChart:
     """(theta, xi) = (f(x, u), h(x, u)) together with the inverse map, which
     is solved on first access to from_adapted when it is not given, and its
-    maps on rows, to_adapted and to_x, each converted on first access."""
+    maps on rows, to_adapted and to_x, each converted on first access.  The
+    complements that build_adapted_chart has not tried yet, and a line for
+    each one it has, wait in _candidates and _tried for that access."""
 
     system: DiscreteTimeSystem
     theta: tuple[sp.Symbol, ...]
     xi: tuple[sp.Symbol, ...]
     h: tuple[Expr, ...]
     _from_adapted: tuple[Expr, ...] | None = field(default=None, compare=False)
+    _candidates: Iterator = field(default=iter(()), compare=False, repr=False)
+    _tried: list[str] = field(default_factory=list, compare=False, repr=False)
 
     @property
     def chart(self) -> Chart:
@@ -227,10 +231,20 @@ class AdaptedChart:
 
     @property
     def from_adapted(self) -> tuple[Expr, ...]:
-        """(x, u) as expressions in (theta, xi)."""
-        if self._from_adapted is None:
-            object.__setattr__(self, "_from_adapted",
-                               _invert(self.system, self.theta + self.xi, self.h))
+        """(x, u) as expressions in (theta, xi), solved on first access by
+        elimination (see _solve_inverse).  Where h does not invert, the
+        first later complement of full rank that inverts takes its place
+        (see build_adapted_chart)."""
+        while self._from_adapted is None:
+            back = dict(zip(self.theta + self.xi, self.system.f + self.h))
+            try:
+                object.__setattr__(self, "_from_adapted", _solve_inverse(
+                    [s - e for s, e in back.items()],
+                    list(self.system.chart.symbols), back))
+            except InversionFailed as exc:
+                self._tried.append(f"{self.h}: {exc}")
+                object.__setattr__(self, "h", _next_complement(
+                    self.system, self._candidates, self._tried))
         return self._from_adapted
 
     @functools.cached_property
@@ -264,13 +278,22 @@ def _solve_inverse(eqs: Sequence[Expr], unknowns: Sequence[sp.Symbol],
     return exprs
 
 
-def _invert(sys: DiscreteTimeSystem, adapted: tuple[sp.Symbol, ...],
-            h: tuple[Expr, ...]) -> tuple[Expr, ...]:
-    """(x, u) in the adapted coordinates (theta, xi) = (f, h) by
-    elimination (see _solve_inverse)."""
-    back = dict(zip(adapted, sys.f + h))
-    return _solve_inverse([s - e for s, e in back.items()],
-                          list(sys.chart.symbols), back)
+def _next_complement(sys: DiscreteTimeSystem, candidates: Iterator,
+                     tried: list[str]) -> tuple[Expr, ...]:
+    """The next of the candidates whose (f, h) Jacobian has full rank,
+    with a line in tried for each one passed over; InversionFailed, naming
+    every complement tried, when none is left."""
+    J = sys.jacobian_rows()
+    for h in candidates:
+        h = tuple(sp.sympify(e) for e in h)
+        if symcore.Rows.stack(J, symcore.jacobian_rows(h, sys.chart.symbols)
+                              ).rank() == sys.n + sys.m:
+            return h
+        tried.append(f"{h}: (f, h) Jacobian rank deficient")
+    raise InversionFailed(
+        "no invertible adapted chart found; supply an explicit complement "
+        "(h) and, if needed, the inverse chart map. Tried:\n  h = "
+        + "\n  h = ".join(tried))
 
 
 def inverse_chart_symbols(n: int, m: int) -> tuple[sp.Symbol, ...]:
@@ -284,52 +307,44 @@ def inverse_chart_symbols(n: int, m: int) -> tuple[sp.Symbol, ...]:
 
 def build_adapted_chart(sys: DiscreteTimeSystem) -> AdaptedChart:
     """Construct adapted coordinates, completing span{df} automatically when
-    no complement was supplied.
+    no complement was supplied: the complements are tried in turn, the
+    supplied one alone or else the m-subsets of the coordinates, inputs
+    before states.
 
-    A candidate whose (f, h) Jacobian has full rank and only QQ entries is
-    an affine chart with constant coefficients: elimination always inverts
-    it, each step on an equation of degree 1 with a nonzero coefficient free
-    of the unknowns, so it is accepted on its rank test and inverted only
-    when from_adapted is first read.  Every other candidate is inverted
-    here, in turn."""
+    The first complement h whose (f, h) Jacobian has full rank n + m is
+    accepted on that rank alone, and a supplied inverse chart is checked
+    against it here.  Otherwise h is inverted only when from_adapted is
+    first read; where that fails, the later complements are rank-tested
+    and inverted in turn, and the first that inverts takes h's place, so
+    wherever the inverse is read, the complement is the first of the
+    search that inverts.  When none does, InversionFailed lists every
+    complement tried, rank-deficient ones included.
+
+    This is sound.  A full-rank (f, h) is a chart near almost every point
+    (inverse function theorem), and its inverse is needed only to write
+    non-constant coefficients in (theta, xi).  The rows of the sequence are
+    in (x, u); before the first read every row holds only QQ numbers, so
+    the extension along d/d xi of its constant coefficients adds nothing
+    and the backward shift substitutes nothing: those steps used no
+    complement, and they stand for whichever complement is adopted."""
     taken = {s.name for s in sys.states + sys.inputs + sys.params}
     theta = tuple(sp.Symbol(nm) for nm in _fresh_names("th", sys.n, set(taken)))
     xi = tuple(sp.Symbol(nm) for nm in _fresh_names("xi", sys.m, set(taken)))
 
     if sys.complement_h is not None:
-        candidates = [tuple(sp.sympify(e) for e in sys.complement_h)]
+        candidates = iter([sys.complement_h])
     else:  # m-subsets of the coordinates, inputs before states
         candidates = itertools.combinations(sys.inputs + sys.states, sys.m)
-
-    chart_syms = sys.chart.symbols
-    J = sys.jacobian_rows()
-    failures = []
-    for h in candidates:
-        full = symcore.Rows.stack(J, symcore.jacobian_rows(h, chart_syms))
-        if full.rank() < sys.n + sys.m:
-            failures.append(f"{h}: (f, h) Jacobian rank deficient")
-            continue
-        inv = None
-        if sys.inverse_chart is not None:
-            back = dict(zip(theta + xi, sys.f + h))
-            to_chart = dict(zip(inverse_chart_symbols(sys.n, sys.m), theta + xi))
-            inv = tuple(sp.sympify(e).xreplace(to_chart) for e in sys.inverse_chart)
-            ok = all(is_zero(e.xreplace(back) - s)
-                     for e, s in zip(inv, chart_syms))
-            if not ok:
-                raise InversionFailed(
-                    "supplied inverse chart does not invert (f, h)")
-        elif full.F is not None:
-            try:
-                inv = _invert(sys, theta + xi, h)
-            except InversionFailed as exc:
-                failures.append(f"{h}: {exc}")
-                continue
-        return AdaptedChart(sys, theta, xi, tuple(sp.sympify(e) for e in h), inv)
-    raise InversionFailed(
-        "no invertible adapted chart found; supply an explicit complement "
-        "(h) and, if needed, the inverse chart map. Tried:\n  h = "
-        + "\n  h = ".join(failures))
+    tried: list[str] = []
+    h = _next_complement(sys, candidates, tried)
+    if sys.inverse_chart is None:
+        return AdaptedChart(sys, theta, xi, h, None, candidates, tried)
+    back = dict(zip(theta + xi, sys.f + h))
+    to_chart = dict(zip(inverse_chart_symbols(sys.n, sys.m), theta + xi))
+    inv = tuple(sp.sympify(e).xreplace(to_chart) for e in sys.inverse_chart)
+    if not all(is_zero(e.xreplace(back) - s) for e, s in zip(inv, sys.chart.symbols)):
+        raise InversionFailed("supplied inverse chart does not invert (f, h)")
+    return AdaptedChart(sys, theta, xi, h, inv)
 
 
 # --------------------------------------------------------------------------

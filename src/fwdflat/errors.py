@@ -22,7 +22,9 @@ class InternalInconsistency(FwdflatError):
 
 
 class InversionFailed(FwdflatError):
-    """No invertible adapted chart could be constructed automatically.
+    """The sequence needed the inverse of the adapted chart, and no
+    complement of full rank inverted; or a supplied complement or inverse
+    chart gives no chart.
 
     Supply an explicit complement (the m extra coordinate functions) and,
     if needed, the inverse chart map.

@@ -197,7 +197,8 @@ def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
             "the system map is not a submersion (precondition of the test): "
             + "; ".join(sub.notes))
     ac = build_adapted_chart(sys)
-    say(f"adapted chart complement: {tuple(str(h) for h in ac.h)}")
+    h = ac.h
+    say(f"adapted chart complement: {tuple(map(str, h))}")
 
     # per run: the equilibrium's point, J_f in the exact domain, its rows
     # cleared for the ranks there (once per system, as the submersivity
@@ -220,6 +221,9 @@ def compute_sequence(sys: DiscreteTimeSystem, trace=None) -> SequenceReport:
         if not P.rows:
             break
         Q = _intersect_df(P, J, ac)
+        if ac.h != h:  # its first read adopted a later complement
+            h = ac.h
+            say(f"adapted chart complement: {tuple(map(str, h))}")
         Qhat = closure(Q, d_xi)
         step.intersection_dim = len(Q.rows)
         step.lie_derivatives_added = len(Qhat.rows) - len(Q.rows)

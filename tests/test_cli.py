@@ -333,12 +333,25 @@ class TestVerifyDecomposition:
 
 class TestErrorMapping:
     def test_inversion_failure_exit_three(self, tmp_path, capsys):
-        bad = tmp_path / "quintic.sys"
+        """The sequence reads the inverse at k = 2, and no complement of
+        full rank inverts: the message names each one tried."""
+        bad = tmp_path / "read3b.sys"
         bad.write_text(
-            "states: x1\ninputs: u1\n"
-            "f: x1 + u1 + (x1 + u1)^5\nx0: 0\nu0: 0\n")
+            "states: x1 x2\ninputs: u1\n"
+            "f: x2^3 + x2 + x1*u1\nf: u1^3 + u1 + x1^3 + x1\n"
+            "x0: 0 0\nu0: 0\n")
         assert cli.run(["analyze", str(bad)]) == cli.EXIT_INVERSION
-        assert "inversion failed" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "inversion failed: no invertible adapted chart found; supply an "
+            "explicit complement (h) and, if needed, the inverse chart map. Tried:\n"
+            "  h = (u1,): no equation is linear in x2; unsolved: "
+            "th2 - u1**3 - u1 - x1**3 - x1 = 0\n"
+            "  h = (x1,): no equation is linear in x2; unsolved: "
+            "th2 - u1**3 - u1 - x1**3 - x1 = 0\n"
+            "  h = (x2,): no equation is linear in u1; unsolved: "
+            "th2 - u1**3 - u1 - x1**3 - x1 = 0\n")
 
     def test_main_raises_systemexit(self):
         with pytest.raises(SystemExit) as exc:
@@ -645,32 +658,70 @@ def _python_m_fwdflat(*args):
                           capture_output=True, text=True, env=env, timeout=60)
 
 
-def test_cubic_system_has_no_chart_and_exits_three(tmp_path):
-    # no coordinate complement leaves an equation linear in an unknown;
+def _trig_chain(n: int) -> str:
+    """x_i+ = x_{i+1} + a*sin(x_i), x_n+ = u1, at 0."""
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    return (f"states: {' '.join(xs)}\ninputs: u1\nparams: a\n"
+            + "".join(f"f: {xs[i + 1]} + a*sin({xs[i]})\n" for i in range(n - 1))
+            + f"f: u1\nx0: {' '.join('0' * n)}\nu0: 0\n")
+
+
+@pytest.mark.parametrize("text, dims", [
     # chart inversion once ran for minutes on this system
-    sysfile = tmp_path / "cubic.sys"
-    sysfile.write_text("states: x1 x2 x3\ninputs: u1\n"
-                       "f: x2 + x1^3\nf: x3 + x2^3*x1\nf: u1^3 + u1 + x3^2\n"
-                       "x0: 0 0 0\nu0: 0\n")
-    r = _python_m_fwdflat("analyze", str(sysfile))
-    assert r.returncode == cli.EXIT_INVERSION, r.stderr
-    assert r.stderr.startswith("inversion failed: ")
-    assert "Traceback" not in r.stderr
-    assert "h = (u1,): no equation is linear in x1; unsolved: " \
-           "th3 - u1**3 - u1 - x3**2 = 0" in r.stderr
+    ("states: x1 x2 x3\ninputs: u1\n"
+     "f: x2 + x1^3\nf: x3 + x2^3*x1\nf: u1^3 + u1 + x3^2\n"
+     "x0: 0 0 0\nu0: 0\n", [3, 2, 1, 0]),
+    ("states: x1\ninputs: u1\nf: x1 + u1 + (x1 + u1)^5\nx0: 0\nu0: 0\n", [1, 0]),
+    ("states: x1 x2\ninputs: u1\n"
+     "f: x2^3 + x2 + u1^3 + u1 + x1\nf: u1^3 + u1 + x1^3 + 2*x1\n"
+     "x0: 0 0\nu0: 0\n", [2, 1, 0]),
+    *[(_trig_chain(n), list(range(n, -1, -1))) for n in range(2, 7)],
+], ids=["cubic", "quintic", "read3", *[f"trig-chain-{n}" for n in range(2, 7)]])
+def test_decided_without_inverting_the_chart(tmp_path, capsys, monkeypatch,
+                                              text, dims):
+    """No complement of these systems inverts by elimination, and no row of
+    their sequences needs the inverse: each is decided, and no inversion is
+    attempted."""
+    calls, solve = [], dtsys._solve_inverse
+    monkeypatch.setattr(dtsys, "_solve_inverse",
+                        lambda *a: calls.append(a) or solve(*a))
+    sysfile = tmp_path / "system.sys"
+    sysfile.write_text(text)
+    assert cli.run(["analyze", str(sysfile)]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "verdict: StaticFeedbackLinearizable\n" in out
+    assert f"dims: {dims}\n" in out
+    assert calls == []
+
+
+# the running example after x2 = z2 + z1^2, u1 = v1 + z1*z3, u2 = v2 + z2
+TRANSFORMED = ("states: z1 z2 z3\ninputs: v1 v2\n"
+               "f: v1 + z1*z3 - z2 - z1^2\n"
+               "f: z1*(v1 + z1*z3 - v2 - z2) - (v1 + z1*z3 - z2 - z1^2)^2\n"
+               "f: v2 + z2\n"
+               "x0: 1/2 1/4 0\nu0: 1 -1/4\n")
 
 
 def test_transformed_running_example_is_flat(tmp_path):
-    # the running example after x2 = z2 + z1^2, u1 = v1 + z1*z3,
-    # u2 = v2 + z2; inverting its chart once ran for minutes
+    # inverting its chart once ran for minutes
     sysfile = tmp_path / "transformed.sys"
-    sysfile.write_text(
-        "states: z1 z2 z3\ninputs: v1 v2\n"
-        "f: v1 + z1*z3 - z2 - z1^2\n"
-        "f: z1*(v1 + z1*z3 - v2 - z2) - (v1 + z1*z3 - z2 - z1^2)^2\n"
-        "f: v2 + z2\n"
-        "x0: 1/2 1/4 0\nu0: 1 -1/4\n")
+    sysfile.write_text(TRANSFORMED)
     r = _python_m_fwdflat("analyze", str(sysfile))
     assert r.returncode == cli.EXIT_OK, r.stderr
     assert "verdict: ForwardFlat\n" in r.stdout
     assert "dims: [3, 2, 0]\n" in r.stdout
+
+
+def test_transformed_running_example_falls_back_to_a_later_complement(
+        tmp_path, capsys):
+    """(v1, v2), the first complement of full rank, does not invert; the
+    first read of the inverse, at k = 1, adopts (v1, z1), which the trace
+    prints, and the verdict stands."""
+    sysfile = tmp_path / "transformed.sys"
+    sysfile.write_text(TRANSFORMED)
+    assert cli.run(["analyze", "--trace", str(sysfile)]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["adapted chart complement: ('v1', 'v2')",
+                         "adapted chart complement: ('v1', 'z1')",
+                         "k = 1: dim P = 3, intersection 1, extension added 1"]
+    assert "verdict: ForwardFlat" in lines and "dims: [3, 2, 0]" in lines

@@ -149,10 +149,13 @@ class TestAdaptedChart:
         _assert_inverts(build_adapted_chart(s))
 
     def test_inversion_failure(self):
+        """The chart is accepted on its rank; its first read raises."""
         x1, u1 = sp.symbols("x1 u1")
         s = _sys(["x1"], ["u1"], [x1 + u1 + (x1 + u1) ** 5], [0], [0])
+        ac = build_adapted_chart(s)
+        assert ac.h == (u1,)
         with pytest.raises(InversionFailed):
-            build_adapted_chart(s)
+            ac.from_adapted
 
     def test_wrong_supplied_inverse(self):
         x1, u1 = sp.symbols("x1 u1")
@@ -168,7 +171,10 @@ class TestAdaptedChart:
         import dataclasses
         s = dataclasses.replace(vtol.system, complement_h=None, inverse_chart=None)
         ac = build_adapted_chart(s)
-        x5, u1 = sp.symbols("x5 u1")
+        x5, u1, u2 = sp.symbols("x5 u1 u2")
+        # accepted on its rank; its first read falls back to a later one
+        assert ac.h == (u1, u2)
+        ac.from_adapted
         assert ac.h == (u1, x5)
         assert ac.from_adapted[4] == ac.xi[1]
         _assert_inverts(ac)
@@ -176,8 +182,9 @@ class TestAdaptedChart:
     def test_inversion_failure_names_unsolved_equations(self):
         x1, u1 = sp.symbols("x1 u1")
         s = _sys(["x1"], ["u1"], [x1 + u1 + (x1 + u1) ** 5], [0], [0])
+        ac = build_adapted_chart(s)
         with pytest.raises(InversionFailed) as exc:
-            build_adapted_chart(s)
+            ac.from_adapted
         msg = str(exc.value)
         # one line per complement tried, each naming its unsolved equation
         assert "h = (u1,): no equation is linear in x1; unsolved: th1 - " in msg
@@ -237,47 +244,51 @@ def _counting_solve_inverse(monkeypatch) -> list:
 
 
 class TestDeferredInverse:
-    """An affine chart with constant coefficients is accepted on its rank
-    test and inverted on first access to from_adapted; every other chart is
-    inverted while the complements are tried."""
+    """No chart without a supplied inverse is inverted while the
+    complements are tried: the first read of from_adapted inverts its
+    complement, and then each later one of full rank in turn, until one
+    inverts."""
 
-    def test_affine_charts_invert_on_first_access(self, monkeypatch):
+    def test_charts_invert_on_first_read(self, monkeypatch):
         rng = random.Random(1212)
+        x1, x2, u1, a = sp.symbols("x1 x2 u1 a")
+        z1, z2, z3, v1, v2 = sp.symbols("z1 z2 z3 v1 v2")
+        systems = [random_affine_system(rng, rng.randint(2, 6), rng.randint(1, 2))
+                   for _ in range(60)]
+        systems += [
+            # a parameter in the coefficients of f, or a nonlinear h, makes
+            # the Jacobian non-constant
+            _sys(["x1", "x2"], ["u1"], [x2, u1 + a * x1], [0, 0], [0], params=(a,)),
+            _sys(["x1", "x2"], ["u1"], [x2, u1 + x1], [0, 0], [0], params=(a,),
+                 complement_h=(x1 + x2 ** 2,)),
+            # the running example in z and v: (v1, v2) does not invert
+            _sys(["z1", "z2", "z3"], ["v1", "v2"],
+                 [v1 + z1 * z3 - z2 - z1 ** 2,
+                  z1 * (v1 + z1 * z3 - v2 - z2) - (v1 + z1 * z3 - z2 - z1 ** 2) ** 2,
+                  v2 + z2], [sp.Rational(1, 2), sp.Rational(1, 4), 0],
+                 [1, sp.Rational(-1, 4)])]
         calls = _counting_solve_inverse(monkeypatch)
-        supplied = with_params = 0
-        for _ in range(60):
-            sys = random_affine_system(rng, rng.randint(2, 6), rng.randint(1, 2))
+        supplied = with_params = fallbacks = 0
+        for sys in systems:
             supplied += sys.complement_h is not None
             with_params += bool(sys.params)
             ac = build_adapted_chart(sys)
             assert calls == [] and ac._from_adapted is None
-            # the chosen h is the first candidate of full rank, as before
-            if sys.complement_h is None:
-                first = next(h for h in itertools.combinations(
-                    sys.inputs + sys.states, sys.m)
-                    if sp.Matrix(sys.f + h).jacobian(sys.chart.symbols).det() != 0)
-                assert ac.h == first
+            # the complements of full rank, in the order they are tried
+            full = [sys.complement_h] if sys.complement_h else [
+                h for h in itertools.combinations(sys.inputs + sys.states, sys.m)
+                if sp.Matrix(sys.f + h).jacobian(sys.chart.symbols).det() != 0]
+            assert ac.h == full[0]
+            inverse = ac.from_adapted
+            fallbacks += ac.h != full[0]
+            assert len(calls) == full.index(ac.h) + 1
             back = dict(zip(ac.theta + ac.xi, sys.f + ac.h))
-            eager = _solve_inverse([s - e for s, e in back.items()],
-                                   list(sys.chart.symbols), back)
-            assert ac.from_adapted == eager
-            assert ac.from_adapted is ac.from_adapted and len(calls) == 1
+            assert inverse == _solve_inverse([s - e for s, e in back.items()],
+                                             list(sys.chart.symbols), back)
+            assert ac.from_adapted is inverse and len(calls) == full.index(ac.h) + 1
             _assert_inverts(ac)
             calls.clear()
-        assert supplied >= 10 and with_params >= 20
-
-    @pytest.mark.parametrize("h", [None, ("x1 + x2**2",)])
-    def test_other_charts_invert_while_searching(self, monkeypatch, h):
-        """A parameter in the coefficients of f, or a nonlinear h, makes
-        the Jacobian non-constant: the chart is inverted in the search."""
-        x1, x2, u1, a = sp.symbols("x1 x2 u1 a")
-        f = [x2, u1 + (a * x1 if h is None else x1)]
-        s = _sys(["x1", "x2"], ["u1"], f, [0, 0], [0], params=(a,),
-                 complement_h=None if h is None else tuple(map(sp.sympify, h)))
-        calls = _counting_solve_inverse(monkeypatch)
-        ac = build_adapted_chart(s)
-        assert len(calls) == 1 and ac._from_adapted is not None
-        _assert_inverts(ac)
+        assert supplied >= 10 and with_params >= 20 and fallbacks == 1
 
 
 class TestForwardShift:

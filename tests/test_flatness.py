@@ -624,16 +624,17 @@ class TestRowsStayExact:
     @pytest.mark.parametrize("name", ["running", "vtol", "linear6"])
     def test_conversions_do_not_grow_with_k_bar(self, name, request, monkeypatch):
         """Between building the adapted chart and building the report,
-        compute_sequence converts only the inverse chart and θ -> x, plus
-        two conversions (its normal form, then cos and sin) per trig angle
-        of f that passes through them; and it turns no row entry back into
-        an expression.  On a linear system every row is constant, so
-        neither map is solved or converted."""
+        compute_sequence converts, apart from what the chart's inversion
+        converts, only the inverse chart and θ -> x, plus two conversions
+        (its normal form, then cos and sin) per trig angle of f that passes
+        through them; and it turns no row entry back into an expression.
+        On a linear system every row is constant, so neither map is solved
+        or converted."""
         sys = _linear_six() if name == "linear6" else request.getfixturevalue(name).system
         inverse = dtsys.build_adapted_chart(sys).from_adapted
         phase, conversions, expressions = ["setup"], [], []
-        convert, chart, report = (domain._convert, flatness.build_adapted_chart,
-                                  flatness.SequenceReport)
+        convert, chart, report, solve = (domain._convert, flatness.build_adapted_chart,
+                                         flatness.SequenceReport, dtsys._solve_inverse)
 
         def counting_convert(exprs):
             exprs = list(exprs)
@@ -651,10 +652,18 @@ class TestRowsStayExact:
             phase[0] = "report"
             return report(*args)
 
+        def inversion_phase(*args):
+            before, phase[0] = phase[0], "inversion"
+            try:
+                return solve(*args)
+            finally:
+                phase[0] = before
+
         for module in (domain, symcore):
             monkeypatch.setattr(module, "_convert", counting_convert)
         monkeypatch.setattr(flatness, "build_adapted_chart", chart_then_loop)
         monkeypatch.setattr(flatness, "SequenceReport", report_phase)
+        monkeypatch.setattr(dtsys, "_solve_inverse", inversion_phase)
         for label in ("to_expr", "to_matrix"):
             method = getattr(Rows, label)
             monkeypatch.setattr(Rows, label, lambda R, *a, method=method: (
@@ -662,6 +671,9 @@ class TestRowsStayExact:
         r = compute_sequence(sys)
         angles = {t.args[0] for e in sys.f for t in e.atoms(sp.sin, sp.cos)}
         assert r.k_bar >= 3
+        # running inverts its chart on the first read, in the loop; vtol
+        # supplies its inverse
+        assert ("inversion" in conversions) == (name == "running")
         if name == "linear6":
             assert conversions.count("loop") == 0
             assert "inverse chart" not in conversions

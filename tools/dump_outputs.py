@@ -20,9 +20,12 @@ The outputs are:
 - the same of ``verify-flat-output``, plain and with ``--json``, on a
   system whose names clash with the verifier's (``FLAT_OUTPUT_SYSTEMS``);
 - the same of ``analyze``, plain, with ``--json`` and with ``--trace``, on
-  four linear systems (``ANALYZE_SYSTEMS``) whose charts are found, or
-  supplied, in the ways that decide whether a chart is inverted while the
-  complements are tried or on first use;
+  the systems of ``ANALYZE_SYSTEMS``: four linear systems whose charts are
+  found, or supplied, in each of the ways a complement is accepted; five
+  trig chains, a cubic, a quintic and ``read3``, whose complements do not
+  invert by elimination and whose sequences never read the inverse;
+  ``read3b``, whose sequence reads it and exits 3; and the transformed
+  running example, whose first read adopts a later complement;
 - the exit code, stdout and stderr of ``verify-flat-output --max-shift -1``
   on ``fixtures/*.sys``;
 - for every step ``P_k`` of the sequence of ``fixtures/*.sys`` and of
@@ -222,7 +225,57 @@ f: u1
 x0: 0 0 0
 u0: 0
 """,
+    "cubic": """\
+states: x1 x2 x3
+inputs: u1
+f: x2 + x1^3
+f: x3 + x2^3*x1
+f: u1^3 + u1 + x3^2
+x0: 0 0 0
+u0: 0
+""",
+    "quintic": """\
+states: x1
+inputs: u1
+f: x1 + u1 + (x1 + u1)^5
+x0: 0
+u0: 0
+""",
+    "read3": """\
+states: x1 x2
+inputs: u1
+f: x2^3 + x2 + u1^3 + u1 + x1
+f: u1^3 + u1 + x1^3 + 2*x1
+x0: 0 0
+u0: 0
+""",
+    "read3b": """\
+states: x1 x2
+inputs: u1
+f: x2^3 + x2 + x1*u1
+f: u1^3 + u1 + x1^3 + x1
+x0: 0 0
+u0: 0
+""",
+    # the running example after x2 = z2 + z1^2, u1 = v1 + z1*z3,
+    # u2 = v2 + z2: (v1, v2) does not invert, (v1, z1) does
+    "transformed-running": """\
+states: z1 z2 z3
+inputs: v1 v2
+f: v1 + z1*z3 - z2 - z1^2
+f: z1*(v1 + z1*z3 - v2 - z2) - (v1 + z1*z3 - z2 - z1^2)^2
+f: v2 + z2
+x0: 1/2 1/4 0
+u0: 1 -1/4
+""",
 }
+# x_i+ = x_{i+1} + a*sin(x_i), x_n+ = u1, at 0
+ANALYZE_SYSTEMS.update({
+    f"trig-chain-{n}": "".join((
+        f"states: {' '.join(f'x{i}' for i in range(1, n + 1))}\ninputs: u1\nparams: a\n",
+        *(f"f: x{i + 1} + a*sin(x{i})\n" for i in range(1, n)),
+        f"f: u1\nx0: {' '.join('0' * n)}\nu0: 0\n"))
+    for n in range(2, 7)})
 
 
 def _cli_output(argv: list[str]) -> str:
