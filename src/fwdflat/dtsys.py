@@ -322,19 +322,18 @@ def build_adapted_chart(sys: DiscreteTimeSystem) -> AdaptedChart:
 
     This is sound.  A full-rank (f, h) is a chart near almost every point
     (inverse function theorem), and its inverse is needed only to write
-    non-constant coefficients in (theta, xi).  The rows of the sequence are
-    in (x, u); before the first read every row holds only QQ numbers, so
-    the extension along d/d xi of its constant coefficients adds nothing
-    and the backward shift substitutes nothing: those steps used no
-    complement, and they stand for whichever complement is adopted."""
+    non-constant coefficients in (theta, xi).  Every step of the sequence
+    before the first read holds only QQ rows: its intersection is
+    sum a_i d theta_i with constant a_i and theta = f whatever h is, their
+    derivatives along d/d xi are zero, and the backward shift is
+    theta -> x.  So those steps used no complement, and they stand for
+    whichever complement is adopted."""
     taken = {s.name for s in sys.states + sys.inputs + sys.params}
     theta = tuple(sp.Symbol(nm) for nm in _fresh_names("th", sys.n, set(taken)))
     xi = tuple(sp.Symbol(nm) for nm in _fresh_names("xi", sys.m, set(taken)))
 
-    if sys.complement_h is not None:
-        candidates = iter([sys.complement_h])
-    else:  # m-subsets of the coordinates, inputs before states
-        candidates = itertools.combinations(sys.inputs + sys.states, sys.m)
+    candidates = (iter([sys.complement_h]) if sys.complement_h is not None
+                  else itertools.combinations(sys.inputs + sys.states, sys.m))
     tried: list[str] = []
     h = _next_complement(sys, candidates, tried)
     if sys.inverse_chart is None:
