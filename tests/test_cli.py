@@ -694,34 +694,22 @@ def test_decided_without_inverting_the_chart(tmp_path, capsys, monkeypatch,
     assert calls == []
 
 
-# the running example after x2 = z2 + z1^2, u1 = v1 + z1*z3, u2 = v2 + z2
-TRANSFORMED = ("states: z1 z2 z3\ninputs: v1 v2\n"
-               "f: v1 + z1*z3 - z2 - z1^2\n"
-               "f: z1*(v1 + z1*z3 - v2 - z2) - (v1 + z1*z3 - z2 - z1^2)^2\n"
-               "f: v2 + z2\n"
-               "x0: 1/2 1/4 0\nu0: 1 -1/4\n")
-
-
 def test_transformed_running_example_is_flat(tmp_path):
-    # inverting its chart once ran for minutes
+    """The running example after x2 = z2 + z1^2, u1 = v1 + z1*z3,
+    u2 = v2 + z2.  (v1, v2), its first complement of full rank, does not
+    invert; the first read of the inverse, at k = 1, adopts (v1, z1), which
+    the trace prints.  Inverting its chart once ran for minutes."""
     sysfile = tmp_path / "transformed.sys"
-    sysfile.write_text(TRANSFORMED)
-    r = _python_m_fwdflat("analyze", str(sysfile))
+    sysfile.write_text(
+        "states: z1 z2 z3\ninputs: v1 v2\n"
+        "f: v1 + z1*z3 - z2 - z1^2\n"
+        "f: z1*(v1 + z1*z3 - v2 - z2) - (v1 + z1*z3 - z2 - z1^2)^2\n"
+        "f: v2 + z2\n"
+        "x0: 1/2 1/4 0\nu0: 1 -1/4\n")
+    r = _python_m_fwdflat("analyze", "--trace", str(sysfile))
     assert r.returncode == cli.EXIT_OK, r.stderr
+    assert r.stdout.startswith("adapted chart complement: ('v1', 'v2')\n"
+                               "adapted chart complement: ('v1', 'z1')\n"
+                               "k = 1: dim P = 3, intersection 1, extension added 1\n")
     assert "verdict: ForwardFlat\n" in r.stdout
     assert "dims: [3, 2, 0]\n" in r.stdout
-
-
-def test_transformed_running_example_falls_back_to_a_later_complement(
-        tmp_path, capsys):
-    """(v1, v2), the first complement of full rank, does not invert; the
-    first read of the inverse, at k = 1, adopts (v1, z1), which the trace
-    prints, and the verdict stands."""
-    sysfile = tmp_path / "transformed.sys"
-    sysfile.write_text(TRANSFORMED)
-    assert cli.run(["analyze", "--trace", str(sysfile)]) == cli.EXIT_OK
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[:3] == ["adapted chart complement: ('v1', 'v2')",
-                         "adapted chart complement: ('v1', 'z1')",
-                         "k = 1: dim P = 3, intersection 1, extension added 1"]
-    assert "verdict: ForwardFlat" in lines and "dims: [3, 2, 0]" in lines

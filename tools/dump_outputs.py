@@ -269,13 +269,17 @@ x0: 1/2 1/4 0
 u0: 1 -1/4
 """,
 }
-# x_i+ = x_{i+1} + a*sin(x_i), x_n+ = u1, at 0
-ANALYZE_SYSTEMS.update({
-    f"trig-chain-{n}": "".join((
-        f"states: {' '.join(f'x{i}' for i in range(1, n + 1))}\ninputs: u1\nparams: a\n",
-        *(f"f: x{i + 1} + a*sin(x{i})\n" for i in range(1, n)),
-        f"f: u1\nx0: {' '.join('0' * n)}\nu0: 0\n"))
-    for n in range(2, 7)})
+
+
+def _trig_chain(n: int) -> str:
+    """x_i+ = x_{i+1} + a*sin(x_i), x_n+ = u1, at 0."""
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    return (f"states: {' '.join(xs)}\ninputs: u1\nparams: a\n"
+            + "".join(f"f: {xs[i + 1]} + a*sin({xs[i]})\n" for i in range(n - 1))
+            + f"f: u1\nx0: {' '.join('0' * n)}\nu0: 0\n")
+
+
+ANALYZE_SYSTEMS.update({f"trig-chain-{n}": _trig_chain(n) for n in range(2, 7)})
 
 
 def _cli_output(argv: list[str]) -> str:
