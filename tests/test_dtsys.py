@@ -249,46 +249,69 @@ class TestDeferredInverse:
     complement, and then each later one of full rank in turn, until one
     inverts."""
 
-    def test_charts_invert_on_first_read(self, monkeypatch):
+    def test_affine_charts_invert_on_first_access(self, monkeypatch):
         rng = random.Random(1212)
-        x1, x2, u1, a = sp.symbols("x1 x2 u1 a")
-        z1, z2, z3, v1, v2 = sp.symbols("z1 z2 z3 v1 v2")
-        systems = [random_affine_system(rng, rng.randint(2, 6), rng.randint(1, 2))
-                   for _ in range(60)]
-        systems += [
-            # a parameter in the coefficients of f, or a nonlinear h, makes
-            # the Jacobian non-constant
-            _sys(["x1", "x2"], ["u1"], [x2, u1 + a * x1], [0, 0], [0], params=(a,)),
-            _sys(["x1", "x2"], ["u1"], [x2, u1 + x1], [0, 0], [0], params=(a,),
-                 complement_h=(x1 + x2 ** 2,)),
-            # the running example in z and v: (v1, v2) does not invert
-            _sys(["z1", "z2", "z3"], ["v1", "v2"],
-                 [v1 + z1 * z3 - z2 - z1 ** 2,
-                  z1 * (v1 + z1 * z3 - v2 - z2) - (v1 + z1 * z3 - z2 - z1 ** 2) ** 2,
-                  v2 + z2], [sp.Rational(1, 2), sp.Rational(1, 4), 0],
-                 [1, sp.Rational(-1, 4)])]
         calls = _counting_solve_inverse(monkeypatch)
-        supplied = with_params = fallbacks = 0
-        for sys in systems:
+        supplied = with_params = 0
+        for _ in range(60):
+            sys = random_affine_system(rng, rng.randint(2, 6), rng.randint(1, 2))
             supplied += sys.complement_h is not None
             with_params += bool(sys.params)
             ac = build_adapted_chart(sys)
             assert calls == [] and ac._from_adapted is None
-            # the complements of full rank, in the order they are tried
-            full = [sys.complement_h] if sys.complement_h else [
-                h for h in itertools.combinations(sys.inputs + sys.states, sys.m)
-                if sp.Matrix(sys.f + h).jacobian(sys.chart.symbols).det() != 0]
-            assert ac.h == full[0]
-            inverse = ac.from_adapted
-            fallbacks += ac.h != full[0]
-            assert len(calls) == full.index(ac.h) + 1
+            # the chosen h is the first candidate of full rank, as before
+            if sys.complement_h is None:
+                first = next(h for h in itertools.combinations(
+                    sys.inputs + sys.states, sys.m)
+                    if sp.Matrix(sys.f + h).jacobian(sys.chart.symbols).det() != 0)
+                assert ac.h == first
             back = dict(zip(ac.theta + ac.xi, sys.f + ac.h))
-            assert inverse == _solve_inverse([s - e for s, e in back.items()],
-                                             list(sys.chart.symbols), back)
-            assert ac.from_adapted is inverse and len(calls) == full.index(ac.h) + 1
+            eager = _solve_inverse([s - e for s, e in back.items()],
+                                   list(sys.chart.symbols), back)
+            assert ac.from_adapted == eager
+            assert ac.from_adapted is ac.from_adapted and len(calls) == 1
             _assert_inverts(ac)
             calls.clear()
-        assert supplied >= 10 and with_params >= 20 and fallbacks == 1
+        assert supplied >= 10 and with_params >= 20
+
+    @pytest.mark.parametrize("h", [None, ("x1 + x2**2",)])
+    def test_other_charts_invert_while_searching(self, monkeypatch, h):
+        """A parameter in the coefficients of f, or a nonlinear h, makes
+        the Jacobian non-constant. The complement search accepts the chart
+        on its rank test alone; the search for a complement that inverts
+        runs on the first read of from_adapted, which inverts this one."""
+        x1, x2, u1, a = sp.symbols("x1 x2 u1 a")
+        f = [x2, u1 + (a * x1 if h is None else x1)]
+        s = _sys(["x1", "x2"], ["u1"], f, [0, 0], [0], params=(a,),
+                 complement_h=None if h is None else tuple(map(sp.sympify, h)))
+        calls = _counting_solve_inverse(monkeypatch)
+        ac = build_adapted_chart(s)
+        assert calls == [] and ac._from_adapted is None
+        assert ac.h == ((u1,) if h is None else (x1 + x2 ** 2,))
+        inverse = ac.from_adapted
+        assert len(calls) == 1 and ac.from_adapted is inverse
+        _assert_inverts(ac)
+
+    def test_first_read_falls_back_to_later_complements(self, monkeypatch):
+        """The running example in z and v: (v1, v2) has full rank but does
+        not invert, so the first read tries (v1, z1) next and adopts it,
+        the complement and inverse that the old eager search picked."""
+        z1, z2, z3, v1, v2 = sp.symbols("z1 z2 z3 v1 v2")
+        s = _sys(["z1", "z2", "z3"], ["v1", "v2"],
+                 [v1 + z1 * z3 - z2 - z1 ** 2,
+                  z1 * (v1 + z1 * z3 - v2 - z2) - (v1 + z1 * z3 - z2 - z1 ** 2) ** 2,
+                  v2 + z2], [sp.Rational(1, 2), sp.Rational(1, 4), 0],
+                 [1, sp.Rational(-1, 4)])
+        calls = _counting_solve_inverse(monkeypatch)
+        ac = build_adapted_chart(s)
+        assert calls == [] and ac._from_adapted is None and ac.h == (v1, v2)
+        inverse = ac.from_adapted
+        assert ac.h == (v1, z1) and len(calls) == 2
+        back = dict(zip(ac.theta + ac.xi, s.f + ac.h))
+        assert inverse == _solve_inverse([y - e for y, e in back.items()],
+                                         list(s.chart.symbols), back)
+        assert ac.from_adapted is inverse and len(calls) == 2
+        _assert_inverts(ac)
 
 
 class TestForwardShift:
