@@ -688,27 +688,28 @@ class _Plan:
         ints = [t for t in targets if isinstance(t, int)] + list(bare.values())
         if len(set(ints)) == len(ints):
             targets = [bare.get(i, t) for i, t in enumerate(targets)]
-        self.values = {
-            i: (ring.ground_new(t), ring.one) if type(t) is _MPQ else (t.numer, t.denom)
+        self.values = {  # each value's numerator and denominator, None for 1
+            i: (ring.ground_new(t), None) if type(t) is _MPQ
+            else (t.numer, None if t.denom == 1 else t.denom)
             for i, t in enumerate(targets) if t is not None and not isinstance(t, int)}
         self.targets = targets
         ints = [t for t in targets if isinstance(t, int)]
         self.monotone = ints == sorted(ints)
 
     def _compose(self, p):
-        """p with the values composed in, as a numerator and a denominator:
-        the values' denominators are raised to p's degree in their
-        generator and multiplied out."""
+        """p with the values composed in, as a numerator and a denominator,
+        None for 1: the values' denominators other than 1 are raised to p's
+        degree in their generator and multiplied out."""
         ring, targets, values = self.G.ring, self.targets, self.values
         deg = {}
         for monom in p.itermonoms():
             for i in values:
                 if monom[i] > deg.get(i, 0):
                     deg[i] = monom[i]
-        den = ring.one
+        den, num = None, ring.zero
         for i, d in deg.items():
-            den *= values[i][1] ** d
-        num = ring.zero
+            if values[i][1] is not None:
+                den = values[i][1] ** d * (1 if den is None else den)
         for monom, coeff in p.iterterms():
             e = [0] * ring.ngens
             for i, k in enumerate(monom):
@@ -717,8 +718,10 @@ class _Plan:
             t = ring.dtype({tuple(e): coeff})
             for i, d in deg.items():
                 vn, vd = values[i]
-                # a value of 0 has no 0th power in the ring
-                t *= (vn ** monom[i] if monom[i] else 1) * vd ** (d - monom[i])
+                if monom[i]:  # a value of 0 has no 0th power in the ring
+                    t *= vn ** monom[i]
+                if vd is not None and monom[i] < d:
+                    t *= vd ** (d - monom[i])
             num += t
         return num, den
 
@@ -729,7 +732,7 @@ class _Plan:
                for i in self.values):
             n1, d1 = self._compose(x.numer)
             n2, d2 = self._compose(x.denom)
-            return self.G._new(n1 * d2, d1 * n2)
+            return self.G._new(n1 if d2 is None else n1 * d2, n2 if d1 is None else d1 * n2)
         num, den = (_remap(p, self.G.ring, self.targets) for p in (x.numer, x.denom))
         if not self.monotone and den.LC < 0:
             num, den = -num, -den

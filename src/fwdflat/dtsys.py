@@ -211,17 +211,17 @@ def check_submersivity(sys: DiscreteTimeSystem, at=None) -> SubmersivityReport:
 
 @dataclass(frozen=True)
 class AdaptedChart:
-    """(theta, xi) = (f(x, u), h(x, u)) together with the inverse map, which
-    is solved on first access to from_adapted when it is not given, and its
-    maps on rows, to_adapted and to_x, each converted on first access.  The
-    complements that build_adapted_chart has not tried yet, and a line for
-    each one it has, wait in _candidates and _tried for that access."""
+    """(theta, xi) = (f(x, u), h(x, u)) together with its maps on rows:
+    to_adapted, the inverse map, which is solved on first access when it is
+    not given, and to_x, converted on first access.  The complements that
+    build_adapted_chart has not tried yet, and a line for each one it has,
+    wait in _candidates and _tried for that access."""
 
     system: DiscreteTimeSystem
     theta: tuple[sp.Symbol, ...]
     xi: tuple[sp.Symbol, ...]
     h: tuple[Expr, ...]
-    _from_adapted: tuple[Expr, ...] | None = field(default=None, compare=False)
+    _to_adapted: symcore.Substitution | None = field(default=None, compare=False)
     _candidates: Iterator = field(default=iter(()), compare=False, repr=False)
     _tried: list[str] = field(default_factory=list, compare=False, repr=False)
 
@@ -230,27 +230,26 @@ class AdaptedChart:
         return Chart(self.theta + self.xi)
 
     @property
-    def from_adapted(self) -> tuple[Expr, ...]:
-        """(x, u) as expressions in (theta, xi), solved on first access by
-        elimination (see _solve_inverse).  Where h does not invert, the
-        first later complement of full rank that inverts takes its place
-        (see build_adapted_chart)."""
-        while self._from_adapted is None:
+    def to_adapted(self) -> symcore.Substitution:
+        """(x, u) -> x(theta, xi): coefficients into the adapted chart,
+        solved on first access by elimination (see _solve_inverse).  Where
+        h does not invert, the first later complement of full rank that
+        inverts takes its place (see build_adapted_chart)."""
+        while self._to_adapted is None:
             back = dict(zip(self.theta + self.xi, self.system.f + self.h))
             try:
-                object.__setattr__(self, "_from_adapted", _solve_inverse(
-                    [s - e for s, e in back.items()],
-                    list(self.system.chart.symbols), back))
+                object.__setattr__(self, "_to_adapted", _solve_inverse(
+                    [s - e for s, e in back.items()], list(self.system.chart.symbols), back))
             except InversionFailed as exc:
                 self._tried.append(f"{self.h}: {exc}")
                 object.__setattr__(self, "h", _next_complement(
                     self.system, self._candidates, self._tried))
-        return self._from_adapted
+        return self._to_adapted
 
-    @functools.cached_property
-    def to_adapted(self) -> symcore.Substitution:
-        """(x, u) -> x(theta, xi): coefficients into the adapted chart."""
-        return symcore.Substitution(zip(self.system.chart.symbols, self.from_adapted))
+    @property
+    def from_adapted(self) -> tuple[Expr, ...]:
+        """(x, u) as expressions in (theta, xi), those of to_adapted."""
+        return tuple(self.to_adapted.exprs.values())
 
     @functools.cached_property
     def to_x(self) -> symcore.Substitution:
@@ -259,23 +258,38 @@ class AdaptedChart:
 
 
 def _solve_inverse(eqs: Sequence[Expr], unknowns: Sequence[sp.Symbol],
-                   back_subs: Mapping):
-    """Solve eqs = 0 for the unknowns by elimination (see
-    symcore.solve_by_elimination).  Each solution must stay in the
-    expression fragment over the equations' other symbols and pass the
-    round trip (substituting back_subs gives the unknowns back).  Raises
-    InversionFailed otherwise."""
-    eqs = [sp.sympify(e) for e in eqs]
-    exprs = symcore.solve_by_elimination(eqs, unknowns)
-    allowed = set().union(*(e.free_symbols for e in eqs)) - set(unknowns)
-    for e, u in zip(exprs, unknowns):
+                   back_subs: Mapping) -> symcore.Substitution:
+    """The unknowns as functions of the equations' other symbols, solved
+    from eqs = 0 by elimination (see symcore.solve_by_elimination), as a
+    Substitution of the solutions' elements, which are not converted again.
+    Each solution must stay in the expression fragment over the equations'
+    other symbols, and each step must pass the round trip; raises
+    InversionFailed otherwise.
+
+    The round trip is checked one step at a time, in the domain.  Step k
+    solves x_k = s_k(y, x_later), where y are the symbols that back_subs
+    replaces and x_later the unknowns solved after x_k.  back_subs is
+    composed into every s_k by one Substitution, and each result must be
+    x_k: s_k(y(x), x_later) = x_k.  A result other than x_k's generator is
+    refused only after is_zero, whose numeric cross-check then runs on the
+    difference.  The flattened inverse G is built in back-substitution
+    order, G_k(y) = s_k(y, G_later(y)), so G(y(x)) = x follows by induction
+    in that order: the last step has no later unknowns, and where
+    G_j(y(x)) = x_j for every later j, G_k(y(x)) = s_k(y(x), x_later) = x_k."""
+    F, steps, solved = symcore.solve_by_elimination(eqs, unknowns)
+    inverse = symcore.Substitution(zip(unknowns, solved), F)
+    allowed = {key for key in F.keys if not isinstance(key, tuple)} - set(unknowns)
+    for u, e in inverse.exprs.items():
         try:
             symcore._validate_tree(e, allowed, "")  # the text only labels errors
         except ExprSyntaxError:
             raise InversionFailed(f"{u} = {e} leaves the expression fragment") from None
-        if not is_zero(e.xreplace(back_subs) - u):
-            raise InversionFailed(f"{u} = {e} does not invert the map")
-    return exprs
+    R = symcore.Substitution(back_subs)(
+        symcore.Rows.stack(symcore.Rows(F, [[s for _, s in steps]], len(steps))))
+    for (u, _), x in zip(steps, R.rows[0]):
+        if not (R.F is not None and x == R.F.gen_of.get(u) or is_zero(R.to_expr(x) - u)):
+            raise InversionFailed(f"{u} = {inverse.exprs[u]} does not invert the map")
+    return inverse
 
 
 def _next_complement(sys: DiscreteTimeSystem, candidates: Iterator,
@@ -291,9 +305,10 @@ def _next_complement(sys: DiscreteTimeSystem, candidates: Iterator,
             return h
         tried.append(f"{h}: (f, h) Jacobian rank deficient")
     raise InversionFailed(
-        "no invertible adapted chart found; supply an explicit complement "
-        "(h) and, if needed, the inverse chart map. Tried:\n  h = "
-        + "\n  h = ".join(tried))
+        ("the supplied complement (h) gives no invertible adapted chart; supply its inverse "
+         "chart map (inverse:) or another complement" if sys.complement_h is not None else
+         "no invertible adapted chart found; supply an explicit complement (h) and, if "
+         "needed, the inverse chart map") + ". Tried:\n  h = " + "\n  h = ".join(tried))
 
 
 def inverse_chart_symbols(n: int, m: int) -> tuple[sp.Symbol, ...]:
@@ -343,7 +358,7 @@ def build_adapted_chart(sys: DiscreteTimeSystem) -> AdaptedChart:
     inv = tuple(sp.sympify(e).xreplace(to_chart) for e in sys.inverse_chart)
     if not all(is_zero(e.xreplace(back) - s) for e, s in zip(inv, sys.chart.symbols)):
         raise InversionFailed("supplied inverse chart does not invert (f, h)")
-    return AdaptedChart(sys, theta, xi, h, inv)
+    return AdaptedChart(sys, theta, xi, h, symcore.Substitution(zip(sys.chart.symbols, inv)))
 
 
 # --------------------------------------------------------------------------
@@ -614,22 +629,18 @@ def verify_triangular_decomposition(sys: DiscreteTimeSystem,
     taken = {s.name for s in sys.states + sys.inputs + sys.params}
     xbar = tuple(sp.Symbol(nm) for nm in _fresh_names("xb", sys.n, set(taken)))
     ubar = tuple(sp.Symbol(nm) for nm in _fresh_names("ub", sys.m, set(taken)))
-    back = dict(zip(xbar, dec.state_map))
-    back.update(zip(ubar, dec.input_map))
+    back = dict(zip(xbar + ubar, dec.state_map + dec.input_map))
     try:
-        state_inv = _solve_inverse(
-            [xb - e for xb, e in zip(xbar, dec.state_map)], list(sys.states), back)
+        x_subs = _solve_inverse(
+            [xb - e for xb, e in zip(xbar, dec.state_map)], list(sys.states), back).exprs
     except InversionFailed as exc:
         return DecompositionVerdict(False, [f"state map could not be inverted: {exc}"])
-    x_subs = dict(zip(sys.states, state_inv))
     input_eqs = [ub - sp.sympify(e).xreplace(x_subs)
                  for ub, e in zip(ubar, dec.input_map)]
     try:
-        input_inv = _solve_inverse(input_eqs, list(sys.inputs), back)
+        inv_subs = x_subs | _solve_inverse(input_eqs, list(sys.inputs), back).exprs
     except InversionFailed as exc:
         return DecompositionVerdict(False, [f"input map could not be inverted: {exc}"])
-    inv_subs = dict(x_subs)
-    inv_subs.update(zip(sys.inputs, input_inv))
 
     f_subbed = [sp.sympify(fi).xreplace(inv_subs) for fi in sys.f]
     fbar = tuple(domain_form(sp.sympify(e).xreplace(dict(zip(sys.states, f_subbed))))

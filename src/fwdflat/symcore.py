@@ -19,7 +19,9 @@ The kernel of reduced rows is read off them by one routine,
 of rows that lie in a row space: every annihilator, intersection and
 integrability test of the package runs on these two.
 Chart inversions solve in the same domain
-(:func:`solve_by_elimination`), and every derivative is taken there
+(:func:`solve_by_elimination`), and their solutions stay there: a
+:class:`Substitution` takes them as elements, with no conversion, and
+composes rows with them.  Every derivative is taken there
 (:func:`jacobian_rows` and ``Rows.derivative``: the ring's derivations, with d cos(a)/da = -sin(a)
 and d sin(a)/da = cos(a), the chain rule through a compound argument a,
 and the quotient rule).  The same domain fixes every canonical form:
@@ -294,11 +296,20 @@ class Substitution:
     are converted once, and so are cos and sin of each angle that holds a
     replaced symbol, on first use; each composed element is cancelled
     once (see ``_Plan.compose``).  Rows whose every generator becomes a
-    number are evaluated (``Rows._at``)."""
+    number are evaluated (``Rows._at``).
 
-    def __init__(self, mapping: Mapping):
+    With a field F, the mapping's values are elements of F or ``QQ``
+    numbers, already converted: they are moved into the field of the
+    generators that they use, and only their expressions are built."""
+
+    def __init__(self, mapping: Mapping, F: _Field | None = None):
         self.exprs = dict(mapping)
-        self.F, values = _convert(self.exprs.values())
+        if F is None:
+            self.F, values = _convert(self.exprs.values())
+        else:
+            R = Rows.stack(Rows(F, [list(self.exprs.values())], len(self.exprs)))
+            self.F, values = R.F, R.rows[0]
+            self.exprs = {s: F.to_expr(x) for s, x in self.exprs.items()}
         self.values = dict(zip(self.exprs, values))
         self._angles: dict = {}
         self._plans: dict = {}
@@ -421,7 +432,7 @@ def _linear_candidates(F: _Field, pending: dict, remaining, own: dict, bare: dic
 
 
 def solve_by_elimination(eqs: Iterable, unknowns: Sequence[sp.Symbol]
-                         ) -> tuple[Expr, ...]:
+                         ) -> tuple[_Field, list, tuple]:
     """Solve eqs = 0 for the unknowns by elimination in the exact domain.
 
     Each step takes the first pending equation whose numerator has degree 1
@@ -433,14 +444,19 @@ def solve_by_elimination(eqs: Iterable, unknowns: Sequence[sp.Symbol]
     Each step removes an unknown, so the elimination ends.  The solutions
     are back-substituted in reverse order.  Raises InversionFailed, naming
     the unsolved equations, when no step is possible.
+
+    Returns the field F of the equations, the steps as (unknown, solution)
+    in the order solved, where each solution holds only the equations'
+    other symbols and the unknowns solved after it, and the back-substituted
+    solutions in `unknowns` order: all elements of F, none turned into an
+    expression.
     """
     eqs = [sp.sympify(e) for e in eqs]
-    symbols = set().union(*(e.free_symbols for e in eqs))
-    args = {t.args[0] for e in eqs for t in e.atoms(sp.sin, sp.cos)}
-    # with an unknown inside sin/cos, every symbol gets sin/cos generators,
-    # so that sin(u) can become sin(v) when u is solved as v
-    F, elements = _convert(eqs + ([sp.cos(v) for v in symbols]
-                                  if args & set(unknowns) else []))
+    F, elements = _convert(eqs)
+    symbols = {key for key in F.keys if not isinstance(key, tuple)}
+    if set(F.args) & set(unknowns):
+        # every symbol gets sin/cos generators: sin(u) becomes sin(v) when u is solved as v
+        F, elements = _convert(eqs + [sp.cos(v) for v in symbols])
     ring = F.ring
     own = {u: {i for i in (F.index.get(u), F.index.get(("c", u)), F.index.get(("s", u)))
                if i is not None} for u in unknowns}
@@ -478,7 +494,7 @@ def solve_by_elimination(eqs: Iterable, unknowns: Sequence[sp.Symbol]
             raise InversionFailed(f"the solution for {u} divides by zero") from None
         later.update(values)
         later[F.index[u]] = solved[u]
-    return tuple(F.to_expr(solved[u]) for u in unknowns)
+    return F, [(u, v[F.index[u]]) for u, v in steps], tuple(solved[u] for u in unknowns)
 
 
 # --------------------------------------------------------------------------

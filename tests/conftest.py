@@ -126,3 +126,33 @@ def random_affine_system(rng: random.Random, n: int, m: int):
         h = tuple(e + rng.choice(offsets) for e in C * sp.Matrix(x + u))
     return DiscreteTimeSystem(states=x, inputs=u, f=tuple(f), x0=tuple(x0),
                               u0=tuple(u0), params=params, complement_h=h)
+
+
+def transformed_linear_systems(rng: random.Random, count: int):
+    """(A, B, system) for count pairs (A, B) with n in 3..4, m in 1..2,
+    entries in -2..2, [A, B] of rank n and B of rank m.  The system is
+    x+ = Ax + Bu written in z and v, with x_i = z_i + p_i(z_<i) and
+    u_j = v_j + q_j(z) for polynomials p, q of degree at most 2 with at
+    most 2 terms and no constant term: a state transformation and a static
+    feedback, which keep the equilibrium at 0."""
+    def poly(syms):
+        p = random_poly(rng, syms, 2, 2, 2) if syms else sp.Integer(0)
+        return p - p.xreplace(dict.fromkeys(syms, 0))
+
+    for _ in range(count):
+        n, m = rng.choice((3, 4)), rng.choice((1, 2))
+        while True:
+            A = sp.Matrix(n, n, lambda i, j: rng.randint(-2, 2))
+            B = sp.Matrix(n, m, lambda i, j: rng.randint(-2, 2))
+            if sp.Matrix.hstack(A, B).rank() == n and B.rank() == m:
+                break
+        z, v = sp.symbols(f"z1:{n + 1}"), sp.symbols(f"v1:{m + 1}")
+        x = [z[i] + poly(z[:i]) for i in range(n)]
+        u = [v[j] + poly(z) for j in range(m)]
+        x_next = A * sp.Matrix(x) + B * sp.Matrix(u)
+        z_next: list = []  # z_i = x_i - p_i(z_<i), at x = x_next
+        for i in range(n):
+            p = x[i] - z[i]
+            z_next.append(sp.expand(x_next[i] - p.xreplace(dict(zip(z, z_next)))))
+        yield A, B, DiscreteTimeSystem(states=z, inputs=v, f=tuple(z_next),
+                                       x0=(0,) * n, u0=(0,) * m)

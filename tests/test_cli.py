@@ -353,6 +353,28 @@ class TestErrorMapping:
             "  h = (x2,): no equation is linear in u1; unsolved: "
             "th2 - u1**3 - u1 - x1**3 - x1 = 0\n")
 
+    @pytest.mark.parametrize("f, why", [
+        # (f, h) = (x2, u1, u1) has rank 2 < 3
+        (["x2", "u1"], "(f, h) Jacobian rank deficient"),
+        # read3b: the sequence reads the inverse, and h = u1 does not invert
+        (["x2^3 + x2 + x1*u1", "u1^3 + u1 + x1^3 + x1"],
+         "no equation is linear in x2; unsolved: th2 - u1**3 - u1 - x1**3 - x1 = 0"),
+    ], ids=["rank-deficient", "read3b"])
+    def test_supplied_complement_without_a_chart_exits_three(
+            self, tmp_path, capsys, f, why):
+        """A supplied h: that gives no chart is named as supplied, and the
+        message points to inverse: instead of asking for an h."""
+        bad = tmp_path / "supplied_h.sys"
+        bad.write_text("states: x1 x2\ninputs: u1\n" + "".join(f"f: {e}\n" for e in f)
+                       + "h: u1\nx0: 0 0\nu0: 0\n")
+        assert cli.run(["analyze", str(bad)]) == cli.EXIT_INVERSION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "inversion failed: the supplied complement (h) gives no invertible "
+            "adapted chart; supply its inverse chart map (inverse:) or another "
+            f"complement. Tried:\n  h = (u1,): {why}\n")
+
     def test_main_raises_systemexit(self):
         with pytest.raises(SystemExit) as exc:
             import sys

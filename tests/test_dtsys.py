@@ -6,7 +6,7 @@ import sympy as sp
 from sympy.polys.domains import QQ
 
 from conftest import random_affine_system, random_poly
-from fwdflat import dtsys, symcore
+from fwdflat import domain, dtsys, flatness, symcore
 from fwdflat.dtsys import (
     DiscreteTimeSystem,
     FlatOutputCandidate,
@@ -21,7 +21,7 @@ from fwdflat.dtsys import (
     verify_flat_output,
     verify_triangular_decomposition,
 )
-from fwdflat.errors import InversionFailed, ShiftBudgetExceeded
+from fwdflat.errors import InternalInconsistency, InversionFailed, ShiftBudgetExceeded
 from fwdflat.extcalc import (
     Codistribution,
     Distribution,
@@ -210,8 +210,8 @@ class TestSolveInverse:
                 known[z[i]] = sp.expand(x[i] - ps[i].xreplace(known))
             eqs = [x[i] - back[x[i]] for i in range(n)]
             rng.shuffle(eqs)
-            got = _solve_inverse(eqs, list(z), back)
-            assert all(is_zero(g - known[zi]) for g, zi in zip(got, z)), (eqs, got)
+            got = _solve_inverse(eqs, list(z), back).exprs
+            assert all(is_zero(got[zi] - known[zi]) for zi in z), (eqs, got)
 
     def test_coefficients_depending_on_another_unknown(self):
         x1, x2, th1, th2 = sp.symbols("x1 x2 th1 th2")
@@ -224,8 +224,8 @@ class TestSolveInverse:
         ]
         for (f1, f2), known in cases:
             back = {th1: f1, th2: f2}
-            got = _solve_inverse([th1 - f1, th2 - f2], [x1, x2], back)
-            assert all(is_zero(g - k) for g, k in zip(got, known)), got
+            got = _solve_inverse([th1 - f1, th2 - f2], [x1, x2], back).exprs
+            assert all(is_zero(got[x] - k) for x, k in zip((x1, x2), known)), got
 
     def test_nonlinear_equation_is_named(self):
         x1, x2, a, b = sp.symbols("x1 x2 a b")
@@ -233,6 +233,87 @@ class TestSolveInverse:
         with pytest.raises(InversionFailed,
                            match=r"linear in x2; unsolved: b - x2\*\*3 = 0$"):
             _solve_inverse([a - back[a], b - back[b]], [x1, x2], back)
+
+    @staticmethod
+    def _corrupting_one_step(monkeypatch, k, by):
+        """solve_by_elimination with by(F, g, h), for the field's last two
+        generators g and h, added to the solution of step k only: the
+        back-substituted solutions stay correct."""
+        solve = symcore.solve_by_elimination
+
+        def corrupted(eqs, unknowns):
+            F, steps, solved = solve(eqs, unknowns)
+            u, s = steps[k]
+            steps[k] = (u, F.add(s, by(F, *F.field.gens[-2:])))
+            return F, steps, solved
+        monkeypatch.setattr(symcore, "solve_by_elimination", corrupted)
+
+    def test_a_corrupted_step_is_refused(self, monkeypatch):
+        """The round trip checks each step: a step's solution off by a
+        constant is refused, although the flattened solutions invert."""
+        x1, x2, th1, th2 = sp.symbols("x1 x2 th1 th2")
+        back = {th1: x1 + x2 ** 2, th2: x2}
+        eqs = [th1 - back[th1], th2 - back[th2]]
+        assert _solve_inverse(eqs, [x1, x2], back).exprs == {
+            x1: th1 - th2 ** 2, x2: th2}
+        for k in range(2):
+            with monkeypatch.context() as m:
+                self._corrupting_one_step(m, k, lambda F, *_: QQ.one)
+                with pytest.raises(InversionFailed, match=r" does not invert the map$"):
+                    _solve_inverse(eqs, [x1, x2], back)
+
+    def test_a_nonzero_difference_is_cross_checked(self, monkeypatch):
+        """A nonzero difference of the round trip passes through
+        check_nonzero, the last check before InversionFailed is raised."""
+        x1, x2, th1, th2 = sp.symbols("x1 x2 th1 th2")
+        back = {th1: x1 + x2 ** 2, th2: x2}
+        checked, check = [], domain._Field.check_nonzero
+        monkeypatch.setattr(domain._Field, "check_nonzero", lambda F, x: (
+            checked.append(F.to_expr(x)) or check(F, x)))
+        # x1 = th1 - x2**2 becomes th1 - x2**2 + x1 + x2, which gives 2*x1 + x2
+        self._corrupting_one_step(monkeypatch, 0, lambda F, a, b: F.add(a, b))
+        with pytest.raises(InversionFailed, match=r"^x1 = .* does not invert the map$"):
+            _solve_inverse([th1 - back[th1], th2 - back[th2]], [x1, x2], back)
+        assert checked[-1] == x1 + x2
+
+    @pytest.mark.parametrize("name", ["running", "academic", "vtol", "nonflat"])
+    def test_a_solved_inverse_is_converted_nowhere(self, name, request, monkeypatch):
+        """The chart's to_adapted is the Substitution that _solve_inverse
+        returns, and once the elimination has solved an inverse, of the
+        chart or of a decomposition's maps, none of its solutions passes
+        through domain._convert, in the sequence or in the decomposition
+        verifier."""
+        fixture = request.getfixturevalue(name)
+        returned, solutions, late = [], set(), []
+        solve, eliminate = dtsys._solve_inverse, symcore.solve_by_elimination
+        convert, charts, chart = domain._convert, [], flatness.build_adapted_chart
+
+        def eliminating(eqs, unknowns):
+            F, steps, solved = eliminate(eqs, unknowns)
+            solutions.update(e for e in map(F.to_expr, solved) if not e.is_Symbol)
+            return F, steps, solved
+
+        def converting(exprs):
+            exprs = list(exprs)
+            late.extend(e for e in exprs if e in solutions)
+            return convert(exprs)
+
+        monkeypatch.setattr(symcore, "solve_by_elimination", eliminating)
+        monkeypatch.setattr(dtsys, "_solve_inverse",
+                            lambda *a: returned.append(solve(*a)) or returned[-1])
+        for module in (domain, symcore):
+            monkeypatch.setattr(module, "_convert", converting)
+        monkeypatch.setattr(flatness, "build_adapted_chart",
+                            lambda s: charts.append(chart(s)) or charts[-1])
+        flatness.compute_sequence(fixture.system)
+        (ac,) = charts
+        # vtol supplies its inverse chart
+        assert returned == [] if name == "vtol" else ac.to_adapted is returned[0]
+        if fixture.decomposition is not None:
+            verify_triangular_decomposition(fixture.system, fixture.decomposition)
+            assert len(returned) == 3  # the chart's, the state map's, the input map's
+        assert bool(solutions) == bool(returned)
+        assert late == []
 
 
 def _counting_solve_inverse(monkeypatch) -> list:
@@ -258,7 +339,7 @@ class TestDeferredInverse:
             supplied += sys.complement_h is not None
             with_params += bool(sys.params)
             ac = build_adapted_chart(sys)
-            assert calls == [] and ac._from_adapted is None
+            assert calls == [] and ac._to_adapted is None
             # the chosen h is the first candidate of full rank, as before
             if sys.complement_h is None:
                 first = next(h for h in itertools.combinations(
@@ -268,8 +349,8 @@ class TestDeferredInverse:
             back = dict(zip(ac.theta + ac.xi, sys.f + ac.h))
             eager = _solve_inverse([s - e for s, e in back.items()],
                                    list(sys.chart.symbols), back)
-            assert ac.from_adapted == eager
-            assert ac.from_adapted is ac.from_adapted and len(calls) == 1
+            assert ac.from_adapted == tuple(eager.exprs.values())
+            assert ac.to_adapted is ac.to_adapted and len(calls) == 1
             _assert_inverts(ac)
             calls.clear()
         assert supplied >= 10 and with_params >= 20
@@ -286,10 +367,10 @@ class TestDeferredInverse:
                  complement_h=None if h is None else tuple(map(sp.sympify, h)))
         calls = _counting_solve_inverse(monkeypatch)
         ac = build_adapted_chart(s)
-        assert calls == [] and ac._from_adapted is None
+        assert calls == [] and ac._to_adapted is None
         assert ac.h == ((u1,) if h is None else (x1 + x2 ** 2,))
-        inverse = ac.from_adapted
-        assert len(calls) == 1 and ac.from_adapted is inverse
+        inverse = ac.to_adapted
+        assert len(calls) == 1 and ac.to_adapted is inverse
         _assert_inverts(ac)
 
     def test_first_read_falls_back_to_later_complements(self, monkeypatch):
@@ -304,13 +385,13 @@ class TestDeferredInverse:
                  [1, sp.Rational(-1, 4)])
         calls = _counting_solve_inverse(monkeypatch)
         ac = build_adapted_chart(s)
-        assert calls == [] and ac._from_adapted is None and ac.h == (v1, v2)
-        inverse = ac.from_adapted
+        assert calls == [] and ac._to_adapted is None and ac.h == (v1, v2)
+        inverse = ac.to_adapted
         assert ac.h == (v1, z1) and len(calls) == 2
         back = dict(zip(ac.theta + ac.xi, s.f + ac.h))
-        assert inverse == _solve_inverse([y - e for y, e in back.items()],
-                                         list(s.chart.symbols), back)
-        assert ac.from_adapted is inverse and len(calls) == 2
+        assert inverse.exprs == _solve_inverse([y - e for y, e in back.items()],
+                                               list(s.chart.symbols), back).exprs
+        assert ac.to_adapted is inverse and len(calls) == 2
         _assert_inverts(ac)
 
 

@@ -15,6 +15,7 @@ from conftest import (
     random_entry,
     random_poly,
     random_reduced_rows,
+    transformed_linear_systems,
 )
 from fwdflat import domain, dtsys, extcalc, flatness, symcore
 from fwdflat.dtsys import DiscreteTimeSystem, TriangularDecomposition
@@ -261,7 +262,7 @@ def _random_adapted_chart(rng, n, m):
         f=tuple(inv[t] for t in th_xi[:n]), x0=(0,) * n, u0=(0,) * m)
     return sys, dtsys.AdaptedChart(sys, tuple(th_xi[:n]), tuple(th_xi[n:]),
                                    tuple(inv[x] for x in th_xi[n:]),
-                                   tuple(G[w] for w in xu))
+                                   Substitution({w: G[w] for w in xu}))
 
 
 class TestAdaptedCoordinateShortcuts:
@@ -389,8 +390,8 @@ class TestDeferredInverse:
         inversions, substitutions = [], []
         solve, init = dtsys._solve_inverse, Substitution.__init__
 
-        def counting_init(S, mapping):
-            init(S, mapping)
+        def counting_init(S, mapping, F=None):
+            init(S, mapping, F)
             substitutions.append(S)
 
         monkeypatch.setattr(dtsys, "_solve_inverse",
@@ -412,16 +413,20 @@ class TestDeferredInverse:
     @pytest.mark.parametrize("name", ["running", "academic", "vtol", "nonflat"])
     def test_each_chart_map_is_built_once(self, name, request, monkeypatch):
         """One run builds the chart's to_adapted and to_x once each, the
-        equilibrium's point once, for the ranks there, and no other
+        equilibrium's point once, for the ranks there, the Substitution of
+        (f, h) once for the round trip of each solved inverse, and no other
         Substitution."""
         sys = request.getfixturevalue(name).system
         charts, chart = [], flatness.build_adapted_chart
         monkeypatch.setattr(flatness, "build_adapted_chart",
                             lambda s: charts.append(chart(s)) or charts[-1])
-        _, substitutions = self._count(monkeypatch)
+        inversions, substitutions = self._count(monkeypatch)
         compute_sequence(sys)
         built, (ac,) = list(substitutions), charts
-        point, *maps = built
+        back = dict(zip(ac.theta + ac.xi, sys.f + ac.h))
+        round_trips = [S for S in built if S.exprs == back]
+        assert len(round_trips) == len(inversions) == (sys.inverse_chart is None)
+        point, *maps = [S for S in built if S not in round_trips]
         assert point.exprs == {**sys.equilibrium_subs(),
                                **{p: point.exprs[p] for p in sys.params}}
         assert all(point.exprs[p].is_Rational and point.exprs[p] for p in sys.params)
@@ -464,31 +469,10 @@ def test_transformed_linear_systems_match_the_kalman_oracle():
     feedback, which keep the equilibrium at 0 and leave the dims, k_bar and
     the verdict of the Kalman oracle.  The charts of these systems are not
     affine, so every run inverts its chart."""
-    rng = random.Random(2718)
-
-    def poly(syms):
-        p = random_poly(rng, syms, 2, 2, 2) if syms else sp.Integer(0)
-        return p - p.xreplace(dict.fromkeys(syms, 0))
-
-    for _ in range(16):
-        n, m = rng.choice((3, 4)), rng.choice((1, 2))
-        while True:
-            A = sp.Matrix(n, n, lambda i, j: rng.randint(-2, 2))
-            B = sp.Matrix(n, m, lambda i, j: rng.randint(-2, 2))
-            if sp.Matrix.hstack(A, B).rank() == n and B.rank() == m:
-                break
-        z, v = sp.symbols(f"z1:{n + 1}"), sp.symbols(f"v1:{m + 1}")
-        x = [z[i] + poly(z[:i]) for i in range(n)]
-        u = [v[j] + poly(z) for j in range(m)]
-        x_next = A * sp.Matrix(x) + B * sp.Matrix(u)
-        z_next: list = []  # z_i = x_i - p_i(z_<i), at x = x_next
-        for i in range(n):
-            p = x[i] - z[i]
-            z_next.append(sp.expand(x_next[i] - p.xreplace(dict(zip(z, z_next)))))
-        report = compute_sequence(DiscreteTimeSystem(
-            states=z, inputs=v, f=tuple(z_next), x0=(0,) * n, u0=(0,) * m))
+    for A, B, sys in transformed_linear_systems(random.Random(2718), 16):
+        report = compute_sequence(sys)
         dims = _kalman_dims(A, B)
-        assert report.dims == dims, (A, B, x, u)
+        assert report.dims == dims, (A, B, sys.f)
         assert report.k_bar == len(dims)
         assert report.verdict == (STATIC_FEEDBACK_LINEARIZABLE if dims[-1] == 0
                                   else NOT_FORWARD_FLAT)
@@ -625,11 +609,13 @@ class TestRowsStayExact:
     def test_conversions_do_not_grow_with_k_bar(self, name, request, monkeypatch):
         """Between building the adapted chart and building the report,
         compute_sequence converts, apart from what the chart's inversion
-        converts, only the inverse chart and θ -> x, plus two conversions
-        (its normal form, then cos and sin) per trig angle of f that passes
-        through them; and it turns no row entry back into an expression.
-        On a linear system every row is constant, so neither map is solved
-        or converted."""
+        converts, only θ -> x, plus two conversions (its normal form, then
+        cos and sin) per trig angle of f that passes through the chart's
+        maps; and it turns no row entry back into an expression.  The
+        inverse chart is converted only where it is supplied, once, when
+        the chart is built: a solved one stays in the domain.  On a linear
+        system every row is constant, so neither map is solved or
+        converted."""
         sys = _linear_six() if name == "linear6" else request.getfixturevalue(name).system
         inverse = dtsys.build_adapted_chart(sys).from_adapted
         phase, conversions, expressions = ["setup"], [], []
@@ -640,7 +626,7 @@ class TestRowsStayExact:
             exprs = list(exprs)
             conversions.append(phase[0])
             if tuple(exprs) == inverse:
-                conversions.append("inverse chart")
+                conversions.append(f"inverse chart in {phase[0]}")
             return convert(exprs)
 
         def chart_then_loop(s):
@@ -674,12 +660,12 @@ class TestRowsStayExact:
         # running inverts its chart on the first read, in the loop; vtol
         # supplies its inverse
         assert ("inversion" in conversions) == (name == "running")
+        assert [c for c in conversions if c.startswith("inverse chart")] == (
+            ["inverse chart in setup"] if name == "vtol" else [])
         if name == "linear6":
             assert conversions.count("loop") == 0
-            assert "inverse chart" not in conversions
         else:
-            assert conversions.count("loop") == 2 + 2 * len(angles)
-            assert conversions.count("inverse chart") == 1
+            assert conversions.count("loop") == 1 + 2 * len(angles)
         assert "loop" not in expressions and "report" not in expressions
 
     def test_linear_six(self):

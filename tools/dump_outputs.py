@@ -24,8 +24,11 @@ The outputs are:
   found, or supplied, in each of the ways a complement is accepted; five
   trig chains, a cubic, a quintic and ``read3``, whose complements do not
   invert by elimination and whose sequences never read the inverse;
-  ``read3b``, whose sequence reads it and exits 3; and the transformed
-  running example, whose first read adopts a later complement;
+  ``read3b``, whose sequence reads it and exits 3; the transformed
+  running example, whose first read adopts a later complement; and three
+  systems whose supplied chart is refused with exit 3: a supplied ``h:``
+  that leaves (f, h) rank deficient, ``read3b`` with a supplied ``h:``
+  that does not invert, and a wrong supplied ``inverse:``;
 - the exit code, stdout and stderr of ``verify-flat-output --max-shift -1``
   on ``fixtures/*.sys``;
 - for every step ``P_k`` of the sequence of ``fixtures/*.sys`` and of
@@ -34,11 +37,19 @@ The outputs are:
   rows of ``J_f`` (``ROW_SPACE_CHAINS``);
 - ``compute_sequence(...).to_json_dict()`` on chain(3) to chain(12);
 - the same on the 70 ``linear`` systems of each of the benchmark seeds
-  1 to 3, generated by ``bench/workloads.py``.
+  1 to 3, generated by ``bench/workloads.py``;
+- the same on the 16 transformed linear systems of the Kalman oracle's
+  test, generated from seed 2718 by ``transformed_linear_systems`` of
+  ``tests/conftest.py``: polynomial charts whose inverse the sequence
+  reads.
+
+That makes 445 outputs.
 
 Every command runs in this process with the zero test configured as the
 CLI configures it by default.  The package is imported from ``src/`` of
-the checkout that holds this script.
+the checkout that holds this script, and the transformed systems'
+generator from its ``tests/conftest.py``, which needs pytest and
+hypothesis.
 """
 
 from __future__ import annotations
@@ -46,6 +57,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -62,6 +74,7 @@ SYSTEM_DIRS = (ROOT / "fixtures", ROOT / "tests" / "golden" / "systems")
 CHAIN_SIZES = range(3, 13)
 ROW_SPACE_CHAINS = range(3, 7)
 LINEAR_SEEDS = (1, 2, 3)
+KALMAN_SEED, KALMAN_COUNT = 2718, 16
 
 # name -> (fixture, the lines that replace each listed key's lines)
 DECOMPOSITION_VARIANTS = {
@@ -268,6 +281,36 @@ f: v2 + z2
 x0: 1/2 1/4 0
 u0: 1 -1/4
 """,
+    # (f, h) = (x2, u1, u1) is rank deficient
+    "supplied-h-rank-deficient": """\
+states: x1 x2
+inputs: u1
+f: x2
+f: u1
+h: u1
+x0: 0 0
+u0: 0
+""",
+    # the sequence reads the inverse, and the supplied h does not invert
+    "read3b-supplied-h": """\
+states: x1 x2
+inputs: u1
+f: x2^3 + x2 + x1*u1
+f: u1^3 + u1 + x1^3 + x1
+h: u1
+x0: 0 0
+u0: 0
+""",
+    "wrong-supplied-inverse": """\
+states: x1
+inputs: u1
+f: x1 + u1
+h: u1
+inverse: th1
+inverse: xi1 + 1
+x0: 0
+u0: 0
+""",
 }
 
 
@@ -289,9 +332,12 @@ def _cli_output(argv: list[str]) -> str:
     return f"exit: {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
 
 
-def _report(text: str) -> str:
+def _report(system) -> str:
+    """compute_sequence(...).to_json_dict() of a system, or of its text."""
     symcore.configure()
-    report = flatness.compute_sequence(sysfile.parse_system_text(text).system)
+    if isinstance(system, str):
+        system = sysfile.parse_system_text(system).system
+    report = flatness.compute_sequence(system)
     return json.dumps(report.to_json_dict(), indent=2) + "\n"
 
 
@@ -377,6 +423,11 @@ def outputs():
     for seed in LINEAR_SEEDS:
         for i, (text, _) in enumerate(workloads.linear_systems(seed), start=1):
             yield f"linear-seed{seed}-{i:02d}.json", _report(text)
+    sys.path.insert(0, str(ROOT / "tests"))
+    from conftest import transformed_linear_systems
+    systems = transformed_linear_systems(random.Random(KALMAN_SEED), KALMAN_COUNT)
+    for i, (_, _, system) in enumerate(systems, start=1):
+        yield f"transformed-linear-{i:02d}.json", _report(system)
 
 
 def main(argv: list[str]) -> int:
