@@ -592,10 +592,9 @@ class _Field:
             plan = self._plans[F] = _Plan(self, targets)
         return plan
 
-    def substitute(self, x, values: Mapping):
-        """The element x with generator i replaced by the element values[i]."""
-        targets = [values.get(i, i) for i in range(self.ring.ngens)]
-        return _Plan(self, targets).compose(x)
+    def substitution(self, values: Mapping) -> "_Plan":
+        """The plan that replaces generator i by the element values[i]."""
+        return _Plan(self, [values.get(i, i) for i in range(self.ring.ngens)])
 
     def derivation(self, v: sp.Symbol):
         """d/dv on the elements, or None if v is no generator.

@@ -22,7 +22,6 @@ from sympy.polys.domains import QQ
 
 from . import domain, symcore
 from .errors import (
-    ExprSyntaxError,
     FwdflatError,
     InternalInconsistency,
     InversionFailed,
@@ -34,6 +33,12 @@ from .extcalc import Chart, OneForm
 from .symcore import Expr, domain_form, is_zero, normalize
 
 DEFAULT_MAX_SHIFT = 25
+
+
+def _row_of(exprs: Sequence[Expr]) -> symcore.Rows:
+    """The expressions as one row of exact elements (see domain._convert)."""
+    F, elements = domain._convert(exprs)
+    return symcore.Rows(F, [elements], len(elements))
 
 
 def _fresh_names(prefix: str, count: int, taken: set[str]) -> list[str]:
@@ -99,13 +104,19 @@ class DiscreteTimeSystem:
         subs.update(zip(self.inputs, self.u0))
         return subs
 
+    @functools.cached_property
+    def f_row(self) -> symcore.Rows:
+        """f as one row of exact elements, converted once per system: its
+        Jacobian and the adapted chart's inversion both take them."""
+        return _row_of(self.f)
+
     def jacobian_rows(self) -> symcore.Rows:
         """d f / d (x, u), n rows of n+m exact elements, computed on first
         use, in the field of the generators that they use (None when every
         entry is a QQ number)."""
         J = self.__dict__.get("_jacobian_rows")
         if J is None:
-            J = symcore.Rows.stack(symcore.jacobian_rows(self.f, self.chart.symbols))
+            J = symcore.Rows.stack(symcore.jacobian_rows(self.f_row, self.chart.symbols))
             object.__setattr__(self, "_jacobian_rows", J)
         return J
 
@@ -215,7 +226,8 @@ class AdaptedChart:
     to_adapted, the inverse map, which is solved on first access when it is
     not given, and to_x, converted on first access.  The complements that
     build_adapted_chart has not tried yet, and a line for each one it has,
-    wait in _candidates and _tried for that access."""
+    wait in _candidates and _tried for that access; _h_row holds h as the
+    chart search converted it."""
 
     system: DiscreteTimeSystem
     theta: tuple[sp.Symbol, ...]
@@ -224,6 +236,7 @@ class AdaptedChart:
     _to_adapted: symcore.Substitution | None = field(default=None, compare=False)
     _candidates: Iterator = field(default=iter(()), compare=False, repr=False)
     _tried: list[str] = field(default_factory=list, compare=False, repr=False)
+    _h_row: symcore.Rows | None = field(default=None, compare=False, repr=False)
 
     @property
     def chart(self) -> Chart:
@@ -232,18 +245,22 @@ class AdaptedChart:
     @property
     def to_adapted(self) -> symcore.Substitution:
         """(x, u) -> x(theta, xi): coefficients into the adapted chart,
-        solved on first access by elimination (see _solve_inverse).  Where
-        h does not invert, the first later complement of full rank that
-        inverts takes its place (see build_adapted_chart)."""
+        solved on first access by elimination (see _solve_inverse) from the
+        elements of f and h, which are not converted again.  Where h does
+        not invert, the first later complement of full rank that inverts
+        takes its place (see build_adapted_chart)."""
+        sys, names = self.system, self.theta + self.xi
         while self._to_adapted is None:
-            back = dict(zip(self.theta + self.xi, self.system.f + self.h))
+            S = symcore.Rows.stack(sys.f_row, self._h_row)
+            maps = symcore.Rows(S.F, [S.rows[0] + S.rows[1]], len(names))
             try:
                 object.__setattr__(self, "_to_adapted", _solve_inverse(
-                    [s - e for s, e in back.items()], list(self.system.chart.symbols), back))
+                    names, maps, list(sys.chart.symbols), lambda: sys.f + self.h))
             except InversionFailed as exc:
                 self._tried.append(f"{self.h}: {exc}")
-                object.__setattr__(self, "h", _next_complement(
-                    self.system, self._candidates, self._tried))
+                h, h_row = _next_complement(sys, self._candidates, self._tried)
+                object.__setattr__(self, "h", h)
+                object.__setattr__(self, "_h_row", h_row)
         return self._to_adapted
 
     @property
@@ -257,52 +274,74 @@ class AdaptedChart:
         return symcore.Substitution(zip(self.theta, self.system.states))
 
 
-def _solve_inverse(eqs: Sequence[Expr], unknowns: Sequence[sp.Symbol],
-                   back_subs: Mapping) -> symcore.Substitution:
+def _leaves_fragment(F: domain._Field, x, allowed: set) -> bool:
+    """Whether the element x of F leaves the expression fragment over the
+    allowed symbols, read off the generators that x uses (see
+    ``_Field.used``): a symbol must be allowed, and so must the angle of
+    sin or cos, which must be a symbol.  This is the rule that
+    symcore._validate_tree applies to x's expression, whose tree holds
+    exactly those symbols and sin/cos terms."""
+    return any((key[1] if isinstance(key, tuple) else key) not in allowed
+               for key in F.used([x]))
+
+
+def _solve_inverse(names: Sequence[sp.Symbol], maps: symcore.Rows,
+                   unknowns: Sequence[sp.Symbol], exprs) -> symcore.Substitution:
     """The unknowns as functions of the equations' other symbols, solved
-    from eqs = 0 by elimination (see symcore.solve_by_elimination), as a
-    Substitution of the solutions' elements, which are not converted again.
-    Each solution must stay in the expression fragment over the equations'
-    other symbols, and each step must pass the round trip; raises
-    InversionFailed otherwise.
+    from names = maps, one row of exact elements, by elimination (see
+    symcore.solve_by_elimination), as a Substitution of the solutions'
+    elements, which are not converted again.  The equations names[i] -
+    maps[i] are built in the field of both; ``exprs()`` gives the maps'
+    expressions, built only for the message where no elimination step is
+    possible.  Each solution must stay in the expression fragment over the
+    equations' other symbols, checked on its generators (see
+    _leaves_fragment), and each step must pass the round trip; raises
+    InversionFailed otherwise, where the solution's expression is built
+    for the message.
 
     The round trip is checked one step at a time, in the domain.  Step k
-    solves x_k = s_k(y, x_later), where y are the symbols that back_subs
-    replaces and x_later the unknowns solved after x_k.  back_subs is
-    composed into every s_k by one Substitution, and each result must be
-    x_k: s_k(y(x), x_later) = x_k.  A result other than x_k's generator is
+    solves x_k = s_k(y, x_later), where y are the names and x_later the
+    unknowns solved after x_k.  y = maps(x) is composed into every s_k by
+    one Substitution of the maps' elements, and each result must be x_k:
+    s_k(y(x), x_later) = x_k.  A result other than x_k's generator is
     refused only after is_zero, whose numeric cross-check then runs on the
     difference.  The flattened inverse G is built in back-substitution
-    order, G_k(y) = s_k(y, G_later(y)), so G(y(x)) = x follows by induction
-    in that order: the last step has no later unknowns, and where
-    G_j(y(x)) = x_j for every later j, G_k(y(x)) = s_k(y(x), x_later) = x_k."""
-    F, steps, solved = symcore.solve_by_elimination(eqs, unknowns)
-    inverse = symcore.Substitution(zip(unknowns, solved), F)
+    order, G_k(y) = s_k(y, G_later(y)), so G(y(x)) = x follows by
+    induction in that order: the last step has no later unknowns, and
+    where G_j(y(x)) = x_j for every later j, G_k(y(x)) = s_k(y(x),
+    x_later) = x_k."""
+    N = domain._Field.of(names)
+    S = symcore.Rows.stack(symcore.Rows(N, [[N.field.gens[N.index[y]] for y in names]],
+                                        len(names)), maps)
+    F, steps, solved = symcore.solve_by_elimination(
+        S.F, [S.F.add(y, -g) for y, g in zip(*S.rows)], unknowns,
+        lambda: [y - e for y, e in zip(names, exprs())])
+    solution = dict(zip(unknowns, solved))
     allowed = {key for key in F.keys if not isinstance(key, tuple)} - set(unknowns)
-    for u, e in inverse.exprs.items():
-        try:
-            symcore._validate_tree(e, allowed, "")  # the text only labels errors
-        except ExprSyntaxError:
-            raise InversionFailed(f"{u} = {e} leaves the expression fragment") from None
-    R = symcore.Substitution(back_subs)(
-        symcore.Rows.stack(symcore.Rows(F, [[s for _, s in steps]], len(steps))))
+    for u, x in solution.items():
+        if _leaves_fragment(F, x, allowed):
+            raise InversionFailed(f"{u} = {F.to_expr(x)} leaves the expression fragment")
+    back = symcore.Substitution(zip(names, maps.rows[0]), maps.F)
+    R = back(symcore.Rows.stack(symcore.Rows(F, [[s for _, s in steps]], len(steps))))
     for (u, _), x in zip(steps, R.rows[0]):
         if not (R.F is not None and x == R.F.gen_of.get(u) or is_zero(R.to_expr(x) - u)):
-            raise InversionFailed(f"{u} = {inverse.exprs[u]} does not invert the map")
-    return inverse
+            raise InversionFailed(f"{u} = {F.to_expr(solution[u])} does not invert the map")
+    return symcore.Substitution(solution, F)
 
 
 def _next_complement(sys: DiscreteTimeSystem, candidates: Iterator,
-                     tried: list[str]) -> tuple[Expr, ...]:
-    """The next of the candidates whose (f, h) Jacobian has full rank,
-    with a line in tried for each one passed over; InversionFailed, naming
-    every complement tried, when none is left."""
+                     tried: list[str]) -> tuple[tuple[Expr, ...], symcore.Rows]:
+    """The next of the candidates whose (f, h) Jacobian has full rank, and
+    its row of exact elements, with a line in tried for each one passed
+    over; InversionFailed, naming every complement tried, when none is
+    left."""
     J = sys.jacobian_rows()
     for h in candidates:
         h = tuple(sp.sympify(e) for e in h)
-        if symcore.Rows.stack(J, symcore.jacobian_rows(h, sys.chart.symbols)
+        row = _row_of(h)
+        if symcore.Rows.stack(J, symcore.jacobian_rows(row, sys.chart.symbols)
                               ).rank() == sys.n + sys.m:
-            return h
+            return h, row
         tried.append(f"{h}: (f, h) Jacobian rank deficient")
     raise InversionFailed(
         ("the supplied complement (h) gives no invertible adapted chart; supply its inverse "
@@ -350,9 +389,9 @@ def build_adapted_chart(sys: DiscreteTimeSystem) -> AdaptedChart:
     candidates = (iter([sys.complement_h]) if sys.complement_h is not None
                   else itertools.combinations(sys.inputs + sys.states, sys.m))
     tried: list[str] = []
-    h = _next_complement(sys, candidates, tried)
+    h, h_row = _next_complement(sys, candidates, tried)
     if sys.inverse_chart is None:
-        return AdaptedChart(sys, theta, xi, h, None, candidates, tried)
+        return AdaptedChart(sys, theta, xi, h, None, candidates, tried, h_row)
     back = dict(zip(theta + xi, sys.f + h))
     to_chart = dict(zip(inverse_chart_symbols(sys.n, sys.m), theta + xi))
     inv = tuple(sp.sympify(e).xreplace(to_chart) for e in sys.inverse_chart)
@@ -619,7 +658,8 @@ def verify_triangular_decomposition(sys: DiscreteTimeSystem,
         if sp.sympify(e).free_symbols - set(sys.states) - set(sys.params):
             return DecompositionVerdict(False, ["state map must depend on x alone"])
 
-    full = symcore.jacobian_rows(dec.state_map + dec.input_map, sys.chart.symbols)
+    maps = _row_of(dec.state_map + dec.input_map)
+    full = symcore.jacobian_rows(maps, sys.chart.symbols)
     dx = symcore.Rows(full.F, [row[:sys.n] for row in full.rows[:sys.n]], sys.n)
     if dx.rank() < sys.n:
         return DecompositionVerdict(False, ["state map is not invertible"])
@@ -629,18 +669,21 @@ def verify_triangular_decomposition(sys: DiscreteTimeSystem,
     taken = {s.name for s in sys.states + sys.inputs + sys.params}
     xbar = tuple(sp.Symbol(nm) for nm in _fresh_names("xb", sys.n, set(taken)))
     ubar = tuple(sp.Symbol(nm) for nm in _fresh_names("ub", sys.m, set(taken)))
-    back = dict(zip(xbar + ubar, dec.state_map + dec.input_map))
+    state_row, input_row = (symcore.Rows(maps.F, [row], len(row))
+                            for row in (maps.rows[0][:sys.n], maps.rows[0][sys.n:]))
     try:
-        x_subs = _solve_inverse(
-            [xb - e for xb, e in zip(xbar, dec.state_map)], list(sys.states), back).exprs
+        x_inv = _solve_inverse(xbar, state_row, list(sys.states), lambda: dec.state_map)
     except InversionFailed as exc:
         return DecompositionVerdict(False, [f"state map could not be inverted: {exc}"])
-    input_eqs = [ub - sp.sympify(e).xreplace(x_subs)
-                 for ub, e in zip(ubar, dec.input_map)]
+    # the input equations compose input_map with x's inverse, so their
+    # round trip gives u(xbar, input_map(x(xbar), u)) = u; at xbar =
+    # state_map(x), where x(xbar) = x, that is u(state_map, input_map) = u
     try:
-        inv_subs = x_subs | _solve_inverse(input_eqs, list(sys.inputs), back).exprs
+        u_inv = _solve_inverse(ubar, x_inv(input_row), list(sys.inputs), lambda: [
+            sp.sympify(e).xreplace(x_inv.exprs) for e in dec.input_map])
     except InversionFailed as exc:
         return DecompositionVerdict(False, [f"input map could not be inverted: {exc}"])
+    inv_subs = x_inv.exprs | u_inv.exprs
 
     f_subbed = [sp.sympify(fi).xreplace(inv_subs) for fi in sys.f]
     fbar = tuple(domain_form(sp.sympify(e).xreplace(dict(zip(sys.states, f_subbed))))

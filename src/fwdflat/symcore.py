@@ -19,7 +19,8 @@ The kernel of reduced rows is read off them by one routine,
 of rows that lie in a row space: every annihilator, intersection and
 integrability test of the package runs on these two.
 Chart inversions solve in the same domain
-(:func:`solve_by_elimination`), and their solutions stay there: a
+(:func:`solve_by_elimination`), on equations built from the maps'
+elements, and their solutions stay there: a
 :class:`Substitution` takes them as elements, with no conversion, and
 composes rows with them.  Every derivative is taken there
 (:func:`jacobian_rows` and ``Rows.derivative``: the ring's derivations, with d cos(a)/da = -sin(a)
@@ -36,6 +37,7 @@ parameters are plain ``sympy.Symbol`` objects.
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import operator
 import unicodedata
@@ -292,27 +294,35 @@ class Rows:
 
 
 class Substitution:
-    """Symbols replaced by expressions, applied to rows.  The expressions
-    are converted once, and so are cos and sin of each angle that holds a
-    replaced symbol, on first use; each composed element is cancelled
-    once (see ``_Plan.compose``).  Rows whose every generator becomes a
-    number are evaluated (``Rows._at``).
+    """Symbols replaced by values, applied to rows: each composed element
+    is cancelled once (see ``_Plan.compose``), and rows whose every
+    generator becomes a number are evaluated (``Rows._at``).
 
-    With a field F, the mapping's values are elements of F or ``QQ``
-    numbers, already converted: they are moved into the field of the
-    generators that they use, and only their expressions are built."""
+    The values are given as expressions, which are converted once, or,
+    with a field F, as elements of F or ``QQ`` numbers, already converted,
+    which are moved into the field of the generators that they use.
+    ``exprs`` holds the values' expressions: those given, or, for
+    elements, built only when read, as ``_angle`` reads them for an angle
+    that holds a replaced symbol.  cos and sin of each such angle are
+    converted once, on first use."""
 
     def __init__(self, mapping: Mapping, F: _Field | None = None):
-        self.exprs = dict(mapping)
         if F is None:
+            self.exprs = dict(mapping)
             self.F, values = _convert(self.exprs.values())
+            self.values = dict(zip(self.exprs, values))
         else:
-            R = Rows.stack(Rows(F, [list(self.exprs.values())], len(self.exprs)))
-            self.F, values = R.F, R.rows[0]
-            self.exprs = {s: F.to_expr(x) for s, x in self.exprs.items()}
-        self.values = dict(zip(self.exprs, values))
+            mapping = dict(mapping)
+            R = Rows.stack(Rows(F, [list(mapping.values())], len(mapping)))
+            self.F, self.values = R.F, dict(zip(mapping, R.rows[0]))
         self._angles: dict = {}
         self._plans: dict = {}
+
+    @functools.cached_property
+    def exprs(self) -> dict:
+        """Each symbol's expression, built from its element."""
+        return {s: QQ.to_sympy(x) if type(x) is _MPQ else self.F.to_expr(x)
+                for s, x in self.values.items()}
 
     def _angle(self, a):
         """The field of cos and sin of a with the symbols replaced, and the
@@ -332,10 +342,10 @@ class Substitution:
         if plan is None:
             kept, images = [], []  # images: (index, field, element)
             for i, key in enumerate(F.keys):
-                if isinstance(key, tuple) and key[1].free_symbols & self.exprs.keys():
+                if isinstance(key, tuple) and key[1].free_symbols & self.values.keys():
                     H, cs = self._angle(key[1])
                     images.append((i, H, cs[key[0]]))
-                elif key in self.exprs:
+                elif key in self.values:
                     images.append((i, self.F, self.values[key]))
                 else:
                     kept.append(key)
@@ -363,12 +373,14 @@ class Substitution:
         return Rows(move.G, [[move(x) for x in row] for row in R.rows], R.width)
 
 
-def jacobian_rows(exprs: Sequence, symbols: Sequence[sp.Symbol]) -> Rows:
+def jacobian_rows(exprs: Sequence | Rows, symbols: Sequence[sp.Symbol]) -> Rows:
     """The rows of partial derivatives d exprs[i] / d symbols[j], taken in
-    the expressions' field (see ``_Field.derivation``).  A symbol that is
-    not a generator gives 0; an expression outside the domain, such as
-    exp(x1), raises ExprSyntaxError."""
-    F, elements = _convert(exprs)
+    the expressions' field (see ``_Field.derivation``).  exprs is a
+    sequence of expressions, or one row of exact elements, which is not
+    converted again.  A symbol that is not a generator gives 0; an
+    expression outside the domain, such as exp(x1), raises
+    ExprSyntaxError."""
+    F, elements = (exprs.F, exprs.rows[0]) if isinstance(exprs, Rows) else _convert(exprs)
     ds = [F.derivation(v) if F is not None else None for v in symbols]
     return Rows(F, [[QQ.zero if d is None or type(x) is _MPQ else _demote(d(x))
                      for d in ds] for x in elements], len(symbols))
@@ -431,38 +443,42 @@ def _linear_candidates(F: _Field, pending: dict, remaining, own: dict, bare: dic
             yield i, u, a, b, values, not _gens_of(a) & others
 
 
-def solve_by_elimination(eqs: Iterable, unknowns: Sequence[sp.Symbol]
-                         ) -> tuple[_Field, list, tuple]:
-    """Solve eqs = 0 for the unknowns by elimination in the exact domain.
+def solve_by_elimination(F: _Field, eqs: Sequence, unknowns: Sequence[sp.Symbol],
+                         shown) -> tuple[_Field, list, tuple]:
+    """Solve eqs = 0, elements of F, for the unknowns by elimination in the
+    exact domain.
 
     Each step takes the first pending equation whose numerator has degree 1
     in a remaining unknown (the first such unknown in `unknowns` order),
     preferring a coefficient free of the other remaining unknowns, records
-    the solution and substitutes it into the pending equations only.  An
-    unknown inside sin/cos is eliminated only where its solution is a bare
-    symbol that is not an unknown, so that sin/cos keep a symbol argument.
-    Each step removes an unknown, so the elimination ends.  The solutions
-    are back-substituted in reverse order.  Raises InversionFailed, naming
-    the unsolved equations, when no step is possible.
+    the solution and substitutes it into the pending equations only, by
+    one plan per step.  An unknown inside sin/cos is eliminated only where
+    its solution is a bare symbol that is not an unknown, so that sin/cos
+    keep a symbol argument.  Each step removes an unknown, so the
+    elimination ends.  The solutions are back-substituted in reverse order.
+    Raises InversionFailed, naming the unsolved equations, when no step is
+    possible; ``shown()`` gives the equations' expressions, built only for
+    that message.
 
-    Returns the field F of the equations, the steps as (unknown, solution)
-    in the order solved, where each solution holds only the equations'
-    other symbols and the unknowns solved after it, and the back-substituted
-    solutions in `unknowns` order: all elements of F, none turned into an
-    expression.
+    Returns the field of the elimination (F, or F with sin/cos generators
+    for every symbol where an unknown is inside sin/cos), the steps as
+    (unknown, solution) in the order solved, where each solution holds
+    only the equations' other symbols and the unknowns solved after it, and
+    the back-substituted solutions in `unknowns` order: all elements of
+    that field, none turned into an expression.
     """
-    eqs = [sp.sympify(e) for e in eqs]
-    F, elements = _convert(eqs)
     symbols = {key for key in F.keys if not isinstance(key, tuple)}
     if set(F.args) & set(unknowns):
         # every symbol gets sin/cos generators: sin(u) becomes sin(v) when u is solved as v
-        F, elements = _convert(eqs + [sp.cos(v) for v in symbols])
+        G = _Field.union([F, _Field.of([*symbols, *((t, v) for v in symbols for t in "cs")])])
+        move, F = G.plan_from(F), G
+        eqs = [move(x) for x in eqs]
     ring = F.ring
     own = {u: {i for i in (F.index.get(u), F.index.get(("c", u)), F.index.get(("s", u)))
                if i is not None} for u in unknowns}
     bare = {ring.gens[F.index[v]]: v for v in symbols - set(unknowns)}
     pending = {i: ring.ground_new(x) if type(x) is _MPQ else x.numer
-               for i, x in enumerate(elements[:len(eqs)])}
+               for i, x in enumerate(eqs)}
     remaining = list(unknowns)
     steps = []  # (unknown, substitution)
     while remaining:
@@ -474,22 +490,24 @@ def solve_by_elimination(eqs: Iterable, unknowns: Sequence[sp.Symbol]
             if free:
                 break
         if step is None:
+            exprs = shown()
             raise InversionFailed(
                 f"no equation is linear in {', '.join(map(str, remaining))}; "
-                f"unsolved: {', '.join(f'{eqs[i]} = 0' for i in pending)}")
+                f"unsolved: {', '.join(f'{exprs[i]} = 0' for i in pending)}")
         i, u, a, b, values = step
         values = values or {F.index[u]: F._new(-b, a)}
         F.check_nonzero(F._new(a, ring.one))  # as for an rref pivot
         del pending[i]
         remaining.remove(u)
         steps.append((u, values))
+        plan = F.substitution(values)
         for k, q in pending.items():
             if _gens_of(q) & set(values):
-                pending[k] = F.substitute(F._new(q, ring.one), values).numer
+                pending[k] = plan.compose(F._new(q, ring.one)).numer
     solved, later = {}, {}
     for u, values in reversed(steps):
         try:
-            solved[u] = F.substitute(values[F.index[u]], later)
+            solved[u] = F.substitution(later).compose(values[F.index[u]])
         except InternalInconsistency:
             raise InversionFailed(f"the solution for {u} divides by zero") from None
         later.update(values)

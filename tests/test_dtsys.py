@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -21,7 +22,12 @@ from fwdflat.dtsys import (
     verify_flat_output,
     verify_triangular_decomposition,
 )
-from fwdflat.errors import InternalInconsistency, InversionFailed, ShiftBudgetExceeded
+from fwdflat.errors import (
+    ExprSyntaxError,
+    InternalInconsistency,
+    InversionFailed,
+    ShiftBudgetExceeded,
+)
 from fwdflat.extcalc import (
     Codistribution,
     Distribution,
@@ -191,6 +197,13 @@ class TestAdaptedChart:
         assert "h = (x1,): no equation is linear in u1; unsolved: th1 - " in msg
 
 
+def _inverse(back: dict, unknowns) -> symcore.Substitution:
+    """_solve_inverse of back's symbols = back's expressions, converted
+    once, as a chart's maps are."""
+    return _solve_inverse(list(back), dtsys._row_of(list(back.values())), list(unknowns),
+                          lambda: list(back.values()))
+
+
 class TestSolveInverse:
     """_solve_inverse eliminates one unknown per step and checks the round
     trip; these cases have a known inverse to compare with exactly."""
@@ -208,9 +221,9 @@ class TestSolveInverse:
             known: dict = {}
             for i in range(n):
                 known[z[i]] = sp.expand(x[i] - ps[i].xreplace(known))
-            eqs = [x[i] - back[x[i]] for i in range(n)]
+            eqs = list(back.items())
             rng.shuffle(eqs)
-            got = _solve_inverse(eqs, list(z), back).exprs
+            got = _inverse(dict(eqs), z).exprs
             assert all(is_zero(got[zi] - known[zi]) for zi in z), (eqs, got)
 
     def test_coefficients_depending_on_another_unknown(self):
@@ -223,8 +236,7 @@ class TestSolveInverse:
             ((x1 * x2, x2 + x1 * x2), (th1 / (th2 - th1), th2 - th1)),
         ]
         for (f1, f2), known in cases:
-            back = {th1: f1, th2: f2}
-            got = _solve_inverse([th1 - f1, th2 - f2], [x1, x2], back).exprs
+            got = _inverse({th1: f1, th2: f2}, [x1, x2]).exprs
             assert all(is_zero(got[x] - k) for x, k in zip((x1, x2), known)), got
 
     def test_nonlinear_equation_is_named(self):
@@ -232,7 +244,7 @@ class TestSolveInverse:
         back = {a: x1 + x2 ** 2, b: x2 ** 3}
         with pytest.raises(InversionFailed,
                            match=r"linear in x2; unsolved: b - x2\*\*3 = 0$"):
-            _solve_inverse([a - back[a], b - back[b]], [x1, x2], back)
+            _inverse(back, [x1, x2])
 
     @staticmethod
     def _corrupting_one_step(monkeypatch, k, by):
@@ -241,8 +253,8 @@ class TestSolveInverse:
         back-substituted solutions stay correct."""
         solve = symcore.solve_by_elimination
 
-        def corrupted(eqs, unknowns):
-            F, steps, solved = solve(eqs, unknowns)
+        def corrupted(*args):
+            F, steps, solved = solve(*args)
             u, s = steps[k]
             steps[k] = (u, F.add(s, by(F, *F.field.gens[-2:])))
             return F, steps, solved
@@ -253,14 +265,12 @@ class TestSolveInverse:
         constant is refused, although the flattened solutions invert."""
         x1, x2, th1, th2 = sp.symbols("x1 x2 th1 th2")
         back = {th1: x1 + x2 ** 2, th2: x2}
-        eqs = [th1 - back[th1], th2 - back[th2]]
-        assert _solve_inverse(eqs, [x1, x2], back).exprs == {
-            x1: th1 - th2 ** 2, x2: th2}
+        assert _inverse(back, [x1, x2]).exprs == {x1: th1 - th2 ** 2, x2: th2}
         for k in range(2):
             with monkeypatch.context() as m:
                 self._corrupting_one_step(m, k, lambda F, *_: QQ.one)
                 with pytest.raises(InversionFailed, match=r" does not invert the map$"):
-                    _solve_inverse(eqs, [x1, x2], back)
+                    _inverse(back, [x1, x2])
 
     def test_a_nonzero_difference_is_cross_checked(self, monkeypatch):
         """A nonzero difference of the round trip passes through
@@ -273,7 +283,7 @@ class TestSolveInverse:
         # x1 = th1 - x2**2 becomes th1 - x2**2 + x1 + x2, which gives 2*x1 + x2
         self._corrupting_one_step(monkeypatch, 0, lambda F, a, b: F.add(a, b))
         with pytest.raises(InversionFailed, match=r"^x1 = .* does not invert the map$"):
-            _solve_inverse([th1 - back[th1], th2 - back[th2]], [x1, x2], back)
+            _inverse(back, [x1, x2])
         assert checked[-1] == x1 + x2
 
     @pytest.mark.parametrize("name", ["running", "academic", "vtol", "nonflat"])
@@ -288,8 +298,8 @@ class TestSolveInverse:
         solve, eliminate = dtsys._solve_inverse, symcore.solve_by_elimination
         convert, charts, chart = domain._convert, [], flatness.build_adapted_chart
 
-        def eliminating(eqs, unknowns):
-            F, steps, solved = eliminate(eqs, unknowns)
+        def eliminating(*args):
+            F, steps, solved = eliminate(*args)
             solutions.update(e for e in map(F.to_expr, solved) if not e.is_Symbol)
             return F, steps, solved
 
@@ -314,6 +324,106 @@ class TestSolveInverse:
             assert len(returned) == 3  # the chart's, the state map's, the input map's
         assert bool(solutions) == bool(returned)
         assert late == []
+
+
+    def test_fragment_is_checked_on_generators(self):
+        """_leaves_fragment, read off an element's generators, refuses
+        exactly the elements whose expression _validate_tree refuses:
+        seeded elements over allowed symbols a, b and an unknown x, with
+        sin/cos of an allowed symbol, of the unknown, of a number and of
+        compound arguments."""
+        a, b, x = sp.symbols("a b x")
+        inside = [a, b, sp.sin(a), sp.cos(a), sp.sin(2 * a), sp.cos(b)]
+        outside = [x, sp.sin(x), sp.cos(x), sp.sin(1), sp.cos(1), sp.sin(a * b),
+                   sp.cos(a + b)]
+        allowed, seen = {a, b}, {True: 0, False: 0}
+        rng = random.Random(2828)
+
+        def atom():
+            return rng.choice(outside if rng.random() < 0.15 else inside)
+
+        for e in outside + [None] * 300:
+            if e is None:
+                e = sp.Add(*(sp.Mul(rng.choice((-3, -1, 1, 2)), atom(), atom())
+                             for _ in range(rng.randint(1, 3))))
+                if rng.random() < 0.3:
+                    e /= 1 + atom()
+            F, (el,) = domain._convert([e])
+            if F is None:
+                continue
+            try:
+                symcore._validate_tree(F.to_expr(el), allowed, "")
+                refused = False
+            except ExprSyntaxError:
+                refused = True
+            assert dtsys._leaves_fragment(F, el, allowed) == refused, e
+            seen[refused] += 1
+        assert min(seen.values()) >= 50
+
+    def test_a_refused_solution_names_the_fragment(self):
+        """A solution that leaves the fragment is refused with its
+        expression: sin of a number here, and sin of a compound argument,
+        which the state map's inverse puts into the input map."""
+        x1, x2, u1, th1 = sp.symbols("x1 x2 u1 th1")
+        with pytest.raises(InversionFailed,
+                           match=r"^x1 = th1 - sin\(1\) leaves the expression fragment$"):
+            _inverse({th1: x1 + sp.sin(1)}, [x1])
+        s = _sys(["x1", "x2"], ["u1"], [x2, u1 + sp.sin(x1)], [0, 0], [0])
+        v = verify_triangular_decomposition(s, TriangularDecomposition(
+            (x1 + x2, x2), (u1 + sp.sin(x1),), (1, 1, 1, 0)))
+        assert v.reasons == ["input map could not be inverted: u1 = ub1 - sin(xb1 - xb2) "
+                             "leaves the expression fragment"]
+
+    @staticmethod
+    def _count_conversions(monkeypatch) -> tuple[list, list]:
+        """Record every domain._convert call, as (phase, expressions), the
+        phase being "inversion" inside dtsys._solve_inverse, and every
+        _solve_inverse call."""
+        conversions, inversions, phase = [], [], ["run"]
+        convert, solve = domain._convert, dtsys._solve_inverse
+
+        def counting(exprs):
+            exprs = list(exprs)
+            conversions.append((phase[0], exprs))
+            return convert(exprs)
+
+        def inverting(*args):
+            inversions.append(args)
+            phase[0] = "inversion"
+            try:
+                return solve(*args)
+            finally:
+                phase[0] = "run"
+
+        for module in (domain, symcore):
+            monkeypatch.setattr(module, "_convert", counting)
+        monkeypatch.setattr(dtsys, "_solve_inverse", inverting)
+        return conversions, inversions
+
+    @pytest.mark.parametrize("name", ["running", "academic", "nonflat"])
+    def test_f_is_converted_once_per_run(self, name, request, monkeypatch):
+        """One compute_sequence converts f once, and inverting the chart
+        converts nothing: its equations and its round trip are built from
+        the elements of f and of h."""
+        sys = dataclasses.replace(request.getfixturevalue(name).system)
+        conversions, inversions = self._count_conversions(monkeypatch)
+        flatness.compute_sequence(sys)
+        assert len(inversions) == 1
+        assert [c for _, c in conversions].count(list(sys.f)) == 1
+        assert [c for phase, c in conversions if phase == "inversion"] == []
+
+    @pytest.mark.parametrize("name", ["running", "academic"])
+    def test_decomposition_maps_are_converted_once(self, name, request, monkeypatch):
+        """The decomposition verifier converts state_map + input_map once,
+        for its Jacobian ranks and both inversions, whose equations and
+        round trips convert nothing."""
+        fixture = request.getfixturevalue(name)
+        dec = fixture.decomposition
+        conversions, inversions = self._count_conversions(monkeypatch)
+        assert verify_triangular_decomposition(fixture.system, dec).ok
+        assert len(inversions) == 2
+        assert [c for _, c in conversions].count(list(dec.state_map + dec.input_map)) == 1
+        assert [c for phase, c in conversions if phase == "inversion"] == []
 
 
 def _counting_solve_inverse(monkeypatch) -> list:
@@ -346,9 +456,7 @@ class TestDeferredInverse:
                     sys.inputs + sys.states, sys.m)
                     if sp.Matrix(sys.f + h).jacobian(sys.chart.symbols).det() != 0)
                 assert ac.h == first
-            back = dict(zip(ac.theta + ac.xi, sys.f + ac.h))
-            eager = _solve_inverse([s - e for s, e in back.items()],
-                                   list(sys.chart.symbols), back)
+            eager = _inverse(dict(zip(ac.theta + ac.xi, sys.f + ac.h)), sys.chart.symbols)
             assert ac.from_adapted == tuple(eager.exprs.values())
             assert ac.to_adapted is ac.to_adapted and len(calls) == 1
             _assert_inverts(ac)
@@ -389,9 +497,38 @@ class TestDeferredInverse:
         inverse = ac.to_adapted
         assert ac.h == (v1, z1) and len(calls) == 2
         back = dict(zip(ac.theta + ac.xi, s.f + ac.h))
-        assert inverse.exprs == _solve_inverse([y - e for y, e in back.items()],
-                                               list(s.chart.symbols), back).exprs
+        assert inverse.exprs == _inverse(back, s.chart.symbols).exprs
         assert ac.to_adapted is inverse and len(calls) == 2
+        _assert_inverts(ac)
+
+
+    def test_academic_inverse_is_built_only_when_read(self, academic, monkeypatch):
+        """compute_sequence composes with academic's solved inverse chart
+        on its elements alone: no expression is built, of a solution or of
+        anything else, until from_adapted is read, which gives the inverse
+        solved by hand."""
+        sys = dataclasses.replace(academic.system)
+        charts, chart = [], flatness.build_adapted_chart
+        monkeypatch.setattr(flatness, "build_adapted_chart",
+                            lambda s: charts.append(chart(s)) or charts[-1])
+        built, to_expr = [], domain._Field.to_expr
+        monkeypatch.setattr(domain._Field, "to_expr",
+                            lambda F, x: built.append(x) or to_expr(F, x))
+        flatness.compute_sequence(sys)
+        (ac,) = charts
+        assert ac._to_adapted is not None  # the sequence read the inverse
+        assert built == [] and "exprs" not in vars(ac.to_adapted)
+        th1, th2, th3, th4, th5, xi1, xi2 = ac.theta + ac.xi
+        assert ac.from_adapted == (
+            xi1,
+            th1 / (th2 + 1),
+            xi2,
+            (th1 + th2 * th3 - th2 * th5 + th2 + th3 - th5 + 1) / (th2 + 1),
+            (th1 * th4 - th1 + th2 ** 2 * xi1 + th2 * th4 + 2 * th2 * xi1 - th2 + th4
+             + xi1 - 1) / (th1 + th2 + 1),
+            th2,
+            (-th1 + th2 * th5 + th5) / (th2 + 1))
+        assert len(built) == 7
         _assert_inverts(ac)
 
 

@@ -19,7 +19,11 @@ range; and, per operation, each side's median of the fast means.  The
 file is written after every run, so an A/B that fails or is interrupted
 keeps the runs already made; a change that has no base to divide by is
 null, and prints as n/a.  A metric's direction ("lower" or "higher" is
-better) is read from the head's ``BENCHMARK.json``.  Standard library only.
+better) is read from the head's ``BENCHMARK.json``.  Before the first run,
+the ``__pycache__`` directories of both checkouts are removed, and the
+output and the file list them, so that ``setup_s`` and ``peak_rss_mb`` do
+not depend on which checkout an earlier run left compiled bytecode in.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import argparse
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -44,6 +49,16 @@ def commit(checkout: Path) -> dict:
         return out.stdout.strip() if out.returncode == 0 else None
     return {"commit": git("rev-parse", "HEAD"),
             "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
+
+
+def remove_bytecode(checkout: Path) -> list[str]:
+    """Remove every ``__pycache__`` directory under the checkout, .git
+    aside, and return their paths relative to it."""
+    found = sorted(d for d in checkout.rglob("__pycache__")
+                   if d.is_dir() and ".git" not in d.relative_to(checkout).parts)
+    for d in found:
+        shutil.rmtree(d)
+    return [str(d.relative_to(checkout)) for d in found]
 
 
 def per_operation(stdout: str) -> dict:
@@ -147,8 +162,13 @@ def main(argv=None) -> int:
     checkouts = {"base": args.base.resolve(), "head": args.head.resolve()}
     spec = json.loads((checkouts["head"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    removed = {s: remove_bytecode(c) for s, c in checkouts.items()}
+    for side, dirs in removed.items():
+        print(f"{side}: removed {len(dirs)} __pycache__ directories"
+              + "".join(f"\n  {d}" for d in dirs), flush=True)
     result = {
         "sides": {s: commit(c) for s, c in checkouts.items()},
+        "removed_pycache": removed,
         "cpu_count": os.cpu_count(),
         "seed": args.seed,
         "seconds": args.seconds,
