@@ -106,8 +106,10 @@ class DiscreteTimeSystem:
 
     @functools.cached_property
     def f_row(self) -> symcore.Rows:
-        """f as one row of exact elements, converted once per system: its
-        Jacobian and the adapted chart's inversion both take them."""
+        """f as one row of exact elements, converted once for its Jacobian
+        and the next adapted chart's inversion.  That chart takes them off
+        the system (see build_adapted_chart), so that a system run again,
+        whose Jacobian is kept, does not keep f's elements too."""
         return _row_of(self.f)
 
     def jacobian_rows(self) -> symcore.Rows:
@@ -227,7 +229,8 @@ class AdaptedChart:
     not given, and to_x, converted on first access.  The complements that
     build_adapted_chart has not tried yet, and a line for each one it has,
     wait in _candidates and _tried for that access; _h_row holds h as the
-    chart search converted it."""
+    chart search converted it, and _f_row f as the system converted it,
+    or None where an earlier chart took those elements."""
 
     system: DiscreteTimeSystem
     theta: tuple[sp.Symbol, ...]
@@ -237,6 +240,7 @@ class AdaptedChart:
     _candidates: Iterator = field(default=iter(()), compare=False, repr=False)
     _tried: list[str] = field(default_factory=list, compare=False, repr=False)
     _h_row: symcore.Rows | None = field(default=None, compare=False, repr=False)
+    _f_row: symcore.Rows | None = field(default=None, compare=False, repr=False)
 
     @property
     def chart(self) -> Chart:
@@ -246,12 +250,15 @@ class AdaptedChart:
     def to_adapted(self) -> symcore.Substitution:
         """(x, u) -> x(theta, xi): coefficients into the adapted chart,
         solved on first access by elimination (see _solve_inverse) from the
-        elements of f and h, which are not converted again.  Where h does
-        not invert, the first later complement of full rank that inverts
-        takes its place (see build_adapted_chart)."""
+        elements of f and h, which are not converted again; f is converted
+        here only where an earlier chart took the system's elements.  Where
+        h does not invert, the first later complement of full rank that
+        inverts takes its place (see build_adapted_chart)."""
         sys, names = self.system, self.theta + self.xi
         while self._to_adapted is None:
-            S = symcore.Rows.stack(sys.f_row, self._h_row)
+            if self._f_row is None:
+                object.__setattr__(self, "_f_row", _row_of(sys.f))
+            S = symcore.Rows.stack(self._f_row, self._h_row)
             maps = symcore.Rows(S.F, [S.rows[0] + S.rows[1]], len(names))
             try:
                 object.__setattr__(self, "_to_adapted", _solve_inverse(
@@ -390,8 +397,9 @@ def build_adapted_chart(sys: DiscreteTimeSystem) -> AdaptedChart:
                   else itertools.combinations(sys.inputs + sys.states, sys.m))
     tried: list[str] = []
     h, h_row = _next_complement(sys, candidates, tried)
+    f_row = sys.__dict__.pop("f_row", None)  # the chart's now, not the system's
     if sys.inverse_chart is None:
-        return AdaptedChart(sys, theta, xi, h, None, candidates, tried, h_row)
+        return AdaptedChart(sys, theta, xi, h, None, candidates, tried, h_row, f_row)
     back = dict(zip(theta + xi, sys.f + h))
     to_chart = dict(zip(inverse_chart_symbols(sys.n, sys.m), theta + xi))
     inv = tuple(sp.sympify(e).xreplace(to_chart) for e in sys.inverse_chart)
